@@ -9,15 +9,14 @@ for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenKind, token_kind
-from .datasetgen import Instance
+from .corpus import TokenKind, strip_diacritics, token_kind
+from .datasetgen import Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
 
 PERCEPTRON = "perceptron"
@@ -276,7 +275,7 @@ def _argmax(model: LinearModel, scores: dict[str, float]) -> str:
     if len(tied) == 1:
         return tied[0]
     counts = dict(zip(model.classes, model.class_counts))
-    return min(tied, key=lambda cls: (-counts.get(cls, 0), cls))
+    return majority_variant([(cls, counts.get(cls, 0)) for cls in tied])
 
 
 def posterior(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
@@ -350,39 +349,65 @@ def classifier_payload(clf: TextClassifier) -> dict:
 
 
 def classifier_from_payload(payload: dict) -> TextClassifier:
-    vectorizer = Vectorizer(
-        vocabulary={t: int(i) for t, i in payload["vocabulary"].items()},
-        idf=np.array(payload["idf"], dtype=float),
-    )
+    kind = payload["kind"]
+    if kind not in KINDS:
+        raise ParseError(f"unknown classifier kind: {kind!r}")
+    window = int(payload["window"])
+    if window < 3 or window % 2 == 0:
+        raise ParseError(f"classifier window must be an odd integer >= 3, got {window}")
+    vocabulary = {t: int(i) for t, i in payload["vocabulary"].items()}
+    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+        raise ParseError("classifier vocabulary indices must be 0..V-1, each once")
+    vectorizer = Vectorizer(vocabulary=vocabulary, idf=np.array(payload["idf"], dtype=float))
     model = LinearModel(
-        kind=payload["kind"],
+        kind=kind,
         classes=list(payload["classes"]),
         class_counts=[int(c) for c in payload["class_counts"]],
-        n_features=len(vectorizer.vocabulary),
+        n_features=len(vocabulary),
         hyper=Hyper(**payload["hyper"]),
     )
-    if model.kind == MULTINOMIAL_NB:
-        model.class_log_prior = np.array(payload["nb_params"]["class_log_prior"])
-        model.feature_log_prob = np.array(payload["nb_params"]["feature_log_prob"])
+    n_classes = len(model.classes)
+    if not model.classes or not all(isinstance(c, str) for c in model.classes):
+        raise ParseError("classifier classes must be a nonempty list of strings")
+    if kind == MULTINOMIAL_NB:
+        model.class_log_prior = np.array(payload["nb_params"]["class_log_prior"], dtype=float)
+        model.feature_log_prob = np.array(payload["nb_params"]["feature_log_prob"], dtype=float)
     else:
         model.weights = np.array(payload["weights"], dtype=float)
         model.bias = np.array(payload["bias"], dtype=float)
-    return TextClassifier(window=int(payload["window"]), vectorizer=vectorizer, model=model)
+    shapes = {
+        "idf": (vectorizer.idf, (model.n_features,)),
+        "class_log_prior": (model.class_log_prior, (n_classes,)),
+        "feature_log_prob": (model.feature_log_prob, (n_classes, model.n_features)),
+        "weights": (model.weights, (n_classes, model.n_features)),
+        "bias": (model.bias, (n_classes,)),
+    }
+    for name, (array, shape) in shapes.items():
+        if array is not None and (array.shape != shape or not np.isfinite(array).all()):
+            raise ParseError(f"classifier {name} must be finite, of shape {shape}")
+    return TextClassifier(window=window, vectorizer=vectorizer, model=model)
 
 
-def save_classifier(clf: TextClassifier, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(classifier_payload(clf), fh, ensure_ascii=False)
-        fh.write("\n")
+@dataclass
+class ClassifierBank:
+    """The classifier family's restorer: one trained classifier per wordkey."""
 
+    classifiers: dict[str, TextClassifier]
 
-def load_classifier(path) -> TextClassifier:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid classifier JSON: {exc.msg}", line=exc.lineno, path=path)
-    try:
-        return classifier_from_payload(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed classifier file: {exc}", path=path)
+    def predict_instance(self, inst: Instance) -> str:
+        key = strip_diacritics(inst.tokens[inst.target])
+        clf = self.classifiers.get(key)
+        if clf is None:
+            raise ModelError(f"no classifier trained for wordkey {key!r}")
+        return clf.predict_instance(inst)
+
+    def to_payload(self) -> dict:
+        return {"models": {key: classifier_payload(clf) for key, clf in sorted(self.classifiers.items())}}
+
+    @classmethod
+    def from_payload(cls, spec: dict, variant_index) -> "ClassifierBank":
+        classifiers = {key: classifier_from_payload(p) for key, p in spec["models"].items()}
+        for key in variant_index:
+            if key not in classifiers:
+                raise ParseError(f"no classifier for wordkey {key!r}")
+        return cls(classifiers=classifiers)

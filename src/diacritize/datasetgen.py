@@ -146,6 +146,16 @@ def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousS
     return list(sets.values())
 
 
+def majority_variant(counts) -> str:
+    """The variant with the highest count; ties go to the smallest surface.
+
+    counts is a list (or other re-iterable) of (variant, count) pairs. Every
+    restorer falls back on this vote when it has nothing better to go on.
+    """
+    best = max(c for _, c in counts)
+    return min(v for v, c in counts if c == best)
+
+
 def variant_index(sets) -> dict[str, list[tuple[str, int]]]:
     """Wordkey -> [(variant, count), ...] lookup from generated sets."""
     return {s.wordkey: list(s.variants) for s in sets}
@@ -181,42 +191,43 @@ def read_dataset(path) -> list[AmbiguousSet]:
             if not raw:
                 continue
             try:
-                record = json.loads(raw)
+                _read_record(json.loads(raw), sets, by_key)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, path=path)
-            if "wordkey" not in record:
-                raise ParseError("record missing 'wordkey'", line=line_no, path=path)
-            if "variants" in record:
-                aset = AmbiguousSet(
-                    wordkey=record["wordkey"],
-                    variants=[(v, int(c)) for v, c in record["variants"]],
-                )
-                sets.append(aset)
-                by_key[aset.wordkey] = aset
-            else:
-                missing = [k for k in ("tokens", "target", "label") if k not in record]
-                if missing:
-                    raise ParseError(
-                        f"instance record missing {', '.join(missing)}",
-                        line=line_no,
-                        path=path,
-                    )
-                aset = by_key.get(record["wordkey"])
-                if aset is None:
-                    raise ParseError(
-                        f"instance for unknown wordkey '{record['wordkey']}'",
-                        line=line_no,
-                        path=path,
-                    )
-                aset.instances.append(
-                    Instance(
-                        tokens=tuple(record["tokens"]),
-                        target=int(record["target"]),
-                        label=record["label"],
-                        line=int(record.get("line", -1)),
-                    )
-                )
+            except (TypeError, ValueError) as exc:
+                raise ParseError(str(exc), line=line_no, path=path)
     return sets
+
+
+def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSet]) -> None:
+    """Add one dataset record to its set; a malformed record raises ValueError or TypeError."""
+    if not isinstance(record, dict) or not isinstance(record.get("wordkey"), str):
+        raise ValueError("record needs a string 'wordkey'")
+    key = record["wordkey"]
+    if "variants" in record:
+        variants = [(v, int(c)) for v, c in record["variants"]]
+        if not variants or not all(isinstance(v, str) for v, _ in variants):
+            raise ValueError("'variants' must be a nonempty list of [surface, count] pairs")
+        aset = AmbiguousSet(wordkey=key, variants=variants)
+        sets.append(aset)
+        by_key[key] = aset
+        return
+    missing = [k for k in ("tokens", "target", "label") if k not in record]
+    if missing:
+        raise ValueError(f"instance record missing {', '.join(missing)}")
+    aset = by_key.get(key)
+    if aset is None:
+        raise ValueError(f"instance for unknown wordkey '{key}'")
+    tokens, target, label = record["tokens"], int(record["target"]), record["label"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("'tokens' must be a list of strings")
+    if not isinstance(label, str):
+        raise ValueError("'label' must be a string")
+    if not 0 <= target < len(tokens):
+        raise ValueError(f"'target' {target} is outside the {len(tokens)} tokens")
+    aset.instances.append(
+        Instance(tokens=tuple(tokens), target=target, label=label, line=int(record.get("line", -1)))
+    )
 
 
 def _dumps(obj) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, TokenKind, strip_diacritics
-from .datasetgen import AmbiguousSet, Instance
+from .datasetgen import AmbiguousSet, Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
 from .classify import extract_window
 
@@ -286,8 +286,7 @@ def restore_instance(
     total = sum(c for _, c in candidates)
     prior = {v: (c / total if total else 0.0) for v, c in candidates}
     if not context:
-        best = max(c for _, c in candidates)
-        return min(v for v, c in candidates if c == best)
+        return majority_variant(candidates)
 
     restricted = {}
     if scheme in (TWEAK2, TWEAK3):
@@ -317,24 +316,68 @@ def restore_instance(
     return min(v for v, s in scores.items() if s == best)
 
 
+def restore_or_majority(model: EmbeddingModel, inst: Instance, candidates, window, scheme, cowords) -> str:
+    """restore_instance, or the majority candidate when no candidate has a vector."""
+    try:
+        return restore_instance(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
+    except UnrepresentableInstance:
+        log.debug("unrepresentable instance for %r, unigram fallback", inst.tokens[inst.target])
+        return majority_variant(candidates)
+
+
 @dataclass
 class EmbeddingRestorer:
-    """Bundle of everything the cosine restorer needs at prediction time."""
+    """The embedding family's restorer; its payload names the vectors file by path."""
 
     model: EmbeddingModel
     variant_index: dict[str, list[tuple[str, int]]]
     scheme: str = BASIC
     window: int | None = 11
     cowords: dict[str, list[tuple[str, int]]] | None = None
+    vectors_path: str | None = None
+    top_n: int = 50
 
     def predict_instance(self, inst: Instance) -> str:
         key = strip_diacritics(inst.tokens[inst.target])
         candidates = self.variant_index.get(key)
         if candidates is None:
             raise ModelError(f"wordkey not in variant index: {key!r}")
-        return restore_instance(
-            self.model, inst, candidates, window=self.window,
-            scheme=self.scheme, cowords=self.cowords,
+        return restore_or_majority(self.model, inst, candidates, self.window, self.scheme, self.cowords)
+
+    def to_payload(self) -> dict:
+        return {
+            "vectors_path": self.vectors_path,
+            "scheme": self.scheme,
+            "window": self.window,
+            "top_n": self.top_n,
+            "cowords": {
+                v: [list(p) for p in pairs] for v, pairs in sorted((self.cowords or {}).items())
+            },
+        }
+
+    @classmethod
+    def from_payload(cls, spec: dict, variant_index) -> "EmbeddingRestorer":
+        vectors_path = spec.get("vectors_path")
+        if not vectors_path:
+            raise ModelError("embedding pipeline lacks a vectors_path")
+        if not isinstance(vectors_path, str):
+            raise ParseError("embedding vectors_path must be a string")
+        scheme, window = spec["scheme"], spec["window"]
+        if scheme not in SCHEMES:
+            raise ParseError(f"unknown embedding scheme: {scheme!r}")
+        if window is not None and (not isinstance(window, int) or window < 3 or window % 2 == 0):
+            raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
+        cowords = {v: [(w, int(c)) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
+        if not all(isinstance(w, str) for pairs in (cowords or {}).values() for w, _ in pairs):
+            raise ParseError("embedding cowords must be [word, count] pairs")
+        if scheme in (TWEAK2, TWEAK3) and cowords is None:
+            raise ParseError(f"scheme {scheme} needs a coword table")
+        model = load_vectors(vectors_path)
+        if scheme != BASIC and cowords:
+            model = enhance(model, cowords, scheme=scheme)
+        return cls(
+            model=model, variant_index=variant_index, scheme=scheme, window=window,
+            cowords=cowords, vectors_path=vectors_path, top_n=spec.get("top_n", 50),
         )
 
 
@@ -350,19 +393,7 @@ def cv_fitter(
     def fit(train_instances):
         counts = Counter(inst.label for inst in train_instances)
         candidates = [(v, counts.get(v, 0)) for v, _ in aset.variants]
-
-        def predictor(inst, _candidates=candidates):
-            try:
-                return restore_instance(
-                    model, inst, _candidates, window=window,
-                    scheme=scheme, cowords=cowords,
-                )
-            except UnrepresentableInstance:
-                log.debug("unrepresentable instance for %r, unigram fallback", aset.wordkey)
-                best = max(c for _, c in _candidates)
-                return min(v for v, c in _candidates if c == best)
-
-        return predictor
+        return lambda inst: restore_or_majority(model, inst, candidates, window, scheme, cowords)
 
     return fit
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, TokenKind, normalize, strip_diacritics
 from .datasetgen import AmbiguousSet
-from .errors import DataError, FoldError
+from .errors import DataError, FoldError, ModelError
 
 
 @dataclass
@@ -93,8 +93,9 @@ def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalRes
 
     fit(train_instances) must return a predictor: instance -> variant surface.
     When the set is too small to fold, it is scored train-on-all with a
-    warning; when a fold's training fails, its instances are scored against
-    the majority variant of the training data and the failure is recorded.
+    warning; when a fold's training raises DataError or ModelError, its
+    instances are scored against the majority variant of the training data
+    and the failure is recorded.
     """
     classes = [v for v, _ in aset.variants]
     cm = ConfusionMatrix(classes=list(classes))
@@ -114,7 +115,7 @@ def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalRes
         test = [aset.instances[i] for i in test_idx]
         try:
             predictor = fit(train)
-        except Exception as exc:  # noqa: BLE001 - fold failure is data, not a crash
+        except (DataError, ModelError) as exc:
             majority = Counter(i.label for i in train).most_common(1)[0][0]
             result.failed_folds.append(fold_no)
             result.warnings.append(f"{aset.wordkey} fold {fold_no}: {exc}")

@@ -10,12 +10,11 @@ context.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, TokenKind, strip_diacritics
-from .datasetgen import AmbiguousSet, Instance
+from .datasetgen import AmbiguousSet, Instance, majority_variant
 from .errors import ModelError, ParseError
 
 
@@ -57,7 +56,7 @@ def prepare(corpus: Corpus, lowercase: bool = True) -> PreparedCorpus:
         lines.append(surfaces)
     unambiguous = {}
     for key, variants in word_counts.items():
-        best = min(variants.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best = majority_variant(variants.items())
         if best != key:
             unambiguous[key] = best
     return PreparedCorpus(lines=lines, unambiguous=unambiguous, lowercase=lowercase)
@@ -138,15 +137,7 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
         best = max(scores)
         if best > 0 and scores.count(best) == 1:
             return variants[scores.index(best)]
-    best = max(model.unigram_count(v) for v in variants)
-    return min(v for v in variants if model.unigram_count(v) == best)
-
-
-def restore_word(model: NGramModel, left: list[str], wordkey: str, n: int) -> str:
-    variants = model.variant_index.get(wordkey)
-    if variants is None:
-        raise ModelError(f"wordkey not in variant index: {wordkey!r}")
-    return _choose(model, left, variants, n)
+    return majority_variant([(v, model.unigram_count(v)) for v in variants])
 
 
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
@@ -161,22 +152,36 @@ def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
             left.append(_choose(model, left, model.variant_index[key], n))
         else:
             left.append(model.unambiguous.get(key, w))
-    return restore_word(model, left, strip_diacritics(inst.tokens[inst.target]), n)
-
-
-def restore_probability(model: NGramModel, context, variant: str):
-    """MLE P(variant | context) among the wordkey's candidates; None when 0/0."""
-    context = tuple(context)
-    k = len(context) + 1
-    if not (1 <= k <= model.max_n):
-        raise ModelError(f"no trained level for context length {len(context)}")
-    variants = model.variant_index.get(strip_diacritics(variant))
+    wordkey = strip_diacritics(inst.tokens[inst.target])
+    variants = model.variant_index.get(wordkey)
     if variants is None:
-        raise ModelError(f"wordkey not in variant index: {variant!r}")
-    denom = sum(model.count(k, context, v) for v in variants)
-    if denom == 0:
-        return None
-    return model.count(k, context, variant) / denom
+        raise ModelError(f"wordkey not in variant index: {wordkey!r}")
+    return _choose(model, left, variants, n)
+
+
+@dataclass
+class NGramRestorer:
+    """The n-gram family's restorer: a count model read at order n."""
+
+    model: NGramModel
+    n: int
+
+    def predict_instance(self, inst: Instance) -> str:
+        return restore_instance(self.model, inst, self.n)
+
+    def to_payload(self) -> dict:
+        return {"n": self.n, "model": model_payload(self.model)}
+
+    @classmethod
+    def from_payload(cls, spec: dict, variant_index) -> "NGramRestorer":
+        model = model_from_payload(spec["model"])
+        n = int(spec["n"])
+        if not (1 <= n <= model.max_n):
+            raise ParseError(f"n-gram order must be in 1..{model.max_n}, got {n}")
+        for key in variant_index:
+            if key not in model.variant_index:
+                raise ParseError(f"n-gram model has no variants for wordkey {key!r}")
+        return cls(model=model, n=n)
 
 
 def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: int, lowercase: bool = True):
@@ -224,33 +229,26 @@ def model_payload(model: NGramModel) -> dict:
 
 def model_from_payload(payload: dict) -> NGramModel:
     max_n = payload["max_n"]
+    levels = payload["levels"]
+    if len(levels) != max_n or sorted(level["k"] for level in levels) != list(range(1, max_n + 1)):
+        raise ParseError(f"n-gram model needs one level for each k in 1..{max_n}")
     counts: list[dict] = [dict() for _ in range(max_n)]
-    for level in payload["levels"]:
-        k = level["k"]
+    for level in levels:
+        table = counts[level["k"] - 1]
         for ctx, v, c in level["entries"]:
-            counts[k - 1][(tuple(ctx), v)] = c
+            table[(tuple(ctx), v)] = c
+    if not all(isinstance(c, int) for table in counts for c in table.values()):
+        raise ParseError("n-gram counts must be integers")
+    variant_index = {k: list(vs) for k, vs in payload["variant_index"].items()}
+    if not all(vs and all(isinstance(v, str) for v in vs) for vs in variant_index.values()):
+        raise ParseError("n-gram variant lists must be nonempty lists of strings")
+    unambiguous = dict(payload.get("unambiguous", {}))
+    if not all(isinstance(v, str) for v in unambiguous.values()):
+        raise ParseError("n-gram unambiguous forms must be strings")
     return NGramModel(
         max_n=max_n,
         counts=counts,
-        variant_index={k: list(vs) for k, vs in payload["variant_index"].items()},
-        unambiguous=dict(payload.get("unambiguous", {})),
+        variant_index=variant_index,
+        unambiguous=unambiguous,
         lowercase=payload.get("lowercase", True),
     )
-
-
-def save_model(model: NGramModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_payload(model), fh, ensure_ascii=False)
-        fh.write("\n")
-
-
-def load_model(path) -> NGramModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid model JSON: {exc.msg}", line=exc.lineno, path=path)
-    try:
-        return model_from_payload(payload)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ParseError(f"malformed n-gram model file: {exc}", path=path)

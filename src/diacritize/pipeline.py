@@ -12,35 +12,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import classify, embed, ngram
+from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, strip_diacritics, token_kind
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
-FAMILIES = ("ngram", "classifier", "embedding")
-
-
-@dataclass
-class NGramRestorer:
-    model: ngram.NGramModel
-    n: int
-
-    def predict_instance(self, inst: Instance) -> str:
-        return ngram.restore_instance(self.model, inst, self.n)
-
-
-@dataclass
-class ClassifierBank:
-    """One trained classifier per wordkey."""
-
-    classifiers: dict[str, classify.TextClassifier]
-
-    def predict_instance(self, inst: Instance) -> str:
-        key = strip_diacritics(inst.tokens[inst.target])
-        clf = self.classifiers.get(key)
-        if clf is None:
-            raise ModelError(f"no classifier trained for wordkey {key!r}")
-        return clf.predict_instance(inst)
+# Each family's restorer: predict_instance(inst), to_payload() and the
+# classmethod from_payload(spec, variant_index), which validates what it reads.
+FAMILIES = {
+    "ngram": ngram.NGramRestorer,
+    "classifier": classify.ClassifierBank,
+    "embedding": embed.EmbeddingRestorer,
+}
 
 
 @dataclass
@@ -49,19 +32,20 @@ class Pipeline:
     restorer: object
     unambiguous: dict[str, str]
     variant_index: dict[str, list[tuple[str, int]]]
-    fallback: str = "echo"
     lowercase: bool = True
 
 
-def build_maps(corpus: Corpus, sets, lowercase: bool = True):
+def build_maps(corpus, sets, lowercase: bool = True):
     """Replacement map and variant index with disjoint key sets.
 
     Wordkeys outside the generated dataset map to their most frequent marked
     form (identity mappings are omitted); dataset wordkeys carry their variant
-    candidates and counts.
+    candidates and counts. corpus may be an ngram.PreparedCorpus already.
     """
-    index = {s.wordkey: list(s.variants) for s in sets}
-    prepared = ngram.prepare(corpus, lowercase=lowercase)
+    index = datasetgen.variant_index(sets)
+    prepared = (
+        corpus if isinstance(corpus, ngram.PreparedCorpus) else ngram.prepare(corpus, lowercase)
+    )
     unambiguous = {
         key: marked for key, marked in prepared.unambiguous.items() if key not in index
     }
@@ -69,12 +53,13 @@ def build_maps(corpus: Corpus, sets, lowercase: bool = True):
 
 
 def build_ngram_pipeline(corpus, sets, n: int = 5, lowercase: bool = True) -> Pipeline:
-    unambiguous, index = build_maps(corpus, sets, lowercase)
+    prepared = ngram.prepare(corpus, lowercase)
+    unambiguous, index = build_maps(prepared, sets, lowercase)
     candidates = {key: [v for v, _ in variants] for key, variants in index.items()}
-    model = ngram.train(corpus, n, candidates, lowercase=lowercase)
+    model = ngram.train(prepared, n, candidates, lowercase=lowercase)
     return Pipeline(
         family="ngram",
-        restorer=NGramRestorer(model=model, n=n),
+        restorer=ngram.NGramRestorer(model=model, n=n),
         unambiguous=unambiguous,
         variant_index=index,
         lowercase=lowercase,
@@ -92,7 +77,7 @@ def build_classifier_pipeline(
     }
     return Pipeline(
         family="classifier",
-        restorer=ClassifierBank(classifiers=classifiers),
+        restorer=classify.ClassifierBank(classifiers=classifiers),
         unambiguous=unambiguous,
         variant_index=index,
         lowercase=lowercase,
@@ -111,9 +96,8 @@ def build_embedding_pipeline(
         model = embed.enhance(model, cowords, scheme=scheme)
     restorer = embed.EmbeddingRestorer(
         model=model, variant_index=index, scheme=scheme, window=window, cowords=cowords,
+        vectors_path=str(vectors_path), top_n=top_n,
     )
-    restorer.vectors_path = str(vectors_path)
-    restorer.top_n = top_n
     return Pipeline(
         family="embedding",
         restorer=restorer,
@@ -147,14 +131,9 @@ def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
                     strip_diacritics(t.surface.lower() if pipeline.lowercase else t.surface)
                     for t in tokens
                 )
-            try:
-                marked = pipeline.restorer.predict_instance(
-                    Instance(tokens=prepared, target=i, label="")
-                )
-            except embed.UnrepresentableInstance:
-                counts = pipeline.variant_index[key]
-                best = max(c for _, c in counts)
-                marked = min(v for v, c in counts if c == best)
+            marked = pipeline.restorer.predict_instance(
+                Instance(tokens=prepared, target=i, label="")
+            )
         elif key in pipeline.unambiguous:
             marked = pipeline.unambiguous[key]
         else:
@@ -173,39 +152,17 @@ def restore_text(pipeline: Pipeline, stripped: Corpus) -> Corpus:
     return Corpus(lines, is_marked=True)
 
 
-def _restorer_payload(pipeline: Pipeline) -> dict:
-    r = pipeline.restorer
-    if pipeline.family == "ngram":
-        return {"n": r.n, "model": ngram.model_payload(r.model)}
-    if pipeline.family == "classifier":
-        return {
-            "models": {
-                key: classify.classifier_payload(clf)
-                for key, clf in sorted(r.classifiers.items())
-            }
-        }
-    if pipeline.family == "embedding":
-        return {
-            "vectors_path": getattr(r, "vectors_path", None),
-            "scheme": r.scheme,
-            "window": r.window,
-            "top_n": getattr(r, "top_n", 50),
-            "cowords": {v: [list(p) for p in pairs] for v, pairs in sorted((r.cowords or {}).items())},
-        }
-    raise ModelError(f"unknown pipeline family: {pipeline.family!r}")
-
-
 def save_pipeline(pipeline: Pipeline, path) -> None:
     payload = {
         "family": pipeline.family,
-        "fallback": pipeline.fallback,
+        "fallback": "echo",  # kept so files stay byte-identical; readers ignore it
         "lowercase": pipeline.lowercase,
         "unambiguous": {k: pipeline.unambiguous[k] for k in sorted(pipeline.unambiguous)},
         "variant_index": {
             k: [list(v) for v in pipeline.variant_index[k]]
             for k in sorted(pipeline.variant_index)
         },
-        "restorer": _restorer_payload(pipeline),
+        "restorer": pipeline.restorer.to_payload(),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, ensure_ascii=False)
@@ -220,44 +177,20 @@ def load_pipeline(path) -> Pipeline:
             raise ParseError(f"invalid pipeline JSON: {exc.msg}", line=exc.lineno, path=path)
     try:
         family = payload["family"]
-        index = {k: [(v, int(c)) for v, c in vs] for k, vs in payload["variant_index"].items()}
-        spec = payload["restorer"]
-        if family == "ngram":
-            restorer = NGramRestorer(model=ngram.model_from_payload(spec["model"]), n=int(spec["n"]))
-        elif family == "classifier":
-            restorer = ClassifierBank(
-                classifiers={
-                    key: classify.classifier_from_payload(p)
-                    for key, p in spec["models"].items()
-                }
-            )
-        elif family == "embedding":
-            if not spec.get("vectors_path"):
-                raise ModelError("embedding pipeline lacks a vectors_path")
-            model = embed.load_vectors(spec["vectors_path"])
-            cowords = {v: [(w, int(c)) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
-            if spec["scheme"] != embed.BASIC and cowords:
-                model = embed.enhance(model, cowords, scheme=spec["scheme"])
-            restorer = embed.EmbeddingRestorer(
-                model=model, variant_index=index, scheme=spec["scheme"],
-                window=spec["window"], cowords=cowords,
-            )
-            restorer.vectors_path = spec["vectors_path"]
-            restorer.top_n = spec.get("top_n", 50)
-        else:
+        if family not in FAMILIES:
             raise ModelError(f"unknown pipeline family: {family!r}")
+        index = {k: [(v, int(c)) for v, c in vs] for k, vs in payload["variant_index"].items()}
+        if not all(vs and all(isinstance(v, str) for v, _ in vs) for vs in index.values()):
+            raise ParseError("variant_index lists must be nonempty [variant, count] pairs")
+        unambiguous = dict(payload["unambiguous"])
+        if not all(isinstance(v, str) for v in unambiguous.values()):
+            raise ParseError("unambiguous forms must be strings")
         return Pipeline(
             family=family,
-            restorer=restorer,
-            unambiguous=dict(payload["unambiguous"]),
+            restorer=FAMILIES[family].from_payload(payload["restorer"], index),
+            unambiguous=unambiguous,
             variant_index=index,
-            fallback=payload.get("fallback", "echo"),
             lowercase=payload.get("lowercase", True),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed pipeline file: {exc}", path=path)
-
-
-def majority_variant(variants) -> str:
-    best = max(c for _, c in variants)
-    return min(v for v, c in variants if c == best)

@@ -229,6 +229,26 @@ class TestSerialization:
             read_dataset(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ('{"wordkey":"ab","variants":[["áb","x"],["àb",1]]}', "invalid literal"),
+            ('{"wordkey":"ab","tokens":"ab","target":0,"label":"áb"}', "tokens"),
+            ('{"wordkey":"ab","tokens":["ab",3],"target":0,"label":"áb"}', "tokens"),
+            ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":5}', "label"),
+            ('{"wordkey":"ab","tokens":["ab"],"target":99,"label":"áb"}', "target"),
+            ('{"wordkey":"ab","tokens":["ab"],"target":-1,"label":"áb"}', "target"),
+        ],
+    )
+    def test_malformed_record_is_parse_error_with_line(self, tmp_path, record, match):
+        path = tmp_path / "bad.jsonl"
+        header = '{"wordkey":"ab","variants":[["áb",1],["àb",1]]}'
+        path.write_text(f"{header}\n{header}\n{record}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=match) as err:
+            read_dataset(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}:3: ")
+
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"wordkey": oops\n', encoding="utf-8")

@@ -449,6 +449,15 @@ class TestWordsim:
             embed.load_wordsim_tsv(bad)
 
 
+class TestRestorerFallback:
+    def test_unrepresentable_instance_takes_majority_variant(self):
+        restorer = embed.EmbeddingRestorer(
+            model=model_of(c=[1.0, 0.0]), variant_index={"t": [("x", 1), ("y", 3)]}
+        )
+        inst = Instance(tokens=("c", "t"), target=1, label="")
+        assert restorer.predict_instance(inst) == "y"
+
+
 class TestCvFitter:
     def test_static_predictor_uses_fold_priors(self):
         model = model_of(**{"ká": [1.0, 0.0], "kà": [0.0, 1.0]})

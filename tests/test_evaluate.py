@@ -5,7 +5,7 @@ import pytest
 from diacritize import evaluate
 from diacritize.corpus import corpus_from_lines
 from diacritize.datasetgen import AmbiguousSet, Instance
-from diacritize.errors import DataError, FoldError
+from diacritize.errors import DataError, FoldError, ModelError
 from diacritize.evaluate import (
     ConfusionMatrix,
     aggregate,
@@ -118,7 +118,7 @@ class TestCrossval:
         def fit(train):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise ValueError("boom")
+                raise ModelError("boom")
             return lambda inst: inst.label
 
         result = crossval(fit, aset, k=10, seed=0)
@@ -126,6 +126,15 @@ class TestCrossval:
         # fold 0 held 3 a + 2 b and was scored all-"a": 2 errors
         assert result.matrix.trace == 48
         assert result.matrix.cells == [[30, 0], [2, 18]]
+
+    def test_programming_error_in_fit_propagates(self):
+        aset = make_set({"a": 30, "b": 20})
+
+        def fit(train):
+            raise AttributeError("a bug, not a data problem")
+
+        with pytest.raises(AttributeError):
+            crossval(fit, aset, k=10, seed=0)
 
     def test_reproducible_with_seed(self):
         aset = make_set({"a": 25, "b": 25})

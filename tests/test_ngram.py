@@ -1,11 +1,12 @@
+import json
 import random
 
 import pytest
 
-from diacritize import datasetgen, evaluate, ngram
+from diacritize import datasetgen, evaluate, ngram, pipeline
 from diacritize.corpus import corpus_from_lines
 from diacritize.datasetgen import Instance
-from diacritize.errors import ModelError
+from diacritize.errors import ModelError, ParseError
 
 
 def make_instance(tokens, target, label="", line=0):
@@ -185,29 +186,6 @@ class TestBackoff:
             )
 
 
-class TestProbability:
-    def test_direct_ratio(self):
-        lines = ["a ká"] * 3 + ["a kà"] * 1
-        model = ngram.train(corpus_from_lines(lines), 2, {"ka": ["ká", "kà"]})
-        assert ngram.restore_probability(model, ("a",), "ká") == 0.75
-        assert ngram.restore_probability(model, ("a",), "kà") == 0.25
-
-    def test_single_candidate_probability_one(self):
-        lines = ["a ká"] * 2
-        model = ngram.train(corpus_from_lines(lines), 2, {"ka": ["ká"]})
-        assert ngram.restore_probability(model, ("a",), "ká") == 1.0
-
-    def test_unseen_context_undefined(self):
-        lines = ["a ká"]
-        model = ngram.train(corpus_from_lines(lines), 2, {"ka": ["ká", "kà"]})
-        assert ngram.restore_probability(model, ("zz",), "ká") is None
-
-    def test_untrained_level_errors(self):
-        model = ngram.train(corpus_from_lines(["a ká"]), 2, {"ka": ["ká"]})
-        with pytest.raises(ModelError):
-            ngram.restore_probability(model, ("a", "b"), "ká")
-
-
 class TestCrossval:
     def test_deterministic_bigram_corpus_accuracies(self, bigram_corpus):
         corp, major, minor = bigram_corpus
@@ -240,12 +218,11 @@ class TestCrossval:
 
 
 class TestPersistence:
-    def test_round_trip(self, bigram_corpus, tmp_path):
+    def test_round_trip(self, bigram_corpus):
         corp, major, minor = bigram_corpus
         model = ngram.train(corp, 3, {"ko": [major, minor]})
-        path = tmp_path / "model.json"
-        ngram.save_model(model, path)
-        again = ngram.load_model(path)
+        spec = json.loads(json.dumps(ngram.NGramRestorer(model=model, n=3).to_payload()))
+        again = ngram.NGramRestorer.from_payload(spec, {"ko": [(major, 1), (minor, 1)]}).model
         assert again.max_n == model.max_n
         assert again.counts == model.counts
         assert again.variant_index == model.variant_index
@@ -253,6 +230,10 @@ class TestPersistence:
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"max_n": 2}', encoding="utf-8")
-        with pytest.raises(Exception):
-            ngram.load_model(path)
+        restorer = {"n": 2, "model": {"max_n": 2}}
+        path.write_text(
+            json.dumps({"family": "ngram", "unambiguous": {}, "variant_index": {}, "restorer": restorer}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError):
+            pipeline.load_pipeline(path)

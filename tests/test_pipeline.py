@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from diacritize import classify, datasetgen, embed, pipeline
+from diacritize import classify, cli, datasetgen, embed, ngram, pipeline
 from diacritize.corpus import corpus_from_lines, strip_diacritics
-from diacritize.errors import ModelError
+from diacritize.errors import ModelError, ParseError
 from diacritize.pipeline import (
     build_classifier_pipeline,
     build_embedding_pipeline,
@@ -64,6 +66,13 @@ class TestMaps:
         assert unambiguous["nwanyi"] == "nwanyị"
         assert "otu" not in unambiguous  # unmarked words need no entry
         assert index["si"] == [("sì", 30), ("sí", 20)]
+
+    def test_ngram_pipeline_prepares_corpus_once(self, training_corpus, trained_sets, monkeypatch):
+        calls = []
+        real = ngram.prepare
+        monkeypatch.setattr(ngram, "prepare", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        build_ngram_pipeline(training_corpus, trained_sets, n=2)
+        assert len(calls) == 1
 
 
 class TestMatchCase:
@@ -190,3 +199,45 @@ class TestPersistence:
         pipe.restorer = None
         with pytest.raises(ModelError):
             restore_text(pipe, corpus_from_lines(["a"]))
+
+
+
+class TestLoadValidation:
+    """Malformed pipeline files are refused at load, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "family, where, value, code",
+        [
+            ("ngram", ["restorer", "model", "levels", 1, "k"], 7, 2),
+            ("ngram", ["restorer", "n"], 9, 2),
+            ("classifier", ["restorer", "models", "si", "weights"], [[0.0]], 2),
+            ("classifier", ["restorer", "models", "si", "kind"], "bogus", 2),
+            ("ngram", ["family"], "rules", 3),
+        ],
+    )
+    def test_refused_at_load(
+        self, family, where, value, code, training_corpus, trained_sets, tmp_path, capsys
+    ):
+        if family == "ngram":
+            pipe = build_ngram_pipeline(training_corpus, trained_sets, n=2)
+        else:
+            pipe = build_classifier_pipeline(
+                training_corpus, trained_sets, window=5, hyper=classify.Hyper(epochs=5)
+            )
+        path = tmp_path / "pipe.json"
+        save_pipeline(pipe, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(ParseError if code == 2 else ModelError):
+            load_pipeline(path)
+        text = tmp_path / "in.txt"
+        text.write_text("nwanyi kwuru si ya oma\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        argv = ["restore", "--model", str(path), "--in", str(text), "--out", str(out)]
+        assert cli.main(argv) == code
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
