@@ -8,11 +8,10 @@ reported alongside, labeled separately).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, TokenKind, normalize, strip_diacritics
-from .datasetgen import AmbiguousSet
+from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, FoldError, ModelError
 
 
@@ -116,7 +115,8 @@ def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalRes
         try:
             predictor = fit(train)
         except (DataError, ModelError) as exc:
-            majority = Counter(i.label for i in train).most_common(1)[0][0]
+            labels = [i.label for i in train]
+            majority = majority_variant([(v, labels.count(v)) for v in set(labels)])
             result.failed_folds.append(fold_no)
             result.warnings.append(f"{aset.wordkey} fold {fold_no}: {exc}")
             predictor = lambda inst, m=majority: m

@@ -5,7 +5,9 @@ for k = 1..max_n. Restoration scores the candidates of a wordkey at the
 largest context first and backs off one level whenever the counts give no
 unique maximum, down to the unigram floor. Context words left of the target
 are themselves restored first, left to right, so later decisions see marked
-context.
+context. Each restored form depends only on the tokens to its left, so a line
+is restored in one left-to-right pass, linear in its length: `NGramRestorer`
+carries the restored prefix of the current line from one target to the next.
 """
 
 from __future__ import annotations
@@ -140,34 +142,55 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
     return majority_variant([(v, model.unigram_count(v)) for v in variants])
 
 
-def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
-    """Restore the instance target, greedily restoring its left context first."""
+def _extend(model: NGramModel, tokens, restored: list[str], stop: int, n: int) -> None:
+    """Append the restored forms of tokens[len(restored):stop], left to right."""
+    for p in range(len(restored), stop):
+        w = tokens[p]
+        key = strip_diacritics(w)
+        variants = model.variant_index.get(key)
+        if variants is not None:
+            restored.append(_choose(model, restored, variants, n))
+        else:
+            restored.append(model.unambiguous.get(key, w))
+
+
+def restore_instance(model: NGramModel, inst: Instance, n: int, restored: list[str] | None = None) -> str:
+    """Restore the instance target, greedily restoring its left context first.
+
+    restored, if given, holds the restored forms of a prefix of inst.tokens;
+    it is extended in place through the target, whose form it then holds.
+    """
     if not (1 <= n <= model.max_n):
         raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
-    left: list[str] = []
-    for p in range(inst.target):
-        w = inst.tokens[p]
-        key = strip_diacritics(w)
-        if key in model.variant_index:
-            left.append(_choose(model, left, model.variant_index[key], n))
-        else:
-            left.append(model.unambiguous.get(key, w))
     wordkey = strip_diacritics(inst.tokens[inst.target])
     variants = model.variant_index.get(wordkey)
     if variants is None:
         raise ModelError(f"wordkey not in variant index: {wordkey!r}")
-    return _choose(model, left, variants, n)
+    if restored is None:
+        restored = []
+    _extend(model, inst.tokens, restored, inst.target + 1, n)
+    return restored[inst.target]
 
 
 @dataclass
 class NGramRestorer:
-    """The n-gram family's restorer: a count model read at order n."""
+    """The n-gram family's restorer: a count model read at order n.
+
+    It keeps the restored prefix of the last tokens tuple it saw, so the
+    targets of one line cost one left-to-right pass between them. One
+    restorer therefore serves one stream of lines at a time.
+    """
 
     model: NGramModel
     n: int
+    _tokens: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _restored: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def predict_instance(self, inst: Instance) -> str:
-        return restore_instance(self.model, inst, self.n)
+        # A tuple is immutable and held here, so identity means the same line.
+        if inst.tokens is not self._tokens or type(inst.tokens) is not tuple:
+            self._tokens, self._restored = inst.tokens, []
+        return restore_instance(self.model, inst, self.n, self._restored)
 
     def to_payload(self) -> dict:
         return {"n": self.n, "model": model_payload(self.model)}

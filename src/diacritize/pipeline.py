@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, strip_diacritics, token_kind
@@ -96,7 +97,7 @@ def build_embedding_pipeline(
         model = embed.enhance(model, cowords, scheme=scheme)
     restorer = embed.EmbeddingRestorer(
         model=model, variant_index=index, scheme=scheme, window=window, cowords=cowords,
-        vectors_path=str(vectors_path), top_n=top_n,
+        vectors_path=str(Path(vectors_path).resolve()), top_n=top_n,
     )
     return Pipeline(
         family="embedding",

@@ -164,6 +164,30 @@ class TestTrainRestore:
         )
         assert code == 0
 
+    def test_emb_pipeline_restores_from_another_directory(
+        self, capsys, tmp_path, dataset_file, vectors_file, monkeypatch
+    ):
+        train_dir = tmp_path / "train"
+        train_dir.mkdir()
+        (train_dir / "vectors.txt").write_bytes(Path(vectors_file).read_bytes())
+        model = tmp_path / "pipe.json"
+        monkeypatch.chdir(train_dir)
+        code, _, _ = run(
+            capsys, "train", "emb", FIXTURE, "--dataset", dataset_file,
+            "--vectors", "vectors.txt", "-o", str(model),
+        )
+        assert code == 0
+        stripped = tmp_path / "in.txt"
+        stripped.write_text("nwanyi ziri akwa oma\n", encoding="utf-8")
+        out_file = tmp_path / "restored.txt"
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            capsys, "restore", "--model", str(model),
+            "--in", str(stripped), "--out", str(out_file),
+        )
+        assert code == 0, err
+        assert out_file.read_text(encoding="utf-8").strip()
+
     def test_missing_model_file_is_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "restore", "--model", str(tmp_path / "nope.json"))
         assert code == 2

@@ -127,6 +127,18 @@ class TestCrossval:
         assert result.matrix.trace == 48
         assert result.matrix.cells == [[30, 0], [2, 18]]
 
+    def test_failed_fold_majority_ties_go_to_smallest_surface(self):
+        aset = make_set({"a": 10, "b": 10})
+        aset.instances.reverse()  # "b" comes first in every training fold
+
+        def fit(train):
+            raise ModelError("boom")
+
+        result = crossval(fit, aset, k=2, seed=0)
+        assert result.failed_folds == [0, 1]
+        # every fold trains on a 5/5 tie and predicts "a"
+        assert result.matrix.cells == [[10, 0], [10, 0]]
+
     def test_programming_error_in_fit_propagates(self):
         aset = make_set({"a": 30, "b": 20})
 

@@ -217,6 +217,104 @@ class TestCrossval:
         # only the target changes; shape checks live on the pipeline side
 
 
+@pytest.fixture(scope="module")
+def long_lines(gate_corpus):
+    """A 5-gram model and seeded 320-token stripped lines, half of them targets."""
+    corp, _ = gate_corpus
+    sets = datasetgen.generate(corp)
+    model = ngram.train(corp, 5, {s.wordkey: [v for v, _ in s.variants] for s in sets})
+    words = [ngram.strip_diacritics(tok.surface.lower()) for line in corp.lines for tok in line]
+    keys = sorted(model.variant_index)
+    rng = random.Random(17)
+    lines = [
+        tuple(rng.choice(keys) if rng.random() < 0.5 else rng.choice(words) for _ in range(320))
+        for _ in range(3)
+    ]
+    return model, lines
+
+
+def targets_of(model, tokens):
+    return [t for t, w in enumerate(tokens) if w in model.variant_index]
+
+
+@pytest.fixture()
+def choose_calls(monkeypatch):
+    """A list that grows by one item per ngram._choose call."""
+    calls = []
+    choose = ngram._choose
+    monkeypatch.setattr(ngram, "_choose", lambda *a: calls.append(1) or choose(*a))
+    return calls
+
+
+class TestCarriedPrefix:
+    def test_every_target_matches_a_fresh_restore(self, long_lines):
+        model, lines = long_lines
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        for tokens in lines:
+            for t in targets_of(model, tokens):
+                inst = make_instance(tokens, t)
+                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
+
+    def test_targets_out_of_order(self, long_lines):
+        model, lines = long_lines
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        rng = random.Random(4)
+        for tokens in lines:
+            targets = targets_of(model, tokens)
+            rng.shuffle(targets)
+            for t in targets:
+                inst = Instance(tokens=tokens, target=t, label="")
+                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
+
+    def test_equal_but_distinct_tuple_starts_fresh(self, long_lines, choose_calls):
+        model, lines = long_lines
+        tokens = lines[0]
+        last = targets_of(model, tokens)[-1]
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        expected = restorer.predict_instance(Instance(tokens=tokens, target=last, label=""))
+        choose_calls.clear()
+        copy = tuple(list(tokens))
+        assert copy == tokens and copy is not tokens
+        assert restorer.predict_instance(Instance(tokens=copy, target=last, label="")) == expected
+        assert len(choose_calls) == len(targets_of(model, tokens))
+
+    def test_mutated_list_is_not_carried(self, long_lines):
+        model, lines = long_lines
+        tokens = list(lines[1])
+        last = targets_of(model, tokens)[-1]
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        restorer.predict_instance(Instance(tokens=tokens, target=last, label=""))
+        tokens[last] = next(k for k in sorted(model.variant_index) if k != tokens[last])
+        inst = Instance(tokens=tokens, target=last, label="")
+        assert restorer.predict_instance(inst) in model.variant_index[tokens[last]]
+
+    def test_model_error_leaves_the_rest_of_the_line_intact(self, long_lines):
+        model, lines = long_lines
+        tokens = lines[2]
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        failures = 0
+        for t in range(len(tokens)):
+            inst = make_instance(tokens, t)
+            if tokens[t] in model.variant_index:
+                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
+            else:
+                with pytest.raises(ModelError):
+                    restorer.predict_instance(inst)
+                failures += 1
+        assert failures > 0
+
+    def test_one_choice_per_token_not_per_prefix_token(self, long_lines, choose_calls):
+        model, lines = long_lines
+        restorer = ngram.NGramRestorer(model=model, n=5)
+        for tokens in lines:
+            choose_calls.clear()
+            targets = targets_of(model, tokens)
+            for t in targets:
+                restorer.predict_instance(Instance(tokens=tokens, target=t, label=""))
+            assert len(targets) > 100
+            assert len(choose_calls) <= len(tokens)
+
+
 class TestPersistence:
     def test_round_trip(self, bigram_corpus):
         corp, major, minor = bigram_corpus
