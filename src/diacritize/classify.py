@@ -3,8 +3,9 @@
 The window centers the target when it can and clamps at sentence boundaries;
 only word tokens inside it (minus the target) become features. Classifier
 kinds: perceptron, logistic regression via SGD, linear SVM via SGD hinge, and
-multinomial naive Bayes. Multi-class is one-vs-rest; training is deterministic
-for a fixed seed.
+multinomial naive Bayes. Multi-class is one-vs-rest: the SGD kinds train every
+class in one seeded pass over the examples, and training is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -134,10 +135,14 @@ def logistic_example_loss(w, b, x, y, l2) -> float:
     return loss + 0.5 * l2 * float(np.dot(w, w))
 
 
+def _logistic_residual(z: float, t: int) -> float:
+    """d loss / d z of the logistic loss at margin z, for a target t in {0, 1}."""
+    return _sigmoid(z) - t
+
+
 def logistic_example_grad(w, b, x, y, l2):
     """Analytic gradient of logistic_example_loss: returns (grad_w, grad_b)."""
-    z = _dot(w, x) + b
-    err = _sigmoid(z) - y
+    err = _logistic_residual(_dot(w, x) + b, y)
     gw = l2 * np.asarray(w, dtype=float).copy()
     for i, v in x.items():
         gw[i] += err * v
@@ -188,61 +193,77 @@ def _fit_nb(model: LinearModel, X, y) -> None:
 
 
 def _fit_sgd(model: LinearModel, X, y) -> None:
-    """One-vs-rest training with per-example updates in a seeded shuffle order."""
+    """One-vs-rest SGD: every class trains in the same seeded pass over the examples.
+
+    All classes see one shuffle order per epoch and share the lazy L2 scale
+    (true weights = scale * stored weights; the perceptron keeps scale 1.0), so
+    each example updates every class still in training. A perceptron class stops
+    after its first error-free epoch. Weights stay plain floats until the end and
+    each margin is summed left to right from 0.0, never with sum(), whose float
+    rounding differs between Python versions.
+    """
     kind = model.kind
     hyper = model.hyper
     rate = hyper.rate_for(kind)
+    decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
     n = len(X)
-    model.weights = np.zeros((len(model.classes), model.n_features))
-    model.bias = np.zeros(len(model.classes))
-    if kind == PERCEPTRON:
-        model.train_errors = {}
-    for c, cls in enumerate(model.classes):
-        targets = [1 if label == cls else 0 for label in y]
-        w = model.weights[c]
-        b = 0.0
-        scale = 1.0
-        order = list(range(n))
-        rng = random.Random(hyper.seed)
-        errors = []
-        for _ in range(hyper.epochs):
-            rng.shuffle(order)
-            mistakes = 0
-            for j in order:
-                x, t = X[j], targets[j]
-                z = scale * _dot(w, x) + b
+    rows = [tuple((i, float(v)) for i, v in x.items()) for x in X]
+    index = {cls: c for c, cls in enumerate(model.classes)}
+    truth = [index[label] for label in y]
+    weights = [[0.0] * model.n_features for _ in model.classes]
+    bias = [0.0] * len(model.classes)
+    errors = [[] for _ in model.classes]
+    training = list(range(len(model.classes)))
+    scale = 1.0
+    order = list(range(n))
+    rng = random.Random(hyper.seed)
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        mistakes = [0] * len(model.classes)
+        for j in order:
+            x = rows[j]
+            next_scale = scale * decay
+            for c in training:
+                w = weights[c]
+                z = 0.0
+                for i, v in x:
+                    z += w[i] * v
+                z = scale * z + bias[c]
+                t = 1 if truth[j] == c else 0
                 if kind == PERCEPTRON:
                     pred = 1 if z > 0 else 0
                     if pred != t:
-                        mistakes += 1
-                        for i, v in x.items():
-                            w[i] += rate * (t - pred) * v / scale
-                        b += rate * (t - pred)
+                        mistakes[c] += 1
+                        for i, v in x:
+                            w[i] += rate * (t - pred) * v / next_scale
+                        bias[c] += rate * (t - pred)
                 elif kind == LOGISTIC:
-                    err = _sigmoid(z) - t
-                    scale *= 1.0 - rate * hyper.l2
-                    for i, v in x.items():
-                        w[i] -= rate * err * v / scale
-                    b -= rate * err
+                    err = _logistic_residual(z, t)
+                    for i, v in x:
+                        w[i] -= rate * err * v / next_scale
+                    bias[c] -= rate * err
                 else:  # linear SVM, hinge loss
                     sign = 1.0 if t == 1 else -1.0
-                    scale *= 1.0 - rate * hyper.l2
                     if sign * z < 1.0:
-                        for i, v in x.items():
-                            w[i] += rate * sign * v / scale
-                        b += rate * sign
-                if scale < _SCALE_FLOOR:
-                    w *= scale
-                    scale = 1.0
-            if kind == PERCEPTRON:
-                errors.append(mistakes / n)
-                if mistakes == 0:
-                    break
+                        for i, v in x:
+                            w[i] += rate * sign * v / next_scale
+                        bias[c] += rate * sign
+            scale = next_scale
+            if scale < _SCALE_FLOOR:
+                weights = [[wi * scale for wi in w] for w in weights]
+                scale = 1.0
         if kind == PERCEPTRON:
-            model.train_errors[cls] = errors
-        if scale != 1.0:
-            w *= scale
-        model.bias[c] = b
+            for c in training:
+                errors[c].append(mistakes[c] / n)
+            training = [c for c in training if mistakes[c]]
+            if not training:
+                break
+    if scale != 1.0:
+        weights = [[wi * scale for wi in w] for w in weights]
+    model.weights = np.array(weights, dtype=float)
+    model.bias = np.array(bias, dtype=float)
+    if kind == PERCEPTRON:
+        model.train_errors = dict(zip(model.classes, errors))
 
 
 def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
@@ -296,15 +317,21 @@ class TextClassifier:
     model: LinearModel
 
     def predict_instance(self, inst: Instance) -> str:
-        window = extract_window(inst.tokens, inst.target, self.window)
+        return self.predict_window(extract_window(inst.tokens, inst.target, self.window))
+
+    def predict_window(self, window: list[str]) -> str:
         return predict(self.model, self.vectorizer.transform(window))
 
 
-def fit_instances(instances, kind: str, window: int = 9, hyper: Hyper | None = None) -> TextClassifier:
+def fit_instances(
+    instances, kind: str, window: int = 9, hyper: Hyper | None = None, *, windows=None
+) -> TextClassifier:
+    """Fit a classifier; `windows`, when given, are the instances' extracted windows."""
     instances = list(instances)
     if not instances:
         raise DataError("no instances to train on")
-    windows = [extract_window(i.tokens, i.target, window) for i in instances]
+    if windows is None:
+        windows = [extract_window(i.tokens, i.target, window) for i in instances]
     vectorizer = Vectorizer.fit(windows)
     X = [vectorizer.transform(w) for w in windows]
     y = [i.label for i in instances]
@@ -313,9 +340,23 @@ def fit_instances(instances, kind: str, window: int = 9, hyper: Hyper | None = N
 
 
 def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
+    """A per-fold fit for one wordkey's CV; each instance's window is extracted once.
+
+    Windows are cached by instance identity for all the folds; only the
+    vocabulary, idf and model depend on the fold.
+    """
+    cache: dict[int, tuple[Instance, list[str]]] = {}
+
+    def window_of(inst: Instance) -> list[str]:
+        entry = cache.get(id(inst))
+        if entry is None:
+            entry = cache[id(inst)] = (inst, extract_window(inst.tokens, inst.target, window))
+        return entry[1]
+
     def fit(train_instances):
-        clf = fit_instances(train_instances, kind, window=window, hyper=hyper)
-        return clf.predict_instance
+        windows = [window_of(inst) for inst in train_instances]
+        clf = fit_instances(train_instances, kind, window=window, hyper=hyper, windows=windows)
+        return lambda inst: clf.predict_window(window_of(inst))
 
     return fit
 

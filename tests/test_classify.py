@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -161,6 +162,24 @@ class TestLogistic:
             ) / (2 * h)
             assert abs(fd_b - gb) <= 1e-5 * max(1.0, abs(fd_b))
 
+    def test_trainer_steps_follow_the_example_gradient(self):
+        # The trainer keeps w as scale * stored weights; two of its steps must
+        # equal two explicit steps w -= rate * grad of logistic_example_loss.
+        X = [{0: 0.6, 2: 0.8}, {1: 1.0, 2: 0.5}]
+        y = ["A", "B"]
+        hyper = Hyper(learning_rate=0.3, epochs=1, l2=0.05, seed=3)
+        model = train_classifier(LOGISTIC, X, y, 3, hyper)
+        order = [0, 1]
+        random.Random(hyper.seed).shuffle(order)
+        for c, cls in enumerate(model.classes):
+            w, b = np.zeros(3), 0.0
+            for j in order:
+                gw, gb = logistic_example_grad(w, b, X[j], 1 if y[j] == cls else 0, hyper.l2)
+                w = w - hyper.learning_rate * gw
+                b = b - hyper.learning_rate * gb
+            np.testing.assert_allclose(model.weights[c], w, rtol=1e-12, atol=0)
+            assert model.bias[c] == pytest.approx(b, rel=1e-12, abs=0)
+
     def test_learns_separable_data(self):
         X = [{0: 1.0}] * 5 + [{1: 1.0}] * 5
         y = ["A"] * 5 + ["B"] * 5
@@ -312,3 +331,82 @@ class TestInstanceInterface:
         vec_p = clf.vectorizer.transform(window_p)
         vec_b = clf.vectorizer.transform(window_b)
         assert set(vec_p) <= set(vec_b)
+
+
+def three_class_fixture():
+    rng = random.Random(17)
+    X, y = [], []
+    for _ in range(90):
+        label = rng.choice("ABC")
+        home = "ABC".index(label) * 8
+        x = {}
+        for _ in range(rng.randrange(2, 6)):
+            i = home + rng.randrange(8) if rng.random() < 0.7 else rng.randrange(24)
+            x[i] = x.get(i, 0.0) + rng.random()
+        X.append(x)
+        y.append(label)
+    return X, y, 24
+
+
+def early_and_late_fixture():
+    """Class A is separable at once; B and C overlap and never converge."""
+    rng = random.Random(29)
+    X, y = [], []
+    for _ in range(60):
+        if rng.random() < 0.3:
+            X.append({0: 1.0, rng.randrange(1, 6): 0.2})
+            y.append("A")
+        else:
+            X.append({rng.randrange(1, 6): rng.random() for _ in range(3)})
+            y.append(rng.choice("BC"))
+    return X, y, 6
+
+
+# The L2 scale shrinks by 0.75 a step and 0.75 ** 73 < 1e-9, so every 90-step
+# epoch renormalizes the weights at least once.
+FLOOR = Hyper(learning_rate=0.5, l2=0.5, epochs=4, seed=4)
+
+
+class TestPinnedBits:
+    """Trained weights and perceptron epoch errors, pinned to the bit.
+
+    The sha256 covers weights.tobytes() + bias.tobytes(); errors are the
+    per-epoch mistake counts (train_errors holds each divided by the set size).
+    """
+
+    @pytest.mark.parametrize(
+        "kind,fixture,hyper,sha,mistakes",
+        [
+            (LOGISTIC, three_class_fixture, Hyper(seed=4),
+             "c1c1008a9674f9f32ebc83056b05a0aedcb3d4ea5b05dfe238d9264740c46531", None),
+            (LINEAR_SVM, three_class_fixture, Hyper(seed=4),
+             "31fd020b262d4c280678bd8b0d347b373fc166f7cdd4939870dd9b2cb123208e", None),
+            (PERCEPTRON, three_class_fixture, Hyper(seed=4),
+             "fed2b5c96bbb8e4576d2377d2c85d8c9cf53e23eb746297bf61bfbf42e53514d", {
+                 "A": [13, 5, 2, 2, 8, 2, 4, 4, 6, 0],
+                 "B": [19, 17, 11, 7, 4, 4, 7, 4, 8, 5, 1, 2, 5, 5, 5, 5, 4, 4, 1, 2],
+                 "C": [21, 8, 3, 6, 2, 2, 1, 4, 4, 3, 4, 1, 1, 3, 1, 0],
+             }),
+            (LOGISTIC, three_class_fixture, FLOOR,
+             "34a8d02b67146fc8cfbe49b9f2ea897410cef72dc6574a0270ce061cc6281024", None),
+            (LINEAR_SVM, three_class_fixture, FLOOR,
+             "c87b57675afa388d41f67b43768f3a743f40450a6020fedca198f537e4c1abac", None),
+            (PERCEPTRON, early_and_late_fixture, Hyper(epochs=12, seed=2),
+             "d0e9c6ec94efd5bc3748a90d5fad94457711d625b598c332a064baf32565fa6a", {
+                 "A": [2, 0],
+                 "B": [24, 19, 12, 18, 14, 12, 15, 17, 13, 18, 11, 14],
+                 "C": [22, 19, 16, 16, 14, 16, 15, 18, 10, 18, 13, 16],
+             }),
+        ],
+        ids=["logistic", "linear_svm", "perceptron", "logistic_floor", "linear_svm_floor",
+             "perceptron_early_stop"],
+    )
+    def test_trained_bits(self, kind, fixture, hyper, sha, mistakes):
+        X, y, n_features = fixture()
+        model = train_classifier(kind, X, y, n_features, hyper)
+        digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+        assert digest == sha
+        if mistakes is None:
+            assert model.train_errors is None
+        else:
+            assert model.train_errors == {c: [m / len(X) for m in ms] for c, ms in mistakes.items()}

@@ -1,21 +1,35 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diacritize import embed
+from diacritize import classify, datasetgen, embed
 from diacritize.cli import main
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture_corpus.txt")
 GOLDEN = DATA / "golden_dataset.jsonl"
 
+# sha256 of `train clf --kind KIND` pipelines and of the `eval cv` report for
+# clf:logistic with -k 3, both on the fixture corpus and the golden dataset.
+CLF_PIPELINE_SHA = {
+    "linear_svm": "078ee1cedf4b6ab4954a47fd01da847c9db5af529d1008e8b7ac4058ae1e297a",
+    "logistic": "034ab780e6e46a4fb47bc33224bb12e3d506080c35bdf6a2d156ba3e753a5667",
+    "perceptron": "9798f7843cbe49b38b5ae0c32dd356153788959f95afa6b0f51a680749c48166",
+}
+CV_CLF_REPORT_SHA = "611293da2d88a7ae88e1f431d757ba07b5beb8a9dc7fa3f9f85dd0b9d4ce423d"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -248,6 +262,43 @@ class TestEval:
             capsys, "eval", "fulltext", "--restored", str(restored), "--gold", str(gold)
         )
         assert code == 2
+
+
+class TestGoldenClassifierBytes:
+    @pytest.mark.parametrize("kind", sorted(CLF_PIPELINE_SHA))
+    def test_train_clf_pipeline(self, capsys, tmp_path, kind):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN),
+            "--kind", kind, "-o", str(model),
+        )
+        assert code == 0
+        assert sha256(model) == CLF_PIPELINE_SHA[kind]
+
+    def cv_report(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
+            "--restorer", "clf:logistic", "-k", "3", "--report", str(report),
+        )
+        assert code == 0
+        return sha256(report)
+
+    def test_cv_clf_report(self, capsys, tmp_path):
+        assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
+
+    def test_cv_extracts_each_window_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = classify.extract_window
+
+        def counted(tokens, target_index, n=9):
+            calls.append((tokens, target_index))
+            return real(tokens, target_index, n)
+
+        monkeypatch.setattr(classify, "extract_window", counted)
+        assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
+        # one window per instance, for all its training folds and its test fold
+        assert len(calls) == sum(len(s.instances) for s in datasetgen.read_dataset(GOLDEN))
 
 
 class TestProjectEnhance:
