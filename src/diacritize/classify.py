@@ -435,7 +435,7 @@ class ClassifierBank:
 
     classifiers: dict[str, TextClassifier]
 
-    def predict_instance(self, inst: Instance) -> str:
+    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
         key = strip_diacritics(inst.tokens[inst.target])
         clf = self.classifiers.get(key)
         if clf is None:

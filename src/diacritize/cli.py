@@ -124,6 +124,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"diacritize: data error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.start + 1].hex()
+        print(f"diacritize: data error: input is not valid UTF-8 (0x{bad}: {exc.reason})", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"diacritize: {exc}", file=sys.stderr)
         return 2
@@ -282,14 +286,16 @@ def _cmd_eval(args) -> int:
 
     if not (args.corpus and args.dataset and args.restorer):
         raise DataError("eval cv requires --corpus, --dataset and at least one --restorer")
-    corp = corpus.load_corpus(args.corpus)
+    specs = [_parse_restorer_spec(s) for s in args.restorer]
+    # Only n-gram counts and embedding cowords read the corpus.
+    needs_corpus = any(f == "ngram" or (f == "emb" and d != embed.BASIC) for f, d in specs)
+    corp = corpus.load_corpus(args.corpus) if needs_corpus else None
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
         raise DataError(f"dataset {args.dataset} holds no ambiguous sets")
     lowercase = _lowercase(args, default=True)
     candidates = {s.wordkey: [v for v, _ in s.variants] for s in sets}
     emb_model = embed.load_vectors(args.vectors) if args.vectors else None
-    specs = [_parse_restorer_spec(s) for s in args.restorer]
     prepared = (
         ngram.prepare(corp, lowercase)
         if any(f == "ngram" for f, _ in specs)

@@ -48,12 +48,6 @@ class Corpus:
     lines: list[list[Token]]
     is_marked: bool = True
 
-    def word_tokens(self):
-        for line in self.lines:
-            for tok in line:
-                if tok.kind is TokenKind.WORD:
-                    yield tok
-
     def stripped(self) -> "Corpus":
         """Same line/token shape with every surface replaced by its wordkey."""
         out = [

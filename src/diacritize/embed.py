@@ -39,12 +39,6 @@ class EmbeddingModel:
     dim: int
     vectors: dict[str, np.ndarray]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def get(self, word: str):
-        return self.vectors.get(word)
-
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
@@ -64,7 +58,11 @@ def load_vectors(path) -> EmbeddingModel:
             vocab_size, dim = int(header[0]), int(header[1])
         except ValueError:
             raise ParseError("header must hold two integers", line=1, path=path)
-        vectors: dict[str, np.ndarray] = {}
+        if dim < 0:
+            raise ParseError(f"dim must not be negative, got {dim}", line=1, path=path)
+        words: list[str] = []
+        line_nos: list[int] = []
+        values: list[float] = []
         for line_no, raw in enumerate(fh, start=2):
             raw = raw.rstrip("\n")
             if not raw:
@@ -77,9 +75,18 @@ def load_vectors(path) -> EmbeddingModel:
                     path=path,
                 )
             try:
-                vectors[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=float)
+                values.extend([float(v) for v in parts[1:]])
             except ValueError:
                 raise ParseError("non-numeric vector component", line=line_no, path=path)
+            words.append(parts[0])
+            line_nos.append(line_no)
+    # One array for the whole file: a finiteness check per row would cost
+    # more than parsing it.
+    matrix = np.array(values, dtype=float).reshape(len(words), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite vector component", line=line_nos[int(finite.argmin())], path=path)
+    vectors = dict(zip(words, matrix))
     if len(vectors) != vocab_size:
         raise ParseError(
             f"header declares {vocab_size} words but file holds {len(vectors)}",
@@ -337,7 +344,7 @@ class EmbeddingRestorer:
     vectors_path: str | None = None
     top_n: int = 50
 
-    def predict_instance(self, inst: Instance) -> str:
+    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
         key = strip_diacritics(inst.tokens[inst.target])
         candidates = self.variant_index.get(key)
         if candidates is None:

@@ -39,12 +39,6 @@ class ConfusionMatrix:
         j = self._index(predicted)
         self.cells[i][j] += count
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        for i, true in enumerate(other.classes):
-            for j, pred in enumerate(other.classes):
-                if other.cells[i][j]:
-                    self.add(true, pred, other.cells[i][j])
-
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.cells)

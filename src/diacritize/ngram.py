@@ -6,8 +6,8 @@ largest context first and backs off one level whenever the counts give no
 unique maximum, down to the unigram floor. Context words left of the target
 are themselves restored first, left to right, so later decisions see marked
 context. Each restored form depends only on the tokens to its left, so a line
-is restored in one left-to-right pass, linear in its length: `NGramRestorer`
-carries the restored prefix of the current line from one target to the next.
+is restored in one left-to-right pass, linear in its length: the pipeline
+hands `NGramRestorer` the restored forms of the tokens left of each target.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class PreparedCorpus:
 
     lines: list[list[str]]
     unambiguous: dict[str, str]
-    lowercase: bool
 
 
 @dataclass
@@ -35,8 +34,9 @@ class NGramModel:
     # counts[k] maps (context tuple of k-1 marked tokens, variant) -> count
     counts: list[dict[tuple[tuple[str, ...], str], int]]
     variant_index: dict[str, list[str]]
+    # Restores context words in `restore_instance`. A pipeline routes them
+    # itself, so a model loaded from a pipeline file leaves it empty.
     unambiguous: dict[str, str] = field(default_factory=dict)
-    lowercase: bool = True
 
     def count(self, k: int, context: tuple[str, ...], variant: str) -> int:
         return self.counts[k - 1].get((context, variant), 0)
@@ -61,7 +61,7 @@ def prepare(corpus: Corpus, lowercase: bool = True) -> PreparedCorpus:
         best = majority_variant(variants.items())
         if best != key:
             unambiguous[key] = best
-    return PreparedCorpus(lines=lines, unambiguous=unambiguous, lowercase=lowercase)
+    return PreparedCorpus(lines=lines, unambiguous=unambiguous)
 
 
 def find_occurrences(prepared: PreparedCorpus, candidates: dict[str, list[str]]):
@@ -106,7 +106,6 @@ def train_from_occurrences(
         counts=counts,
         variant_index=index,
         unambiguous=dict(prepared.unambiguous),
-        lowercase=prepared.lowercase,
     )
 
 
@@ -142,68 +141,50 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
     return majority_variant([(v, model.unigram_count(v)) for v in variants])
 
 
-def _extend(model: NGramModel, tokens, restored: list[str], stop: int, n: int) -> None:
-    """Append the restored forms of tokens[len(restored):stop], left to right."""
-    for p in range(len(restored), stop):
-        w = tokens[p]
-        key = strip_diacritics(w)
-        variants = model.variant_index.get(key)
-        if variants is not None:
-            restored.append(_choose(model, restored, variants, n))
-        else:
-            restored.append(model.unambiguous.get(key, w))
-
-
-def restore_instance(model: NGramModel, inst: Instance, n: int, restored: list[str] | None = None) -> str:
-    """Restore the instance target, greedily restoring its left context first.
-
-    restored, if given, holds the restored forms of a prefix of inst.tokens;
-    it is extended in place through the target, whose form it then holds.
-    """
-    if not (1 <= n <= model.max_n):
-        raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
-    wordkey = strip_diacritics(inst.tokens[inst.target])
+def _variants(model: NGramModel, wordkey: str) -> list[str]:
     variants = model.variant_index.get(wordkey)
     if variants is None:
         raise ModelError(f"wordkey not in variant index: {wordkey!r}")
-    if restored is None:
-        restored = []
-    _extend(model, inst.tokens, restored, inst.target + 1, n)
-    return restored[inst.target]
+    return variants
+
+
+def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
+    """Restore the instance target, greedily restoring its left context first."""
+    if not (1 <= n <= model.max_n):
+        raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
+    variants = _variants(model, strip_diacritics(inst.tokens[inst.target]))
+    restored: list[str] = []
+    for w in inst.tokens[: inst.target]:
+        key = strip_diacritics(w)
+        context_variants = model.variant_index.get(key)
+        if context_variants is not None:
+            restored.append(_choose(model, restored, context_variants, n))
+        else:
+            restored.append(model.unambiguous.get(key, w))
+    return _choose(model, restored, variants, n)
 
 
 @dataclass
 class NGramRestorer:
-    """The n-gram family's restorer: a count model read at order n.
-
-    It keeps the restored prefix of the last tokens tuple it saw, so the
-    targets of one line cost one left-to-right pass between them. One
-    restorer therefore serves one stream of lines at a time.
-    """
+    """The n-gram family's restorer: a count model read at order n."""
 
     model: NGramModel
     n: int
-    _tokens: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _restored: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def predict_instance(self, inst: Instance) -> str:
-        # A tuple is immutable and held here, so identity means the same line.
-        if inst.tokens is not self._tokens or type(inst.tokens) is not tuple:
-            self._tokens, self._restored = inst.tokens, []
-        return restore_instance(self.model, inst, self.n, self._restored)
+    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
+        """restored holds the restored forms of inst.tokens[:inst.target]."""
+        variants = _variants(self.model, strip_diacritics(inst.tokens[inst.target]))
+        return _choose(self.model, restored, variants, self.n)
 
     def to_payload(self) -> dict:
         return {"n": self.n, "model": model_payload(self.model)}
 
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "NGramRestorer":
-        model = model_from_payload(spec["model"])
+        model = model_from_payload(spec["model"], variant_index)
         n = int(spec["n"])
         if not (1 <= n <= model.max_n):
             raise ParseError(f"n-gram order must be in 1..{model.max_n}, got {n}")
-        for key in variant_index:
-            if key not in model.variant_index:
-                raise ParseError(f"n-gram model has no variants for wordkey {key!r}")
         return cls(model=model, n=n)
 
 
@@ -241,16 +222,15 @@ def model_payload(model: NGramModel) -> dict:
             key=lambda e: (e[0], e[1]),
         )
         levels.append({"k": k, "entries": entries})
-    return {
-        "max_n": model.max_n,
-        "lowercase": model.lowercase,
-        "levels": levels,
-        "variant_index": {k: model.variant_index[k] for k in sorted(model.variant_index)},
-        "unambiguous": {k: model.unambiguous[k] for k in sorted(model.unambiguous)},
-    }
+    return {"max_n": model.max_n, "levels": levels}
 
 
-def model_from_payload(payload: dict) -> NGramModel:
+def model_from_payload(payload: dict, variant_index) -> NGramModel:
+    """The count model of a pipeline file; its variants come from the pipeline's index.
+
+    Files that still hold `variant_index`, `unambiguous` and `lowercase` in
+    the model load too: those keys are not read.
+    """
     max_n = payload["max_n"]
     levels = payload["levels"]
     if len(levels) != max_n or sorted(level["k"] for level in levels) != list(range(1, max_n + 1)):
@@ -262,16 +242,8 @@ def model_from_payload(payload: dict) -> NGramModel:
             table[(tuple(ctx), v)] = c
     if not all(isinstance(c, int) for table in counts for c in table.values()):
         raise ParseError("n-gram counts must be integers")
-    variant_index = {k: list(vs) for k, vs in payload["variant_index"].items()}
-    if not all(vs and all(isinstance(v, str) for v in vs) for vs in variant_index.values()):
-        raise ParseError("n-gram variant lists must be nonempty lists of strings")
-    unambiguous = dict(payload.get("unambiguous", {}))
-    if not all(isinstance(v, str) for v in unambiguous.values()):
-        raise ParseError("n-gram unambiguous forms must be strings")
     return NGramModel(
         max_n=max_n,
         counts=counts,
-        variant_index=variant_index,
-        unambiguous=unambiguous,
-        lowercase=payload.get("lowercase", True),
+        variant_index={k: sorted(v for v, _ in vs) for k, vs in variant_index.items()},
     )

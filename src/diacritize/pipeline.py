@@ -2,9 +2,11 @@
 
 Per token: punctuation, digits and symbols echo through; wordkeys with a
 single known marked form are replaced outright; wordkeys with competing
-variants go to the trained restorer; unknown words echo verbatim. The
-replacement maps are built from the training corpus and serialized with the
-model, so restoration needs no corpus at inference time.
+variants go to the trained restorer; unknown words echo verbatim. Each line
+is routed in one left-to-right pass, and the restorer is handed the line's
+restored forms so far. The replacement maps are built from the training
+corpus and serialized with the model, so restoration needs no corpus at
+inference time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from .corpus import Corpus, Token, TokenKind, strip_diacritics, token_kind
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
-# Each family's restorer: predict_instance(inst), to_payload() and the
-# classmethod from_payload(spec, variant_index), which validates what it reads.
+# Each family's restorer: predict_instance(inst, restored), to_payload() and
+# the classmethod from_payload(spec, variant_index), which validates what it
+# reads. restored holds the restored lowercase forms of the tokens left of the
+# target; only the n-gram restorer reads it.
 FAMILIES = {
     "ngram": ngram.NGramRestorer,
     "classifier": classify.ClassifierBank,
@@ -118,37 +122,36 @@ def match_case(original: str, marked: str) -> str:
 
 
 def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
-    prepared = None
+    """Route each token once, left to right, keeping the line's restored forms.
+
+    A restored variant or an unambiguous word adds its marked form to
+    `restored`; a non-word or an unknown word adds its stripped key.
+    """
+    lowercase = pipeline.lowercase
+    keys = tuple(strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in tokens)
+    restored: list[str] = []
     out: list[Token] = []
     for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.WORD:
+        key = keys[i]
+        marked = None
+        if tok.kind is TokenKind.WORD:
+            if key in pipeline.variant_index:
+                inst = Instance(tokens=keys, target=i, label="")
+                marked = pipeline.restorer.predict_instance(inst, restored)
+            else:
+                marked = pipeline.unambiguous.get(key)
+        if marked is None:  # non-word or unknown word: echo verbatim
             out.append(tok)
-            continue
-        surface = tok.surface.lower() if pipeline.lowercase else tok.surface
-        key = strip_diacritics(surface)
-        if key in pipeline.variant_index:
-            if prepared is None:
-                prepared = tuple(
-                    strip_diacritics(t.surface.lower() if pipeline.lowercase else t.surface)
-                    for t in tokens
-                )
-            marked = pipeline.restorer.predict_instance(
-                Instance(tokens=prepared, target=i, label="")
-            )
-        elif key in pipeline.unambiguous:
-            marked = pipeline.unambiguous[key]
+            restored.append(key)
         else:
-            out.append(tok)  # unknown word: echo verbatim
-            continue
-        surface_out = match_case(tok.surface, marked)
-        out.append(Token(surface_out, token_kind(surface_out)))
+            surface_out = match_case(tok.surface, marked)
+            out.append(Token(surface_out, token_kind(surface_out)))
+            restored.append(marked)
     return out
 
 
 def restore_text(pipeline: Pipeline, stripped: Corpus) -> Corpus:
     """Restore a whole corpus; line and token shape are preserved exactly."""
-    if pipeline.restorer is None:
-        raise ModelError("pipeline has no restorer loaded")
     lines = [restore_line(pipeline, line) for line in stripped.lines]
     return Corpus(lines, is_marked=True)
 

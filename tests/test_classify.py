@@ -313,7 +313,7 @@ class TestInstanceInterface:
             spec = json.loads(json.dumps(ClassifierBank({"ka": clf}).to_payload()))
             again = ClassifierBank.from_payload(spec, {"ka": [("ká", 10), ("kà", 10)]})
             for inst in insts:
-                assert again.predict_instance(inst) == clf.predict_instance(inst)
+                assert again.predict_instance(inst, list(inst.tokens[: inst.target])) == clf.predict_instance(inst)
 
     def test_vocabulary_fit_on_training_fold_only(self):
         insts = self.make_instances()

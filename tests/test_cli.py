@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diacritize import classify, datasetgen, embed
+from diacritize import classify, corpus, datasetgen, embed
 from diacritize.cli import main
+from diacritize.corpus import strip_diacritics
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture_corpus.txt")
@@ -20,6 +21,16 @@ CLF_PIPELINE_SHA = {
     "perceptron": "9798f7843cbe49b38b5ae0c32dd356153788959f95afa6b0f51a680749c48166",
 }
 CV_CLF_REPORT_SHA = "611293da2d88a7ae88e1f431d757ba07b5beb8a9dc7fa3f9f85dd0b9d4ce423d"
+
+# sha256 of `restore` on the stripped fixture corpus, through a `train ngram -n 5`
+# and a `train clf` pipeline trained on the fixture corpus and the golden dataset.
+RESTORED_SHA = {
+    "ngram": "b1c1009ac71f5c79207839dac1c222d7a0eab605ba1c0d4f61698d06d73909d8",
+    "clf": "7795080815d00db2815be53e13177fd73e5d2c751f97f32b7d4d163fbd0cfc0c",
+}
+# A `train ngram -n 5` pipeline in the older layout, whose restorer.model also
+# holds copies of variant_index and unambiguous, and a lowercase flag.
+INNER_MAPS_PIPELINE = DATA / "ngram_pipeline_inner_maps.json"
 
 
 def run(capsys, *argv):
@@ -234,6 +245,24 @@ class TestEval:
         assert code == 0
         assert "clf:multinomial_nb" in out and "emb:basic" in out
 
+    @pytest.mark.parametrize(
+        "restorers, loads",
+        [(["clf:logistic", "emb:basic"], 0), (["ngram:2"], 1), (["emb:tweak1"], 1)],
+    )
+    def test_corpus_read_only_when_a_restorer_needs_it(
+        self, capsys, tmp_path, dataset_file, vectors_file, monkeypatch, restorers, loads
+    ):
+        calls = []
+        real = corpus.load_corpus
+        monkeypatch.setattr(corpus, "load_corpus", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        flags = [f for spec in restorers for f in ("--restorer", spec)]
+        code, _, _ = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
+            "--vectors", vectors_file, "-k", "3", *flags,
+        )
+        assert code == 0
+        assert len(calls) == loads
+
     def test_bad_restorer_spec(self, capsys, dataset_file):
         code, _, _ = run(
             capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
@@ -299,6 +328,48 @@ class TestGoldenClassifierBytes:
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
         # one window per instance, for all its training folds and its test fold
         assert len(calls) == sum(len(s.instances) for s in datasetgen.read_dataset(GOLDEN))
+
+
+class TestGoldenRestoreBytes:
+    @pytest.fixture()
+    def stripped(self, tmp_path):
+        path = tmp_path / "stripped.txt"
+        text = Path(FIXTURE).read_text(encoding="utf-8")
+        path.write_text(strip_diacritics(text), encoding="utf-8")
+        return path
+
+    def restore(self, capsys, model, stripped) -> str:
+        out = stripped.with_name("restored.txt")
+        code, _, _ = run(capsys, "restore", "--model", str(model), "--in", str(stripped), "--out", str(out))
+        assert code == 0
+        return sha256(out)
+
+    @pytest.mark.parametrize("family, flags", [("ngram", ["-n", "5"]), ("clf", [])])
+    def test_restore(self, capsys, tmp_path, stripped, family, flags):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", family, FIXTURE, "--dataset", str(GOLDEN), *flags, "-o", str(model),
+        )
+        assert code == 0
+        assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
+
+    def test_older_ngram_layout_restores_identically(self, capsys, tmp_path, stripped):
+        assert self.restore(capsys, INNER_MAPS_PIPELINE, stripped) == RESTORED_SHA["ngram"]
+
+    def test_older_ngram_layout_differs_only_by_the_model_copies(self, capsys, tmp_path):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "ngram", FIXTURE, "--dataset", str(GOLDEN), "-n", "5", "-o", str(model),
+        )
+        assert code == 0
+        older = json.loads(INNER_MAPS_PIPELINE.read_text(encoding="utf-8"))
+        inner = older["restorer"]["model"]
+        assert inner.pop("variant_index") == {
+            k: sorted(v for v, _ in vs) for k, vs in older["variant_index"].items()
+        }
+        inner.pop("unambiguous")
+        inner.pop("lowercase")
+        assert json.loads(model.read_text(encoding="utf-8")) == older
 
 
 class TestProjectEnhance:

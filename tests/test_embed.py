@@ -68,9 +68,24 @@ class TestVectorIO:
             load_vectors(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_component_is_parse_error_with_line(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"3 2\nalpha 1.0 2.0\n\nbeta 1.0 {value}\ngamma 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_vectors(path)
+        assert err.value.line == 4
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("banana\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_vectors(path)
+        assert err.value.line == 1
+
+    def test_negative_dim_is_parse_error(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("0 -1\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
             load_vectors(path)
         assert err.value.line == 1
@@ -455,7 +470,7 @@ class TestRestorerFallback:
             model=model_of(c=[1.0, 0.0]), variant_index={"t": [("x", 1), ("y", 3)]}
         )
         inst = Instance(tokens=("c", "t"), target=1, label="")
-        assert restorer.predict_instance(inst) == "y"
+        assert restorer.predict_instance(inst, ["c"]) == "y"
 
 
 class TestCvFitter:

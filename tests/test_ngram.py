@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 from diacritize import datasetgen, evaluate, ngram, pipeline
-from diacritize.corpus import corpus_from_lines
+from diacritize.corpus import Token, corpus_from_lines, token_kind
 from diacritize.datasetgen import Instance
 from diacritize.errors import ModelError, ParseError
 
@@ -219,22 +220,31 @@ class TestCrossval:
 
 @pytest.fixture(scope="module")
 def long_lines(gate_corpus):
-    """A 5-gram model and seeded 320-token stripped lines, half of them targets."""
+    """A 5-gram pipeline and seeded 320-token stripped lines, half of them targets."""
     corp, _ = gate_corpus
-    sets = datasetgen.generate(corp)
-    model = ngram.train(corp, 5, {s.wordkey: [v for v, _ in s.variants] for s in sets})
+    pipe = pipeline.build_ngram_pipeline(corp, datasetgen.generate(corp), n=5)
     words = [ngram.strip_diacritics(tok.surface.lower()) for line in corp.lines for tok in line]
-    keys = sorted(model.variant_index)
+    keys = sorted(pipe.variant_index)
     rng = random.Random(17)
     lines = [
         tuple(rng.choice(keys) if rng.random() < 0.5 else rng.choice(words) for _ in range(320))
         for _ in range(3)
     ]
-    return model, lines
+    return pipe, lines
 
 
 def targets_of(model, tokens):
     return [t for t, w in enumerate(tokens) if w in model.variant_index]
+
+
+def restore_keys(pipe, keys):
+    """pipeline.restore_line on a line of stripped lowercase keys, as surfaces.
+
+    For such a line the surfaces are the restored forms the pipeline hands
+    the restorer: marked forms for words it restores, the key otherwise.
+    """
+    tokens = [Token(w, token_kind(w)) for w in keys]
+    return [tok.surface for tok in pipeline.restore_line(pipe, tokens)]
 
 
 @pytest.fixture()
@@ -247,72 +257,53 @@ def choose_calls(monkeypatch):
 
 
 class TestCarriedPrefix:
+    """pipeline.restore_line carries a line's restored prefix to the n-gram restorer."""
+
     def test_every_target_matches_a_fresh_restore(self, long_lines):
-        model, lines = long_lines
-        restorer = ngram.NGramRestorer(model=model, n=5)
+        pipe, lines = long_lines
+        model = pipe.restorer.model
         for tokens in lines:
+            out = restore_keys(pipe, tokens)
             for t in targets_of(model, tokens):
-                inst = make_instance(tokens, t)
-                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
+                assert out[t] == ngram.restore_instance(model, make_instance(tokens, t), 5)
 
     def test_targets_out_of_order(self, long_lines):
-        model, lines = long_lines
-        restorer = ngram.NGramRestorer(model=model, n=5)
+        pipe, lines = long_lines
+        model = pipe.restorer.model
         rng = random.Random(4)
         for tokens in lines:
+            prefix = restore_keys(pipe, tokens)
             targets = targets_of(model, tokens)
             rng.shuffle(targets)
             for t in targets:
                 inst = Instance(tokens=tokens, target=t, label="")
-                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
-
-    def test_equal_but_distinct_tuple_starts_fresh(self, long_lines, choose_calls):
-        model, lines = long_lines
-        tokens = lines[0]
-        last = targets_of(model, tokens)[-1]
-        restorer = ngram.NGramRestorer(model=model, n=5)
-        expected = restorer.predict_instance(Instance(tokens=tokens, target=last, label=""))
-        choose_calls.clear()
-        copy = tuple(list(tokens))
-        assert copy == tokens and copy is not tokens
-        assert restorer.predict_instance(Instance(tokens=copy, target=last, label="")) == expected
-        assert len(choose_calls) == len(targets_of(model, tokens))
-
-    def test_mutated_list_is_not_carried(self, long_lines):
-        model, lines = long_lines
-        tokens = list(lines[1])
-        last = targets_of(model, tokens)[-1]
-        restorer = ngram.NGramRestorer(model=model, n=5)
-        restorer.predict_instance(Instance(tokens=tokens, target=last, label=""))
-        tokens[last] = next(k for k in sorted(model.variant_index) if k != tokens[last])
-        inst = Instance(tokens=tokens, target=last, label="")
-        assert restorer.predict_instance(inst) in model.variant_index[tokens[last]]
+                got = pipe.restorer.predict_instance(inst, prefix[:t])
+                assert got == ngram.restore_instance(model, inst, 5)
 
     def test_model_error_leaves_the_rest_of_the_line_intact(self, long_lines):
-        model, lines = long_lines
+        pipe, lines = long_lines
         tokens = lines[2]
-        restorer = ngram.NGramRestorer(model=model, n=5)
+        expected = restore_keys(pipe, tokens)
         failures = 0
         for t in range(len(tokens)):
-            inst = make_instance(tokens, t)
-            if tokens[t] in model.variant_index:
-                assert restorer.predict_instance(inst) == ngram.restore_instance(model, inst, 5)
-            else:
+            if tokens[t] not in pipe.variant_index:
                 with pytest.raises(ModelError):
-                    restorer.predict_instance(inst)
+                    pipe.restorer.predict_instance(make_instance(tokens, t), expected[:t])
                 failures += 1
         assert failures > 0
+        assert restore_keys(pipe, tokens) == expected
 
     def test_one_choice_per_token_not_per_prefix_token(self, long_lines, choose_calls):
-        model, lines = long_lines
-        restorer = ngram.NGramRestorer(model=model, n=5)
+        pipe, lines = long_lines
         for tokens in lines:
             choose_calls.clear()
-            targets = targets_of(model, tokens)
-            for t in targets:
-                restorer.predict_instance(Instance(tokens=tokens, target=t, label=""))
+            restore_keys(pipe, tokens)
+            targets = targets_of(pipe.restorer.model, tokens)
             assert len(targets) > 100
-            assert len(choose_calls) <= len(tokens)
+            assert len(choose_calls) == len(targets)
+
+    def test_restorer_holds_only_its_model_and_order(self):
+        assert [f.name for f in dataclasses.fields(ngram.NGramRestorer)] == ["model", "n"]
 
 
 class TestPersistence:
@@ -320,11 +311,13 @@ class TestPersistence:
         corp, major, minor = bigram_corpus
         model = ngram.train(corp, 3, {"ko": [major, minor]})
         spec = json.loads(json.dumps(ngram.NGramRestorer(model=model, n=3).to_payload()))
+        assert sorted(spec["model"]) == ["levels", "max_n"]
         again = ngram.NGramRestorer.from_payload(spec, {"ko": [(major, 1), (minor, 1)]}).model
         assert again.max_n == model.max_n
         assert again.counts == model.counts
         assert again.variant_index == model.variant_index
-        assert again.unambiguous == model.unambiguous
+        # the pipeline routes unambiguous words itself; the file holds no copy
+        assert again.unambiguous == {}
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -194,13 +194,6 @@ class TestPersistence:
             restore_text(pipe, stripped)
         )
 
-    def test_unloaded_restorer_rejected(self, training_corpus, trained_sets):
-        pipe = build_ngram_pipeline(training_corpus, trained_sets, n=2)
-        pipe.restorer = None
-        with pytest.raises(ModelError):
-            restore_text(pipe, corpus_from_lines(["a"]))
-
-
 
 class TestLoadValidation:
     """Malformed pipeline files are refused at load, before any output is written."""

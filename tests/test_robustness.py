@@ -4,7 +4,9 @@ Each trial applies one random edit to a valid file (delete a key or list
 element, swap a value for another JSON type, set an integer to -1 or 10**6,
 empty a list) and runs the command on it. The command must exit 0, 2 or 3
 and never raise. A restore that fails must fail at load, before it creates
-its output file.
+its output file. A vectors file with a wrong header, a short row or a
+non-numeric or non-finite component, and any input file that is not valid
+UTF-8, end with exit code 2 and a one-line message.
 """
 
 import copy
@@ -132,3 +134,78 @@ def test_mutated_dataset_never_crashes(files, tmp_path, capsys):
         for argv in commands:
             run_cli(argv, what)
     capsys.readouterr()
+
+
+def run_data_error(argv, what, capsys):
+    """The command exits 2 with one line on stderr and no traceback."""
+    assert run_cli(argv, what) == 2, what
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{what}: {err!r}"
+
+
+def with_bad_byte(src, dst):
+    """dst is src with one 0xff byte, never valid UTF-8, put after its first line."""
+    data = src.read_bytes()
+    cut = data.index(b"\n") + 1 if b"\n" in data[:-1] else len(data) // 2
+    dst.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    return str(dst)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset", "vectors", "pipeline", "tsv", "restore-in"])
+def test_non_utf8_file_is_a_data_error(kind, files, tmp_path, capsys):
+    tsv = tmp_path / "odd.tsv"
+    tsv.write_text("sì sí kwuru ya kwuru\noma ha ya sì oma\n".replace(" ", "\t"), encoding="utf-8")
+    good = {
+        "corpus": files / "corpus.txt", "dataset": files / "sets.jsonl", "vectors": files / "toy.vec",
+        "pipeline": files / "ngram.json", "tsv": tsv, "restore-in": files / "in.txt",
+    }
+    paths = {k: str(v) for k, v in good.items()}
+    paths[kind] = with_bad_byte(good[kind], tmp_path / f"bad-{good[kind].name}")
+    out = str(tmp_path / "out")
+    argv = {
+        "corpus": ["train", "ngram", paths["corpus"], "--dataset", paths["dataset"], "-o", out],
+        "dataset": ["train", "ngram", paths["corpus"], "--dataset", paths["dataset"], "-o", out],
+        "vectors": ["intrinsic", "oddword", "--vectors", paths["vectors"], "--data", paths["tsv"]],
+        "pipeline": ["restore", "--model", paths["pipeline"], "--in", paths["restore-in"], "--out", out],
+        "tsv": ["intrinsic", "oddword", "--vectors", paths["vectors"], "--data", paths["tsv"]],
+        "restore-in": ["restore", "--model", paths["pipeline"], "--in", paths["restore-in"], "--out", out],
+    }[kind]
+    run_data_error(argv, f"non-UTF-8 {kind}", capsys)
+
+
+def mutate_vectors(lines, how):
+    """One edit to the lines of a word2vec text file."""
+    lines = list(lines)
+    vocab, dim = (int(v) for v in lines[0].split())
+    row = lines[2].split(" ")
+    if how == "header-count":
+        lines[0] = f"{vocab + 1} {dim}"
+    elif how == "dim":
+        lines[0] = f"{vocab} {dim + 1}"
+    elif how == "field-count":
+        lines[2] = " ".join(row[:-1])
+    else:
+        row[2] = {"non-numeric": "0.5x", "nan": "nan", "inf": "-inf"}[how]
+        lines[2] = " ".join(row)
+    return lines
+
+
+@pytest.mark.parametrize("how", ["header-count", "dim", "field-count", "non-numeric", "nan", "inf"])
+def test_mutated_vectors_are_a_data_error(how, files, tmp_path, capsys):
+    lines = (files / "toy.vec").read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.vec"
+    bad.write_text("\n".join(mutate_vectors(lines, how)) + "\n", encoding="utf-8")
+    spec = json.loads((files / "embedding.json").read_text(encoding="utf-8"))
+    spec["restorer"]["vectors_path"] = str(bad)
+    model = tmp_path / "pipe.json"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    corpus, data, out = str(files / "corpus.txt"), str(files / "sets.jsonl"), tmp_path / "out"
+    commands = [
+        ["eval", "cv", "--corpus", corpus, "--dataset", data, "-k", "3", "--vectors", str(bad),
+         "--window", "5", "--restorer", "emb:tweak2"],
+        ["train", "emb", corpus, "--dataset", data, "--vectors", str(bad), "-o", str(out)],
+        ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)],
+    ]
+    for argv in commands:
+        run_data_error(argv, f"vectors {how}", capsys)
+        assert not out.exists(), f"vectors {how}: {argv[0]} wrote its output"
