@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 model error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
@@ -232,22 +234,39 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_restore(args) -> int:
     pipe = pipeline.load_pipeline(args.model)
-    instream = open(args.infile, encoding="utf-8") if args.infile else sys.stdin
-    outstream = (
-        open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
-    )
-    try:
+    with contextlib.ExitStack() as stack:
+        instream = stack.enter_context(corpus.open_text(args.infile)) if args.infile else sys.stdin
+        outstream = stack.enter_context(_replace_on_success(args.out)) if args.out else sys.stdout
         for raw in instream:
             tokens = corpus.tokenize(corpus.normalize(raw.rstrip("\n")))
             restored = pipeline.restore_line(pipe, tokens)
             outstream.write(" ".join(t.surface for t in restored))
             outstream.write("\n")
-    finally:
-        if args.infile:
-            instream.close()
-        if args.out:
-            outstream.close()
     return 0
+
+
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """Write to a new file beside path, and move it onto path only if the block succeeds.
+
+    A failed run leaves an existing file untouched and no temporary file
+    behind. A path naming a device or pipe is written directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_restorer_spec(spec: str):

@@ -3,10 +3,20 @@
 A corpus is plain UTF-8 text, one sentence (or verse) per line, tokens separated
 by whitespace. Everything downstream keys off the *wordkey*: the form of a word
 with every combining mark removed.
+
+Three pure functions of one string are cached, because text repeats a small
+vocabulary: `strip_diacritics` (unbounded; it runs on corpus and dataset
+strings), and `token_kind` and the per-chunk tokenizer behind `tokenize`, which
+also run on the open text of `restore` and are therefore bounded to
+STRING_CACHE_SIZE entries each, least recently used first out. A cache never
+changes a result; `tokenize` builds a fresh list per call from shared frozen
+`Token`s. `functools.lru_cache` is thread-safe, so the caches are too.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import functools
 import json
 import unicodedata
@@ -24,6 +34,13 @@ SYMBOL = "Symbol"
 # Splitting marks kept attached to the left-hand piece, e.g. verb auxiliaries
 # written "na-" and contracted prepositions written "n'".
 _ATTACHED_MARKS = ("-", "'", "’")
+
+# Entries kept by each bounded string cache. A distinct string retains 370-440
+# bytes over both caches, so full caches hold about 15 MB, while a
+# 12k-token training corpus plus 1k lines to restore fill 6.4k entries each.
+# 32k types cover nearly every token of running text; rarer strings are
+# recomputed, with the same results.
+STRING_CACHE_SIZE = 1 << 15
 
 
 class TokenKind(str, Enum):
@@ -101,6 +118,7 @@ def strip_diacritics(word: str) -> str:
     return unicodedata.normalize("NFC", bare)
 
 
+@functools.lru_cache(maxsize=STRING_CACHE_SIZE)
 def token_kind(surface: str) -> TokenKind:
     """Word if it has a letter, else Digit if it has a digit, else Punctuation/Symbol."""
     has_digit = False
@@ -131,9 +149,13 @@ def tokenize(line: str) -> list[Token]:
     """
     tokens: list[Token] = []
     for chunk in line.split():
-        for piece in _split_attached(chunk):
-            tokens.append(Token(piece, token_kind(piece)))
+        tokens.extend(_chunk_tokens(chunk))
     return tokens
+
+
+@functools.lru_cache(maxsize=STRING_CACHE_SIZE)
+def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
+    return tuple(Token(piece, token_kind(piece)) for piece in _split_attached(chunk))
 
 
 def _split_attached(chunk: str) -> list[str]:
@@ -151,17 +173,45 @@ def corpus_from_lines(lines, is_marked: bool = True) -> Corpus:
     return Corpus([tokenize(normalize(line)) for line in lines], is_marked=is_marked)
 
 
-def load_corpus(path, is_marked: bool = True) -> Corpus:
-    """Read a one-sentence-per-line UTF-8 file into a Corpus."""
+@contextlib.contextmanager
+def open_text(path):
+    """Open a named UTF-8 text file for reading.
+
+    Bytes that are not UTF-8, met anywhere while the file is read, raise
+    DataError naming the path and the offset of the first bad byte in the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return corpus_from_lines(
-                (line.rstrip("\n") for line in fh), is_marked=is_marked
-            )
+            yield fh
     except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}"
-        ) from exc
+        raise DataError(f"{path}: invalid UTF-8 at byte offset {_bad_utf8_offset(path)}") from exc
+
+
+def _bad_utf8_offset(path) -> int | None:
+    """File offset of the first byte that does not decode as UTF-8.
+
+    The text reader decodes in chunks and reports offsets inside its chunk,
+    so the file is decoded again here, a block at a time.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # exc.object is the decoder's carried-over bytes plus block
+                return done - (len(exc.object) - len(block)) + exc.start
+            if not block:
+                return None
+            done += len(block)
+
+
+def load_corpus(path, is_marked: bool = True) -> Corpus:
+    """Read a one-sentence-per-line UTF-8 file into a Corpus."""
+    with open_text(path) as fh:
+        return corpus_from_lines((line.rstrip("\n") for line in fh), is_marked=is_marked)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

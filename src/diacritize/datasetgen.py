@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, strip_diacritics
+from .corpus import Corpus, TokenKind, open_text, strip_diacritics
 from .errors import DataError, ParseError
 
 
@@ -185,7 +185,7 @@ def write_dataset(sets, path) -> None:
 def read_dataset(path) -> list[AmbiguousSet]:
     sets: list[AmbiguousSet] = []
     by_key: dict[str, AmbiguousSet] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TokenKind, strip_diacritics
+from .corpus import Corpus, TokenKind, open_text, strip_diacritics
 from .datasetgen import AmbiguousSet, Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
 from .classify import extract_window
@@ -50,7 +50,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def load_vectors(path) -> EmbeddingModel:
     """Parse word2vec text format: header 'V D', then V rows 'word f1 .. fD'."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParseError("header must be 'vocab_size dim'", line=1, path=path)
@@ -106,7 +106,7 @@ def save_vectors(model: EmbeddingModel, path) -> None:
 def load_alignment(path) -> dict[str, list[tuple[str, int]]]:
     """TSV alignment dictionary: target_word <TAB> source_word <TAB> count."""
     entries: dict[str, list[tuple[str, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
             if not raw:
@@ -507,7 +507,7 @@ def load_wordsim_tsv(path):
 
 def _load_tsv(path, n_fields, build):
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
             if not raw:

@@ -133,12 +133,14 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
         return variants[0]
     top = min(n, model.max_n, len(left) + 1)
     for k in range(top, 1, -1):
+        table = model.counts[k - 1]
         ctx = tuple(left[len(left) - (k - 1) :])
-        scores = [model.count(k, ctx, v) for v in variants]
+        scores = [table.get((ctx, v), 0) for v in variants]
         best = max(scores)
         if best > 0 and scores.count(best) == 1:
             return variants[scores.index(best)]
-    return majority_variant([(v, model.unigram_count(v)) for v in variants])
+    unigrams = model.counts[0]
+    return majority_variant([(v, unigrams.get(((), v), 0)) for v in variants])
 
 
 def _variants(model: NGramModel, wordkey: str) -> list[str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
-from .corpus import Corpus, Token, TokenKind, strip_diacritics, token_kind
+from .corpus import Corpus, Token, TokenKind, open_text, strip_diacritics, token_kind
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
@@ -174,7 +174,7 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
 
 
 def load_pipeline(path) -> Pipeline:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

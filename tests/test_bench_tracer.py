@@ -1,0 +1,69 @@
+"""The benchmark's tracer (bench/spans.py) still finds every function it swaps.
+
+The tracer wraps toolkit functions by module attribute name. A rename or
+removal in src/ would only show as a crash of the traced benchmark run; this
+test installs the tracer around one small restore and checks that it finds
+every attribute, records the restore, changes no output byte, and puts every
+attribute back.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from diacritize import classify, corpus, datasetgen, embed, pipeline
+from diacritize.corpus import corpus_from_lines
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+LINES = ["nwanyị kwuru sì ya oma"] * 6 + ["ha kwera sí ya oma"] * 4
+STRIPPED = "Nwanyi kwuru si ya oma , ha kwera SI ya ."
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans as module
+
+    yield module
+    sys.modules.pop("spans", None)
+
+
+@pytest.mark.parametrize("family", ["ngram", "clf"])
+def test_traced_restore_is_byte_identical(spans, tmp_path, family):
+    corp = corpus_from_lines(LINES)
+    sets = datasetgen.generate(corp)
+    if family == "ngram":
+        pipe = pipeline.build_ngram_pipeline(corp, sets, n=3)
+    else:
+        pipe = pipeline.build_classifier_pipeline(corp, sets, window=5, hyper=classify.Hyper(epochs=3))
+    path = tmp_path / "pipe.json"
+    pipeline.save_pipeline(pipe, path)
+
+    def restore():
+        loaded = pipeline.load_pipeline(path)
+        tokens = corpus.tokenize(corpus.normalize(STRIPPED))
+        return " ".join(t.surface for t in pipeline.restore_line(loaded, tokens)).encode()
+
+    plain = restore()
+    before = {(m, a): m.__dict__[a] for m in (corpus, pipeline, classify, embed) for a in vars(m)}
+    tracer = spans.Tracer()
+    tracer.label = family
+    tracer.install()
+    try:
+        traced = restore()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    recorded = tracer.summary()["spans"]
+    expected = ["corpus.tokenize"] + [
+        f"pipeline.{step}.{family}"
+        for step in ("load_pipeline", "restore_line", "predict_instance", "match_case")
+    ]
+    if family == "clf":
+        expected += ["classify.extract_window", "classify.predict"]
+    for name in expected:
+        assert recorded[name]["calls"] >= 1, name
+    assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
+    assert restore() == plain

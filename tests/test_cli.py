@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -353,6 +354,20 @@ class TestGoldenRestoreBytes:
         assert code == 0
         assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
 
+    @pytest.mark.parametrize("family, flags", [("ngram", ["-n", "5"]), ("clf", [])])
+    def test_string_caches_cold_or_warm_give_the_same_bytes(self, capsys, tmp_path, stripped, family, flags):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", family, FIXTURE, "--dataset", str(GOLDEN), *flags, "-o", str(model),
+        )
+        assert code == 0
+        for cache in (corpus._chunk_tokens, corpus.token_kind, corpus.strip_diacritics):
+            cache.cache_clear()
+        assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
+        assert corpus._chunk_tokens.cache_info().currsize > 0
+        assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
+        assert corpus._chunk_tokens.cache_info().hits > 0
+
     def test_older_ngram_layout_restores_identically(self, capsys, tmp_path, stripped):
         assert self.restore(capsys, INNER_MAPS_PIPELINE, stripped) == RESTORED_SHA["ngram"]
 
@@ -424,3 +439,48 @@ class TestIntrinsic:
         ws.write_text("a\tb\t9.0\na\tc\t7.0\na\tz\t1.0\n", encoding="utf-8")
         code, out, _ = run(capsys, "intrinsic", "wordsim", "--vectors", str(vec), "--data", str(ws))
         assert code == 0 and "pearson" in out
+
+
+class TestRestoreOutput:
+    """`restore --out` replaces its file only when the whole input restored."""
+
+    @pytest.fixture()
+    def model(self, tmp_path, capsys, dataset_file):
+        path = tmp_path / "pipe.json"
+        code, _, _ = run(capsys, "train", "ngram", FIXTURE, "--dataset", dataset_file, "-o", str(path))
+        assert code == 0
+        return str(path)
+
+    def test_bad_input_leaves_existing_output_untouched(self, capsys, tmp_path, model):
+        work = tmp_path / "work"
+        work.mkdir()
+        infile, out = work / "in.txt", work / "out.txt"
+        first = b"nwanyi ziri akwa oma\n"
+        infile.write_bytes(first + b"\xffoma\n")
+        out.write_bytes(b"earlier output\n")
+        code, _, err = run(capsys, "restore", "--model", model, "--in", str(infile), "--out", str(out))
+        assert code == 2
+        assert err == f"diacritize: data error: {infile}: invalid UTF-8 at byte offset {len(first)}\n"
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in work.iterdir()) == ["in.txt", "out.txt"]
+
+    def test_success_replaces_output(self, capsys, tmp_path, model):
+        infile, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        infile.write_text("nwanyi ziri akwa oma\n", encoding="utf-8")
+        out.write_text("earlier output, longer than the restored line\n", encoding="utf-8")
+        code, _, _ = run(capsys, "restore", "--model", model, "--in", str(infile), "--out", str(out))
+        assert code == 0
+        assert out.read_text(encoding="utf-8").startswith("nwanyị ")
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+    def test_output_to_a_device(self, capsys, tmp_path, model):
+        infile = tmp_path / "in.txt"
+        infile.write_text("nwanyi ziri akwa oma\n", encoding="utf-8")
+        code, _, _ = run(capsys, "restore", "--model", model, "--in", str(infile), "--out", "/dev/null")
+        assert code == 0
+
+    def test_bad_stdin_keeps_its_message(self, capsys, monkeypatch, model):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"oma\n\xff\n"), encoding="utf-8"))
+        code, out, err = run(capsys, "restore", "--model", model)
+        assert code == 2
+        assert err.startswith("diacritize: data error: input is not valid UTF-8 (0xff")

@@ -1,5 +1,7 @@
 import random
+import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,61 @@ class TestTokenize:
         assert token_kind("b2") is TokenKind.WORD  # any letter makes a word
 
 
+FIXTURE = Path(__file__).parent / "data" / "fixture_corpus.txt"
+EDGE_CHUNKS = ["-", "--", "na-", "-na", "n'", "n'ugbo", "’", "a’b’c", "3-4", "!!"]
+CACHES = (corpus._chunk_tokens, corpus.token_kind)
+
+
+def reference_tokenize(line):
+    """Split after each attached mark that is not a chunk's last character, then classify."""
+    out = []
+    for chunk in line.split():
+        for piece in re.findall(r".*?[-'’](?=.)|.+", chunk):
+            cats = [unicodedata.category(c)[0] for c in piece]
+            if "L" in cats:
+                kind = TokenKind.WORD
+            elif "N" in cats:
+                kind = TokenKind.DIGIT
+            elif "P" in cats:
+                kind = TokenKind.PUNCTUATION
+            else:
+                kind = TokenKind.SYMBOL
+            out.append((piece, kind))
+    return out
+
+
+class TestTokenizeCaches:
+    @pytest.fixture(scope="class")
+    def lines(self):
+        fixture = [normalize(l) for l in FIXTURE.read_text(encoding="utf-8").splitlines()]
+        return fixture + [" ".join(EDGE_CHUNKS)] + EDGE_CHUNKS + random_unicode_strings(500)
+
+    def test_matches_reference_cold_and_warm(self, lines):
+        for warm in (False, True):
+            for line in lines:
+                if not warm:
+                    for cache in CACHES:
+                        cache.cache_clear()
+                got = [(t.surface, t.kind) for t in tokenize(line)]
+                assert got == reference_tokenize(line), (warm, line)
+
+    def test_edge_chunks(self):
+        assert [t.surface for t in tokenize(" ".join(EDGE_CHUNKS))] == [
+            "-", "-", "-", "na-", "-", "na", "n'", "n'", "ugbo", "’",
+            "a’", "b’", "c", "3-", "4", "!!",
+        ]
+
+    def test_mutating_a_result_does_not_leak(self):
+        first = tokenize("n'ugbo ya .")
+        first.append(Token("x", TokenKind.WORD))
+        first[0] = Token("y", TokenKind.WORD)
+        assert [t.surface for t in tokenize("n'ugbo ya .")] == ["n'", "ugbo", "ya", "."]
+
+    def test_caches_are_bounded(self):
+        for cache in CACHES:
+            assert cache.cache_info().maxsize == corpus.STRING_CACHE_SIZE
+
+
 class TestComputeStats:
     def test_two_line_hand_count(self):
         corp = corpus_from_lines(["ákwà ákwá", "egg"])
@@ -180,6 +237,13 @@ class TestLoadCorpus:
         path = tmp_path / "bad.txt"
         path.write_bytes(b"abc \xff\xfe def")
         with pytest.raises(DataError, match="byte offset 4"):
+            corpus.load_corpus(path)
+
+    def test_invalid_utf8_past_the_first_chunk_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        head = "ọ́ akwa\n".encode() * 3000
+        path.write_bytes(head + b"\xffbc\n" + "ụ\n".encode() * 10)
+        with pytest.raises(DataError, match=f"bad.txt: invalid UTF-8 at byte offset {len(head)}$"):
             corpus.load_corpus(path)
 
     def test_save_round_trip(self, tmp_path):

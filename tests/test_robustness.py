@@ -11,6 +11,7 @@ UTF-8, end with exit code 2 and a one-line message.
 
 import copy
 import json
+import os
 import random
 
 import numpy as np
@@ -151,8 +152,8 @@ def with_bad_byte(src, dst):
     return str(dst)
 
 
-@pytest.mark.parametrize("kind", ["corpus", "dataset", "vectors", "pipeline", "tsv", "restore-in"])
-def test_non_utf8_file_is_a_data_error(kind, files, tmp_path, capsys):
+def reader_command(kind, files, tmp_path, corrupt):
+    """The command that reads a file of this kind first, with corrupt(good, dst) in its place."""
     tsv = tmp_path / "odd.tsv"
     tsv.write_text("sì sí kwuru ya kwuru\noma ha ya sì oma\n".replace(" ", "\t"), encoding="utf-8")
     good = {
@@ -160,17 +161,39 @@ def test_non_utf8_file_is_a_data_error(kind, files, tmp_path, capsys):
         "pipeline": files / "ngram.json", "tsv": tsv, "restore-in": files / "in.txt",
     }
     paths = {k: str(v) for k, v in good.items()}
-    paths[kind] = with_bad_byte(good[kind], tmp_path / f"bad-{good[kind].name}")
+    paths[kind] = corrupt(good[kind], tmp_path / f"bad-{good[kind].name}")
     out = str(tmp_path / "out")
-    argv = {
+    return {
         "corpus": ["train", "ngram", paths["corpus"], "--dataset", paths["dataset"], "-o", out],
         "dataset": ["train", "ngram", paths["corpus"], "--dataset", paths["dataset"], "-o", out],
         "vectors": ["intrinsic", "oddword", "--vectors", paths["vectors"], "--data", paths["tsv"]],
         "pipeline": ["restore", "--model", paths["pipeline"], "--in", paths["restore-in"], "--out", out],
         "tsv": ["intrinsic", "oddword", "--vectors", paths["vectors"], "--data", paths["tsv"]],
         "restore-in": ["restore", "--model", paths["pipeline"], "--in", paths["restore-in"], "--out", out],
-    }[kind]
+    }[kind], paths[kind]
+
+
+READERS = ["corpus", "dataset", "vectors", "pipeline", "tsv", "restore-in"]
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_non_utf8_file_is_a_data_error(kind, files, tmp_path, capsys):
+    argv, _ = reader_command(kind, files, tmp_path, with_bad_byte)
     run_data_error(argv, f"non-UTF-8 {kind}", capsys)
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_non_utf8_message_names_the_file_and_its_byte_offset(kind, files, tmp_path, capsys):
+    """The bad byte sits past the text reader's first 8 KiB chunk; blank lines are skipped or kept."""
+
+    def late_bad_byte(src, dst):
+        dst.write_bytes(src.read_bytes() + b"\n" * 9000 + b"\xff\n")
+        return str(dst)
+
+    argv, path = reader_command(kind, files, tmp_path, late_bad_byte)
+    assert run_cli(argv, kind) == 2
+    offset = os.path.getsize(path) - 2
+    assert capsys.readouterr().err == f"diacritize: data error: {path}: invalid UTF-8 at byte offset {offset}\n"
 
 
 def mutate_vectors(lines, how):
