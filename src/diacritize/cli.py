@@ -273,8 +273,8 @@ def _parse_restorer_spec(spec: str):
     parts = spec.split(":")
     family = parts[0]
     if family == "ngram":
-        if len(parts) != 2:
-            raise DataError(f"expected ngram:N, got {spec!r}")
+        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+            raise DataError(f"expected ngram:N with N >= 1, got {spec!r}")
         return ("ngram", int(parts[1]))
     if family == "clf":
         if len(parts) != 2 or parts[1] not in classify.KINDS:
@@ -306,6 +306,8 @@ def _cmd_eval(args) -> int:
     if not (args.corpus and args.dataset and args.restorer):
         raise DataError("eval cv requires --corpus, --dataset and at least one --restorer")
     specs = [_parse_restorer_spec(s) for s in args.restorer]
+    if args.k < 2:
+        raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
     # Only n-gram counts and embedding cowords read the corpus.
     needs_corpus = any(f == "ngram" or (f == "emb" and d != embed.BASIC) for f, d in specs)
     corp = corpus.load_corpus(args.corpus) if needs_corpus else None
@@ -315,10 +317,12 @@ def _cmd_eval(args) -> int:
     lowercase = _lowercase(args, default=True)
     candidates = {s.wordkey: [v for v, _ in s.variants] for s in sets}
     emb_model = embed.load_vectors(args.vectors) if args.vectors else None
-    prepared = (
-        ngram.prepare(corp, lowercase)
-        if any(f == "ngram" for f, _ in specs)
-        else corp
+    # One n-gram count, at the largest order, serves every n-gram restorer.
+    orders = [n for f, n in specs if f == "ngram"]
+    ngram_counts = (
+        ngram.shared_counts(ngram.prepare(corp, lowercase), candidates, max(orders))
+        if orders
+        else None
     )
 
     reports: dict[str, evaluate.MetricReport] = {}
@@ -338,7 +342,7 @@ def _cmd_eval(args) -> int:
         fold_details = {}
         for aset in sets:
             fit = _make_fitter(
-                family, detail, prepared, aset, candidates, args, lowercase, model, cowords
+                family, detail, ngram_counts, aset, candidates, args, model, cowords
             )
             result = evaluate.crossval(fit, aset, k=args.k, seed=args.seed)
             rep = evaluate.wordkey_report(result.matrix)
@@ -373,9 +377,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _make_fitter(family, detail, prepared, aset, candidates, args, lowercase, model, cowords):
+def _make_fitter(family, detail, ngram_counts, aset, candidates, args, model, cowords):
     if family == "ngram":
-        return ngram.cv_fitter(prepared, aset, candidates, n=detail, lowercase=lowercase)
+        return ngram.cv_fitter(ngram_counts, aset, candidates, n=detail)
     if family == "clf":
         hyper = classify.Hyper(seed=args.seed)
         return classify.cv_fitter(detail, window=args.window or 9, hyper=hyper)

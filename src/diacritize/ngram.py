@@ -8,6 +8,12 @@ are themselves restored first, left to right, so later decisions see marked
 context. Each restored form depends only on the tokens to its left, so a line
 is restored in one left-to-right pass, linear in its length: the pipeline
 hands `NGramRestorer` the restored forms of the tokens left of each target.
+
+Cross-validation counts once per run: `shared_counts` scans the corpus for
+candidate occurrences and counts the full tables at the largest order asked
+for, and each fold's model (`fold_model`) reads the full count minus the
+occurrences on its held-out lines. A fold costs one count of its held-out
+occurrences instead of a recount of every occurrence in the corpus.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ class PreparedCorpus:
 @dataclass
 class NGramModel:
     max_n: int
-    # counts[k] maps (context tuple of k-1 marked tokens, variant) -> count
+    # counts[k] maps (context tuple of k-1 marked tokens, variant) -> count;
+    # a cross-validation fold holds read-through `_FoldLevel`s instead.
     counts: list[dict[tuple[tuple[str, ...], str], int]]
     variant_index: dict[str, list[str]]
     # Restores context words in `restore_instance`. A pipeline routes them
@@ -47,33 +54,36 @@ class NGramModel:
 
 def prepare(corpus: Corpus, lowercase: bool = True) -> PreparedCorpus:
     lines = []
-    word_counts: dict[str, Counter[str]] = {}
+    word_counts: Counter[str] = Counter()
     for line in corpus.lines:
-        surfaces = []
-        for tok in line:
-            s = tok.surface.lower() if lowercase else tok.surface
-            surfaces.append(s)
-            if tok.kind is TokenKind.WORD:
-                word_counts.setdefault(strip_diacritics(s), Counter())[s] += 1
+        surfaces = [tok.surface.lower() if lowercase else tok.surface for tok in line]
         lines.append(surfaces)
+        word_counts.update(s for s, tok in zip(surfaces, line) if tok.kind is TokenKind.WORD)
+    # Each distinct surface is stripped once; wordkeys keep first-seen order.
+    by_key: dict[str, list[tuple[str, int]]] = {}
+    for surface, count in word_counts.items():
+        by_key.setdefault(strip_diacritics(surface), []).append((surface, count))
     unambiguous = {}
-    for key, variants in word_counts.items():
-        best = majority_variant(variants.items())
+    for key, variants in by_key.items():
+        best = majority_variant(variants)
         if best != key:
             unambiguous[key] = best
     return PreparedCorpus(lines=lines, unambiguous=unambiguous)
 
 
 def find_occurrences(prepared: PreparedCorpus, candidates: dict[str, list[str]]):
-    """(line, position) pairs of every indexed-variant occurrence."""
-    candidate_sets = {k: set(vs) for k, vs in candidates.items()}
-    occurrences = []
-    for line_no, surfaces in enumerate(prepared.lines):
-        for t, surface in enumerate(surfaces):
-            variants = candidate_sets.get(strip_diacritics(surface))
-            if variants is not None and surface in variants:
-                occurrences.append((line_no, t))
-    return occurrences
+    """(line, position) pairs of every indexed-variant occurrence.
+
+    A surface is indexed when it is listed among its own wordkey's variants.
+    The listed variants are stripped once, instead of every corpus token.
+    """
+    indexed = {v for key, vs in candidates.items() for v in vs if strip_diacritics(v) == key}
+    return [
+        (line_no, t)
+        for line_no, surfaces in enumerate(prepared.lines)
+        for t, surface in enumerate(surfaces)
+        if surface in indexed
+    ]
 
 
 def train_from_occurrences(
@@ -87,19 +97,7 @@ def train_from_occurrences(
         raise ModelError(f"max_n must be >= 1, got {max_n}")
     skip = set(skip_lines)
     counts: list[dict] = [dict() for _ in range(max_n)]
-    lines = prepared.lines
-    for line_no, t in occurrences:
-        if line_no in skip:
-            continue
-        surfaces = lines[line_no]
-        surface = surfaces[t]
-        for k in range(1, max_n + 1):
-            if t - (k - 1) < 0:
-                break
-            key = (tuple(surfaces[t - k + 1 : t]), surface)
-            level = counts[k - 1]
-            level[key] = level.get(key, 0) + 1
-
+    _count(prepared.lines, (o for o in occurrences if o[0] not in skip), counts)
     index = {k: sorted(vs) for k, vs in candidates.items()}
     return NGramModel(
         max_n=max_n,
@@ -107,6 +105,18 @@ def train_from_occurrences(
         variant_index=index,
         unambiguous=dict(prepared.unambiguous),
     )
+
+
+def _count(lines: list[list[str]], occurrences, counts: list[dict]) -> None:
+    """Add each (line, position) occurrence's key to every level of counts it reaches."""
+    max_n = len(counts)
+    for line_no, t in occurrences:
+        surfaces = lines[line_no]
+        surface = surfaces[t]
+        for k in range(1, min(t + 1, max_n) + 1):
+            key = (tuple(surfaces[t - k + 1 : t]), surface)
+            level = counts[k - 1]
+            level[key] = level.get(key, 0) + 1
 
 
 def train(
@@ -119,8 +129,8 @@ def train(
     """Count (context, variant) tables for every occurrence of an indexed variant.
 
     candidates maps wordkey -> list of variant surfaces (from the generated
-    dataset). Lines whose index is in skip_lines contribute nothing; the
-    cross-validation driver uses this to hold out test sentences.
+    dataset). Lines whose index is in skip_lines contribute nothing;
+    `fold_model` reads the same counts off a `SharedCounts` without a recount.
     """
     prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
     occurrences = find_occurrences(prepared, candidates)
@@ -190,27 +200,94 @@ class NGramRestorer:
         return cls(model=model, n=n)
 
 
+@dataclass
+class SharedCounts:
+    """The full count tables of a cross-validation run, with its occurrences by line.
+
+    One count at the largest order serves every order up to it: level k's
+    table does not depend on max_n, and `_choose` reads at most n levels.
+    """
+
+    prepared: PreparedCorpus
+    model: NGramModel
+    occurrences_by_line: dict[int, list[tuple[int, int]]]
+
+
+def shared_counts(prepared: PreparedCorpus, candidates: dict[str, list[str]], max_n: int) -> SharedCounts:
+    """Scan the corpus for candidate occurrences once and count them at order max_n."""
+    occurrences = find_occurrences(prepared, candidates)
+    model = train_from_occurrences(prepared, occurrences, max_n, candidates)
+    by_line: dict[int, list[tuple[int, int]]] = {}
+    for occ in occurrences:
+        by_line.setdefault(occ[0], []).append(occ)
+    return SharedCounts(prepared=prepared, model=model, occurrences_by_line=by_line)
+
+
+@dataclass(slots=True)
+class _FoldLevel:
+    """One level of a fold's table: the full count minus the held-out lines' count.
+
+    A fold reads through to the shared table instead of copying it. A count
+    that falls to zero reads as a missing key, which `_choose` scores alike.
+    """
+
+    full: dict
+    held_out: dict
+
+    def get(self, key, default=None):
+        count = self.full.get(key, 0) - self.held_out.get(key, 0)
+        return count if count else default
+
+
+def fold_model(shared: SharedCounts, skip_lines) -> NGramModel:
+    """The model counted from every line but skip_lines, read off the shared count."""
+    full = shared.model
+    held_out: list[dict] = [dict() for _ in range(full.max_n)]
+    by_line = shared.occurrences_by_line
+    _count(
+        shared.prepared.lines,
+        (occ for line_no in skip_lines for occ in by_line.get(line_no, ())),
+        held_out,
+    )
+    return NGramModel(
+        max_n=full.max_n,
+        counts=[_FoldLevel(f, h) for f, h in zip(full.counts, held_out)],
+        variant_index=full.variant_index,
+        unambiguous=full.unambiguous,
+    )
+
+
 def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: int, lowercase: bool = True):
     """Build a crossval fit function that holds out test-fold sentences.
 
     Training counts come only from lines holding no held-out instance of the
-    evaluated wordkey, so a test sentence never feeds its own counts. Pass a
-    PreparedCorpus to share the preparation across wordkeys.
+    evaluated wordkey, so a test sentence never feeds its own counts. The
+    tables are counted once, and each fold subtracts the occurrences on its
+    held-out lines: the cost is one count, plus one count of the held-out
+    occurrences per fold. Pass a
+    `SharedCounts` (counted at any order >= n) to share one count across
+    wordkeys and orders; given a corpus or a PreparedCorpus, the fitter
+    counts its own at order n.
     """
     if any(inst.line < 0 for inst in aset.instances):
         raise ModelError(
             "n-gram cross-validation needs instance line provenance; "
             "regenerate the dataset from the corpus"
         )
-    prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
-    occurrences = find_occurrences(prepared, candidates)
+    if isinstance(corpus, SharedCounts):
+        shared = corpus
+    else:
+        prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
+        shared = shared_counts(prepared, candidates, n)
+    if not (1 <= n <= shared.model.max_n):
+        raise ModelError(f"n must be in 1..{shared.model.max_n}, got {n}")
 
     def fit(train_instances):
         train_keys = {(i.line, i.target) for i in train_instances}
         skip = {
             i.line for i in aset.instances if (i.line, i.target) not in train_keys
         }
-        model = train_from_occurrences(prepared, occurrences, n, candidates, skip_lines=skip)
+        model = fold_model(shared, skip)
         return lambda inst: restore_instance(model, inst, n)
 
     return fit

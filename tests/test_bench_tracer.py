@@ -1,10 +1,10 @@
 """The benchmark's tracer (bench/spans.py) still finds every function it swaps.
 
 The tracer wraps toolkit functions by module attribute name. A rename or
-removal in src/ would only show as a crash of the traced benchmark run; this
-test installs the tracer around one small restore and checks that it finds
-every attribute, records the restore, changes no output byte, and puts every
-attribute back.
+removal in src/ would only show as a crash of the traced benchmark run; these
+tests install the tracer around one small restore and one small n-gram
+`eval cv`, and check that it finds every attribute, records the calls,
+changes no output byte, and puts every attribute back.
 """
 
 import sys
@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from diacritize import classify, corpus, datasetgen, embed, pipeline
+from diacritize import classify, cli, corpus, datasetgen, embed, evaluate, ngram, pipeline
 from diacritize.corpus import corpus_from_lines
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+DATA = Path(__file__).resolve().parent / "data"
+SWAPPED = (cli, corpus, datasetgen, ngram, classify, classify.Vectorizer, embed, evaluate, pipeline)
 
 LINES = ["nwanyị kwuru sì ya oma"] * 6 + ["ha kwera sí ya oma"] * 4
 STRIPPED = "Nwanyi kwuru si ya oma , ha kwera SI ya ."
@@ -67,3 +69,35 @@ def test_traced_restore_is_byte_identical(spans, tmp_path, family):
         assert recorded[name]["calls"] >= 1, name
     assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
     assert restore() == plain
+
+
+def test_traced_ngram_cv_is_byte_identical(spans, tmp_path, capsys):
+    def cv(report):
+        argv = [
+            "eval", "cv", "--corpus", str(DATA / "fixture_corpus.txt"),
+            "--dataset", str(DATA / "golden_dataset.jsonl"),
+            "--restorer", "ngram:2", "-k", "3", "--report", str(report),
+        ]
+        assert cli.main(argv) == 0
+        return report.read_bytes()
+
+    plain = cv(tmp_path / "plain.json")
+    before = {(m, a): m.__dict__[a] for m in SWAPPED for a in vars(m)}
+    tracer = spans.Tracer()
+    tracer.label = "eval_cv_ngram"
+    tracer.install()
+    try:
+        traced = cv(tmp_path / "traced.json")
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert traced == plain
+    recorded = tracer.summary()["spans"]
+    for name in (
+        "cli.main.eval_cv_ngram", "ngram.prepare", "ngram.find_occurrences",
+        "ngram.train_from_occurrences", "ngram.restore_instance",
+        "evaluate.crossval", "evaluate.fit.ngram", "evaluate.predict.ngram",
+    ):
+        assert recorded[name]["calls"] >= 1, name
+    assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
+    assert cv(tmp_path / "again.json") == plain

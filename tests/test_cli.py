@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diacritize import classify, corpus, datasetgen, embed
+from diacritize import classify, corpus, datasetgen, embed, ngram
 from diacritize.cli import main
 from diacritize.corpus import strip_diacritics
 
@@ -22,6 +22,12 @@ CLF_PIPELINE_SHA = {
     "perceptron": "9798f7843cbe49b38b5ae0c32dd356153788959f95afa6b0f51a680749c48166",
 }
 CV_CLF_REPORT_SHA = "611293da2d88a7ae88e1f431d757ba07b5beb8a9dc7fa3f9f85dd0b9d4ce423d"
+# sha256 of `eval cv -k 3 --report` with the given n-gram restorers, on the
+# fixture corpus and the golden dataset.
+CV_NGRAM_REPORT_SHA = {
+    ("ngram:1", "ngram:5"): "467fe298eee5b705fb0a715b5f6d409afe47541951291f16be74ad6a9fad183e",
+    ("ngram:2",): "3115a542a136c5852e7b1d45399d4e74247bfea1a550f9ba2707ce2429f48059",
+}
 
 # sha256 of `restore` on the stripped fixture corpus, through a `train ngram -n 5`
 # and a `train clf` pipeline trained on the fixture corpus and the golden dataset.
@@ -271,6 +277,28 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--restorer", "ngram:x"],
+            ["--restorer", "ngram:0"],
+            ["--restorer", "ngram:-2"],
+            ["--restorer", "ngram:2", "-k", "1"],
+            ["--restorer", "clf:logistic", "-k", "0"],
+        ],
+    )
+    def test_bad_cv_arguments_exit_two_with_one_line(self, capsys, tmp_path, dataset_file, flags):
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
+            *flags, "--report", str(report),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("diacritize: data error: ")
+        assert not report.exists()
+
     def test_fulltext(self, capsys, tmp_path):
         gold = tmp_path / "gold.txt"
         gold.write_text("ákwa oma di\nulo nke ya\n", encoding="utf-8")
@@ -329,6 +357,43 @@ class TestGoldenClassifierBytes:
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
         # one window per instance, for all its training folds and its test fold
         assert len(calls) == sum(len(s.instances) for s in datasetgen.read_dataset(GOLDEN))
+
+
+class TestGoldenNgramCvBytes:
+    def cv_report(self, capsys, tmp_path, restorers) -> str:
+        report = tmp_path / "report.json"
+        flags = [f for spec in restorers for f in ("--restorer", spec)]
+        code, _, _ = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
+            *flags, "-k", "3", "--report", str(report),
+        )
+        assert code == 0
+        return sha256(report)
+
+    @pytest.mark.parametrize("restorers", sorted(CV_NGRAM_REPORT_SHA))
+    def test_cv_ngram_report(self, capsys, tmp_path, restorers):
+        assert self.cv_report(capsys, tmp_path, restorers) == CV_NGRAM_REPORT_SHA[restorers]
+
+    def test_one_scan_and_one_count_at_the_largest_order(self, capsys, tmp_path, monkeypatch):
+        scans, orders = [], []
+        find, count = ngram.find_occurrences, ngram.train_from_occurrences
+
+        def counted_find(*args, **kwargs):
+            scans.append(1)
+            return find(*args, **kwargs)
+
+        def counted_count(prepared, occurrences, max_n, *args, **kwargs):
+            orders.append(max_n)
+            return count(prepared, occurrences, max_n, *args, **kwargs)
+
+        monkeypatch.setattr(ngram, "find_occurrences", counted_find)
+        monkeypatch.setattr(ngram, "train_from_occurrences", counted_count)
+        restorers = ("ngram:1", "ngram:5")
+        assert self.cv_report(capsys, tmp_path, restorers) == CV_NGRAM_REPORT_SHA[restorers]
+        assert len(datasetgen.read_dataset(GOLDEN)) >= 2
+        # every wordkey and both orders read the same one count, made at N=5
+        assert scans == [1]
+        assert orders == [5]
 
 
 class TestGoldenRestoreBytes:

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from diacritize import datasetgen, evaluate, ngram, pipeline
-from diacritize.corpus import Token, corpus_from_lines, token_kind
+from diacritize import corpus, datasetgen, evaluate, ngram, pipeline
+from diacritize.corpus import Token, corpus_from_lines, strip_diacritics, token_kind
 from diacritize.datasetgen import Instance
 from diacritize.errors import ModelError, ParseError
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_instance(tokens, target, label="", line=0):
@@ -52,6 +56,23 @@ class TestTrain:
                     if line[i] == variant and line[i - 1] == prev
                 )
                 assert model.count(2, (prev,), variant) == expected
+
+    def test_occurrences_are_variants_listed_under_their_own_wordkey(self):
+        prepared = ngram.prepare(corpus.load_corpus(DATA / "fixture_corpus.txt"))
+        sets = datasetgen.read_dataset(DATA / "golden_dataset.jsonl")
+        cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
+        # a variant filed under another wordkey is not indexed
+        moved = next(iter(cands.values()))[0]
+        cands["not-its-key"] = [moved]
+        reference = [
+            (line_no, t)
+            for line_no, surfaces in enumerate(prepared.lines)
+            for t, surface in enumerate(surfaces)
+            if surface in cands.get(strip_diacritics(surface), ())
+        ]
+        assert reference
+        assert ngram.find_occurrences(prepared, cands) == reference
+        assert ngram.find_occurrences(prepared, {"not-its-key": [moved]}) == []
 
     def test_skip_lines_remove_counts(self, bigram_corpus):
         corp, major, minor = bigram_corpus
@@ -209,6 +230,38 @@ class TestCrossval:
             accs.append(evaluate.metrics(res.matrix)["accuracy"])
         assert accs == sorted(accs)
         assert accs[0] == 1.0
+
+    def test_fold_view_reads_a_recount_without_the_skipped_lines(self):
+        prepared = ngram.prepare(corpus.load_corpus(DATA / "fixture_corpus.txt"))
+        sets = datasetgen.read_dataset(DATA / "golden_dataset.jsonl")
+        cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
+        occurrences = ngram.find_occurrences(prepared, cands)
+        shared = ngram.shared_counts(prepared, cands, 5)
+        n_lines = len(prepared.lines)
+        rng = random.Random(7)
+        skips = [set(), set(range(n_lines))] + [
+            set(rng.sample(range(n_lines), rng.randint(1, n_lines))) for _ in range(30)
+        ]
+        for skip in skips:
+            fresh = ngram.train_from_occurrences(prepared, occurrences, 5, cands, skip_lines=skip)
+            fold = ngram.fold_model(shared, skip)
+            for k in range(1, 6):
+                view, table = fold.counts[k - 1], fresh.counts[k - 1]
+                assert table.keys() <= shared.model.counts[k - 1].keys()
+                for key in shared.model.counts[k - 1]:
+                    # a key absent from the recount reads as absent, not as 0 or less
+                    assert view.get(key) == table.get(key)
+                    assert view.get(key, 0) == table.get(key, 0)
+                assert view.get(((), "no such variant"), 0) == 0
+
+    def test_shared_count_below_the_order_is_a_model_error(self, bigram_corpus):
+        corp, major, minor = bigram_corpus
+        sets = datasetgen.generate(corp)
+        aset = next(s for s in sets if s.wordkey == "ko")
+        cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
+        shared = ngram.shared_counts(ngram.prepare(corp), cands, 2)
+        with pytest.raises(ModelError):
+            ngram.cv_fitter(shared, aset, cands, 3)
 
     def test_restoring_never_reshapes_sentence(self, bigram_corpus):
         corp, major, minor = bigram_corpus
