@@ -153,11 +153,27 @@ def _lowercase(args, default: bool) -> bool:
     return default if args.lowercase is None else args.lowercase
 
 
+# The context window each family uses when --window is not given.
+WINDOW_DEFAULT = {"clf": 9, "emb": 11}
+
+
+def _window(args, family: str) -> int:
+    if args.window is None:
+        return WINDOW_DEFAULT[family]
+    if args.window < 3 or args.window % 2 == 0:
+        raise DataError(f"--window must be an odd integer >= 3, got {args.window}")
+    return args.window
+
+
+def _top_n(args) -> int:
+    if args.top_n < 0:
+        raise DataError(f"--top-n must be >= 0, got {args.top_n}")
+    return args.top_n
+
+
 def _cmd_stats(args) -> int:
     corp = corpus.load_corpus(args.corpus)
-    if _lowercase(args, default=False):
-        corp = corp.lowercased()
-    text = corpus.compute_stats(corp).to_json()
+    text = corpus.compute_stats(corp, lowercase=_lowercase(args, default=False)).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -182,6 +198,9 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # Flags that only the classifier and embedding families read; checked before any work.
+    window = _window(args, args.family) if args.family in WINDOW_DEFAULT else None
+    top_n = _top_n(args) if args.family == "emb" else None
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
@@ -194,15 +213,14 @@ def _cmd_train(args) -> int:
             learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed
         )
         pipe = pipeline.build_classifier_pipeline(
-            corp, sets, kind=args.kind, window=args.window or 9,
-            hyper=hyper, lowercase=lowercase,
+            corp, sets, kind=args.kind, window=window, hyper=hyper, lowercase=lowercase,
         )
     else:
         if not args.vectors:
             raise DataError("train emb requires --vectors")
         pipe = pipeline.build_embedding_pipeline(
             corp, sets, args.vectors, scheme=args.scheme,
-            window=args.window or 11, top_n=args.top_n, lowercase=lowercase,
+            window=window, top_n=top_n, lowercase=lowercase,
         )
     pipeline.save_pipeline(pipe, args.out)
     print(f"wrote {pipe.family} pipeline to {args.out}")
@@ -219,11 +237,12 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
+    top_n = _top_n(args)
     model = embed.load_vectors(args.vectors)
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
     cowords = embed.build_cowords(
-        corp, sets, top_n=args.top_n, window=args.window,
+        corp, sets, top_n=top_n, window=args.window,
         lowercase=_lowercase(args, default=True),
     )
     enhanced = embed.enhance(model, cowords, scheme=args.scheme)
@@ -308,41 +327,40 @@ def _cmd_eval(args) -> int:
     specs = [_parse_restorer_spec(s) for s in args.restorer]
     if args.k < 2:
         raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
+    windows = {family: _window(args, family) for family in WINDOW_DEFAULT}
+    top_n = _top_n(args)
+    if any(f == "emb" for f, _ in specs) and not args.vectors:
+        raise DataError("emb restorers need --vectors")
+    orders = [n for f, n in specs if f == "ngram"]
+    tweaked = any(f == "emb" and d != embed.BASIC for f, d in specs)
     # Only n-gram counts and embedding cowords read the corpus.
-    needs_corpus = any(f == "ngram" or (f == "emb" and d != embed.BASIC) for f, d in specs)
-    corp = corpus.load_corpus(args.corpus) if needs_corpus else None
+    corp = corpus.load_corpus(args.corpus) if orders or tweaked else None
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
         raise DataError(f"dataset {args.dataset} holds no ambiguous sets")
     lowercase = _lowercase(args, default=True)
     candidates = {s.wordkey: [v for v, _ in s.variants] for s in sets}
     emb_model = embed.load_vectors(args.vectors) if args.vectors else None
-    # One n-gram count, at the largest order, serves every n-gram restorer.
-    orders = [n for f, n in specs if f == "ngram"]
+    # One n-gram count, at the largest order, serves every n-gram restorer, and
+    # one coword table every enhanced embedding scheme.
     ngram_counts = (
         ngram.shared_counts(ngram.prepare(corp, lowercase), candidates, max(orders))
         if orders
         else None
     )
+    cowords = embed.build_cowords(corp, sets, top_n=top_n, lowercase=lowercase) if tweaked else None
 
     reports: dict[str, evaluate.MetricReport] = {}
     payload = {}
     for spec, (family, detail) in zip(args.restorer, specs):
-        model = cowords = None
-        if family == "emb":
-            if emb_model is None:
-                raise DataError("emb restorers need --vectors")
-            model = emb_model
-            if detail != embed.BASIC:
-                cowords = embed.build_cowords(
-                    corp, sets, top_n=args.top_n, lowercase=lowercase
-                )
-                model = embed.enhance(emb_model, cowords, scheme=detail)
+        model = emb_model
+        if family == "emb" and detail != embed.BASIC:
+            model = embed.enhance(emb_model, cowords, scheme=detail)
         per_wordkey = {}
         fold_details = {}
         for aset in sets:
             fit = _make_fitter(
-                family, detail, ngram_counts, aset, candidates, args, model, cowords
+                family, detail, ngram_counts, aset, candidates, args.seed, windows, model, cowords
             )
             result = evaluate.crossval(fit, aset, k=args.k, seed=args.seed)
             rep = evaluate.wordkey_report(result.matrix)
@@ -377,15 +395,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _make_fitter(family, detail, ngram_counts, aset, candidates, args, model, cowords):
+def _make_fitter(family, detail, ngram_counts, aset, candidates, seed, windows, model, cowords):
     if family == "ngram":
         return ngram.cv_fitter(ngram_counts, aset, candidates, n=detail)
     if family == "clf":
-        hyper = classify.Hyper(seed=args.seed)
-        return classify.cv_fitter(detail, window=args.window or 9, hyper=hyper)
-    return embed.cv_fitter(
-        model, aset, scheme=detail, window=args.window or 11, cowords=cowords
-    )
+        return classify.cv_fitter(detail, window=windows["clf"], hyper=classify.Hyper(seed=seed))
+    return embed.cv_fitter(model, aset, scheme=detail, window=windows["emb"], cowords=cowords)
 
 
 def _cmd_intrinsic(args) -> int:

@@ -2,7 +2,10 @@
 
 A corpus is plain UTF-8 text, one sentence (or verse) per line, tokens separated
 by whitespace. Everything downstream keys off the *wordkey*: the form of a word
-with every combining mark removed.
+with every combining mark removed. This module owns that rule and the table
+built from it: `line_keys` gives each token's key (lowercased first when asked),
+and `variant_counts` counts a corpus's word surfaces by wordkey. Statistics, the
+dataset gates, the routing maps and the restorers all read those two.
 
 Three pure functions of one string are cached, because text repeats a small
 vocabulary: `strip_diacritics` (unbounded; it runs on corpus and dataset
@@ -72,10 +75,6 @@ class Corpus:
             for line in self.lines
         ]
         return Corpus(out, is_marked=False)
-
-    def lowercased(self) -> "Corpus":
-        out = [[Token(t.surface.lower(), t.kind) for t in line] for line in self.lines]
-        return Corpus(out, is_marked=self.is_marked)
 
 
 @dataclass
@@ -221,45 +220,49 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
-def compute_stats(corpus: Corpus) -> CorpusStats:
+def line_keys(tokens, lowercase: bool) -> tuple[str, ...]:
+    """The key of each token: its surface, lowercased if asked, with every mark stripped."""
+    return tuple(strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in tokens)
+
+
+def variant_counts(corpus: Corpus, lowercase: bool = False) -> dict[str, dict[str, int]]:
+    """Wordkey -> {surface: count} over the corpus's word tokens.
+
+    Surfaces are lowercased first if asked. Wordkeys, and the surfaces of each,
+    keep the order in which the corpus first shows them.
+    """
+    words = (tok.surface for line in corpus.lines for tok in line if tok.kind is TokenKind.WORD)
+    surfaces = Counter(w.lower() for w in words) if lowercase else Counter(words)
+    table: dict[str, dict[str, int]] = {}
+    for surface, count in surfaces.items():
+        table.setdefault(strip_diacritics(surface), {})[surface] = count
+    return table
+
+
+def compute_stats(corpus: Corpus, lowercase: bool = False) -> CorpusStats:
     """Corpus statistics over tokens, diacritized words, wordkeys and variants.
 
     A word is diacritized when stripping changes it; a wordkey is ambiguous
     when at least two distinct surfaces in the corpus share it. Case is
-    preserved (lowercase the corpus first if collapsed counts are wanted).
+    preserved unless lowercase is set, which counts every word lowercased.
     """
-    stats = CorpusStats(lines=len(corpus.lines))
-    surface_counts: Counter[str] = Counter()
-    for line in corpus.lines:
-        stats.all_tokens += len(line)
-        for tok in line:
-            if tok.kind is TokenKind.WORD:
-                stats.words_only += 1
-                surface_counts[tok.surface] += 1
-
-    stats.vocab_size = len(surface_counts)
-
-    variants_by_key: dict[str, set[str]] = {}
-    for surface in surface_counts:
-        variants_by_key.setdefault(strip_diacritics(surface), set()).add(surface)
-
-    stats.all_wordkeys = len(variants_by_key)
-    for key, variants in variants_by_key.items():
-        if len(variants) >= 2:
+    lines, table = corpus.lines, variant_counts(corpus, lowercase)
+    stats = CorpusStats(lines=len(lines), all_tokens=sum(map(len, lines)), all_wordkeys=len(table))
+    for key, variants in table.items():
+        n = len(variants)
+        stats.words_only += sum(variants.values())
+        stats.vocab_size += n
+        if n >= 2:
             stats.ambiguous_wordkeys += 1
-            n = len(variants)
             stats.variants_histogram[n] = stats.variants_histogram.get(n, 0) + 1
         else:
             stats.unique_wordkeys += 1
-
-    for surface, count in surface_counts.items():
-        key = strip_diacritics(surface)
-        if surface != key:
-            stats.all_diac_words += count
-            stats.diac_vocab_size += 1
-            if len(variants_by_key[key]) >= 2:
-                stats.amb_diac_words += count
-            else:
-                stats.unique_diac_words += count
-
+        for surface, count in variants.items():
+            if surface != key:
+                stats.all_diac_words += count
+                stats.diac_vocab_size += 1
+                if n >= 2:
+                    stats.amb_diac_words += count
+                else:
+                    stats.unique_diac_words += count
     return stats

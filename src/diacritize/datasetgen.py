@@ -13,10 +13,10 @@ sentence, the target position, and the original marked surface as label.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, open_text, strip_diacritics
+from .corpus import Corpus, TokenKind, line_keys, open_text, variant_counts
+from .corpus import strip_diacritics  # noqa: F401  (kept importable from this module)
 from .errors import DataError, ParseError
 
 
@@ -88,28 +88,16 @@ def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousS
     params = params or GenParams()
     params.validate()
 
-    word_token_count = 0
-    counts: dict[str, Counter[str]] = {}
-    for line in corpus.lines:
-        for tok in line:
-            if tok.kind is not TokenKind.WORD:
-                continue
-            word_token_count += 1
-            surface = tok.surface.lower() if params.lowercase else tok.surface
-            counts.setdefault(strip_diacritics(surface), Counter())[surface] += 1
-
+    table = variant_counts(corpus, params.lowercase)
+    word_token_count = sum(sum(counts.values()) for counts in table.values())
     if word_token_count == 0:
         return []
 
     survivors: dict[str, dict[str, int]] = {}
-    for key, variant_counts in counts.items():
-        full_total = sum(variant_counts.values())
-        kept = {
-            v: c for v, c in variant_counts.items() if c / full_total >= params.varnt_rep
-        }
+    for key, counts in table.items():
+        full_total = sum(counts.values())
+        kept = {v: c for v, c in counts.items() if c / full_total >= params.varnt_rep}
         total = sum(kept.values())
-        if total == 0:
-            continue
         if total / word_token_count < params.wdkey_rep:
             continue
         if len(kept) < 2:
@@ -125,23 +113,15 @@ def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousS
         sets[key] = AmbiguousSet(wordkey=key, variants=variants)
 
     for line_no, line in enumerate(corpus.lines):
-        stripped = None
-        for idx, tok in enumerate(line):
-            if tok.kind is not TokenKind.WORD:
+        keys = line_keys(line, params.lowercase)
+        for idx, (tok, key) in enumerate(zip(line, keys)):
+            if tok.kind is not TokenKind.WORD or key not in sets:
                 continue
             surface = tok.surface.lower() if params.lowercase else tok.surface
-            key = strip_diacritics(surface)
-            aset = sets.get(key)
-            if aset is None or surface not in survivors[key]:
-                continue
-            if stripped is None:
-                stripped = tuple(
-                    strip_diacritics(t.surface.lower() if params.lowercase else t.surface)
-                    for t in line
+            if surface in survivors[key]:
+                sets[key].instances.append(
+                    Instance(tokens=keys, target=idx, label=surface, line=line_no)
                 )
-            aset.instances.append(
-                Instance(tokens=stripped, target=idx, label=surface, line=line_no)
-            )
 
     return list(sets.values())
 
@@ -154,6 +134,19 @@ def majority_variant(counts) -> str:
     """
     best = max(c for _, c in counts)
     return min(v for v, c in counts if c == best)
+
+
+def majority_forms(table) -> dict[str, str]:
+    """Wordkey -> its majority variant, from a `corpus.variant_counts` table.
+
+    Wordkeys whose majority variant is the bare key itself are left out.
+    """
+    forms = {}
+    for key, counts in table.items():
+        best = majority_variant(counts.items())
+        if best != key:
+            forms[key] = best
+    return forms
 
 
 def variant_index(sets) -> dict[str, list[tuple[str, int]]]:

@@ -18,11 +18,10 @@ occurrences instead of a recount of every occurrence in the corpus.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, strip_diacritics
-from .datasetgen import AmbiguousSet, Instance, majority_variant
+from .corpus import Corpus, strip_diacritics, variant_counts
+from .datasetgen import AmbiguousSet, Instance, majority_forms, majority_variant
 from .errors import ModelError, ParseError
 
 
@@ -53,21 +52,8 @@ class NGramModel:
 
 
 def prepare(corpus: Corpus, lowercase: bool = True) -> PreparedCorpus:
-    lines = []
-    word_counts: Counter[str] = Counter()
-    for line in corpus.lines:
-        surfaces = [tok.surface.lower() if lowercase else tok.surface for tok in line]
-        lines.append(surfaces)
-        word_counts.update(s for s, tok in zip(surfaces, line) if tok.kind is TokenKind.WORD)
-    # Each distinct surface is stripped once; wordkeys keep first-seen order.
-    by_key: dict[str, list[tuple[str, int]]] = {}
-    for surface, count in word_counts.items():
-        by_key.setdefault(strip_diacritics(surface), []).append((surface, count))
-    unambiguous = {}
-    for key, variants in by_key.items():
-        best = majority_variant(variants)
-        if best != key:
-            unambiguous[key] = best
+    lines = [[t.surface.lower() if lowercase else t.surface for t in line] for line in corpus.lines]
+    unambiguous = majority_forms(variant_counts(corpus, lowercase))
     return PreparedCorpus(lines=lines, unambiguous=unambiguous)
 
 

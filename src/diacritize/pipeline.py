@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
-from .corpus import Corpus, Token, TokenKind, open_text, strip_diacritics, token_kind
+from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, variant_counts
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
@@ -45,15 +45,15 @@ def build_maps(corpus, sets, lowercase: bool = True):
 
     Wordkeys outside the generated dataset map to their most frequent marked
     form (identity mappings are omitted); dataset wordkeys carry their variant
-    candidates and counts. corpus may be an ngram.PreparedCorpus already.
+    candidates and counts. corpus may be an ngram.PreparedCorpus, which holds
+    that map already.
     """
     index = datasetgen.variant_index(sets)
-    prepared = (
-        corpus if isinstance(corpus, ngram.PreparedCorpus) else ngram.prepare(corpus, lowercase)
-    )
-    unambiguous = {
-        key: marked for key, marked in prepared.unambiguous.items() if key not in index
-    }
+    if isinstance(corpus, ngram.PreparedCorpus):
+        forms = corpus.unambiguous
+    else:
+        forms = datasetgen.majority_forms(variant_counts(corpus, lowercase))
+    unambiguous = {key: marked for key, marked in forms.items() if key not in index}
     return unambiguous, index
 
 
@@ -127,8 +127,7 @@ def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
     A restored variant or an unambiguous word adds its marked form to
     `restored`; a non-word or an unknown word adds its stripped key.
     """
-    lowercase = pipeline.lowercase
-    keys = tuple(strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in tokens)
+    keys = line_keys(tokens, pipeline.lowercase)
     restored: list[str] = []
     out: list[Token] = []
     for i, tok in enumerate(tokens):

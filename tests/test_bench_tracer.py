@@ -2,9 +2,10 @@
 
 The tracer wraps toolkit functions by module attribute name. A rename or
 removal in src/ would only show as a crash of the traced benchmark run; these
-tests install the tracer around one small restore and one small n-gram
-`eval cv`, and check that it finds every attribute, records the calls,
-changes no output byte, and puts every attribute back.
+tests install the tracer around one small restore, one small n-gram `eval cv`
+and each command of the bench's train job, and check that it finds every
+attribute, records the calls, changes no output byte, and puts every attribute
+back.
 """
 
 import sys
@@ -101,3 +102,55 @@ def test_traced_ngram_cv_is_byte_identical(spans, tmp_path, capsys):
         assert recorded[name]["calls"] >= 1, name
     assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
     assert cv(tmp_path / "again.json") == plain
+
+
+# The bench's train job, one command at a time: its arguments (less -o), the
+# spans it must record, and the spans it must not.
+CORPUS, DATASET = str(DATA / "fixture_corpus.txt"), str(DATA / "golden_dataset.jsonl")
+TRAIN_JOB = {
+    "dataset": (
+        ["dataset", CORPUS],
+        ["datasetgen.generate", "datasetgen.write_dataset"],
+        [],
+    ),
+    "train_ngram": (
+        ["train", "ngram", CORPUS, "--dataset", DATASET, "-n", "5"],
+        ["datasetgen.read_dataset", "pipeline.build_maps", "ngram.prepare",
+         "ngram.train_from_occurrences", "pipeline.save_pipeline"],
+        [],
+    ),
+    "train_clf": (
+        ["train", "clf", CORPUS, "--dataset", DATASET, "--kind", "logistic"],
+        ["datasetgen.read_dataset", "pipeline.build_maps", "classify.fit_instances",
+         "pipeline.save_pipeline"],
+        ["ngram.prepare"],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TRAIN_JOB))
+def test_traced_train_job_is_byte_identical(spans, tmp_path, capsys, label):
+    argv, expected, absent = TRAIN_JOB[label]
+
+    def run(out):
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    plain = run(tmp_path / "plain")
+    before = {(m, a): m.__dict__[a] for m in SWAPPED for a in vars(m)}
+    tracer = spans.Tracer()
+    tracer.label = label
+    tracer.install()
+    try:
+        traced = run(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert traced == plain
+    recorded = tracer.summary()["spans"]
+    for name in [f"cli.main.{label}", "corpus.load_corpus", *expected]:
+        assert recorded[name]["calls"] >= 1, name
+    for name in absent:
+        assert name not in recorded, name
+    assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
+    assert run(tmp_path / "again") == plain

@@ -35,6 +35,14 @@ RESTORED_SHA = {
     "ngram": "b1c1009ac71f5c79207839dac1c222d7a0eab605ba1c0d4f61698d06d73909d8",
     "clf": "7795080815d00db2815be53e13177fd73e5d2c751f97f32b7d4d163fbd0cfc0c",
 }
+# sha256 of `stats` on the fixture corpus, without and with --lowercase.
+STATS_SHA = {
+    False: "c0ec5436fb6aa2db5a86f5a699392fa0fff8f6cbdb7fe89d868f37022a2ed78e",
+    True: "883a1a9dae86ac4c50acbf74acdf377bcdfa2b90487cde67e2fdd660f27fb842",
+}
+# sha256 of `eval cv -k 3 --report` for emb:tweak1 + emb:tweak2, on the fixture
+# corpus, the golden dataset and the `vectors_file` vectors.
+CV_TWEAK_REPORT_SHA = "e0e5c04800cacdabb778538395c667467895a874479fb5df6031b020ba2a6482"
 # A `train ngram -n 5` pipeline in the older layout, whose restorer.model also
 # holds copies of variant_index and unambiguous, and a lowercase flag.
 INNER_MAPS_PIPELINE = DATA / "ngram_pipeline_inner_maps.json"
@@ -95,6 +103,16 @@ class TestStats:
         assert payload["lines"] == 25
         assert payload["ambiguous_wordkeys"] >= 4
         assert payload["all_wordkeys"] == payload["unique_wordkeys"] + payload["ambiguous_wordkeys"]
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_reproduces_pinned_bytes(self, capsys, tmp_path, lowercase):
+        flags = ["--lowercase"] if lowercase else []
+        code, out, _ = run(capsys, "stats", FIXTURE, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STATS_SHA[lowercase]
+        path = tmp_path / "stats.json"
+        assert run(capsys, "stats", FIXTURE, *flags, "--out", str(path))[0] == 0
+        assert sha256(path) == STATS_SHA[lowercase]
 
 
 class TestDataset:
@@ -322,6 +340,69 @@ class TestEval:
         assert code == 2
 
 
+class TestFlagRanges:
+    """A --window or --top-n that no restorer accepts exits 2 before any work."""
+
+    def check_rejected(self, capsys, tmp_path, argv, out_flag):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, out_flag, str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("diacritize: data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["0", "4", "-1"])
+    @pytest.mark.parametrize("family", ["clf", "emb"])
+    def test_train_window(self, capsys, tmp_path, dataset_file, vectors_file, family, window):
+        argv = ["train", family, FIXTURE, "--dataset", dataset_file, "--vectors", vectors_file,
+                "--window", window]
+        self.check_rejected(capsys, tmp_path, argv, "-o")
+
+    @pytest.mark.parametrize("window", ["0", "4", "-1"])
+    @pytest.mark.parametrize("restorer", ["clf:logistic", "emb:basic"])
+    def test_cv_window(self, capsys, tmp_path, dataset_file, vectors_file, restorer, window):
+        argv = ["eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file, "--vectors", vectors_file,
+                "--restorer", restorer, "-k", "3", "--window", window]
+        self.check_rejected(capsys, tmp_path, argv, "--report")
+
+    def test_window_zero_is_not_the_default(self, capsys, tmp_path):
+        default, zero = tmp_path / "default.json", tmp_path / "zero.json"
+        train = ["train", "clf", FIXTURE, "--dataset", str(GOLDEN), "-o"]
+        assert run(capsys, *train, str(default))[0] == 0
+        assert run(capsys, *train, str(zero), "--window", "0")[0] == 2
+        assert sha256(default) == CLF_PIPELINE_SHA["logistic"]
+        assert not zero.exists()
+
+    @pytest.mark.parametrize(
+        "argv, out_flag",
+        [
+            (["train", "emb", FIXTURE, "--scheme", "tweak1"], "-o"),
+            (["enhance", "--corpus", FIXTURE], "-o"),
+            (["eval", "cv", "--corpus", FIXTURE, "--restorer", "emb:tweak1", "-k", "3"], "--report"),
+        ],
+    )
+    def test_negative_top_n(self, capsys, tmp_path, dataset_file, vectors_file, argv, out_flag):
+        argv = [*argv, "--dataset", dataset_file, "--vectors", vectors_file, "--top-n", "-1"]
+        self.check_rejected(capsys, tmp_path, argv, out_flag)
+
+
+class TestGoldenEmbeddingCvBytes:
+    def test_cowords_are_counted_once_for_every_tweak(self, capsys, tmp_path, vectors_file, monkeypatch):
+        calls = []
+        real = embed.build_cowords
+        monkeypatch.setattr(embed, "build_cowords", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        report = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
+            "--restorer", "emb:tweak1", "--restorer", "emb:tweak2",
+            "--vectors", vectors_file, "-k", "3", "--report", str(report),
+        )
+        assert code == 0
+        assert sha256(report) == CV_TWEAK_REPORT_SHA
+        assert calls == [1]
+
+
 class TestGoldenClassifierBytes:
     @pytest.mark.parametrize("kind", sorted(CLF_PIPELINE_SHA))
     def test_train_clf_pipeline(self, capsys, tmp_path, kind):
@@ -344,6 +425,17 @@ class TestGoldenClassifierBytes:
 
     def test_cv_clf_report(self, capsys, tmp_path):
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
+
+    def test_train_clf_reads_no_ngram_counts(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ngram, "prepare", lambda *a, **kw: calls.append(1))
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN), "-o", str(model),
+        )
+        assert code == 0
+        assert sha256(model) == CLF_PIPELINE_SHA["logistic"]
+        assert calls == []
 
     def test_cv_extracts_each_window_once(self, capsys, tmp_path, monkeypatch):
         calls = []

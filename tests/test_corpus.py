@@ -1,6 +1,7 @@
 import random
 import re
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -260,3 +261,65 @@ class TestLoadCorpus:
 def test_token_wordkey_property():
     tok = Token("ákwà", TokenKind.WORD)
     assert tok.wordkey == "akwa"
+
+
+def reference_variant_counts(corp, lowercase):
+    """Per-token count of word surfaces by wordkey, as dataset generation once did it."""
+    counts = {}
+    for line in corp.lines:
+        for tok in line:
+            if tok.kind is not TokenKind.WORD:
+                continue
+            surface = tok.surface.lower() if lowercase else tok.surface
+            counts.setdefault(strip_diacritics(surface), Counter())[surface] += 1
+    return counts
+
+
+def random_marked_corpus(seed):
+    """Lines of cased, marked words mixed with digits and punctuation."""
+    rng = random.Random(seed)
+    marks = ["", "́", "̀", "̣", "̣́"]
+    stems = ["akwa", "oge", "udo", "di", "nwa", "ike", "Ọ", "na-", "n'"]
+    others = ["12", "3-4", ",", ".", "!!", "+", "b2", "’"]
+
+    def word():
+        chars = []
+        for c in rng.choice(stems):
+            chars.append(c.upper() if rng.random() < 0.2 else c)
+            if c in "aeiou" and rng.random() < 0.4:
+                chars.append(rng.choice(marks))
+        return "".join(chars)
+
+    lines = [
+        " ".join(word() if rng.random() < 0.8 else rng.choice(others) for _ in range(rng.randrange(0, 12)))
+        for _ in range(rng.randrange(1, 30))
+    ]
+    return corpus_from_lines(lines)
+
+
+class TestVariantCounts:
+    @pytest.fixture(scope="class")
+    def corpora(self, gate_corpus):
+        fixture = corpus.load_corpus(FIXTURE)
+        return [fixture, gate_corpus[0]] + [random_marked_corpus(seed) for seed in range(50)]
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_matches_a_per_token_count_in_first_seen_order(self, corpora, lowercase):
+        for corp in corpora:
+            table = corpus.variant_counts(corp, lowercase)
+            reference = reference_variant_counts(corp, lowercase)
+            assert list(table) == list(reference)
+            for key, counts in reference.items():
+                assert list(table[key].items()) == list(counts.items())
+
+    def test_default_keeps_case(self):
+        corp = corpus_from_lines(["Ákwà ákwà , 12"])
+        assert corpus.variant_counts(corp) == {"Akwa": {"Ákwà": 1}, "akwa": {"ákwà": 1}}
+        assert corpus.variant_counts(corp, lowercase=True) == {"akwa": {"ákwà": 2}}
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_line_keys_strip_each_surface(self, corpora, lowercase):
+        for corp in corpora:
+            for line in corp.lines:
+                expected = tuple(strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in line)
+                assert corpus.line_keys(line, lowercase) == expected
