@@ -234,20 +234,22 @@ def _fit_sgd(model: LinearModel, X, y) -> None:
                     pred = 1 if z > 0 else 0
                     if pred != t:
                         mistakes[c] += 1
+                        g = rate * (t - pred)
                         for i, v in x:
-                            w[i] += rate * (t - pred) * v / next_scale
-                        bias[c] += rate * (t - pred)
+                            w[i] += g * v / next_scale
+                        bias[c] += g
                 elif kind == LOGISTIC:
-                    err = _logistic_residual(z, t)
+                    g = rate * _logistic_residual(z, t)
                     for i, v in x:
-                        w[i] -= rate * err * v / next_scale
-                    bias[c] -= rate * err
+                        w[i] -= g * v / next_scale
+                    bias[c] -= g
                 else:  # linear SVM, hinge loss
                     sign = 1.0 if t == 1 else -1.0
                     if sign * z < 1.0:
+                        g = rate * sign
                         for i, v in x:
-                            w[i] += rate * sign * v / next_scale
-                        bias[c] += rate * sign
+                            w[i] += g * v / next_scale
+                        bias[c] += g
             scale = next_scale
             if scale < _SCALE_FLOOR:
                 weights = [[wi * scale for wi in w] for w in weights]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
@@ -157,9 +156,9 @@ def _lowercase(args, default: bool) -> bool:
 WINDOW_DEFAULT = {"clf": 9, "emb": 11}
 
 
-def _window(args, family: str) -> int:
+def _window(args, default: int | None) -> int | None:
     if args.window is None:
-        return WINDOW_DEFAULT[family]
+        return default
     if args.window < 3 or args.window % 2 == 0:
         raise DataError(f"--window must be an odd integer >= 3, got {args.window}")
     return args.window
@@ -199,7 +198,7 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_train(args) -> int:
     # Flags that only the classifier and embedding families read; checked before any work.
-    window = _window(args, args.family) if args.family in WINDOW_DEFAULT else None
+    window = _window(args, WINDOW_DEFAULT[args.family]) if args.family in WINDOW_DEFAULT else None
     top_n = _top_n(args) if args.family == "emb" else None
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
@@ -237,12 +236,13 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
+    window = _window(args, None)  # None: the whole sentence
     top_n = _top_n(args)
     model = embed.load_vectors(args.vectors)
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
     cowords = embed.build_cowords(
-        corp, sets, top_n=top_n, window=args.window,
+        corp, sets, top_n=top_n, window=window,
         lowercase=_lowercase(args, default=True),
     )
     enhanced = embed.enhance(model, cowords, scheme=args.scheme)
@@ -255,37 +255,13 @@ def _cmd_restore(args) -> int:
     pipe = pipeline.load_pipeline(args.model)
     with contextlib.ExitStack() as stack:
         instream = stack.enter_context(corpus.open_text(args.infile)) if args.infile else sys.stdin
-        outstream = stack.enter_context(_replace_on_success(args.out)) if args.out else sys.stdout
+        outstream = stack.enter_context(corpus.replace_on_success(args.out)) if args.out else sys.stdout
         for raw in instream:
             tokens = corpus.tokenize(corpus.normalize(raw.rstrip("\n")))
             restored = pipeline.restore_line(pipe, tokens)
             outstream.write(" ".join(t.surface for t in restored))
             outstream.write("\n")
     return 0
-
-
-@contextlib.contextmanager
-def _replace_on_success(path):
-    """Write to a new file beside path, and move it onto path only if the block succeeds.
-
-    A failed run leaves an existing file untouched and no temporary file
-    behind. A path naming a device or pipe is written directly.
-    """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        return
-    head, name = os.path.split(target)
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _parse_restorer_spec(spec: str):
@@ -317,7 +293,7 @@ def _cmd_eval(args) -> int:
         text = json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True)
         print(text)
         if args.report:
-            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+            with corpus.replace_on_success(args.report) as fh:
                 json.dump(result, fh, ensure_ascii=False, indent=2, sort_keys=True)
                 fh.write("\n")
         return 0
@@ -327,7 +303,7 @@ def _cmd_eval(args) -> int:
     specs = [_parse_restorer_spec(s) for s in args.restorer]
     if args.k < 2:
         raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
-    windows = {family: _window(args, family) for family in WINDOW_DEFAULT}
+    windows = {family: _window(args, default) for family, default in WINDOW_DEFAULT.items()}
     top_n = _top_n(args)
     if any(f == "emb" for f, _ in specs) and not args.vectors:
         raise DataError("emb restorers need --vectors")
@@ -386,7 +362,7 @@ def _cmd_eval(args) -> int:
         )
 
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        with corpus.replace_on_success(args.report) as fh:
             json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
     if args.tsv:

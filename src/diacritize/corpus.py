@@ -22,6 +22,7 @@ import codecs
 import contextlib
 import functools
 import json
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -205,6 +206,34 @@ def _bad_utf8_offset(path) -> int | None:
             if not block:
                 return None
             done += len(block)
+
+
+@contextlib.contextmanager
+def replace_on_success(path):
+    """Write to a new file beside path, and move it onto path only if the block succeeds.
+
+    A failed run leaves an existing file untouched and no temporary file
+    behind. A path naming a device or pipe is written directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the file asked for, not the temporary one
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_corpus(path, is_marked: bool = True) -> Corpus:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, variant_counts
+from .corpus import replace_on_success
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
@@ -156,6 +157,11 @@ def restore_text(pipeline: Pipeline, stripped: Corpus) -> Corpus:
 
 
 def save_pipeline(pipeline: Pipeline, path) -> None:
+    """Write the pipeline as one line of JSON, replacing path only on success.
+
+    The whole payload is encoded in one call to the C encoder: `json.dump`
+    would take the pure-Python encoder, for the same bytes.
+    """
     payload = {
         "family": pipeline.family,
         "fallback": "echo",  # kept so files stay byte-identical; readers ignore it
@@ -167,8 +173,8 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
         },
         "restorer": pipeline.restorer.to_payload(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
+    with replace_on_success(path) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False))
         fh.write("\n")
 
 

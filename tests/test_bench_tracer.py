@@ -116,13 +116,13 @@ TRAIN_JOB = {
     "train_ngram": (
         ["train", "ngram", CORPUS, "--dataset", DATASET, "-n", "5"],
         ["datasetgen.read_dataset", "pipeline.build_maps", "ngram.prepare",
-         "ngram.train_from_occurrences", "pipeline.save_pipeline"],
+         "ngram.train_from_occurrences", "ngram.model_payload", "pipeline.save_pipeline"],
         [],
     ),
     "train_clf": (
         ["train", "clf", CORPUS, "--dataset", DATASET, "--kind", "logistic"],
         ["datasetgen.read_dataset", "pipeline.build_maps", "classify.fit_instances",
-         "pipeline.save_pipeline"],
+         "classify.classifier_payload", "pipeline.save_pipeline"],
         ["ngram.prepare"],
     ),
 }

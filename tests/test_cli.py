@@ -1,16 +1,20 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diacritize import classify, corpus, datasetgen, embed, ngram
+from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram
 from diacritize.cli import main
 from diacritize.corpus import strip_diacritics
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURE = str(DATA / "fixture_corpus.txt")
 GOLDEN = DATA / "golden_dataset.jsonl"
 
@@ -20,6 +24,11 @@ CLF_PIPELINE_SHA = {
     "linear_svm": "078ee1cedf4b6ab4954a47fd01da847c9db5af529d1008e8b7ac4058ae1e297a",
     "logistic": "034ab780e6e46a4fb47bc33224bb12e3d506080c35bdf6a2d156ba3e753a5667",
     "perceptron": "9798f7843cbe49b38b5ae0c32dd356153788959f95afa6b0f51a680749c48166",
+}
+# sha256 of `train ngram -n N` pipelines on the fixture corpus and the golden dataset.
+NGRAM_PIPELINE_SHA = {
+    1: "e5a2369f3883ad9027bf37f840c5bfa71f524138518911155a8c8d9b8fa59a3e",
+    5: "fd576bebc2461f17eb75e4b5918bc16a4f11f4878335754c39c6a3e7cf8e0d7b",
 }
 CV_CLF_REPORT_SHA = "611293da2d88a7ae88e1f431d757ba07b5beb8a9dc7fa3f9f85dd0b9d4ce423d"
 # sha256 of `eval cv -k 3 --report` with the given n-gram restorers, on the
@@ -374,6 +383,19 @@ class TestFlagRanges:
         assert sha256(default) == CLF_PIPELINE_SHA["logistic"]
         assert not zero.exists()
 
+    @pytest.mark.parametrize("window", ["0", "4", "-1"])
+    def test_enhance_window(self, capsys, tmp_path, dataset_file, vectors_file, window):
+        argv = ["enhance", "--vectors", vectors_file, "--corpus", FIXTURE, "--dataset", dataset_file,
+                "--window", window]
+        self.check_rejected(capsys, tmp_path, argv, "-o")
+
+    def test_enhance_accepts_an_odd_window(self, capsys, tmp_path, dataset_file, vectors_file):
+        out = tmp_path / "out.vec"
+        code, _, _ = run(capsys, "enhance", "--vectors", vectors_file, "--corpus", FIXTURE,
+                         "--dataset", dataset_file, "--window", "3", "-o", str(out))
+        assert code == 0
+        assert out.exists()
+
     @pytest.mark.parametrize(
         "argv, out_flag",
         [
@@ -449,6 +471,17 @@ class TestGoldenClassifierBytes:
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
         # one window per instance, for all its training folds and its test fold
         assert len(calls) == sum(len(s.instances) for s in datasetgen.read_dataset(GOLDEN))
+
+
+class TestGoldenNgramPipelineBytes:
+    @pytest.mark.parametrize("n", sorted(NGRAM_PIPELINE_SHA))
+    def test_train_ngram_pipeline(self, capsys, tmp_path, n):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "ngram", FIXTURE, "--dataset", str(GOLDEN), "-n", str(n), "-o", str(model),
+        )
+        assert code == 0
+        assert sha256(model) == NGRAM_PIPELINE_SHA[n]
 
 
 class TestGoldenNgramCvBytes:
@@ -641,3 +674,67 @@ class TestRestoreOutput:
         code, out, err = run(capsys, "restore", "--model", model)
         assert code == 2
         assert err.startswith("diacritize: data error: input is not valid UTF-8 (0xff")
+
+
+class TestReplaceOnSuccess:
+    """A `train -o` or `--report` that fails mid-write leaves an existing file as it was."""
+
+    EARLIER = b"earlier output\n"
+
+    def test_failed_train_leaves_existing_pipeline(self, tmp_path):
+        out = tmp_path / "pipe.json"
+        out.write_bytes(self.EARLIER)
+        # model_payload returns what the JSON encoder cannot serialize, after the
+        # routing maps are encoded.
+        script = (
+            "import sys\n"
+            "from diacritize import cli, ngram\n"
+            "ngram.model_payload = lambda model: object()\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["train", "ngram", FIXTURE, "--dataset", str(GOLDEN), "-o", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
+        assert proc.returncode != 0
+        assert b"TypeError" in proc.stderr
+        assert out.read_bytes() == self.EARLIER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.json"]
+
+    def test_unwritable_output_names_the_path_asked_for(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "pipe.json"
+        code, _, err = run(capsys, "train", "ngram", FIXTURE, "--dataset", str(GOLDEN), "-o", str(out))
+        assert code == 2
+        assert err == f"diacritize: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_failed_fulltext_report_leaves_existing_report(self, capsys, tmp_path, monkeypatch):
+        real = evaluate.full_text_eval
+        # line_errors is written to the report only, after the scores
+        monkeypatch.setattr(
+            evaluate, "full_text_eval", lambda *a: {**real(*a), "line_errors": [object()]}
+        )
+        report = tmp_path / "report.json"
+        report.write_bytes(self.EARLIER)
+        with pytest.raises(TypeError):
+            main(["eval", "fulltext", "--restored", FIXTURE, "--gold", FIXTURE, "--report", str(report)])
+        capsys.readouterr()
+        assert report.read_bytes() == self.EARLIER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_failed_cv_report_leaves_existing_report(self, capsys, tmp_path, monkeypatch):
+        real = evaluate.crossval
+
+        def unserializable_warnings(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.warnings.append(object())
+            return result
+
+        monkeypatch.setattr(evaluate, "crossval", unserializable_warnings)
+        report = tmp_path / "report.json"
+        report.write_bytes(self.EARLIER)
+        argv = ["eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
+                "--restorer", "ngram:2", "-k", "3", "--report", str(report)]
+        with pytest.raises(TypeError):
+            main(argv)
+        capsys.readouterr()
+        assert report.read_bytes() == self.EARLIER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -193,6 +194,74 @@ class TestPersistence:
         assert surfaces(restore_text(again, stripped)) == surfaces(
             restore_text(pipe, stripped)
         )
+
+
+# Characters that stress the JSON string escaping: diacritics, combining
+# marks, quotes, backslashes, control and separator characters, astral ones.
+AWKWARD_CHARS = "aZ09 àáịọṅụ\u0300\u0301\u0323\"'\\/\x00\x01\x08\t\n\r\x1f\x7f\u2028\u2029😀𝔸\U0010fffd"
+AWKWARD_NUMBERS = (-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3, 2**100, -(2**70), 0, -1, True, False, None)
+
+
+def random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(AWKWARD_CHARS) for _ in range(rng.randrange(8)))
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    pick = rng.randrange(8 if depth < 4 else 4)
+    if pick == 0:
+        return random_string(rng)
+    if pick == 1:
+        return rng.choice(AWKWARD_NUMBERS)
+    if pick == 2:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randrange(-300, 300)
+    if pick == 3:
+        return rng.randrange(-(2**80), 2**80)
+    size = rng.randrange(5)
+    if pick in (4, 5):
+        return {random_string(rng): random_value(rng, depth + 1) for _ in range(size)}
+    items = [random_value(rng, depth + 1) for _ in range(size)]
+    return items if pick == 6 else tuple(items)
+
+
+class PayloadRestorer:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_payload(self):
+        return self.payload
+
+
+class TestWriterBytes:
+    """save_pipeline writes the bytes `json.dump(payload, fh, ensure_ascii=False)` wrote."""
+
+    def test_random_payloads(self, tmp_path):
+        rng = random.Random(20261018)
+        path = tmp_path / "pipe.json"
+        for _ in range(200):
+            pipe = pipeline.Pipeline(
+                family=random_string(rng),
+                restorer=PayloadRestorer(random_value(rng)),
+                unambiguous={random_string(rng): random_string(rng) for _ in range(rng.randrange(4))},
+                variant_index={
+                    random_string(rng): [(random_string(rng), rng.randrange(10**6)) for _ in range(3)]
+                    for _ in range(rng.randrange(4))
+                },
+                lowercase=rng.random() < 0.5,
+            )
+            payload = {
+                "family": pipe.family,
+                "fallback": "echo",
+                "lowercase": pipe.lowercase,
+                "unambiguous": {k: pipe.unambiguous[k] for k in sorted(pipe.unambiguous)},
+                "variant_index": {k: [list(v) for v in pipe.variant_index[k]] for k in sorted(pipe.variant_index)},
+                "restorer": pipe.restorer.payload,
+            }
+            with open(tmp_path / "dump.json", "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(payload, fh, ensure_ascii=False)
+                fh.write("\n")
+            save_pipeline(pipe, path)
+            assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.json", "pipe.json"]
 
 
 class TestLoadValidation:
