@@ -174,8 +174,8 @@ def _cmd_stats(args) -> int:
     corp = corpus.load_corpus(args.corpus)
     text = corpus.compute_stats(corp, lowercase=_lowercase(args, default=False)).to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        with corpus.replace_on_success(args.out) as fh:
+            print(text, file=fh)
     else:
         print(text)
     return 0

@@ -8,12 +8,11 @@ and `variant_counts` counts a corpus's word surfaces by wordkey. Statistics, the
 dataset gates, the routing maps and the restorers all read those two.
 
 Three pure functions of one string are cached, because text repeats a small
-vocabulary: `strip_diacritics` (unbounded; it runs on corpus and dataset
-strings), and `token_kind` and the per-chunk tokenizer behind `tokenize`, which
-also run on the open text of `restore` and are therefore bounded to
-STRING_CACHE_SIZE entries each, least recently used first out. A cache never
-changes a result; `tokenize` builds a fresh list per call from shared frozen
-`Token`s. `functools.lru_cache` is thread-safe, so the caches are too.
+vocabulary: `strip_diacritics`, `token_kind` and the per-chunk tokenizer behind
+`tokenize`. All three also run on the open text of `restore`, so each is
+bounded to STRING_CACHE_SIZE entries, least recently used first out. A cache
+never changes a result; `tokenize` builds a fresh list per call from shared
+frozen `Token`s. `functools.lru_cache` is thread-safe, so the caches are too.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import contextlib
 import functools
 import json
 import os
+import shutil
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,9 +39,9 @@ SYMBOL = "Symbol"
 # written "na-" and contracted prepositions written "n'".
 _ATTACHED_MARKS = ("-", "'", "’")
 
-# Entries kept by each bounded string cache. A distinct string retains 370-440
-# bytes over both caches, so full caches hold about 15 MB, while a
-# 12k-token training corpus plus 1k lines to restore fill 6.4k entries each.
+# Entries kept by each string cache. A distinct word retains about 610 bytes
+# over the three caches, so full caches hold about 20 MB, while a
+# 12k-token training corpus plus 1k lines to restore fill at most 6.4k each.
 # 32k types cover nearly every token of running text; rarer strings are
 # recomputed, with the same results.
 STRING_CACHE_SIZE = 1 << 15
@@ -58,10 +58,6 @@ class TokenKind(str, Enum):
 class Token:
     surface: str
     kind: TokenKind
-
-    @property
-    def wordkey(self) -> str:
-        return strip_diacritics(self.surface)
 
 
 @dataclass
@@ -106,7 +102,7 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=STRING_CACHE_SIZE)
 def strip_diacritics(word: str) -> str:
     """Return the wordkey: decompose, drop all combining marks (Mn), recompose.
 
@@ -169,8 +165,8 @@ def _split_attached(chunk: str) -> list[str]:
     return [p for p in pieces if p]
 
 
-def corpus_from_lines(lines, is_marked: bool = True) -> Corpus:
-    return Corpus([tokenize(normalize(line)) for line in lines], is_marked=is_marked)
+def corpus_from_lines(lines) -> Corpus:
+    return Corpus([tokenize(normalize(line)) for line in lines])
 
 
 @contextlib.contextmanager
@@ -213,7 +209,8 @@ def replace_on_success(path):
     """Write to a new file beside path, and move it onto path only if the block succeeds.
 
     A failed run leaves an existing file untouched and no temporary file
-    behind. A path naming a device or pipe is written directly.
+    behind; a replaced file keeps its permissions. A path naming a device or
+    pipe is written directly.
     """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -230,23 +227,18 @@ def replace_on_success(path):
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def load_corpus(path, is_marked: bool = True) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read a one-sentence-per-line UTF-8 file into a Corpus."""
     with open_text(path) as fh:
-        return corpus_from_lines((line.rstrip("\n") for line in fh), is_marked=is_marked)
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in corpus.lines:
-            fh.write(" ".join(t.surface for t in line))
-            fh.write("\n")
+        return corpus_from_lines(line.rstrip("\n") for line in fh)
 
 
 def line_keys(tokens, lowercase: bool) -> tuple[str, ...]:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, line_keys, open_text, variant_counts
-from .corpus import strip_diacritics  # noqa: F401  (kept importable from this module)
+from .corpus import Corpus, TokenKind, line_keys, open_text, replace_on_success, variant_counts
 from .errors import DataError, ParseError
 
 
@@ -55,24 +54,6 @@ class AmbiguousSet:
     @property
     def total(self) -> int:
         return sum(c for _, c in self.variants)
-
-
-def app_threshold(wordkey_count: int, token_count: int) -> float:
-    """Percentage appearance of a wordkey per corpus word token."""
-    if token_count == 0:
-        raise DataError("token_count must be positive")
-    return wordkey_count / token_count * 100.0
-
-
-def entropy_proxy(variant_counts) -> float:
-    """Degree of dominance: 1 - (largest count / total)."""
-    counts = list(variant_counts)
-    if not counts:
-        raise DataError("variant_counts must be nonempty")
-    total = sum(counts)
-    if total <= 0:
-        raise DataError("variant_counts must sum to a positive value")
-    return 1.0 - max(counts) / total
 
 
 def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousSet]:
@@ -156,7 +137,7 @@ def variant_index(sets) -> dict[str, list[tuple[str, int]]]:
 
 def write_dataset(sets, path) -> None:
     """Serialize as JSON Lines: one header record per wordkey, then its instances."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_on_success(path) as fh:
         for aset in sets:
             fh.write(_dumps({"wordkey": aset.wordkey, "variants": [list(v) for v in aset.variants]}))
             fh.write("\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TokenKind, open_text, strip_diacritics
+from .corpus import Corpus, TokenKind, open_text, replace_on_success, strip_diacritics
 from .datasetgen import AmbiguousSet, Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
 from .classify import extract_window
@@ -96,7 +96,7 @@ def load_vectors(path) -> EmbeddingModel:
 
 
 def save_vectors(model: EmbeddingModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_on_success(path) as fh:
         fh.write(f"{len(model.vectors)} {model.dim}\n")
         for word in model.vectors:
             row = " ".join(repr(float(v)) for v in model.vectors[word])
@@ -207,7 +207,7 @@ def build_cowords(
     return pruned
 
 
-def coword_mean(model: EmbeddingModel, cowords, weighted: bool = True):
+def coword_mean(model: EmbeddingModel, cowords):
     """Count-weighted average of the coword vectors present in the model."""
     acc = np.zeros(model.dim)
     total = 0.0
@@ -215,9 +215,8 @@ def coword_mean(model: EmbeddingModel, cowords, weighted: bool = True):
         vec = model.vectors.get(word)
         if vec is None:
             continue
-        weight = count if weighted else 1.0
-        acc += vec * weight
-        total += weight
+        acc += vec * count
+        total += count
     if total == 0.0:
         return None
     return acc / total
@@ -227,7 +226,6 @@ def enhance(
     model: EmbeddingModel,
     cowords: dict[str, list[tuple[str, int]]],
     scheme: str = BASIC,
-    weighted: bool = True,
 ) -> EmbeddingModel:
     """Move variant vectors toward (or onto) their exclusive-coword centroid.
 
@@ -245,7 +243,7 @@ def enhance(
         if old is None:
             log.warning("enhance: variant %r not in model, skipped", variant)
             continue
-        mean = coword_mean(model, cowords[variant], weighted=weighted)
+        mean = coword_mean(model, cowords[variant])
         if mean is None:
             log.warning("enhance: no coword of %r has a vector, skipped", variant)
             continue

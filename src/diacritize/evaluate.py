@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, normalize, strip_diacritics
+from .corpus import Corpus, TokenKind, normalize, replace_on_success, strip_diacritics
 from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, FoldError, ModelError
 
@@ -34,10 +34,10 @@ class ConfusionMatrix:
             self.cells.append([0] * len(self.classes))
             return len(self.classes) - 1
 
-    def add(self, true: str, predicted: str, count: int = 1) -> None:
+    def add(self, true: str, predicted: str) -> None:
         i = self._index(true)
         j = self._index(predicted)
-        self.cells[i][j] += count
+        self.cells[i][j] += 1
 
     @property
     def total(self) -> int:
@@ -273,7 +273,7 @@ def comparison_rows(reports: dict[str, MetricReport], baseline: str) -> list[dic
 def write_comparison_tsv(reports: dict[str, MetricReport], baseline: str, path) -> None:
     rows = comparison_rows(reports, baseline)
     model_names = list(reports)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replace_on_success(path) as fh:
         header = ["wordkey", "count"] + model_names + [
             "best_score",
             "best_model",

@@ -44,12 +44,6 @@ class NGramModel:
     # itself, so a model loaded from a pipeline file leaves it empty.
     unambiguous: dict[str, str] = field(default_factory=dict)
 
-    def count(self, k: int, context: tuple[str, ...], variant: str) -> int:
-        return self.counts[k - 1].get((context, variant), 0)
-
-    def unigram_count(self, variant: str) -> int:
-        return self.counts[0].get(((), variant), 0)
-
 
 def prepare(corpus: Corpus, lowercase: bool = True) -> PreparedCorpus:
     lines = [[t.surface.lower() if lowercase else t.surface for t in line] for line in corpus.lines]
@@ -77,13 +71,11 @@ def train_from_occurrences(
     occurrences,
     max_n: int,
     candidates: dict[str, list[str]],
-    skip_lines=(),
 ) -> NGramModel:
     if max_n < 1:
         raise ModelError(f"max_n must be >= 1, got {max_n}")
-    skip = set(skip_lines)
     counts: list[dict] = [dict() for _ in range(max_n)]
-    _count(prepared.lines, (o for o in occurrences if o[0] not in skip), counts)
+    _count(prepared.lines, occurrences, counts)
     index = {k: sorted(vs) for k, vs in candidates.items()}
     return NGramModel(
         max_n=max_n,
@@ -109,18 +101,17 @@ def train(
     corpus,
     max_n: int,
     candidates: dict[str, list[str]],
-    skip_lines=(),
     lowercase: bool = True,
 ) -> NGramModel:
     """Count (context, variant) tables for every occurrence of an indexed variant.
 
     candidates maps wordkey -> list of variant surfaces (from the generated
-    dataset). Lines whose index is in skip_lines contribute nothing;
-    `fold_model` reads the same counts off a `SharedCounts` without a recount.
+    dataset). lowercase applies to a Corpus only: a PreparedCorpus is lowered
+    already. `fold_model` counts without a fold's held-out lines.
     """
     prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
     occurrences = find_occurrences(prepared, candidates)
-    return train_from_occurrences(prepared, occurrences, max_n, candidates, skip_lines)
+    return train_from_occurrences(prepared, occurrences, max_n, candidates)
 
 
 def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> str:
@@ -282,10 +273,8 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
 def model_payload(model: NGramModel) -> dict:
     levels = []
     for k in range(1, model.max_n + 1):
-        entries = sorted(
-            [[list(ctx), v, c] for (ctx, v), c in model.counts[k - 1].items()],
-            key=lambda e: (e[0], e[1]),
-        )
+        table = model.counts[k - 1]
+        entries = [[list(ctx), v, table[ctx, v]] for ctx, v in sorted(table)]
         levels.append({"k": k, "entries": entries})
     return {"max_n": model.max_n, "levels": levels}
 

@@ -62,7 +62,7 @@ def build_ngram_pipeline(corpus, sets, n: int = 5, lowercase: bool = True) -> Pi
     prepared = ngram.prepare(corpus, lowercase)
     unambiguous, index = build_maps(prepared, sets, lowercase)
     candidates = {key: [v for v, _ in variants] for key, variants in index.items()}
-    model = ngram.train(prepared, n, candidates, lowercase=lowercase)
+    model = ngram.train(prepared, n, candidates)
     return Pipeline(
         family="ngram",
         restorer=ngram.NGramRestorer(model=model, n=n),

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import io
 import json
@@ -49,6 +51,14 @@ STATS_SHA = {
     False: "c0ec5436fb6aa2db5a86f5a699392fa0fff8f6cbdb7fe89d868f37022a2ed78e",
     True: "883a1a9dae86ac4c50acbf74acdf377bcdfa2b90487cde67e2fdd660f27fb842",
 }
+# sha256 of `eval cv -k 2 --tsv` for ngram:1 + ngram:2, on the fixture corpus and
+# the golden dataset.
+CV_TSV_SHA = "37388907e0d97a4bf0d9d6254d325d7f00fad20dd77f209b1c6cfdce43fceb81"
+# sha256 of `project -o` on TestProjectEnhance's source vectors and alignment.
+PROJECT_SHA = "395b5820cb5dc45c73ac8ca31e917379c3335f6a010e8f2f39a36c4617677a79"
+# sha256 of `enhance --scheme tweak3 -o` on the `vectors_file` vectors, the
+# fixture corpus and the golden dataset.
+ENHANCE_SHA = "0c8bb254c82a98e7fa1bbc3fb5ceef8f75ff0c61cce717d6bfc72cd72d07c242"
 # sha256 of `eval cv -k 3 --report` for emb:tweak1 + emb:tweak2, on the fixture
 # corpus, the golden dataset and the `vectors_file` vectors.
 CV_TWEAK_REPORT_SHA = "e0e5c04800cacdabb778538395c667467895a874479fb5df6031b020ba2a6482"
@@ -269,6 +279,7 @@ class TestEval:
         assert "folds" in payload["ngram:1"]
         header = tsv.read_text(encoding="utf-8").splitlines()[0]
         assert header.split("\t")[:2] == ["wordkey", "count"]
+        assert sha256(tsv) == CV_TSV_SHA
 
     def test_cv_clf_and_emb(self, capsys, tmp_path, dataset_file, vectors_file):
         code, out, _ = run(
@@ -592,6 +603,7 @@ class TestProjectEnhance:
         model = embed.load_vectors(out)
         assert np.allclose(model.vectors["àkwá"], [1.0, 0.0])
         assert np.allclose(model.vectors["ákwà"], [0.25, 0.75])
+        assert sha256(out) == PROJECT_SHA
 
     def test_enhance_command(self, capsys, tmp_path, dataset_file, vectors_file):
         out = tmp_path / "enh.vec"
@@ -606,6 +618,7 @@ class TestProjectEnhance:
         assert not np.array_equal(
             after.vectors["ákwà"], before.vectors["ákwà"]
         )
+        assert sha256(out) == ENHANCE_SHA
 
 
 class TestIntrinsic:
@@ -738,3 +751,73 @@ class TestReplaceOnSuccess:
         capsys.readouterr()
         assert report.read_bytes() == self.EARLIER
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+class _FullDisk:
+    """A text file opened for writing whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+class TestEveryOutputReplacedOnSuccess:
+    """An output file whose write fails partway keeps its earlier bytes."""
+
+    EARLIER = b"earlier output\n"
+
+    @pytest.mark.parametrize(
+        "argv, out_flag",
+        [
+            (["stats", FIXTURE], "--out"),
+            (["dataset", FIXTURE], "-o"),
+            (["project", "--vectors", "{vectors}", "--align", "{align}"], "-o"),
+            (["enhance", "--vectors", "{vectors}", "--corpus", FIXTURE, "--dataset", str(GOLDEN)], "-o"),
+            (["eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN), "--restorer", "ngram:2",
+              "-k", "3"], "--tsv"),
+        ],
+    )
+    def test_failed_write_leaves_existing_file(self, capsys, tmp_path, monkeypatch, vectors_file, argv, out_flag):
+        align = tmp_path / "align.tsv"
+        align.write_text("x\tákwà\t2\nx\tdị\t1\ny\toma\t1\n", encoding="utf-8")
+        argv = [a.format(vectors=vectors_file, align=align) for a in argv]
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "out"
+        out.write_bytes(self.EARLIER)
+        real_open = builtins.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", full_disk_open)
+        code, _, err = run(capsys, *argv, out_flag, str(out))
+        assert code == 2
+        assert err == "diacritize: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == self.EARLIER
+        assert [p.name for p in work.iterdir()] == ["out"]
+
+    def test_replaced_file_keeps_its_permissions(self, capsys, tmp_path):
+        out = tmp_path / "pipe.json"
+        out.write_bytes(self.EARLIER)
+        out.chmod(0o600)
+        code, _, _ = run(capsys, "train", "ngram", FIXTURE, "--dataset", str(GOLDEN), "-o", str(out))
+        assert code == 0
+        assert sha256(out) == NGRAM_PIPELINE_SHA[5]
+        assert out.stat().st_mode & 0o777 == 0o600

@@ -86,6 +86,14 @@ class TestStripDiacritics:
         for s in random_unicode_strings(2_000, seed=31):
             assert strip_diacritics(normalize(s)) == normalize(strip_diacritics(s))
 
+    def test_cache_is_bounded(self):
+        words = [f"ákwà{i}" for i in range(corpus.STRING_CACHE_SIZE + 1000)]
+        strip_diacritics.cache_clear()
+        got = [strip_diacritics(w) for w in words]
+        assert strip_diacritics.cache_info().currsize == corpus.STRING_CACHE_SIZE
+        assert got == [strip_diacritics.__wrapped__(w) for w in words]
+        assert strip_diacritics(words[0]) == "akwa0"  # evicted, computed again
+
 
 class TestTokenize:
     def test_auxiliary_and_punctuation(self):
@@ -246,21 +254,6 @@ class TestLoadCorpus:
         path.write_bytes(head + b"\xffbc\n" + "ụ\n".encode() * 10)
         with pytest.raises(DataError, match=f"bad.txt: invalid UTF-8 at byte offset {len(head)}$"):
             corpus.load_corpus(path)
-
-    def test_save_round_trip(self, tmp_path):
-        lines = ["Ọ na-agba egwu .", "nwanyị áhù"]
-        corp = corpus_from_lines(lines)
-        path = tmp_path / "out.txt"
-        corpus.save_corpus(corp, path)
-        again = corpus.load_corpus(path)
-        assert [[t.surface for t in l] for l in again.lines] == [
-            [t.surface for t in l] for l in corp.lines
-        ]
-
-
-def test_token_wordkey_property():
-    tok = Token("ákwà", TokenKind.WORD)
-    assert tok.wordkey == "akwa"
 
 
 def reference_variant_counts(corp, lowercase):

@@ -3,12 +3,9 @@ import unicodedata
 
 import pytest
 
-from diacritize import datasetgen
-from diacritize.corpus import corpus_from_lines
+from diacritize.corpus import corpus_from_lines, strip_diacritics
 from diacritize.datasetgen import (
     GenParams,
-    app_threshold,
-    entropy_proxy,
     generate,
     read_dataset,
     write_dataset,
@@ -117,7 +114,7 @@ class TestGates:
         aset = next(s for s in sets if s.wordkey == "ab")
         for inst in aset.instances:
             assert inst.tokens[inst.target] == "ab"
-            assert datasetgen.strip_diacritics(inst.label) == "ab"
+            assert strip_diacritics(inst.label) == "ab"
             assert all(t == t.lower() for t in inst.tokens)
 
     def test_one_instance_per_occurrence_in_same_sentence(self):
@@ -164,7 +161,7 @@ class TestGateOracle:
         recount = 0
         for line in corp.lines:
             for tok in line:
-                key = datasetgen.strip_diacritics(tok.surface.lower())
+                key = strip_diacritics(tok.surface.lower())
                 if key in surviving and tok.surface.lower() in surviving[key]:
                     recount += 1
         assert sum(len(s.instances) for s in sets) == recount
@@ -177,24 +174,6 @@ class TestGateOracle:
         again = generate(corp)
         assert [s.wordkey for s in again] == [s.wordkey for s in sets]
         assert [s.variants for s in again] == [s.variants for s in sets]
-
-
-class TestThresholdHelpers:
-    def test_app_threshold_examples(self):
-        assert app_threshold(100, 1_000_000) == pytest.approx(0.01)
-        assert app_threshold(0, 10) == 0.0
-        assert app_threshold(97, 962_747) == pytest.approx(0.010075, abs=1e-6)
-
-    def test_app_threshold_zero_tokens(self):
-        with pytest.raises(DataError):
-            app_threshold(5, 0)
-
-    def test_entropy_proxy(self):
-        assert entropy_proxy([23123, 8323]) == pytest.approx(0.2647, abs=5e-5)
-        assert entropy_proxy([7]) == 0.0
-        assert entropy_proxy([50, 50]) == 0.5
-        with pytest.raises(DataError):
-            entropy_proxy([])
 
 
 class TestSerialization:
