@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenKind, strip_diacritics, token_kind
+from .corpus import TokenKind, token_kind
 from .datasetgen import Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
 
@@ -197,10 +197,10 @@ def _fit_sgd(model: LinearModel, X, y) -> None:
 
     All classes see one shuffle order per epoch and share the lazy L2 scale
     (true weights = scale * stored weights; the perceptron keeps scale 1.0), so
-    each example updates every class still in training. A perceptron class stops
-    after its first error-free epoch. Weights stay plain floats until the end and
-    each margin is summed left to right from 0.0, never with sum(), whose float
-    rounding differs between Python versions.
+    each example updates every class still in training by one rule, from a step
+    g that each kind picks. A perceptron class stops after its first error-free
+    epoch. Weights stay plain floats until the end and each margin is summed left
+    to right from 0.0, never with sum(), whose rounding differs between Pythons.
     """
     kind = model.kind
     hyper = model.hyper
@@ -232,24 +232,17 @@ def _fit_sgd(model: LinearModel, X, y) -> None:
                 t = 1 if truth[j] == c else 0
                 if kind == PERCEPTRON:
                     pred = 1 if z > 0 else 0
-                    if pred != t:
-                        mistakes[c] += 1
-                        g = rate * (t - pred)
-                        for i, v in x:
-                            w[i] += g * v / next_scale
-                        bias[c] += g
+                    mistakes[c] += pred != t
+                    g = rate * (t - pred)
                 elif kind == LOGISTIC:
-                    g = rate * _logistic_residual(z, t)
-                    for i, v in x:
-                        w[i] -= g * v / next_scale
-                    bias[c] -= g
+                    g = -(rate * _logistic_residual(z, t))
                 else:  # linear SVM, hinge loss
                     sign = 1.0 if t == 1 else -1.0
-                    if sign * z < 1.0:
-                        g = rate * sign
-                        for i, v in x:
-                            w[i] += g * v / next_scale
-                        bias[c] += g
+                    g = rate * sign if sign * z < 1.0 else 0.0
+                if g:  # a zero step would leave every weight as it is
+                    for i, v in x:
+                        w[i] += g * v / next_scale
+                    bias[c] += g
             scale = next_scale
             if scale < _SCALE_FLOOR:
                 weights = [[wi * scale for wi in w] for w in weights]
@@ -438,11 +431,7 @@ class ClassifierBank:
     classifiers: dict[str, TextClassifier]
 
     def predict_instance(self, inst: Instance, restored: list[str]) -> str:
-        key = strip_diacritics(inst.tokens[inst.target])
-        clf = self.classifiers.get(key)
-        if clf is None:
-            raise ModelError(f"no classifier trained for wordkey {key!r}")
-        return clf.predict_instance(inst)
+        return self.classifiers[inst.tokens[inst.target]].predict_instance(inst)
 
     def to_payload(self) -> dict:
         return {"models": {key: classifier_payload(clf) for key, clf in sorted(self.classifiers.items())}}

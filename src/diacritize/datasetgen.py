@@ -117,6 +117,21 @@ def majority_variant(counts) -> str:
     return min(v for v, c in counts if c == best)
 
 
+def route(keys, variant_index, unambiguous, predict) -> list[str | None]:
+    """The restore walk: each key's form, left to right, or None where its token echoes.
+
+    A key in variant_index takes predict(i, restored), any other its unambiguous
+    form; restored holds the forms so far, with the key where a token echoed.
+    """
+    restored: list[str] = []
+    forms: list[str | None] = []
+    for i, key in enumerate(keys):
+        form = predict(i, restored) if key in variant_index else unambiguous.get(key)
+        forms.append(form)
+        restored.append(key if form is None else form)
+    return forms
+
+
 def majority_forms(table) -> dict[str, str]:
     """Wordkey -> its majority variant, from a `corpus.variant_counts` table.
 

@@ -105,26 +105,18 @@ def save_vectors(model: EmbeddingModel, path) -> None:
 
 def load_alignment(path) -> dict[str, list[tuple[str, int]]]:
     """TSV alignment dictionary: target_word <TAB> source_word <TAB> count."""
+    def parse(fields):
+        try:
+            count = int(fields[2])
+        except ValueError:
+            raise ValueError("count must be an integer")
+        if count <= 0:
+            raise ValueError("count must be positive")
+        return fields[0], fields[1], count
+
     entries: dict[str, list[tuple[str, int]]] = {}
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
-                    line=line_no,
-                    path=path,
-                )
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise ParseError("count must be an integer", line=line_no, path=path)
-            if count <= 0:
-                raise ParseError("count must be positive", line=line_no, path=path)
-            entries.setdefault(parts[0], []).append((parts[1], count))
+    for target, source, count in _load_tsv(path, 3, parse):
+        entries.setdefault(target, []).append((source, count))
     return entries
 
 
@@ -343,10 +335,7 @@ class EmbeddingRestorer:
     top_n: int = 50
 
     def predict_instance(self, inst: Instance, restored: list[str]) -> str:
-        key = strip_diacritics(inst.tokens[inst.target])
-        candidates = self.variant_index.get(key)
-        if candidates is None:
-            raise ModelError(f"wordkey not in variant index: {key!r}")
+        candidates = self.variant_index[inst.tokens[inst.target]]
         return restore_or_majority(self.model, inst, candidates, self.window, self.scheme, self.cowords)
 
     def to_payload(self) -> dict:

@@ -5,9 +5,9 @@ for k = 1..max_n. Restoration scores the candidates of a wordkey at the
 largest context first and backs off one level whenever the counts give no
 unique maximum, down to the unigram floor. Context words left of the target
 are themselves restored first, left to right, so later decisions see marked
-context. Each restored form depends only on the tokens to its left, so a line
-is restored in one left-to-right pass, linear in its length: the pipeline
-hands `NGramRestorer` the restored forms of the tokens left of each target.
+context. Each restored form depends only on the tokens to its left, so one
+left-to-right walk, `datasetgen.route`, serves both `restore` (which hands
+`NGramRestorer` the restored forms left of each target) and `restore_instance`.
 
 Cross-validation counts once per run: `shared_counts` scans the corpus for
 candidate occurrences and counts the full tables at the largest order asked
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, strip_diacritics, variant_counts
-from .datasetgen import AmbiguousSet, Instance, majority_forms, majority_variant
+from .datasetgen import AmbiguousSet, Instance, majority_forms, majority_variant, route
 from .errors import ModelError, ParseError
 
 
@@ -40,8 +40,8 @@ class NGramModel:
     # a cross-validation fold holds read-through `_FoldLevel`s instead.
     counts: list[dict[tuple[tuple[str, ...], str], int]]
     variant_index: dict[str, list[str]]
-    # Restores context words in `restore_instance`. A pipeline routes them
-    # itself, so a model loaded from a pipeline file leaves it empty.
+    # The unambiguous map of `restore_instance`'s walk. A pipeline walks with
+    # its own map, so a model loaded from a pipeline file leaves it empty.
     unambiguous: dict[str, str] = field(default_factory=dict)
 
 
@@ -138,19 +138,16 @@ def _variants(model: NGramModel, wordkey: str) -> list[str]:
 
 
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
-    """Restore the instance target, greedily restoring its left context first."""
+    """Restore the instance target, walking its keys up to it as `restore` does."""
     if not (1 <= n <= model.max_n):
         raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
-    variants = _variants(model, strip_diacritics(inst.tokens[inst.target]))
-    restored: list[str] = []
-    for w in inst.tokens[: inst.target]:
-        key = strip_diacritics(w)
-        context_variants = model.variant_index.get(key)
-        if context_variants is not None:
-            restored.append(_choose(model, restored, context_variants, n))
-        else:
-            restored.append(model.unambiguous.get(key, w))
-    return _choose(model, restored, variants, n)
+    keys = [strip_diacritics(w) for w in inst.tokens[: inst.target + 1]]
+    _variants(model, keys[-1])  # an unknown target raises ModelError
+
+    def predict(i, restored):
+        return _choose(model, restored, model.variant_index[keys[i]], n)
+
+    return route(keys, model.variant_index, model.unambiguous, predict)[-1]
 
 
 @dataclass

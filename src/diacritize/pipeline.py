@@ -1,12 +1,12 @@
 """End-to-end text restoration: stripped lines in, marked lines out.
 
-Per token: punctuation, digits and symbols echo through; wordkeys with a
-single known marked form are replaced outright; wordkeys with competing
-variants go to the trained restorer; unknown words echo verbatim. Each line
-is routed in one left-to-right pass, and the restorer is handed the line's
-restored forms so far. The replacement maps are built from the training
-corpus and serialized with the model, so restoration needs no corpus at
-inference time.
+Each line's keys take one left-to-right walk, `datasetgen.route`, which
+n-gram cross-validation shares: wordkeys with competing variants go to the
+trained restorer, handed the line's restored forms so far; wordkeys with one
+known marked form are replaced outright; other tokens echo verbatim. Every
+routing key is a word, checked at load, so non-words always echo. The maps
+are built from the training corpus and serialized with the model, so
+restoration needs no corpus at inference time.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .errors import ModelError, ParseError
 
 # Each family's restorer: predict_instance(inst, restored), to_payload() and
 # the classmethod from_payload(spec, variant_index), which validates what it
-# reads. restored holds the restored lowercase forms of the tokens left of the
-# target; only the n-gram restorer reads it.
+# reads. inst's target is a key of variant_index; restored holds the restored
+# forms of the tokens left of it, which only the n-gram restorer reads.
 FAMILIES = {
     "ngram": ngram.NGramRestorer,
     "classifier": classify.ClassifierBank,
@@ -123,30 +123,20 @@ def match_case(original: str, marked: str) -> str:
 
 
 def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
-    """Route each token once, left to right, keeping the line's restored forms.
-
-    A restored variant or an unambiguous word adds its marked form to
-    `restored`; a non-word or an unknown word adds its stripped key.
-    """
+    """Restore one line: the routing walk over its keys, then re-casing."""
     keys = line_keys(tokens, pipeline.lowercase)
-    restored: list[str] = []
+
+    def predict(i, restored):
+        return pipeline.restorer.predict_instance(Instance(keys, i, ""), restored)
+
+    forms = datasetgen.route(keys, pipeline.variant_index, pipeline.unambiguous, predict)
     out: list[Token] = []
-    for i, tok in enumerate(tokens):
-        key = keys[i]
-        marked = None
-        if tok.kind is TokenKind.WORD:
-            if key in pipeline.variant_index:
-                inst = Instance(tokens=keys, target=i, label="")
-                marked = pipeline.restorer.predict_instance(inst, restored)
-            else:
-                marked = pipeline.unambiguous.get(key)
-        if marked is None:  # non-word or unknown word: echo verbatim
+    for tok, marked in zip(tokens, forms):
+        if marked is None:
             out.append(tok)
-            restored.append(key)
         else:
             surface_out = match_case(tok.surface, marked)
             out.append(Token(surface_out, token_kind(surface_out)))
-            restored.append(marked)
     return out
 
 
@@ -194,6 +184,9 @@ def load_pipeline(path) -> Pipeline:
         unambiguous = dict(payload["unambiguous"])
         if not all(isinstance(v, str) for v in unambiguous.values()):
             raise ParseError("unambiguous forms must be strings")
+        for key in (*index, *unambiguous):
+            if token_kind(key) is not TokenKind.WORD:
+                raise ParseError(f"routing key {key!r} is not a word", path=path)
         return Pipeline(
             family=family,
             restorer=FAMILIES[family].from_payload(payload["restorer"], index),

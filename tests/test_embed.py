@@ -162,6 +162,28 @@ class TestProjection:
         with pytest.raises(ParseError):
             load_alignment(bad)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("w\te1", "expected 3 tab-separated fields, got 2"),
+            ("w\te1\tmany", "count must be an integer"),
+            ("w\te1\t0", "count must be positive"),
+        ],
+    )
+    def test_alignment_errors_name_the_line(self, tmp_path, row, message):
+        # blank lines are skipped but still counted: the bad row is line 4
+        path = tmp_path / "align.tsv"
+        path.write_text(f"w\te0\t1\n\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_alignment(path)
+        assert exc.value.line == 4
+        assert str(exc.value) == f"{path}:4: {message}"
+
+    def test_alignment_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "align.tsv"
+        path.write_text("\nw\te1\t2\n\n\nw\te2\t3\n\n", encoding="utf-8")
+        assert load_alignment(path) == {"w": [("e1", 2), ("e2", 3)]}
+
 
 class TestCowords:
     def build_sets(self):

@@ -119,6 +119,16 @@ class TestRestore:
         inst = make_instance(["nwanyi", "ka", "x"], 1)
         assert ngram.restore_instance(model, inst, 2) == "ká"
 
+    def test_unrouted_marked_context_echoes_its_key(self):
+        # "pad" is neither ambiguous nor mapped (its majority form is bare), so
+        # a context "pàd" reads as "pad", as it does in `restore`
+        lines = ["pad ká"] * 10 + ["pàd kà"] * 5 + ["zz kà"] * 20
+        model = ngram.train(corpus_from_lines(lines), 2, {"ka": ["ká", "kà"]})
+        assert "pad" not in model.unambiguous
+        as_key = ngram.restore_instance(model, make_instance(["pad", "ka"], 1), 2)
+        assert as_key == "ká"
+        assert ngram.restore_instance(model, make_instance(["pàd", "ka"], 1), 2) == as_key
+
     def test_unknown_wordkey_raises(self, bigram_corpus):
         corp, major, minor = bigram_corpus
         model = ngram.train(corp, 2, {"ko": [major, minor]})

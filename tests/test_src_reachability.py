@@ -1,4 +1,5 @@
-"""Every function in src/ is reached from src/, apart from a short allow-list."""
+"""Every function in src/ is reached from src/, apart from a short allow-list,
+and every module in src/ uses every name it imports."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,33 @@ def unreferenced_functions():
 
 def test_only_allow_listed_functions_go_unreferenced():
     assert unreferenced_functions() == ALLOWED
+
+
+def unused_imports():
+    """(module, name) for each imported name that its module never uses.
+
+    A name counts as used where it appears as a Name node, which covers
+    attribute access through it (`np.array`). Names that a module re-exports
+    through `__all__` count as used; `from __future__` imports are left out.
+    """
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == set()
