@@ -6,13 +6,22 @@ kinds: perceptron, logistic regression via SGD, linear SVM via SGD hinge, and
 multinomial naive Bayes. Multi-class is one-vs-rest: the SGD kinds train every
 class in one seeded pass over the examples, and training is deterministic for a
 fixed seed.
+
+Scoring reads plain Python floats. The numpy arrays of a vectorizer and a model
+are their stored form; each also keeps plain-float copies (the idf list; the
+weight rows and biases, or naive Bayes's log-probability rows and log priors),
+made once when it is built, since each read from a numpy array would box a numpy
+scalar. Every sum runs left to right from 0.0 (naive Bayes from the prior), in
+the order the numpy-scalar formula took, so scores keep their bits. No scoring
+or training loop calls sum(): from Python 3.12 it rounds a sum of floats in
+another way.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +78,10 @@ def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
 class Vectorizer:
     vocabulary: dict[str, int]
     idf: np.ndarray
+    idf_values: list[float] = field(init=False, repr=False)  # idf as plain floats
+
+    def __post_init__(self):
+        self.idf_values = self.idf.tolist()
 
     @classmethod
     def fit(cls, windows) -> "Vectorizer":
@@ -94,8 +107,12 @@ class Vectorizer:
             idx = self.vocabulary.get(term)
             if idx is not None:
                 tf[idx] = tf.get(idx, 0) + 1
-        vec = {idx: count * self.idf[idx] for idx, count in tf.items()}
-        norm = math.sqrt(sum(v * v for v in vec.values()))
+        idf = self.idf_values
+        vec = {idx: count * idf[idx] for idx, count in tf.items()}
+        total = 0.0
+        for v in vec.values():
+            total += v * v
+        norm = math.sqrt(total)
         if norm > 0:
             vec = {idx: v / norm for idx, v in vec.items()}
         return vec
@@ -113,6 +130,15 @@ class LinearModel:
     class_log_prior: np.ndarray | None = None  # naive Bayes
     feature_log_prob: np.ndarray | None = None
     train_errors: dict[str, list[float]] | None = None  # perceptron epoch errors
+    # Plain-float copies that scoring reads: weights and bias, or for naive
+    # Bayes feature_log_prob and class_log_prior.
+    rows: list[list[float]] = field(init=False, repr=False)
+    offsets: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nb = self.kind == MULTINOMIAL_NB
+        self.rows = (self.feature_log_prob if nb else self.weights).tolist()
+        self.offsets = (self.class_log_prior if nb else self.bias).tolist()
 
 
 def _sigmoid(z: float) -> float:
@@ -160,39 +186,36 @@ def train_classifier(kind: str, X, y, n_features: int, hyper: Hyper | None = Non
     if len(classes) < 2:
         raise ModelError(f"training data has a single class: {classes[0]!r}")
     class_counts = [sum(1 for label in y if label == cls) for cls in classes]
-    model = LinearModel(
+    if kind == MULTINOMIAL_NB:
+        fitted = _fit_nb(classes, class_counts, n_features, hyper, X, y)
+    else:
+        fitted = _fit_sgd(kind, classes, n_features, hyper, X, y)
+    return LinearModel(
         kind=kind,
         classes=classes,
         class_counts=class_counts,
         n_features=n_features,
         hyper=hyper,
+        **fitted,
     )
-    if kind == MULTINOMIAL_NB:
-        _fit_nb(model, X, y)
-    else:
-        _fit_sgd(model, X, y)
-    return model
 
 
-def _fit_nb(model: LinearModel, X, y) -> None:
-    n_classes = len(model.classes)
-    index = {cls: i for i, cls in enumerate(model.classes)}
-    totals = np.zeros((n_classes, model.n_features))
+def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
+    """The fitted fields of a naive Bayes model: class log priors and feature log-probabilities."""
+    index = {cls: i for i, cls in enumerate(classes)}
+    totals = np.zeros((len(classes), n_features))
     for x, label in zip(X, y):
         row = totals[index[label]]
         for i, v in x.items():
             row[i] += v
-    alpha = model.hyper.alpha
-    smoothed = totals + alpha
-    model.feature_log_prob = np.log(smoothed) - np.log(
-        smoothed.sum(axis=1, keepdims=True)
-    )
-    model.class_log_prior = np.log(
-        np.array(model.class_counts, dtype=float) / len(y)
-    )
+    smoothed = totals + hyper.alpha
+    return {
+        "class_log_prior": np.log(np.array(class_counts, dtype=float) / len(y)),
+        "feature_log_prob": np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True)),
+    }
 
 
-def _fit_sgd(model: LinearModel, X, y) -> None:
+def _fit_sgd(kind: str, classes, n_features: int, hyper: Hyper, X, y) -> dict:
     """One-vs-rest SGD: every class trains in the same seeded pass over the examples.
 
     All classes see one shuffle order per epoch and share the lazy L2 scale
@@ -201,25 +224,24 @@ def _fit_sgd(model: LinearModel, X, y) -> None:
     g that each kind picks. A perceptron class stops after its first error-free
     epoch. Weights stay plain floats until the end and each margin is summed left
     to right from 0.0, never with sum(), whose rounding differs between Pythons.
+    Returns the fitted fields: weights, bias and, for the perceptron, train_errors.
     """
-    kind = model.kind
-    hyper = model.hyper
     rate = hyper.rate_for(kind)
     decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
     n = len(X)
     rows = [tuple((i, float(v)) for i, v in x.items()) for x in X]
-    index = {cls: c for c, cls in enumerate(model.classes)}
+    index = {cls: c for c, cls in enumerate(classes)}
     truth = [index[label] for label in y]
-    weights = [[0.0] * model.n_features for _ in model.classes]
-    bias = [0.0] * len(model.classes)
-    errors = [[] for _ in model.classes]
-    training = list(range(len(model.classes)))
+    weights = [[0.0] * n_features for _ in classes]
+    bias = [0.0] * len(classes)
+    errors = [[] for _ in classes]
+    training = list(range(len(classes)))
     scale = 1.0
     order = list(range(n))
     rng = random.Random(hyper.seed)
     for _ in range(hyper.epochs):
         rng.shuffle(order)
-        mistakes = [0] * len(model.classes)
+        mistakes = [0] * len(classes)
         for j in order:
             x = rows[j]
             next_scale = scale * decay
@@ -255,10 +277,11 @@ def _fit_sgd(model: LinearModel, X, y) -> None:
                 break
     if scale != 1.0:
         weights = [[wi * scale for wi in w] for w in weights]
-    model.weights = np.array(weights, dtype=float)
-    model.bias = np.array(bias, dtype=float)
-    if kind == PERCEPTRON:
-        model.train_errors = dict(zip(model.classes, errors))
+    return {
+        "weights": np.array(weights, dtype=float),
+        "bias": np.array(bias, dtype=float),
+        "train_errors": dict(zip(classes, errors)) if kind == PERCEPTRON else None,
+    }
 
 
 def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
@@ -267,16 +290,18 @@ def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
         if not (0 <= i < model.n_features):
             raise DataError(f"feature index {i} outside model dimension {model.n_features}")
     scores = {}
+    terms = x.items()
     if model.kind == MULTINOMIAL_NB:
-        for c, cls in enumerate(model.classes):
-            s = model.class_log_prior[c]
-            row = model.feature_log_prob[c]
-            for i, v in x.items():
+        for cls, row, s in zip(model.classes, model.rows, model.offsets):
+            for i, v in terms:
                 s += v * row[i]
-            scores[cls] = float(s)
+            scores[cls] = s
     else:
-        for c, cls in enumerate(model.classes):
-            scores[cls] = float(_dot(model.weights[c], x) + model.bias[c])
+        for cls, row, bias in zip(model.classes, model.rows, model.offsets):
+            z = 0.0
+            for i, v in terms:
+                z += row[i] * v
+            scores[cls] = z + bias
     return scores
 
 
@@ -384,6 +409,13 @@ def classifier_payload(clf: TextClassifier) -> dict:
     return payload
 
 
+def _finite_array(source: dict, name: str, shape: tuple) -> np.ndarray:
+    array = np.array(source[name], dtype=float)
+    if array.shape != shape or not np.isfinite(array).all():
+        raise ParseError(f"classifier {name} must be finite, of shape {shape}")
+    return array
+
+
 def classifier_from_payload(payload: dict) -> TextClassifier:
     kind = payload["kind"]
     if kind not in KINDS:
@@ -394,33 +426,27 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     vocabulary = {t: int(i) for t, i in payload["vocabulary"].items()}
     if sorted(vocabulary.values()) != list(range(len(vocabulary))):
         raise ParseError("classifier vocabulary indices must be 0..V-1, each once")
-    vectorizer = Vectorizer(vocabulary=vocabulary, idf=np.array(payload["idf"], dtype=float))
+    classes = list(payload["classes"])
+    if not classes or not all(isinstance(c, str) for c in classes):
+        raise ParseError("classifier classes must be a nonempty list of strings")
+    class_counts = [int(c) for c in payload["class_counts"]]
+    hyper = Hyper(**payload["hyper"])
+    n_classes, n_features = len(classes), len(vocabulary)
+    if kind == MULTINOMIAL_NB:
+        source = payload["nb_params"]
+        shapes = {"class_log_prior": (n_classes,), "feature_log_prob": (n_classes, n_features)}
+    else:
+        source = payload
+        shapes = {"weights": (n_classes, n_features), "bias": (n_classes,)}
+    vectorizer = Vectorizer(vocabulary=vocabulary, idf=_finite_array(payload, "idf", (n_features,)))
     model = LinearModel(
         kind=kind,
-        classes=list(payload["classes"]),
-        class_counts=[int(c) for c in payload["class_counts"]],
-        n_features=len(vocabulary),
-        hyper=Hyper(**payload["hyper"]),
+        classes=classes,
+        class_counts=class_counts,
+        n_features=n_features,
+        hyper=hyper,
+        **{name: _finite_array(source, name, shape) for name, shape in shapes.items()},
     )
-    n_classes = len(model.classes)
-    if not model.classes or not all(isinstance(c, str) for c in model.classes):
-        raise ParseError("classifier classes must be a nonempty list of strings")
-    if kind == MULTINOMIAL_NB:
-        model.class_log_prior = np.array(payload["nb_params"]["class_log_prior"], dtype=float)
-        model.feature_log_prob = np.array(payload["nb_params"]["feature_log_prob"], dtype=float)
-    else:
-        model.weights = np.array(payload["weights"], dtype=float)
-        model.bias = np.array(payload["bias"], dtype=float)
-    shapes = {
-        "idf": (vectorizer.idf, (model.n_features,)),
-        "class_log_prior": (model.class_log_prior, (n_classes,)),
-        "feature_log_prob": (model.feature_log_prob, (n_classes, model.n_features)),
-        "weights": (model.weights, (n_classes, model.n_features)),
-        "bias": (model.bias, (n_classes,)),
-    }
-    for name, (array, shape) in shapes.items():
-        if array is not None and (array.shape != shape or not np.isfinite(array).all()):
-            raise ParseError(f"classifier {name} must be finite, of shape {shape}")
     return TextClassifier(window=window, vectorizer=vectorizer, model=model)
 
 

@@ -7,12 +7,15 @@ built from it: `line_keys` gives each token's key (lowercased first when asked),
 and `variant_counts` counts a corpus's word surfaces by wordkey. Statistics, the
 dataset gates, the routing maps and the restorers all read those two.
 
-Three pure functions of one string are cached, because text repeats a small
-vocabulary: `strip_diacritics`, `token_kind` and the per-chunk tokenizer behind
-`tokenize`. All three also run on the open text of `restore`, so each is
-bounded to STRING_CACHE_SIZE entries, least recently used first out. A cache
-never changes a result; `tokenize` builds a fresh list per call from shared
-frozen `Token`s. `functools.lru_cache` is thread-safe, so the caches are too.
+Four pure functions of one string are cached, because text repeats a small
+vocabulary: `strip_diacritics`, `token_kind`, `surface_token` (the shared
+frozen `Token` of a surface) and the per-chunk tokenizer behind `tokenize`.
+The tokenizer builds its tokens through `surface_token`, and `restore` takes
+each restored token from it, so one `Token` serves every occurrence of a
+surface while the caches hold it. All four also run on the open text of
+`restore`, so each is bounded to STRING_CACHE_SIZE entries, least recently
+used first out. A cache never changes a result; `tokenize` builds a fresh list
+per call. `functools.lru_cache` is thread-safe, so the caches are too.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ SYMBOL = "Symbol"
 # written "na-" and contracted prepositions written "n'".
 _ATTACHED_MARKS = ("-", "'", "’")
 
-# Entries kept by each string cache. A distinct word retains about 610 bytes
-# over the three caches, so full caches hold about 20 MB, while a
+# Entries kept by each string cache. A distinct word retains about 700 bytes
+# over the four caches, and a restored form the tokenizer never saw up to 300
+# more, so full caches hold at most about 30 MB, while a
 # 12k-token training corpus plus 1k lines to restore fill at most 6.4k each.
 # 32k types cover nearly every token of running text; rarer strings are
 # recomputed, with the same results.
@@ -151,7 +155,13 @@ def tokenize(line: str) -> list[Token]:
 
 @functools.lru_cache(maxsize=STRING_CACHE_SIZE)
 def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
-    return tuple(Token(piece, token_kind(piece)) for piece in _split_attached(chunk))
+    return tuple(map(surface_token, _split_attached(chunk)))
+
+
+@functools.lru_cache(maxsize=STRING_CACHE_SIZE)
+def surface_token(surface: str) -> Token:
+    """The shared Token of a surface, with its kind."""
+    return Token(surface, token_kind(surface))
 
 
 def _split_attached(chunk: str) -> list[str]:

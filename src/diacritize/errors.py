@@ -14,12 +14,8 @@ class ParseError(DataError):
     def __init__(self, message, line=None, path=None):
         self.line = line
         self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line is not None:
-            where += f"{line}: "
-        super().__init__(where + message if where else message)
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class ModelError(Exception):

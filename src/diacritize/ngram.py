@@ -159,7 +159,7 @@ class NGramRestorer:
 
     def predict_instance(self, inst: Instance, restored: list[str]) -> str:
         """restored holds the restored forms of inst.tokens[:inst.target]."""
-        variants = _variants(self.model, strip_diacritics(inst.tokens[inst.target]))
+        variants = _variants(self.model, inst.tokens[inst.target])
         return _choose(self.model, restored, variants, self.n)
 
     def to_payload(self) -> dict:

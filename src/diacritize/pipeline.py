@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, variant_counts
-from .corpus import replace_on_success
+from .corpus import replace_on_success, surface_token
 from .datasetgen import Instance
 from .errors import ModelError, ParseError
 
@@ -130,14 +130,10 @@ def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
         return pipeline.restorer.predict_instance(Instance(keys, i, ""), restored)
 
     forms = datasetgen.route(keys, pipeline.variant_index, pipeline.unambiguous, predict)
-    out: list[Token] = []
-    for tok, marked in zip(tokens, forms):
-        if marked is None:
-            out.append(tok)
-        else:
-            surface_out = match_case(tok.surface, marked)
-            out.append(Token(surface_out, token_kind(surface_out)))
-    return out
+    return [
+        tok if marked is None else surface_token(match_case(tok.surface, marked))
+        for tok, marked in zip(tokens, forms)
+    ]
 
 
 def restore_text(pipeline: Pipeline, stripped: Corpus) -> Corpus:

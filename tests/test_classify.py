@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -267,8 +268,10 @@ class TestPredict:
         model = train_classifier(
             MULTINOMIAL_NB, [{0: 1.0}] * 3 + [{1: 1.0}], ["big"] * 3 + ["sm"], 2
         )
-        model.class_log_prior = np.zeros(2)
-        model.feature_log_prob = np.zeros((2, 2))
+        model = dataclasses.replace(
+            model, class_log_prior=np.zeros(2), feature_log_prob=np.zeros((2, 2))
+        )
+        assert predict_scores(model, {0: 1.0}) == {"big": 0.0, "sm": 0.0}
         assert predict(model, {0: 1.0}) == "big"
 
 
@@ -410,3 +413,98 @@ class TestPinnedBits:
             assert model.train_errors is None
         else:
             assert model.train_errors == {c: [m / len(X) for m in ms] for c, ms in mistakes.items()}
+
+
+def numpy_scalar_transform(vectorizer, window):
+    """Vectorizer.transform as computed on numpy scalars read from the idf array."""
+    tf = {}
+    for term in window:
+        idx = vectorizer.vocabulary.get(term)
+        if idx is not None:
+            tf[idx] = tf.get(idx, 0) + 1
+    vec = {idx: count * vectorizer.idf[idx] for idx, count in tf.items()}
+    norm = math.sqrt(sum(v * v for v in vec.values()))
+    if norm > 0:
+        vec = {idx: v / norm for idx, v in vec.items()}
+    return vec
+
+
+def numpy_scalar_scores(model, x):
+    """predict_scores as computed on numpy scalars read from the model's arrays.
+
+    A linear kind sums the products with sum(), which takes its generic path for
+    numpy scalars on every Python, then adds the bias; naive Bayes adds each
+    product to the class log prior.
+    """
+    scores = {}
+    for c, cls in enumerate(model.classes):
+        if model.kind == MULTINOMIAL_NB:
+            s = model.class_log_prior[c]
+            for i, v in x.items():
+                s += v * model.feature_log_prob[c][i]
+        else:
+            s = sum(model.weights[c][i] * v for i, v in x.items()) + model.bias[c]
+        scores[cls] = float(s)
+    return scores
+
+
+def tied_copy(model):
+    """The model with class 1 scored exactly as class 0."""
+    if model.kind == MULTINOMIAL_NB:
+        rows, offsets = model.feature_log_prob.copy(), model.class_log_prior.copy()
+        rows[1], offsets[1] = rows[0], offsets[0]
+        return dataclasses.replace(model, feature_log_prob=rows, class_log_prior=offsets)
+    rows, offsets = model.weights.copy(), model.bias.copy()
+    rows[1], offsets[1] = rows[0], offsets[0]
+    return dataclasses.replace(model, weights=rows, bias=offsets)
+
+
+class TestScoresMatchNumpyScalars:
+    """Scoring gives the very floats that the numpy-scalar formula gives."""
+
+    @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB])
+    def test_predict_scores(self, kind):
+        X, y, n_features = three_class_fixture()
+        model = train_classifier(kind, X, y, n_features, Hyper(epochs=5, seed=4))
+        tied = tied_copy(model)
+        rng = random.Random(41)
+        inputs = [{}] + [
+            {rng.randrange(n_features): rng.uniform(-1.0, 2.0) for _ in range(rng.randrange(1, 9))}
+            for _ in range(500)
+        ]
+        for x in inputs:
+            got = predict_scores(model, x)
+            assert got == numpy_scalar_scores(model, x)
+            assert all(type(s) is float for s in got.values())
+            ties = predict_scores(tied, x)
+            assert ties == numpy_scalar_scores(tied, x)
+            assert ties["A"] == ties["B"]
+
+    def test_transform(self):
+        rng = random.Random(43)
+        terms = [f"t{i}" for i in range(30)]
+        windows = [rng.sample(terms, rng.randrange(1, 8)) for _ in range(60)]
+        vectorizer = Vectorizer.fit(windows)
+        probes = [[]] + [
+            [rng.choice(terms + ["unseen"]) for _ in range(rng.randrange(1, 12))] for _ in range(500)
+        ]
+        for window in probes:
+            got = vectorizer.transform(window)
+            assert list(got.items()) == list(numpy_scalar_transform(vectorizer, window).items())
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
+    def test_scoring_reads_only_the_plain_float_copies(self, kind):
+        insts = TestInstanceInterface().make_instances()
+        for clf in (
+            fit_instances(insts, kind, window=5, hyper=Hyper(epochs=10)),
+            ClassifierBank.from_payload(
+                json.loads(json.dumps(ClassifierBank({"ka": fit_instances(insts, kind, window=5)}).to_payload())),
+                {"ka": [("ká", 10), ("kà", 10)]},
+            ).classifiers["ka"],
+        ):
+            windows = [extract_window(i.tokens, i.target, 5) for i in insts]
+            expected = [posterior(clf.model, clf.vectorizer.transform(w)) for w in windows]
+            assert all(type(v) is float for w in windows for v in clf.vectorizer.transform(w).values())
+            m = clf.model
+            clf.vectorizer.idf = m.weights = m.bias = m.class_log_prior = m.feature_log_prob = None
+            assert [posterior(m, clf.vectorizer.transform(w)) for w in windows] == expected

@@ -41,10 +41,15 @@ CV_NGRAM_REPORT_SHA = {
 }
 
 # sha256 of `restore` on the stripped fixture corpus, through a `train ngram -n 5`
-# and a `train clf` pipeline trained on the fixture corpus and the golden dataset.
+# pipeline, a `train clf` (logistic) pipeline and a `train clf --kind KIND`
+# pipeline of each other kind, all trained on the fixture corpus and the golden
+# dataset. Naive Bayes is pinned on its own: only it scores from the class prior.
 RESTORED_SHA = {
     "ngram": "b1c1009ac71f5c79207839dac1c222d7a0eab605ba1c0d4f61698d06d73909d8",
     "clf": "7795080815d00db2815be53e13177fd73e5d2c751f97f32b7d4d163fbd0cfc0c",
+    "clf:perceptron": "bb5d27800e11e6d1bdbd7d89756ae26cd27071a4baad27a15acd4be3469b6ccb",
+    "clf:linear_svm": "7795080815d00db2815be53e13177fd73e5d2c751f97f32b7d4d163fbd0cfc0c",
+    "clf:multinomial_nb": "6f2738837f1edaa0e5b7940ca5efc81cbd6662bcc9fe63198bcb70d1d924e6ff",
 }
 # sha256 of `stats` on the fixture corpus, without and with --lowercase.
 STATS_SHA = {
@@ -555,6 +560,15 @@ class TestGoldenRestoreBytes:
         assert code == 0
         assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
 
+    @pytest.mark.parametrize("kind", ["perceptron", "linear_svm", "multinomial_nb"])
+    def test_restore_clf_kind(self, capsys, tmp_path, stripped, kind):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN), "--kind", kind, "-o", str(model),
+        )
+        assert code == 0
+        assert self.restore(capsys, model, stripped) == RESTORED_SHA[f"clf:{kind}"]
+
     @pytest.mark.parametrize("family, flags", [("ngram", ["-n", "5"]), ("clf", [])])
     def test_string_caches_cold_or_warm_give_the_same_bytes(self, capsys, tmp_path, stripped, family, flags):
         model = tmp_path / "pipe.json"
@@ -562,7 +576,7 @@ class TestGoldenRestoreBytes:
             capsys, "train", family, FIXTURE, "--dataset", str(GOLDEN), *flags, "-o", str(model),
         )
         assert code == 0
-        for cache in (corpus._chunk_tokens, corpus.token_kind, corpus.strip_diacritics):
+        for cache in (corpus._chunk_tokens, corpus.surface_token, corpus.token_kind, corpus.strip_diacritics):
             cache.cache_clear()
         assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
         assert corpus._chunk_tokens.cache_info().currsize > 0

@@ -94,6 +94,16 @@ class TestStripDiacritics:
         assert got == [strip_diacritics.__wrapped__(w) for w in words]
         assert strip_diacritics(words[0]) == "akwa0"  # evicted, computed again
 
+    def test_token_cache_is_bounded(self):
+        surfaces = [f"ákwà{i}" for i in range(corpus.STRING_CACHE_SIZE + 1000)]
+        corpus.surface_token.cache_clear()
+        got = [corpus.surface_token(s) for s in surfaces]
+        assert corpus.surface_token.cache_info().currsize == corpus.STRING_CACHE_SIZE
+        assert got == [Token(s, TokenKind.WORD) for s in surfaces]
+        assert corpus.surface_token(surfaces[-1]) is got[-1]
+        again = corpus.surface_token(surfaces[0])  # evicted, built again
+        assert again == got[0] and again is not got[0]
+
 
 class TestTokenize:
     def test_auxiliary_and_punctuation(self):
@@ -112,6 +122,13 @@ class TestTokenize:
 
     def test_empty_line(self):
         assert tokenize("") == []
+
+    def test_tokens_are_shared_per_surface(self):
+        corpus._chunk_tokens.cache_clear()
+        corpus.surface_token.cache_clear()
+        toks = tokenize("na-agba ya , na-eje ya")
+        assert toks[0] is toks[4] and toks[1] is not toks[5]
+        assert toks[2] is toks[6] is corpus.surface_token("ya")
 
     def test_round_trip_on_whitespace_normalized_lines(self):
         lines = [

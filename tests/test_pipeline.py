@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diacritize import classify, cli, datasetgen, embed, ngram, pipeline
-from diacritize.corpus import corpus_from_lines, strip_diacritics
+from diacritize.corpus import corpus_from_lines, strip_diacritics, surface_token, token_kind
 from diacritize.errors import ModelError, ParseError
 from diacritize.pipeline import (
     build_classifier_pipeline,
@@ -14,6 +14,7 @@ from diacritize.pipeline import (
     build_ngram_pipeline,
     load_pipeline,
     match_case,
+    restore_line,
     restore_text,
     save_pipeline,
 )
@@ -138,6 +139,16 @@ class TestRestoreText:
     def test_empty_corpus(self, pipe):
         out = restore_text(pipe, corpus_from_lines([]))
         assert out.lines == []
+
+    def test_one_token_per_restored_surface(self, pipe):
+        stripped = corpus_from_lines(["nwanyi kwuru si ya , Nwanyi si", "ha kwera si nwanyi SI"])
+        pairs = [(s, o) for line in stripped.lines for s, o in zip(line, restore_line(pipe, line))]
+        restored = [o for s, o in pairs if o is not s]
+        assert [t.surface for t in restored].count("nwanyị") == 2
+        assert len({id(t) for t in restored}) == len({t.surface for t in restored})
+        for tok in restored:
+            assert tok is surface_token(tok.surface)
+            assert tok.kind is token_kind(tok.surface)
 
 
 class TestFamilyAgreement:
@@ -266,6 +277,22 @@ class TestWriterBytes:
 
 class TestLoadValidation:
     """Malformed pipeline files are refused at load, before any output is written."""
+
+    def test_message_is_path_colon_message(self, training_corpus, trained_sets, tmp_path):
+        path = tmp_path / "pipe.json"
+        save_pipeline(build_ngram_pipeline(training_corpus, trained_sets, n=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["unambiguous"][","] = "x"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_pipeline(path)
+        assert str(info.value) == f"{path}: routing key ',' is not a word"
+        path.write_text("{\n  oops", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_pipeline(path)
+        assert str(info.value).startswith(f"{path}:2: invalid pipeline JSON: ")
+        assert str(ParseError("bad row", line=4)) == "4: bad row"
+        assert str(ParseError("bad row")) == "bad row"
 
     @pytest.mark.parametrize(
         "family, where, value, code",

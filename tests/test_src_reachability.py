@@ -1,5 +1,6 @@
 """Every function in src/ is reached from src/, apart from a short allow-list,
-and every module in src/ uses every name it imports."""
+every module in src/ uses every name it imports, and the classifier's scoring
+and training loops never call sum()."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,48 @@ def unused_imports():
 
 def test_every_imported_name_is_used():
     assert unused_imports() == set()
+
+
+# Functions whose float sums must round alike on every Python: from 3.12,
+# builtin sum() adds floats with compensation, so these add left to right.
+NO_BUILTIN_SUM = ("Vectorizer.transform", "predict_scores", "_fit_sgd")
+
+
+def calls_builtin_sum(source: str) -> dict[str, bool]:
+    """Whether each module-level function and method (as Class.name) reaches builtin sum().
+
+    A function reaches it by calling sum() itself or by calling, by bare name,
+    a module-level function of the same source that reaches it.
+    """
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+    callees = {
+        name: {
+            call.func.id
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for name, fn in functions
+    }
+    reaches = {name: "sum" in called for name, called in callees.items()}
+    changed = True
+    while changed:
+        changed = False
+        for name, called in callees.items():
+            if not reaches[name] and any(reaches.get(c, False) for c in called):
+                reaches[name] = changed = True
+    return reaches
+
+
+def test_scoring_and_training_never_call_builtin_sum():
+    probe = (
+        "class V:\n    def t(self, x):\n        return [g(x)]\n\n"
+        "def g(x):\n    return sum(x)\n\ndef f(x):\n    return x\n"
+    )
+    assert calls_builtin_sum(probe) == {"V.t": True, "g": True, "f": False}
+    calls = calls_builtin_sum((SRC / "classify.py").read_text(encoding="utf-8"))
+    assert {name: calls[name] for name in NO_BUILTIN_SUM} == dict.fromkeys(NO_BUILTIN_SUM, False)
