@@ -7,6 +7,18 @@ multinomial naive Bayes. Multi-class is one-vs-rest: the SGD kinds train every
 class in one seeded pass over the examples, and training is deterministic for a
 fixed seed.
 
+`fit_instances` trains every group it is given in one call, as `train clf`
+does with all its wordkeys. The logistic and linear-SVM models of such a call
+advance together in a numpy lockstep head, one step of every live (model,
+class) pair at a time, while at least _HEAD_FLOOR pairs are live; each model
+then finishes on the serial loop from the step the head reached. The weights
+are the serial loop's, bit for bit: every elementwise float64 operation rounds
+as a Python float does, margins add left to right, and the logistic residual
+keeps math.exp (see _lockstep_head). A call with one model never enters the
+head, so `train_classifier` and each CV fold train serially. So does the
+perceptron, which updates only on mistakes and stops classes early, and naive
+Bayes, which does not iterate.
+
 Scoring reads plain Python floats. The numpy arrays of a vectorizer and a model
 are their stored form; each also keeps plain-float copies (the idf list; the
 weight rows and biases, or naive Bayes's log-probability rows and log priors),
@@ -14,7 +26,8 @@ made once when it is built, since each read from a numpy array would box a numpy
 scalar. Every sum runs left to right from 0.0 (naive Bayes from the prior), in
 the order the numpy-scalar formula took, so scores keep their bits. No scoring
 or training loop calls sum(): from Python 3.12 it rounds a sum of floats in
-another way.
+another way. Nor does training call a numpy reduction (sum, dot, @, einsum,
+add.reduce), which adds in pairwise or BLAS order.
 """
 
 from __future__ import annotations
@@ -177,27 +190,43 @@ def logistic_example_grad(w, b, x, y, l2):
 
 def train_classifier(kind: str, X, y, n_features: int, hyper: Hyper | None = None) -> LinearModel:
     """Train one model on sparse vectors X with string labels y."""
+    return _train_models(kind, [(X, y, n_features, _classes(kind, X, y))], hyper)[0]
+
+
+def _classes(kind: str, X, y) -> list[str]:
+    """The sorted classes of one training set, once the set is known to be trainable."""
     if kind not in KINDS:
         raise ModelError(f"unknown classifier kind: {kind!r}")
     if len(X) != len(y) or not X:
         raise DataError("X and y must be nonempty and the same length")
-    hyper = hyper or Hyper()
     classes = sorted(set(y))
     if len(classes) < 2:
         raise ModelError(f"training data has a single class: {classes[0]!r}")
-    class_counts = [sum(1 for label in y if label == cls) for cls in classes]
+    return classes
+
+
+def _train_models(kind: str, sets, hyper: Hyper | None) -> list[LinearModel]:
+    """One model per checked (X, y, n_features, classes) set; the SGD kinds share one call."""
+    hyper = hyper or Hyper()
+    counts = [[sum(1 for label in y if label == cls) for cls in classes] for _, y, _, classes in sets]
     if kind == MULTINOMIAL_NB:
-        fitted = _fit_nb(classes, class_counts, n_features, hyper, X, y)
+        fitted = [
+            _fit_nb(classes, class_counts, n_features, hyper, X, y)
+            for (X, y, n_features, classes), class_counts in zip(sets, counts)
+        ]
     else:
-        fitted = _fit_sgd(kind, classes, n_features, hyper, X, y)
-    return LinearModel(
-        kind=kind,
-        classes=classes,
-        class_counts=class_counts,
-        n_features=n_features,
-        hyper=hyper,
-        **fitted,
-    )
+        fitted = _fit_sgd(kind, sets, hyper)
+    return [
+        LinearModel(
+            kind=kind,
+            classes=classes,
+            class_counts=class_counts,
+            n_features=n_features,
+            hyper=hyper,
+            **fields,
+        )
+        for (_, _, n_features, classes), class_counts, fields in zip(sets, counts, fitted)
+    ]
 
 
 def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
@@ -215,34 +244,82 @@ def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
     }
 
 
-def _fit_sgd(kind: str, classes, n_features: int, hyper: Hyper, X, y) -> dict:
-    """One-vs-rest SGD: every class trains in the same seeded pass over the examples.
+# The lockstep head runs while at least this many (fit, class) pairs are live.
+# A numpy step costs about what 20 pairs of the serial loop cost. Measured with
+# logistic fits on a 12k-token bench dataset (Python 3.11, numpy 2.4, 2-vCPU
+# host), head against serial loop: the 10 CV folds of one set broke even at 20
+# pairs (50 ms against 52 ms) and won at 30 (82 ms against 114 ms); two fits
+# of 6 and 4 instances took 4.4 ms against 1.3 ms; one fit of 83 instances x 3
+# classes took 56 ms against 12 ms. On the whole dataset, floors of 16 to 32
+# timed alike and 48 or more slower; 32 keeps clear of the break-even.
+_HEAD_FLOOR = 32
 
+
+class _SGDFit:
+    """One training set of an SGD call, and its shuffles and result."""
+
+    def __init__(self, X, y, n_features: int, classes: list[str], seed: int):
+        index = {cls: c for c, cls in enumerate(classes)}
+        self.X = X
+        self.truth = [index[label] for label in y]
+        self.n_classes = len(classes)
+        self.n_features = n_features
+        self.classes = classes
+        self.order = list(range(len(X)))
+        self.rng = random.Random(seed)
+        self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
+        self.bias: list[float] | None = None
+        self.fitted: dict | None = None
+
+
+def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
+    """One-vs-rest SGD for each (X, y, n_features, classes) set: the fitted fields of each.
+
+    Within a set every class trains in the same seeded pass over the examples.
     All classes see one shuffle order per epoch and share the lazy L2 scale
     (true weights = scale * stored weights; the perceptron keeps scale 1.0), so
     each example updates every class still in training by one rule, from a step
     g that each kind picks. A perceptron class stops after its first error-free
-    epoch. Weights stay plain floats until the end and each margin is summed left
-    to right from 0.0, never with sum(), whose rounding differs between Pythons.
-    Returns the fitted fields: weights, bias and, for the perceptron, train_errors.
+    epoch.
+
+    Logistic and linear-SVM sets first advance together in `_lockstep_head`,
+    while enough (set, class) pairs are live; each set then finishes in
+    `_serial_sgd` from the step the head reached. Both give the same bits. A
+    single set, and every perceptron, takes the serial loop alone. Returns, per
+    set, the weights, bias and, for the perceptron, train_errors.
+    """
+    fits = [_SGDFit(*training, hyper.seed) for training in sets]
+    n_pairs = len([c for fit in fits for c in fit.classes])
+    step, scale = 0, 1.0
+    if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
+        step, scale = _lockstep_head(kind, fits, hyper)
+    return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale) for fit in fits]
+
+
+def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) -> dict:
+    """One set's SGD pass from its `step`-th example on, at L2 scale `scale`.
+
+    Weights stay plain floats until the end and each margin is summed left to
+    right from 0.0, never with sum(), whose rounding differs between Pythons.
     """
     rate = hyper.rate_for(kind)
     decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
-    n = len(X)
-    rows = [tuple((i, float(v)) for i, v in x.items()) for x in X]
-    index = {cls: c for c, cls in enumerate(classes)}
-    truth = [index[label] for label in y]
-    weights = [[0.0] * n_features for _ in classes]
-    bias = [0.0] * len(classes)
+    # Made here, just before the pass, so that only the sets in the serial loop
+    # hold rows, and each set's rows are still in cache when it runs.
+    rows = [tuple((i, float(v)) for i, v in x.items()) for x in fit.X]
+    truth, order = fit.truth, fit.order
+    n = len(rows)
+    classes = range(fit.n_classes)
+    weights = fit.weights or [[0.0] * fit.n_features for _ in classes]
+    bias = fit.bias or [0.0] * fit.n_classes
     errors = [[] for _ in classes]
-    training = list(range(len(classes)))
-    scale = 1.0
-    order = list(range(n))
-    rng = random.Random(hyper.seed)
-    for _ in range(hyper.epochs):
-        rng.shuffle(order)
-        mistakes = [0] * len(classes)
-        for j in order:
+    training = list(classes)
+    epoch, start = divmod(step, n)
+    for _ in range(epoch, hyper.epochs):
+        if start == 0:
+            fit.rng.shuffle(order)
+        mistakes = [0] * fit.n_classes
+        for j in order[start:] if start else order:
             x = rows[j]
             next_scale = scale * decay
             for c in training:
@@ -269,6 +346,7 @@ def _fit_sgd(kind: str, classes, n_features: int, hyper: Hyper, X, y) -> dict:
             if scale < _SCALE_FLOOR:
                 weights = [[wi * scale for wi in w] for w in weights]
                 scale = 1.0
+        start = 0
         if kind == PERCEPTRON:
             for c in training:
                 errors[c].append(mistakes[c] / n)
@@ -280,8 +358,130 @@ def _fit_sgd(kind: str, classes, n_features: int, hyper: Hyper, X, y) -> dict:
     return {
         "weights": np.array(weights, dtype=float),
         "bias": np.array(bias, dtype=float),
-        "train_errors": dict(zip(classes, errors)) if kind == PERCEPTRON else None,
+        "train_errors": dict(zip(fit.classes, errors)) if kind == PERCEPTRON else None,
     }
+
+
+def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
+    """Step every live (fit, class) pair of a logistic or linear-SVM call together, in numpy.
+
+    Every fit of the call starts at step 0 under the same hyper, so all live
+    fits share one L2 scale; a fit that ends in the head takes the scale of its
+    last step, and holds its fitted fields. The head stops as soon as fewer than
+    _HEAD_FLOOR pairs or fewer than two fits are live; each fit still training
+    then holds its weights and biases as lists, and the head returns the step
+    and scale it reached.
+
+    Each step keeps the serial loop's bits. Elementwise float64 + - * / round
+    like Python floats. A margin is summed left to right by np.add.accumulate
+    (never sum, dot or @, which add in another order); it can differ from the
+    serial sum from 0.0 only in the sign of a zero, which adding the bias
+    erases, since no bias is ever -0.0. The logistic residual takes math.exp of
+    each -|z|, because np.exp rounds differently. Vectors are padded to the widest
+    with value 0.0 at a spare weight slot per pair, which adds +0.0 to a margin
+    and +0.0 to that slot. A zero step is applied unmasked: a weight starts at
+    +0.0 and an IEEE sum is -0.0 only when both addends are, so no weight is
+    ever -0.0, and adding +-0.0 leaves it as it is.
+    """
+    rate = hyper.rate_for(kind)
+    decay = 1.0 - rate * hyper.l2
+    sizes = np.array([len(fit.X) for fit in fits])
+    ends = (hyper.epochs * sizes).tolist()
+    # Every example of every fit, in fit order: its class and its sparse
+    # vector, padded to the widest with the spare slot and 0.0.
+    truth = np.array([c for fit in fits for c in fit.truth])
+    lengths = np.array([len(x) for fit in fits for x in fit.X])
+    width = max(lengths.max(), 1)
+    slots = np.repeat(np.array([fit.n_features for fit in fits]), sizes)[:, None].repeat(width, axis=1)
+    values = np.zeros(slots.shape)
+    at = np.repeat(np.arange(len(lengths)), lengths), _positions(lengths)
+    slots[at] = np.fromiter((i for fit in fits for x in fit.X for i in x), np.int64, len(at[0]))
+    values[at] = np.fromiter((v for fit in fits for x in fit.X for v in x.values()), float, len(at[0]))
+    # Pair (f, c) is number first_pair[f] + c, and owns the weights from
+    # first_weight[f] + c * (n_features + 1) on, the last one spare.
+    n_classes = np.array([fit.n_classes for fit in fits])
+    first_pair = np.cumsum(n_classes) - n_classes
+    first_example = np.cumsum(sizes) - sizes
+    widths = np.array([fit.n_features + 1 for fit in fits])
+    first_weight = np.cumsum(n_classes * widths) - n_classes * widths
+    weights = np.zeros(first_weight[-1] + n_classes[-1] * widths[-1])
+    bias = np.zeros(first_pair[-1] + n_classes[-1])
+    order = np.empty(len(truth), dtype=np.int64)  # each fit's current epoch
+    shuffles: dict[int, list[int]] = {}
+    for f, n in enumerate(sizes.tolist()):
+        for epoch_start in range(0, ends[f], n):
+            shuffles.setdefault(epoch_start, []).append(f)
+
+    def block(f):  # fit f's weights, less the spare slots
+        start, n_weights = first_weight[f], n_classes[f] * widths[f]
+        return weights[start : start + n_weights].reshape(n_classes[f], widths[f])[:, :-1]
+
+    def biases(f):
+        return bias[first_pair[f] : first_pair[f] + n_classes[f]]
+
+    step, scale = 0, 1.0
+    live = list(range(len(fits)))
+    while len(live) >= 2:
+        pair_fit = np.repeat(live, n_classes[live])
+        if len(pair_fit) < _HEAD_FLOOR:
+            break
+        pair_class = _positions(n_classes[live])
+        pairs = first_pair[pair_fit] + pair_class
+        pair_first, pair_size = first_example[pair_fit], sizes[pair_fit]
+        pair_base = (first_weight[pair_fit] + pair_class * widths[pair_fit])[:, None]
+        live_bias = bias[pairs]
+        stop = min(ends[f] for f in live)
+        while step < stop:
+            for f in shuffles.get(step, ()):
+                fit = fits[f]
+                fit.rng.shuffle(fit.order)
+                order[first_example[f] : first_example[f] + sizes[f]] = fit.order
+            example = order.take(pair_first + step % pair_size)
+            example += pair_first
+            idx = slots.take(example, axis=0)
+            idx += pair_base
+            val = values.take(example, axis=0)
+            w = weights.take(idx)
+            z = np.add.accumulate(w * val, axis=1)[:, -1]
+            z *= scale
+            z += live_bias
+            target = truth.take(example) == pair_class
+            if kind == LOGISTIC:
+                e = np.fromiter(map(math.exp, np.negative(np.abs(z)).tolist()), float, len(z))
+                # -(rate * (sigmoid(z) - t)) == rate * (t - sigmoid(z)), exactly
+                g = target - np.where(z >= 0, 1.0, e) / (1.0 + e)
+                g *= rate
+            else:  # linear SVM, hinge loss
+                sign = np.where(target, 1.0, -1.0)
+                g = np.where(sign * z < 1.0, rate * sign, 0.0)
+            next_scale = scale * decay
+            w += g[:, None] * val / next_scale
+            weights[idx] = w
+            live_bias += g
+            scale = next_scale
+            if scale < _SCALE_FLOOR:
+                weights *= scale
+                scale = 1.0
+            step += 1
+        bias[pairs] = live_bias
+        for f in live:
+            if ends[f] == step:
+                fits[f].fitted = {
+                    "weights": block(f) * scale if scale != 1.0 else block(f).copy(),
+                    "bias": biases(f).copy(),
+                    "train_errors": None,
+                }
+        live = [f for f in live if ends[f] > step]
+    for f in live:
+        fits[f].weights = block(f).tolist()
+        fits[f].bias = biases(f).tolist()
+    return step, scale
+
+
+def _positions(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., count - 1 for each count in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
 
 
 def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
@@ -343,20 +543,28 @@ class TextClassifier:
         return predict(self.model, self.vectorizer.transform(window))
 
 
-def fit_instances(
-    instances, kind: str, window: int = 9, hyper: Hyper | None = None, *, windows=None
-) -> TextClassifier:
-    """Fit a classifier; `windows`, when given, are the instances' extracted windows."""
-    instances = list(instances)
+def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None) -> list[TextClassifier]:
+    """Fit one classifier per group of instances; the SGD kinds train every group in one call.
+
+    A group that cannot train raises the error that train_classifier would, for
+    the first such group, before any model trains.
+    """
+    prepared = [
+        _training_set(kind, instances, [extract_window(i.tokens, i.target, window) for i in instances])
+        for instances in map(list, groups)
+    ]
+    models = _train_models(kind, [training for _, training in prepared], hyper)
+    return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(prepared, models)]
+
+
+def _training_set(kind: str, instances: list[Instance], windows):
+    """A group's vectorizer and its checked (X, y, n_features, classes) training set."""
     if not instances:
         raise DataError("no instances to train on")
-    if windows is None:
-        windows = [extract_window(i.tokens, i.target, window) for i in instances]
     vectorizer = Vectorizer.fit(windows)
     X = [vectorizer.transform(w) for w in windows]
     y = [i.label for i in instances]
-    model = train_classifier(kind, X, y, len(vectorizer.vocabulary), hyper)
-    return TextClassifier(window=window, vectorizer=vectorizer, model=model)
+    return vectorizer, (X, y, len(vectorizer.vocabulary), _classes(kind, X, y))
 
 
 def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
@@ -374,8 +582,10 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
         return entry[1]
 
     def fit(train_instances):
-        windows = [window_of(inst) for inst in train_instances]
-        clf = fit_instances(train_instances, kind, window=window, hyper=hyper, windows=windows)
+        vectorizer, (X, y, n_features, _) = _training_set(
+            kind, train_instances, [window_of(inst) for inst in train_instances]
+        )
+        clf = TextClassifier(window, vectorizer, train_classifier(kind, X, y, n_features, hyper))
         return lambda inst: clf.predict_window(window_of(inst))
 
     return fit
@@ -423,9 +633,10 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     window = int(payload["window"])
     if window < 3 or window % 2 == 0:
         raise ParseError(f"classifier window must be an odd integer >= 3, got {window}")
-    vocabulary = {t: int(i) for t, i in payload["vocabulary"].items()}
-    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
-        raise ParseError("classifier vocabulary indices must be 0..V-1, each once")
+    vocabulary = payload["vocabulary"]
+    indices = vocabulary.values()
+    if not set(map(type, indices)) <= {int} or sorted(indices) != list(range(len(vocabulary))):
+        raise ParseError("classifier vocabulary indices must be the integers 0..V-1, each once")
     classes = list(payload["classes"])
     if not classes or not all(isinstance(c, str) for c in classes):
         raise ParseError("classifier classes must be a nonempty list of strings")

@@ -77,10 +77,8 @@ def build_classifier_pipeline(
     hyper: classify.Hyper | None = None, lowercase: bool = True,
 ) -> Pipeline:
     unambiguous, index = build_maps(corpus, sets, lowercase)
-    classifiers = {
-        aset.wordkey: classify.fit_instances(aset.instances, kind, window=window, hyper=hyper)
-        for aset in sets
-    }
+    fitted = classify.fit_instances([aset.instances for aset in sets], kind, window=window, hyper=hyper)
+    classifiers = {aset.wordkey: clf for aset, clf in zip(sets, fitted)}
     return Pipeline(
         family="classifier",
         restorer=classify.ClassifierBank(classifiers=classifiers),
@@ -190,5 +188,5 @@ def load_pipeline(path) -> Pipeline:
             variant_index=index,
             lowercase=payload.get("lowercase", True),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed pipeline file: {exc}", path=path)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from diacritize import classify
 from diacritize.classify import (
     ClassifierBank,
     Hyper,
@@ -306,13 +307,13 @@ class TestInstanceInterface:
 
     def test_fit_and_predict_instances(self):
         insts = self.make_instances()
-        clf = fit_instances(insts, LOGISTIC, window=5, hyper=Hyper(epochs=30))
+        clf = fit_instances([insts], LOGISTIC, window=5, hyper=Hyper(epochs=30))[0]
         assert all(clf.predict_instance(i) == i.label for i in insts)
 
     def test_persistence_round_trip(self):
         insts = self.make_instances()
         for kind in (LOGISTIC, MULTINOMIAL_NB):
-            clf = fit_instances(insts, kind, window=5, hyper=Hyper(epochs=10))
+            clf = fit_instances([insts], kind, window=5, hyper=Hyper(epochs=10))[0]
             spec = json.loads(json.dumps(ClassifierBank({"ka": clf}).to_payload()))
             again = ClassifierBank.from_payload(spec, {"ka": [("ká", 10), ("kà", 10)]})
             for inst in insts:
@@ -320,7 +321,7 @@ class TestInstanceInterface:
 
     def test_vocabulary_fit_on_training_fold_only(self):
         insts = self.make_instances()
-        clf = fit_instances(insts, LOGISTIC, window=5, hyper=Hyper(epochs=10))
+        clf = fit_instances([insts], LOGISTIC, window=5, hyper=Hyper(epochs=10))[0]
         probe = Instance(
             tokens=("sentinelterm", "sun", "ka", "rose", "."), target=2, label="ká", line=0
         )
@@ -496,9 +497,9 @@ class TestScoresMatchNumpyScalars:
     def test_scoring_reads_only_the_plain_float_copies(self, kind):
         insts = TestInstanceInterface().make_instances()
         for clf in (
-            fit_instances(insts, kind, window=5, hyper=Hyper(epochs=10)),
+            fit_instances([insts], kind, window=5, hyper=Hyper(epochs=10))[0],
             ClassifierBank.from_payload(
-                json.loads(json.dumps(ClassifierBank({"ka": fit_instances(insts, kind, window=5)}).to_payload())),
+                json.loads(json.dumps(ClassifierBank({"ka": fit_instances([insts], kind, window=5)[0]}).to_payload())),
                 {"ka": [("ká", 10), ("kà", 10)]},
             ).classifiers["ka"],
         ):
@@ -508,3 +509,114 @@ class TestScoresMatchNumpyScalars:
             m = clf.model
             clf.vectorizer.idf = m.weights = m.bias = m.class_log_prior = m.feature_log_prob = None
             assert [posterior(m, clf.vectorizer.transform(w)) for w in windows] == expected
+
+
+def mixed_sets(seed, sizes):
+    """Training sets of the given sizes, two or three classes each, as (X, y, n_features, classes)."""
+    rng = random.Random(seed)
+    sets = []
+    for n in sizes:
+        labels = "ABC"[: rng.choice([2, 3, 3])]
+        n_features = rng.randrange(4, 40)
+        X, y = [], []
+        for k in range(n):
+            label = labels[k % len(labels)] if k < len(labels) else rng.choice(labels)
+            home = labels.index(label)
+            x = {}  # up to 16 terms, past the 8 where numpy's pairwise sum starts
+            for _ in range(rng.randrange(0, 17)):
+                cue = rng.random() < 0.6
+                i = (home + 3 * rng.randrange(10)) % n_features if cue else rng.randrange(n_features)
+                x[i] = x.get(i, 0.0) + rng.random()
+            X.append(x)
+            y.append(label)
+        sets.append((X, y, n_features, sorted(set(y))))
+    return sets
+
+
+SIZES = [90, 84, 77, 71, 64, 58, 50, 44, 37, 30, 26, 23, 19, 13, 11, 8, 6, 4, 3, 2]
+
+
+class TestLockstepMatchesSerial:
+    """A batched SGD call gives every set the bits of train_classifier on that set alone."""
+
+    @staticmethod
+    def recorded_head(monkeypatch):
+        calls = []
+        head = classify._lockstep_head
+
+        def recording(kind, fits, hyper):
+            step, scale = head(kind, fits, hyper)
+            calls.append((step, [len(fit.X) for fit in fits if fit.fitted is None]))
+            return step, scale
+
+        monkeypatch.setattr(classify, "_lockstep_head", recording)
+        return calls
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, LINEAR_SVM])
+    @pytest.mark.parametrize("hyper", [Hyper(seed=4), FLOOR], ids=["seed4", "floor"])
+    def test_batch_bits(self, kind, hyper, monkeypatch):
+        calls = self.recorded_head(monkeypatch)
+        sets = mixed_sets(11, SIZES)
+        assert len([c for *_, classes in sets for c in classes]) >= classify._HEAD_FLOOR
+        fitted = classify._fit_sgd(kind, sets, hyper)
+        [(step, handed_over)] = calls
+        # The head ran, some sets ended in it, and some took over mid-epoch.
+        assert step > 0 and 0 < len(handed_over) < len(sets)
+        assert any(step % n for n in handed_over)
+        # With FLOOR the L2 scale crossed _SCALE_FLOOR inside the head.
+        assert hyper is not FLOOR or (1 - hyper.learning_rate * hyper.l2) ** step < classify._SCALE_FLOOR
+        for (X, y, n_features, _), fields in zip(sets, fitted):
+            alone = train_classifier(kind, X, y, n_features, hyper)
+            assert fields["weights"].tobytes() == alone.weights.tobytes()
+            assert fields["bias"].tobytes() == alone.bias.tobytes()
+            assert fields["weights"].shape == alone.weights.shape
+            assert fields["train_errors"] is None and alone.train_errors is None
+
+    def test_perceptron_batch_with_an_early_stop(self, monkeypatch):
+        calls = self.recorded_head(monkeypatch)
+        X, y, n_features = early_and_late_fixture()
+        sets = [(X, y, n_features, sorted(set(y)))] + mixed_sets(12, SIZES)
+        hyper = Hyper(epochs=12, seed=2)
+        fitted = classify._fit_sgd(PERCEPTRON, sets, hyper)
+        assert calls == []
+        assert len(fitted[0]["train_errors"]["A"]) < hyper.epochs
+        for (X, y, n_features, _), fields in zip(sets, fitted):
+            alone = train_classifier(PERCEPTRON, X, y, n_features, hyper)
+            assert fields["weights"].tobytes() == alone.weights.tobytes()
+            assert fields["bias"].tobytes() == alone.bias.tobytes()
+            assert fields["train_errors"] == alone.train_errors
+
+    def test_one_set_never_enters_the_head(self, monkeypatch):
+        calls = self.recorded_head(monkeypatch)
+        X = [{k % 5: 1.0} for k in range(80)]
+        y = [f"c{k % 40:02d}" for k in range(80)]
+        assert len(set(y)) >= classify._HEAD_FLOOR
+        classify._fit_sgd(LOGISTIC, [(X, y, 5, sorted(set(y)))], Hyper(epochs=2))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, PERCEPTRON, MULTINOMIAL_NB])
+    def test_first_untrainable_group_raises_train_classifiers_error(self, kind):
+        good = TestInstanceInterface().make_instances()
+        single = [dataclasses.replace(inst, label="ká") for inst in good]
+        other = [dataclasses.replace(inst, label="kà") for inst in good]
+        with pytest.raises(ModelError) as alone:
+            train_classifier(kind, [{0: 1.0}] * len(single), [i.label for i in single], 1)
+        with pytest.raises(ModelError) as batched:
+            fit_instances([good, single, other, good], kind, window=5, hyper=Hyper(epochs=2))
+        assert str(batched.value) == str(alone.value)
+        with pytest.raises(DataError, match="no instances"):
+            fit_instances([good, [], single], kind, window=5)
+
+    def test_fit_instances_matches_one_group_at_a_time(self):
+        base = TestInstanceInterface().make_instances()
+        rng = random.Random(8)
+        groups = [rng.sample(base, rng.randrange(6, 20)) for _ in range(20)]
+        groups = [g for g in groups if len({i.label for i in g}) == 2]
+        assert len(groups) * 2 >= classify._HEAD_FLOOR
+        for kind in (LOGISTIC, LINEAR_SVM):
+            batched = fit_instances(groups, kind, window=5, hyper=Hyper(seed=3))
+            for group, clf in zip(groups, batched):
+                alone = fit_instances([group], kind, window=5, hyper=Hyper(seed=3))[0]
+                assert clf.vectorizer.vocabulary == alone.vectorizer.vocabulary
+                assert clf.model.weights.tobytes() == alone.model.weights.tobytes()
+                assert clf.model.bias.tobytes() == alone.model.bias.tobytes()

@@ -232,3 +232,35 @@ def test_mutated_vectors_are_a_data_error(how, files, tmp_path, capsys):
     for argv in commands:
         run_data_error(argv, f"vectors {how}", capsys)
         assert not out.exists(), f"vectors {how}: {argv[0]} wrote its output"
+
+
+def classifier_spec(files):
+    spec = json.loads((files / "logistic.json").read_text(encoding="utf-8"))
+    return spec, next(iter(spec["restorer"]["models"].values()))
+
+
+@pytest.mark.parametrize("field", ["weights", "bias", "idf"])
+def test_integer_too_large_for_a_float_is_a_data_error(field, files, tmp_path, capsys):
+    spec, clf = classifier_spec(files)
+    row = clf["weights"][0] if field == "weights" else clf[field]
+    row[0] = 10**400
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, field, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", ['"0"', "0.0", "true", "null"])
+def test_vocabulary_index_that_is_not_an_integer_is_a_data_error(index, files, tmp_path, capsys):
+    spec, clf = classifier_spec(files)
+    term = min(clf["vocabulary"], key=clf["vocabulary"].get)
+    assert clf["vocabulary"][term] == 0
+    clf["vocabulary"][term] = json.loads(index)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, index, capsys)
+    assert not out.exists()
+    with pytest.raises(classify.ParseError, match="vocabulary indices"):
+        classify.classifier_from_payload(clf)

@@ -1,6 +1,6 @@
 """Every function in src/ is reached from src/, apart from a short allow-list,
-every module in src/ uses every name it imports, and the classifier's scoring
-and training loops never call sum()."""
+every module in src/ uses every name it imports, the classifier's scoring and
+training loops never call sum(), and its SGD training calls no numpy reduction."""
 
 import ast
 from pathlib import Path
@@ -92,6 +92,42 @@ def calls_builtin_sum(source: str) -> dict[str, bool]:
     A function reaches it by calling sum() itself or by calling, by bare name,
     a module-level function of the same source that reaches it.
     """
+    return reaches(
+        source,
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum",
+    )
+
+
+def test_scoring_and_training_never_call_builtin_sum():
+    probe = (
+        "class V:\n    def t(self, x):\n        return [g(x)]\n\n"
+        "def g(x):\n    return sum(x)\n\ndef f(x):\n    return x\n"
+    )
+    assert calls_builtin_sum(probe) == {"V.t": True, "g": True, "f": False}
+    calls = calls_builtin_sum((SRC / "classify.py").read_text(encoding="utf-8"))
+    assert {name: calls[name] for name in NO_BUILTIN_SUM} == dict.fromkeys(NO_BUILTIN_SUM, False)
+
+
+# Functions whose margins are summed left to right, as the serial SGD loop sums
+# them: these numpy calls add in pairwise or BLAS order instead.
+NO_NUMPY_REDUCTION = ("_fit_sgd",)
+
+
+def is_numpy_reduction(node: ast.AST) -> bool:
+    """Whether node calls np.sum or .sum(), np.dot or .dot(), np.matmul or @, np.einsum or np.add.reduce."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    func = node.func
+    if func.attr in ("sum", "dot", "matmul", "einsum"):
+        return True
+    return func.attr == "reduce" and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
+
+
+def reaches(source: str, offends) -> dict[str, bool]:
+    """Whether each module-level function and method (as Class.name) holds a node that offends,
+    itself or through a module-level function of the same source that it calls by bare name."""
     functions = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
@@ -106,21 +142,36 @@ def calls_builtin_sum(source: str) -> dict[str, bool]:
         }
         for name, fn in functions
     }
-    reaches = {name: "sum" in called for name, called in callees.items()}
+    result = {name: any(offends(node) for node in ast.walk(fn)) for name, fn in functions}
     changed = True
     while changed:
         changed = False
         for name, called in callees.items():
-            if not reaches[name] and any(reaches.get(c, False) for c in called):
-                reaches[name] = changed = True
-    return reaches
+            if not result[name] and any(result.get(c, False) for c in called):
+                result[name] = changed = True
+    return result
 
 
-def test_scoring_and_training_never_call_builtin_sum():
-    probe = (
-        "class V:\n    def t(self, x):\n        return [g(x)]\n\n"
-        "def g(x):\n    return sum(x)\n\ndef f(x):\n    return x\n"
-    )
-    assert calls_builtin_sum(probe) == {"V.t": True, "g": True, "f": False}
-    calls = calls_builtin_sum((SRC / "classify.py").read_text(encoding="utf-8"))
-    assert {name: calls[name] for name in NO_BUILTIN_SUM} == dict.fromkeys(NO_BUILTIN_SUM, False)
+def test_sgd_training_never_calls_a_numpy_reduction():
+    probe = "\n".join([
+        "def a(x):\n    return np.sum(x)",
+        "def b(x):\n    return x.sum(axis=1)",
+        "def c(x, y):\n    return np.dot(x, y) + x.dot(y)",
+        "def d(x, y):\n    return x @ y",
+        "def e(x, y):\n    x @= y",
+        "def f(x, y):\n    return np.matmul(x, y)",
+        "def g(x):\n    return np.einsum('ij->i', x)",
+        "def h(x):\n    return np.add.reduce(x, axis=1)",
+        "def i(x):\n    return a(x)",
+        "def j(x):\n    return np.add.accumulate(x, axis=1)[:, -1] + np.cumsum(x)",
+        "class K:\n    def m(self, x):\n        return [h(x)]",
+    ])
+    found = reaches(probe, is_numpy_reduction)
+    assert found == {**dict.fromkeys("abcdefghi", True), "j": False, "K.m": True}
+    found = reaches((SRC / "classify.py").read_text(encoding="utf-8"), is_numpy_reduction)
+    assert {name: found[name] for name in NO_NUMPY_REDUCTION} == dict.fromkeys(NO_NUMPY_REDUCTION, False)
+    # The lockstep head and the serial loop are what _fit_sgd reaches by name.
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    fit_sgd = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fit_sgd")
+    called = {n.func.id for n in ast.walk(fit_sgd) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"_lockstep_head", "_serial_sgd"} <= called
