@@ -223,26 +223,36 @@ def enhance(
 
     basic copies the model unchanged; tweak1 and tweak2 replace each variant
     vector with the midpoint of itself and the coword mean; tweak3 replaces it
-    with the coword mean outright. Every non-variant vector is untouched.
+    with the coword mean outright. Every non-variant vector is untouched. The
+    variants skipped, for want of a vector or of a coword with one, are
+    logged as one warning per call: a pipeline enhances on every load.
     """
     if scheme not in SCHEMES:
         raise ModelError(f"unknown enhancement scheme: {scheme!r}")
     vectors = dict(model.vectors)
     if scheme == BASIC:
         return EmbeddingModel(dim=model.dim, vectors=vectors)
+    skipped = {"not in model": [], "with no coword vector": []}
     for variant in cowords:
         old = vectors.get(variant)
         if old is None:
-            log.warning("enhance: variant %r not in model, skipped", variant)
+            skipped["not in model"].append(variant)
             continue
         mean = coword_mean(model, cowords[variant])
         if mean is None:
-            log.warning("enhance: no coword of %r has a vector, skipped", variant)
+            skipped["with no coword vector"].append(variant)
             continue
         if scheme == TWEAK3:
             vectors[variant] = mean
         else:
             vectors[variant] = 0.5 * old + 0.5 * mean
+    reasons = [
+        f"{len(names)} {reason} ({', '.join(map(repr, names[:3]))}{', ...' if len(names) > 3 else ''})"
+        for reason, names in skipped.items()
+        if names
+    ]
+    if reasons:
+        log.warning("enhance: skipped variants: %s", "; ".join(reasons))
     return EmbeddingModel(dim=model.dim, vectors=vectors)
 
 

@@ -1,12 +1,17 @@
 """Back-off n-gram restoration over marked left contexts.
 
-Counts are maximum-likelihood tables over (k-1 marked left tokens, variant)
-for k = 1..max_n. Restoration scores the candidates of a wordkey at the
-largest context first and backs off one level whenever the counts give no
-unique maximum, down to the unigram floor. Context words left of the target
-are themselves restored first, left to right, so later decisions see marked
-context. Each restored form depends only on the tokens to its left, so one
-left-to-right walk, `datasetgen.route`, serves both `restore` (which hands
+Counts are maximum-likelihood tables for k = 1..max_n, indexed by context:
+level k maps each context of k-1 marked left tokens to its row, the count of
+every variant seen after it. Contexts nest: each context at k >= 2 has its
+one-word-shorter suffix at k-1, which `train` guarantees and the loader
+checks. Restoration scores the candidates of a wordkey at the largest
+context first and backs off one level whenever the counts give no unique
+maximum, down to the unigram floor. It finds that largest context from the
+bottom up, one row lookup per order: by nesting, no context above the first
+unseen one is seen either. Context words left of the target are themselves
+restored first, left to right, so later decisions see marked context. Each
+restored form depends only on the tokens to its left, so one left-to-right
+walk, `datasetgen.route`, serves both `restore` (which hands
 `NGramRestorer` the restored forms left of each target) and `restore_instance`.
 
 Cross-validation counts once per run: `shared_counts` scans the corpus for
@@ -36,9 +41,10 @@ class PreparedCorpus:
 @dataclass
 class NGramModel:
     max_n: int
-    # counts[k] maps (context tuple of k-1 marked tokens, variant) -> count;
-    # a cross-validation fold holds read-through `_FoldLevel`s instead.
-    counts: list[dict[tuple[tuple[str, ...], str], int]]
+    # counts[k - 1] maps each context (a tuple of k - 1 marked tokens) to its
+    # row {variant: count}; a cross-validation fold holds read-through
+    # `_FoldLevel`s instead.
+    counts: list[dict[tuple[str, ...], dict[str, int]]]
     variant_index: dict[str, list[str]]
     # The unambiguous map of `restore_instance`'s walk. A pipeline walks with
     # its own map, so a model loaded from a pipeline file leaves it empty.
@@ -86,15 +92,18 @@ def train_from_occurrences(
 
 
 def _count(lines: list[list[str]], occurrences, counts: list[dict]) -> None:
-    """Add each (line, position) occurrence's key to every level of counts it reaches."""
+    """Add each (line, position) occurrence to its context's row at every level it reaches."""
     max_n = len(counts)
     for line_no, t in occurrences:
         surfaces = lines[line_no]
         surface = surfaces[t]
         for k in range(1, min(t + 1, max_n) + 1):
-            key = (tuple(surfaces[t - k + 1 : t]), surface)
             level = counts[k - 1]
-            level[key] = level.get(key, 0) + 1
+            ctx = tuple(surfaces[t - k + 1 : t])
+            row = level.get(ctx)
+            if row is None:
+                row = level[ctx] = {}
+            row[surface] = row.get(surface, 0) + 1
 
 
 def train(
@@ -103,7 +112,7 @@ def train(
     candidates: dict[str, list[str]],
     lowercase: bool = True,
 ) -> NGramModel:
-    """Count (context, variant) tables for every occurrence of an indexed variant.
+    """Count the context rows of every occurrence of an indexed variant.
 
     candidates maps wordkey -> list of variant surfaces (from the generated
     dataset). lowercase applies to a Corpus only: a PreparedCorpus is lowered
@@ -115,19 +124,33 @@ def train(
 
 
 def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> str:
-    """Back-off walk: unique count maximum wins, ties and zeros step down a level."""
+    """Back-off walk: unique count maximum wins, ties and zeros step down a level.
+
+    The rows are collected upward from order 2 and stop at the first unseen
+    context: contexts nest, so every longer context is unseen too. The
+    deepest row collected is scored first.
+    """
     if len(variants) == 1:
         return variants[0]
-    top = min(n, model.max_n, len(left) + 1)
-    for k in range(top, 1, -1):
-        table = model.counts[k - 1]
-        ctx = tuple(left[len(left) - (k - 1) :])
-        scores = [table.get((ctx, v), 0) for v in variants]
-        best = max(scores)
-        if best > 0 and scores.count(best) == 1:
-            return variants[scores.index(best)]
-    unigrams = model.counts[0]
-    return majority_variant([(v, unigrams.get(((), v), 0)) for v in variants])
+    counts = model.counts
+    rows = []
+    for k in range(2, min(n, model.max_n, len(left) + 1) + 1):
+        row = counts[k - 1].get(tuple(left[1 - k :]))
+        if row is None:
+            break
+        rows.append(row)
+    for row in reversed(rows):
+        best, choice = 0, None
+        for v in variants:
+            count = row.get(v, 0)
+            if count > best:
+                best, choice = count, v
+            elif count == best:
+                choice = None  # a tie at the maximum so far, or nothing above zero
+        if choice is not None:
+            return choice
+    unigrams = counts[0].get((), {})
+    return majority_variant([(v, unigrams.get(v, 0)) for v in variants])
 
 
 def _variants(model: NGramModel, wordkey: str) -> list[str]:
@@ -199,18 +222,29 @@ def shared_counts(prepared: PreparedCorpus, candidates: dict[str, list[str]], ma
 
 @dataclass(slots=True)
 class _FoldLevel:
-    """One level of a fold's table: the full count minus the held-out lines' count.
+    """One level of a fold's table: the full rows minus the held-out lines' rows.
 
-    A fold reads through to the shared table instead of copying it. A count
-    that falls to zero reads as a missing key, which `_choose` scores alike.
+    A fold reads through to the shared table instead of copying it. A row
+    reads as the recount without the held-out lines would hold it: a count
+    that falls to zero is left out, and a row left empty reads as unseen.
+    Every row the fold holds out is a row of the full table, so contexts
+    still nest.
     """
 
     full: dict
     held_out: dict
 
-    def get(self, key, default=None):
-        count = self.full.get(key, 0) - self.held_out.get(key, 0)
-        return count if count else default
+    def get(self, ctx, default=None):
+        row = self.full.get(ctx)
+        held = self.held_out.get(ctx)
+        if held is None:
+            return default if row is None else row
+        kept = {}
+        for v, count in row.items():
+            count -= held.get(v, 0)
+            if count:
+                kept[v] = count
+        return kept or default
 
 
 def fold_model(shared: SharedCounts, skip_lines) -> NGramModel:
@@ -268,31 +302,54 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
 
 
 def model_payload(model: NGramModel) -> dict:
+    """Each level's entries as [context, variant, count], sorted by context, then variant."""
     levels = []
     for k in range(1, model.max_n + 1):
         table = model.counts[k - 1]
-        entries = [[list(ctx), v, table[ctx, v]] for ctx, v in sorted(table)]
+        entries = [[list(ctx), v, c] for ctx in sorted(table) for v, c in sorted(table[ctx].items())]
         levels.append({"k": k, "entries": entries})
     return {"max_n": model.max_n, "levels": levels}
+
+
+def _bad_entry(k: int, ctx, v, c) -> str:
+    """What is wrong with the refused entry [ctx, v, c] of level k."""
+    if type(ctx) is not list or len(ctx) != k - 1 or not all(type(w) is str for w in ctx):
+        return f"n-gram level {k} needs contexts of {k - 1} words, got {ctx!r}"
+    if type(v) is not str:
+        return f"n-gram variants must be strings, got {v!r}"
+    if type(c) is not int or c < 1:
+        return f"n-gram counts must be positive integers, got {c!r}"
+    return f"n-gram context {ctx!r} at level {k} has no suffix at level {k - 1}"
 
 
 def model_from_payload(payload: dict, variant_index) -> NGramModel:
     """The count model of a pipeline file; its variants come from the pipeline's index.
 
     Files that still hold `variant_index`, `unambiguous` and `lowercase` in
-    the model load too: those keys are not read.
+    the model load too: those keys are not read. Each entry must be a list
+    of k-1 context words, a variant and a positive integer count, and each
+    context at k >= 2 must have its suffix at k-1, as `_choose` relies on.
+    Levels are read from k = 1 up, so that suffix is already in place.
     """
     max_n = payload["max_n"]
     levels = payload["levels"]
     if len(levels) != max_n or sorted(level["k"] for level in levels) != list(range(1, max_n + 1)):
         raise ParseError(f"n-gram model needs one level for each k in 1..{max_n}")
     counts: list[dict] = [dict() for _ in range(max_n)]
-    for level in levels:
-        table = counts[level["k"] - 1]
+    for level in sorted(levels, key=lambda level: level["k"]):
+        k = level["k"]
+        table, shorter = counts[k - 1], counts[k - 2] if k > 1 else None
         for ctx, v, c in level["entries"]:
-            table[(tuple(ctx), v)] = c
-    if not all(isinstance(c, int) for table in counts for c in table.values()):
-        raise ParseError("n-gram counts must be integers")
+            if type(ctx) is not list or len(ctx) != k - 1 or type(v) is not str or type(c) is not int or c < 1:
+                raise ParseError(_bad_entry(k, ctx, v, c))
+            key = tuple(ctx)
+            row = table.get(key)
+            if row is None:
+                # the words after the first are the suffix's, checked a level down
+                if k > 1 and (type(key[0]) is not str or key[1:] not in shorter):
+                    raise ParseError(_bad_entry(k, ctx, v, c))
+                row = table[key] = {}
+            row[v] = c
     return NGramModel(
         max_n=max_n,
         counts=counts,

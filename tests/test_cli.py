@@ -266,6 +266,26 @@ class TestTrainRestore:
         code, _, _ = run(capsys, "restore", "--model", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_enhanced_emb_restore_logs_one_stderr_line(self, capsys, tmp_path, dataset_file, vectors_file):
+        # Most variants of the dataset have no vector, so loading enhances with
+        # skips. A fresh process writes warnings through logging's last-resort
+        # handler, which pytest's own root handlers would stand in for here.
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "emb", FIXTURE, "--dataset", dataset_file,
+            "--vectors", vectors_file, "--scheme", "tweak2", "-o", str(model),
+        )
+        assert code == 0
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "diacritize.cli", "restore", "--model", str(model)],
+            input="nwanyi ziri akwa oma\n".encode(), capture_output=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.decode().splitlines()) == 1
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1 and "skipped" in err[0], err
+
 
 class TestEval:
     def test_cv_report(self, capsys, tmp_path, dataset_file):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import random
@@ -18,13 +19,18 @@ def make_instance(tokens, target, label="", line=0):
     return Instance(tokens=tuple(tokens), target=target, label=label, line=line)
 
 
+def count(table, ctx, variant):
+    """The count of variant after ctx in one level's rows, 0 when unseen."""
+    return table.get(ctx, {}).get(variant, 0)
+
+
 class TestTrain:
     def test_bigram_count_from_single_line(self):
         corp = corpus_from_lines(["nwanyị àhụ̀"])
         model = ngram.train(corp, 2, {"ahu": ["àhụ̀", "áhụ̀"]})
-        assert model.counts[1].get((("nwanyị",), "àhụ̀"), 0) == 1
-        assert model.counts[0].get(((), "àhụ̀"), 0) == 1
-        assert model.counts[1].get((("nwanyị",), "áhụ̀"), 0) == 0
+        assert count(model.counts[1], ("nwanyị",), "àhụ̀") == 1
+        assert count(model.counts[0], (), "àhụ̀") == 1
+        assert count(model.counts[1], ("nwanyị",), "áhụ̀") == 0
 
     def test_empty_corpus_gives_zero_model(self):
         model = ngram.train(corpus_from_lines([]), 3, {"ab": ["áb", "àb"]})
@@ -37,10 +43,12 @@ class TestTrain:
     def test_suffix_context_monotonicity(self, bigram_corpus):
         corp, major, minor = bigram_corpus
         model = ngram.train(corp, 3, {"ko": [major, minor]})
-        for (ctx, variant), count in model.counts[2].items():
-            assert count <= model.counts[1].get((ctx[1:], variant), 0)
-        for (ctx, variant), count in model.counts[1].items():
-            assert count <= model.counts[0].get(((), variant), 0)
+        for ctx, row in model.counts[2].items():
+            for variant, c in row.items():
+                assert c <= count(model.counts[1], ctx[1:], variant)
+        for ctx, row in model.counts[1].items():
+            for variant, c in row.items():
+                assert c <= count(model.counts[0], (), variant)
 
     def test_brute_force_bigram_recount(self):
         lines = ["x ká y", "x kà", "z ká x ká"]
@@ -55,7 +63,7 @@ class TestTrain:
                     for i in range(1, len(line))
                     if line[i] == variant and line[i - 1] == prev
                 )
-                assert model.counts[1].get(((prev,), variant), 0) == expected
+                assert count(model.counts[1], (prev,), variant) == expected
 
     def test_occurrences_are_variants_listed_under_their_own_wordkey(self):
         prepared = ngram.prepare(corpus.load_corpus(DATA / "fixture_corpus.txt"))
@@ -187,7 +195,7 @@ class TestBackoff:
         corp = corpus_from_lines(lines)
         model = ngram.train(corp, 2, {"ka": ["ká", "kà"]})
         inst = make_instance(["tie", "ka", "x"], 1)
-        assert model.counts[1][(("tie",), "ká")] == model.counts[1][(("tie",), "kà")] == 3
+        assert model.counts[1][("tie",)]["ká"] == model.counts[1][("tie",)]["kà"] == 3
         # bigram ties at 3-3, so the unigram majority (ká: 5 vs kà: 3) decides
         assert ngram.restore_instance(model, inst, 2) == "ká"
         assert ngram.restore_instance(model, inst, 2) == ngram.restore_instance(model, inst, 1)
@@ -252,12 +260,17 @@ class TestCrossval:
             fold = ngram.fold_model(shared, skip)
             for k in range(1, 6):
                 view, table = fold.counts[k - 1], fresh.counts[k - 1]
-                assert table.keys() <= shared.model.counts[k - 1].keys()
-                for key in shared.model.counts[k - 1]:
-                    # a key absent from the recount reads as absent, not as 0 or less
-                    assert view.get(key) == table.get(key)
-                    assert view.get(key, 0) == table.get(key, 0)
-                assert view.get(((), "no such variant"), 0) == 0
+                full = shared.model.counts[k - 1]
+                assert table.keys() <= full.keys()
+                for ctx, row in full.items():
+                    assert table.get(ctx, {}).keys() <= row.keys()
+                    for variant in row:
+                        # a count absent from the recount reads as absent, not as 0 or less
+                        assert view.get(ctx, {}).get(variant) == table.get(ctx, {}).get(variant)
+                        assert count(view, ctx, variant) == count(table, ctx, variant)
+                    # a row the held-out lines empty reads as unseen, as in the recount
+                    assert view.get(ctx) == table.get(ctx)
+                assert count(view, (), "no such variant") == 0
 
     def test_shared_count_below_the_order_is_a_model_error(self, bigram_corpus):
         corp, major, minor = bigram_corpus
@@ -274,6 +287,118 @@ class TestCrossval:
         inst = make_instance(["pam", "ko", ".", "7"], 1)
         assert ngram.restore_instance(model, inst, 2) == major
         # only the target changes; shape checks live on the pipeline side
+
+
+# Three wordkeys over few surfaces, so contexts recur, rows tie and held-out
+# lines empty rows. "ka" has one variant that is never written.
+EQUIV_CANDIDATES = {"ka": ["ka", "kà", "ká"], "o": ["o", "ò", "ọ"], "ne": ["ne", "né"]}
+EQUIV_FILLER = ["x", "y"]
+EQUIV_MAX_N = 4
+
+
+def equiv_lines(seed):
+    """Seeded lines of 0 to 6 lowercase surfaces, many shorter than the order."""
+    rng = random.Random(seed)
+    words = [v for v in sum(EQUIV_CANDIDATES.values(), []) if v != "ká"] + EQUIV_FILLER
+    return [[rng.choice(words) for _ in range(rng.randrange(7))] for _ in range(60)]
+
+
+def flat_recount(lines, max_n):
+    """(k, context, variant) -> count, straight off every indexed surface of lines."""
+    flat = collections.Counter()
+    for surfaces in lines:
+        for t, surface in enumerate(surfaces):
+            if surface in EQUIV_CANDIDATES.get(strip_diacritics(surface), ()):
+                for k in range(1, min(t + 1, max_n) + 1):
+                    flat[k, tuple(surfaces[t - k + 1 : t]), surface] += 1
+    return flat
+
+
+def top_down_choice(flat, left, variants, n, seen):
+    """The back-off walk from the largest order down, reading the flat recount.
+
+    seen collects which of ties and short lines the walk met.
+    """
+    if len(variants) == 1:
+        return variants[0]
+    if len(left) + 1 < n:
+        seen.add("short line")
+    for k in range(min(n, len(left) + 1), 1, -1):
+        ctx = tuple(left[len(left) - (k - 1) :])
+        scores = [flat[k, ctx, v] for v in variants]
+        best = max(scores)
+        if best > 0 and scores.count(best) == 1:
+            return variants[scores.index(best)]
+        if best > 0:
+            seen.add("tie")
+    scores = [flat[1, (), v] for v in variants]
+    return min(v for v, c in zip(variants, scores) if c == max(scores))
+
+
+def equiv_queries(lines, rng):
+    """Left contexts with their wordkey: every corpus prefix, plus random ones."""
+    words = sum(EQUIV_CANDIDATES.values(), []) + EQUIV_FILLER + ["unseen"]
+    queries = [(surfaces[:t], key) for surfaces in lines for t in range(len(surfaces) + 1) for key in EQUIV_CANDIDATES]
+    for _ in range(300):
+        left = [rng.choice(words) for _ in range(rng.randrange(6))]
+        queries.append((left, rng.choice(list(EQUIV_CANDIDATES))))
+    return queries
+
+
+class TestBottomUpBackoff:
+    """`_choose` walks up from order 2 and stops at the first unseen context.
+
+    It must pick what the top-down walk over a flat recount picks, for every
+    order, on full models and on fold views alike.
+    """
+
+    def check(self, model, flat, queries, seen):
+        index = {key: sorted(vs) for key, vs in EQUIV_CANDIDATES.items()}
+        for left, key in queries:
+            for n in range(1, EQUIV_MAX_N + 1):
+                got = ngram._choose(model, left, index[key], n)
+                assert got == top_down_choice(flat, left, index[key], n, seen), (left, key, n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_model_and_fold_views_match_the_top_down_walk(self, seed):
+        lines = equiv_lines(seed)
+        prepared = ngram.PreparedCorpus(lines=lines, unambiguous={})
+        rng = random.Random(seed)
+        queries = equiv_queries(lines, rng)
+        seen = set()
+        full = flat_recount(lines, EQUIV_MAX_N)
+        self.check(ngram.train(prepared, EQUIV_MAX_N, EQUIV_CANDIDATES), full, queries, seen)
+        shared = ngram.shared_counts(prepared, EQUIV_CANDIDATES, EQUIV_MAX_N)
+        for _ in range(5):
+            skip = set(rng.sample(range(len(lines)), rng.randrange(1, len(lines))))
+            kept = flat_recount([s for i, s in enumerate(lines) if i not in skip], EQUIV_MAX_N)
+            if {key[:2] for key in full if key[0] > 1} - {key[:2] for key in kept}:
+                seen.add("row emptied by the fold")
+            self.check(ngram.fold_model(shared, skip), kept, queries, seen)
+        assert seen == {"tie", "short line", "row emptied by the fold"}
+
+    def test_empty_model_and_empty_fold(self):
+        index = {key: sorted(vs) for key, vs in EQUIV_CANDIDATES.items()}
+        empty = ngram.train(ngram.PreparedCorpus(lines=[], unambiguous={}), EQUIV_MAX_N, EQUIV_CANDIDATES)
+        lines = equiv_lines(0)
+        shared = ngram.shared_counts(ngram.PreparedCorpus(lines=lines, unambiguous={}), EQUIV_CANDIDATES, EQUIV_MAX_N)
+        emptied = ngram.fold_model(shared, set(range(len(lines))))
+        queries = equiv_queries(lines, random.Random(1))
+        self.check(empty, collections.Counter(), queries, set())
+        self.check(emptied, collections.Counter(), queries, set())
+        for k in range(EQUIV_MAX_N):
+            assert all(emptied.counts[k].get(ctx) is None for ctx in shared.model.counts[k])
+        assert ngram._choose(empty, ["x"], index["ka"], 2) == index["ka"][0]
+
+    def test_pipeline_save_load_save_is_byte_identical(self, tmp_path, gate_corpus):
+        corp, _ = gate_corpus
+        pipe = pipeline.build_ngram_pipeline(corp, datasetgen.generate(corp), n=5)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        pipeline.save_pipeline(pipe, first)
+        loaded = pipeline.load_pipeline(first)
+        assert loaded.restorer.model.counts == pipe.restorer.model.counts
+        pipeline.save_pipeline(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from diacritize import classify, cli, datasetgen, embed, pipeline
+from diacritize import ngram
 from diacritize.corpus import corpus_from_lines
 
 LINES = (
@@ -264,3 +265,44 @@ def test_vocabulary_index_that_is_not_an_integer_is_a_data_error(index, files, t
     assert not out.exists()
     with pytest.raises(classify.ParseError, match="vocabulary indices"):
         classify.classifier_from_payload(clf)
+
+
+def break_ngram_entry(levels, how):
+    """One bad entry in an n-gram model's levels (k -> entries), as a hand edit makes it."""
+    if how == "context of three words at k=2":
+        levels[2][0][0] = ["ha", "ha", "kwera"]
+    elif how == "string context":
+        levels[2][0][0] = levels[2][0][0][0]
+    elif how == "context word that is not a string":
+        levels[2][0][0] = [7]
+    elif how == "variant that is not a string":
+        levels[1][0][1] = ["sì"]
+    elif how == "suffix missing at k-1":
+        levels[3][0][0][1] = "unseen"
+    elif how == "no unigram row":
+        levels[1].clear()
+    else:
+        levels[1][0][2] = json.loads(how.removeprefix("count "))
+
+
+NGRAM_BREAKS = [
+    "context of three words at k=2", "string context", "context word that is not a string",
+    "variant that is not a string", "suffix missing at k-1", "no unigram row",
+    "count true", "count 0", "count -1", "count 2.0", 'count "2"',
+]
+
+
+@pytest.mark.parametrize("how", NGRAM_BREAKS)
+def test_bad_ngram_entry_is_a_data_error_at_load(how, files, tmp_path, capsys):
+    spec = json.loads((files / "ngram.json").read_text(encoding="utf-8"))
+    model_spec = spec["restorer"]["model"]
+    levels = {level["k"]: level["entries"] for level in model_spec["levels"]}
+    assert sorted(levels) == [1, 2, 3] and all(levels.values())
+    break_ngram_entry(levels, how)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, how, capsys)
+    assert not out.exists()
+    with pytest.raises(ngram.ParseError, match="n-gram"):
+        ngram.model_from_payload(model_spec, {})
