@@ -66,6 +66,11 @@ class Hyper:
         return 0.1 if kind == PERCEPTRON else 0.01
 
 
+def odd_window(n) -> bool:
+    """The window rule: an odd integer of at least 3 (a bool is not one)."""
+    return type(n) is int and n >= 3 and n % 2 == 1
+
+
 def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
     """Context words from the width-n sticky window around the target.
 
@@ -73,7 +78,7 @@ def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
     when possible and pushed inward at sentence boundaries; the target itself
     and any punctuation/digit/symbol tokens are excluded.
     """
-    if n < 3 or n % 2 == 0:
+    if not odd_window(n):
         raise DataError(f"window size must be an odd integer >= 3, got {n}")
     if not (0 <= target_index < len(tokens)):
         raise DataError(f"target index {target_index} out of range")
@@ -630,9 +635,9 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     kind = payload["kind"]
     if kind not in KINDS:
         raise ParseError(f"unknown classifier kind: {kind!r}")
-    window = int(payload["window"])
-    if window < 3 or window % 2 == 0:
-        raise ParseError(f"classifier window must be an odd integer >= 3, got {window}")
+    window = payload["window"]
+    if not odd_window(window):
+        raise ParseError(f"classifier window must be an odd integer >= 3, got {window!r}")
     vocabulary = payload["vocabulary"]
     indices = vocabulary.values()
     if not set(map(type, indices)) <= {int} or sorted(indices) != list(range(len(vocabulary))):
@@ -640,7 +645,9 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     classes = list(payload["classes"])
     if not classes or not all(isinstance(c, str) for c in classes):
         raise ParseError("classifier classes must be a nonempty list of strings")
-    class_counts = [int(c) for c in payload["class_counts"]]
+    class_counts = list(payload["class_counts"])
+    if len(class_counts) != len(classes) or not all(type(c) is int and c >= 0 for c in class_counts):
+        raise ParseError("classifier class_counts must hold one non-negative integer per class")
     hyper = Hyper(**payload["hyper"])
     n_classes, n_features = len(classes), len(vocabulary)
     if kind == MULTINOMIAL_NB:

@@ -2,6 +2,12 @@
 
 Subcommands: stats, dataset, train (ngram|clf|emb), project, enhance,
 restore, eval (cv|fulltext), intrinsic (oddword|analogy|wordsim).
+
+Each leaf command takes only the flags its handler reads. `--seed`,
+`--window` and `--lowercase/--no-lowercase` sit on the commands that use
+them, each with that command's default: `--lowercase` is off for `stats`
+and on elsewhere. A flag the command does not take, or one shortened to a
+prefix, is a usage error.
 Exit codes: 0 success, 1 usage, 2 data error, 3 model error.
 """
 
@@ -9,116 +15,145 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
 from . import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
 from .errors import DataError, ModelError
 
+# The context window each family uses when --window is not given.
+WINDOW_DEFAULT = {"clf": 9, "emb": 11}
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # A prefix of a flag is not that flag: `--data` never reads as `--dataset`.
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # A leaf command refuses what it cannot read itself, so the usage shown is its own.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
 
-def _common_flags():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
-    common.add_argument("--window", type=int, default=None, help="context window size")
-    common.add_argument(
-        "--lowercase",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="lowercase before processing (default depends on the command)",
-    )
-    return common
+def _lowercase_flag(parser, default: bool = True) -> None:
+    parser.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=default,
+                        help="group words by their lowercase form")
 
 
+def _leaf(sub, name: str, handler, help: str):
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _train_leaf(train, family: str, handler, help: str):
+    p = _leaf(train, family, handler, help)
+    p.add_argument("corpus")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("-o", "--out", required=True)
+    _lowercase_flag(p)
+    return p
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    """The parser, built once per process; parsing keeps no state in it."""
     parser = _Parser(prog="diacritize", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common], help="corpus statistics as JSON")
+    p = _leaf(sub, "stats", _cmd_stats, "corpus statistics as JSON")
     p.add_argument("corpus")
     p.add_argument("--out", default=None)
+    _lowercase_flag(p, default=False)
 
-    p = sub.add_parser("dataset", parents=[common], help="generate the ambiguous dataset")
+    p = _leaf(sub, "dataset", _cmd_dataset, "generate the ambiguous dataset")
     p.add_argument("corpus")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--varnt-rep", type=float, default=0.05)
     p.add_argument("--wdkey-rep", type=float, default=0.0001)
     p.add_argument("--varnt-distrib", type=float, default=0.75)
+    _lowercase_flag(p)
 
-    p = sub.add_parser("train", parents=[common], help="train a restoration pipeline")
-    p.add_argument("family", choices=["ngram", "clf", "emb"])
-    p.add_argument("corpus")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("-n", type=int, default=5, help="n-gram order (ngram family)")
+    train = sub.add_parser("train", help="train a restoration pipeline")
+    train = train.add_subparsers(dest="family", required=True)
+    p = _train_leaf(train, "ngram", _cmd_train_ngram, "n-gram restorer")
+    p.add_argument("-n", type=int, default=5, help="n-gram order")
+    p = _train_leaf(train, "clf", _cmd_train_clf, "one linear classifier per wordkey")
     p.add_argument("--kind", default=classify.LOGISTIC, choices=classify.KINDS)
+    p.add_argument("--window", type=int, default=WINDOW_DEFAULT["clf"], help="context window size")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--vectors", default=None, help="word2vec text file (emb family)")
+    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
+    p = _train_leaf(train, "emb", _cmd_train_emb, "word-embedding restorer")
+    p.add_argument("--vectors", default=None, help="word2vec text file")
     p.add_argument("--scheme", default=embed.BASIC, choices=embed.SCHEMES)
-    p.add_argument("--top-n", type=int, default=50, help="cowords per variant (emb family)")
+    p.add_argument("--window", type=int, default=WINDOW_DEFAULT["emb"], help="context window size")
+    p.add_argument("--top-n", type=int, default=50, help="cowords per variant")
 
-    p = sub.add_parser("project", parents=[common], help="project vectors across languages")
+    p = _leaf(sub, "project", _cmd_project, "project vectors across languages")
     p.add_argument("--vectors", required=True)
     p.add_argument("--align", required=True)
     p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser("enhance", parents=[common], help="enhance variant vectors from cowords")
+    p = _leaf(sub, "enhance", _cmd_enhance, "enhance variant vectors from cowords")
     p.add_argument("--vectors", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--scheme", default=embed.TWEAK1, choices=embed.SCHEMES)
     p.add_argument("--top-n", type=int, default=50)
+    p.add_argument("--window", type=int, default=None, help="coword window (default: the whole sentence)")
+    _lowercase_flag(p)
     p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser("restore", parents=[common], help="restore stripped text")
+    p = _leaf(sub, "restore", _cmd_restore, "restore stripped text")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate restorers")
-    p.add_argument("mode", choices=["cv", "fulltext"])
+    evals = sub.add_parser("eval", help="evaluate restorers")
+    evals = evals.add_subparsers(dest="mode", required=True)
+    p = _leaf(evals, "cv", _cmd_cv, "cross-validate restorers on a dataset")
     p.add_argument("--corpus", default=None)
     p.add_argument("--dataset", default=None)
-    p.add_argument(
-        "--restorer",
-        action="append",
-        default=None,
-        help="ngram:N | clf:KIND | emb:SCHEME, repeatable",
-    )
-    p.add_argument("--vectors", default=None)
-    p.add_argument("--top-n", type=int, default=50)
+    p.add_argument("--restorer", action="append", help="ngram:N | clf:KIND | emb:SCHEME, repeatable")
+    p.add_argument("--vectors", default=None, help="word2vec text file (emb restorers)")
+    p.add_argument("--top-n", type=int, default=50, help="cowords per variant (emb restorers)")
     p.add_argument("-k", type=int, default=10, help="cross-validation folds")
-    p.add_argument("--restored", default=None, help="restored text (fulltext mode)")
-    p.add_argument("--gold", default=None, help="gold marked text (fulltext mode)")
+    p.add_argument("--seed", type=int, default=0, help="fold and shuffle seed")
+    p.add_argument("--window", type=int, default=None, help="context window size (default: per family)")
+    _lowercase_flag(p)
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--tsv", default=None, help="write the per-wordkey comparison TSV here")
+    p = _leaf(evals, "fulltext", _cmd_fulltext, "score restored text against gold text")
+    p.add_argument("--restored", default=None, help="restored text")
+    p.add_argument("--gold", default=None, help="gold marked text")
+    p.add_argument("--report", default=None, help="write the JSON report here")
 
-    p = sub.add_parser("intrinsic", parents=[common], help="intrinsic embedding tasks")
+    p = _leaf(sub, "intrinsic", _cmd_intrinsic, "intrinsic embedding tasks")
     p.add_argument("task", choices=["oddword", "analogy", "wordsim"])
     p.add_argument("--vectors", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--list-len", type=int, default=100)
-
+    p.add_argument("--list-len", type=int, default=100, help="ranked list length (analogy)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ModelError as exc:
         print(f"diacritize: model error: {exc}", file=sys.stderr)
         return 3
@@ -134,45 +169,21 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args) -> int:
-    handler = {
-        "stats": _cmd_stats,
-        "dataset": _cmd_dataset,
-        "train": _cmd_train,
-        "project": _cmd_project,
-        "enhance": _cmd_enhance,
-        "restore": _cmd_restore,
-        "eval": _cmd_eval,
-        "intrinsic": _cmd_intrinsic,
-    }[args.command]
-    return handler(args)
+def _window(window: int | None) -> int | None:
+    if window is not None and not classify.odd_window(window):
+        raise DataError(f"--window must be an odd integer >= 3, got {window}")
+    return window
 
 
-def _lowercase(args, default: bool) -> bool:
-    return default if args.lowercase is None else args.lowercase
-
-
-# The context window each family uses when --window is not given.
-WINDOW_DEFAULT = {"clf": 9, "emb": 11}
-
-
-def _window(args, default: int | None) -> int | None:
-    if args.window is None:
-        return default
-    if args.window < 3 or args.window % 2 == 0:
-        raise DataError(f"--window must be an odd integer >= 3, got {args.window}")
-    return args.window
-
-
-def _top_n(args) -> int:
-    if args.top_n < 0:
-        raise DataError(f"--top-n must be >= 0, got {args.top_n}")
-    return args.top_n
+def _top_n(top_n: int) -> int:
+    if top_n < 0:
+        raise DataError(f"--top-n must be >= 0, got {top_n}")
+    return top_n
 
 
 def _cmd_stats(args) -> int:
     corp = corpus.load_corpus(args.corpus)
-    text = corpus.compute_stats(corp, lowercase=_lowercase(args, default=False)).to_json()
+    text = corpus.compute_stats(corp, lowercase=args.lowercase).to_json()
     if args.out:
         with corpus.replace_on_success(args.out) as fh:
             print(text, file=fh)
@@ -184,10 +195,8 @@ def _cmd_stats(args) -> int:
 def _cmd_dataset(args) -> int:
     corp = corpus.load_corpus(args.corpus)
     params = datasetgen.GenParams(
-        varnt_rep=args.varnt_rep,
-        wdkey_rep=args.wdkey_rep,
-        varnt_distrib=args.varnt_distrib,
-        lowercase=_lowercase(args, default=True),
+        varnt_rep=args.varnt_rep, wdkey_rep=args.wdkey_rep, varnt_distrib=args.varnt_distrib,
+        lowercase=args.lowercase,
     )
     sets = datasetgen.generate(corp, params)
     datasetgen.write_dataset(sets, args.out)
@@ -196,34 +205,36 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    # Flags that only the classifier and embedding families read; checked before any work.
-    window = _window(args, WINDOW_DEFAULT[args.family]) if args.family in WINDOW_DEFAULT else None
-    top_n = _top_n(args) if args.family == "emb" else None
+def _train(args, build, **options) -> int:
+    """Build a pipeline from the corpus and dataset and write it to --out."""
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
         raise DataError(f"dataset {args.dataset} holds no ambiguous sets")
-    lowercase = _lowercase(args, default=True)
-    if args.family == "ngram":
-        pipe = pipeline.build_ngram_pipeline(corp, sets, n=args.n, lowercase=lowercase)
-    elif args.family == "clf":
-        hyper = classify.Hyper(
-            learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed
-        )
-        pipe = pipeline.build_classifier_pipeline(
-            corp, sets, kind=args.kind, window=window, hyper=hyper, lowercase=lowercase,
-        )
-    else:
-        if not args.vectors:
-            raise DataError("train emb requires --vectors")
-        pipe = pipeline.build_embedding_pipeline(
-            corp, sets, args.vectors, scheme=args.scheme,
-            window=window, top_n=top_n, lowercase=lowercase,
-        )
+    pipe = build(corp, sets, lowercase=args.lowercase, **options)
     pipeline.save_pipeline(pipe, args.out)
     print(f"wrote {pipe.family} pipeline to {args.out}")
     return 0
+
+
+def _cmd_train_ngram(args) -> int:
+    return _train(args, pipeline.build_ngram_pipeline, n=args.n)
+
+
+def _cmd_train_clf(args) -> int:
+    hyper = classify.Hyper(learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed)
+    window = _window(args.window)
+    return _train(args, pipeline.build_classifier_pipeline, kind=args.kind, window=window, hyper=hyper)
+
+
+def _cmd_train_emb(args) -> int:
+    window, top_n = _window(args.window), _top_n(args.top_n)
+    if not args.vectors:
+        raise DataError("train emb requires --vectors")
+    return _train(
+        args, pipeline.build_embedding_pipeline,
+        vectors_path=args.vectors, scheme=args.scheme, window=window, top_n=top_n,
+    )
 
 
 def _cmd_project(args) -> int:
@@ -236,15 +247,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    window = _window(args, None)  # None: the whole sentence
-    top_n = _top_n(args)
+    window, top_n = _window(args.window), _top_n(args.top_n)  # window None: the whole sentence
     model = embed.load_vectors(args.vectors)
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
-    cowords = embed.build_cowords(
-        corp, sets, top_n=top_n, window=window,
-        lowercase=_lowercase(args, default=True),
-    )
+    cowords = embed.build_cowords(corp, sets, top_n=top_n, window=window, lowercase=args.lowercase)
     enhanced = embed.enhance(model, cowords, scheme=args.scheme)
     embed.save_vectors(enhanced, args.out)
     print(f"wrote enhanced vectors ({args.scheme}) to {args.out}")
@@ -265,47 +272,44 @@ def _cmd_restore(args) -> int:
 
 
 def _parse_restorer_spec(spec: str):
-    parts = spec.split(":")
-    family = parts[0]
+    family, _, detail = spec.partition(":")
     if family == "ngram":
-        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+        if not (detail.isdecimal() and int(detail) >= 1):
             raise DataError(f"expected ngram:N with N >= 1, got {spec!r}")
-        return ("ngram", int(parts[1]))
-    if family == "clf":
-        if len(parts) != 2 or parts[1] not in classify.KINDS:
-            raise DataError(f"expected clf:KIND with KIND in {classify.KINDS}, got {spec!r}")
-        return ("clf", parts[1])
-    if family == "emb":
-        if len(parts) != 2 or parts[1] not in embed.SCHEMES:
-            raise DataError(f"expected emb:SCHEME with SCHEME in {embed.SCHEMES}, got {spec!r}")
-        return ("emb", parts[1])
-    raise DataError(f"unknown restorer family in {spec!r}")
+        return family, int(detail)
+    if family == "clf" and detail not in classify.KINDS:
+        raise DataError(f"expected clf:KIND with KIND in {classify.KINDS}, got {spec!r}")
+    if family == "emb" and detail not in embed.SCHEMES:
+        raise DataError(f"expected emb:SCHEME with SCHEME in {embed.SCHEMES}, got {spec!r}")
+    if family not in ("clf", "emb"):
+        raise DataError(f"unknown restorer family in {spec!r}")
+    return family, detail
 
 
-def _cmd_eval(args) -> int:
-    if args.mode == "fulltext":
-        if not (args.restored and args.gold):
-            raise DataError("eval fulltext requires --restored and --gold")
-        result = evaluate.full_text_eval(
-            corpus.load_corpus(args.restored), corpus.load_corpus(args.gold)
-        )
-        summary = {k: v for k, v in result.items() if k != "line_errors"}
-        text = json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True)
-        print(text)
-        if args.report:
-            with corpus.replace_on_success(args.report) as fh:
-                json.dump(result, fh, ensure_ascii=False, indent=2, sort_keys=True)
-                fh.write("\n")
-        return 0
+def _cmd_fulltext(args) -> int:
+    if not (args.restored and args.gold):
+        raise DataError("eval fulltext requires --restored and --gold")
+    result = evaluate.full_text_eval(corpus.load_corpus(args.restored), corpus.load_corpus(args.gold))
+    summary = {k: v for k, v in result.items() if k != "line_errors"}
+    print(json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True))
+    if args.report:
+        with corpus.replace_on_success(args.report) as fh:
+            json.dump(result, fh, ensure_ascii=False, indent=2, sort_keys=True)
+            fh.write("\n")
+    return 0
 
+
+def _cmd_cv(args) -> int:
     if not (args.corpus and args.dataset and args.restorer):
         raise DataError("eval cv requires --corpus, --dataset and at least one --restorer")
     specs = [_parse_restorer_spec(s) for s in args.restorer]
     if args.k < 2:
         raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
-    windows = {family: _window(args, default) for family, default in WINDOW_DEFAULT.items()}
-    top_n = _top_n(args)
-    if any(f == "emb" for f, _ in specs) and not args.vectors:
+    window = _window(args.window)
+    windows = {family: default if window is None else window for family, default in WINDOW_DEFAULT.items()}
+    top_n = _top_n(args.top_n)
+    embedded = any(f == "emb" for f, _ in specs)
+    if embedded and not args.vectors:
         raise DataError("emb restorers need --vectors")
     orders = [n for f, n in specs if f == "ngram"]
     tweaked = any(f == "emb" and d != embed.BASIC for f, d in specs)
@@ -314,17 +318,13 @@ def _cmd_eval(args) -> int:
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
         raise DataError(f"dataset {args.dataset} holds no ambiguous sets")
-    lowercase = _lowercase(args, default=True)
     candidates = {s.wordkey: [v for v, _ in s.variants] for s in sets}
-    emb_model = embed.load_vectors(args.vectors) if args.vectors else None
+    emb_model = embed.load_vectors(args.vectors) if embedded else None
     # One n-gram count, at the largest order, serves every n-gram restorer, and
     # one coword table every enhanced embedding scheme.
-    ngram_counts = (
-        ngram.shared_counts(ngram.prepare(corp, lowercase), candidates, max(orders))
-        if orders
-        else None
-    )
-    cowords = embed.build_cowords(corp, sets, top_n=top_n, lowercase=lowercase) if tweaked else None
+    prepared = ngram.prepare(corp, args.lowercase) if orders else None
+    ngram_counts = ngram.shared_counts(prepared, candidates, max(orders)) if orders else None
+    cowords = embed.build_cowords(corp, sets, top_n=top_n, lowercase=args.lowercase) if tweaked else None
 
     reports: dict[str, evaluate.MetricReport] = {}
     payload = {}
@@ -332,8 +332,7 @@ def _cmd_eval(args) -> int:
         model = emb_model
         if family == "emb" and detail != embed.BASIC:
             model = embed.enhance(emb_model, cowords, scheme=detail)
-        per_wordkey = {}
-        fold_details = {}
+        per_wordkey, fold_details = {}, {}
         for aset in sets:
             fit = _make_fitter(
                 family, detail, ngram_counts, aset, candidates, args.seed, windows, model, cowords
@@ -347,13 +346,10 @@ def _cmd_eval(args) -> int:
                 "failed_folds": result.failed_folds,
                 "warnings": result.warnings,
             }
-        report = evaluate.aggregate(per_wordkey)
-        reports[spec] = report
+        report = reports[spec] = evaluate.aggregate(per_wordkey)
         payload[spec] = {
-            "aggregate": report.aggregate,
-            "unweighted": report.unweighted,
-            "per_wordkey": report.per_wordkey,
-            "folds": fold_details,
+            "aggregate": report.aggregate, "unweighted": report.unweighted,
+            "per_wordkey": report.per_wordkey, "folds": fold_details,
         }
         agg = report.aggregate
         print(
@@ -383,13 +379,9 @@ def _cmd_intrinsic(args) -> int:
     model = embed.load_vectors(args.vectors)
     if args.task == "oddword":
         rows = embed.load_oddword_tsv(args.data)
-        correct = skipped = 0
-        for words, odd in rows:
-            got = embed.odd_word(model, words)
-            if got is None:
-                skipped += 1
-            elif got == odd:
-                correct += 1
+        got = [embed.odd_word(model, words) for words, _ in rows]
+        skipped = got.count(None)
+        correct = sum(g == odd for g, (_, odd) in zip(got, rows))
         usable = len(rows) - skipped
         score = correct / usable if usable else 0.0
         print(f"oddword accuracy {score:.4f} ({correct}/{usable} usable, {skipped} skipped)")

@@ -194,9 +194,9 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         raise ValueError("record needs a string 'wordkey'")
     key = record["wordkey"]
     if "variants" in record:
-        variants = [(v, int(c)) for v, c in record["variants"]]
-        if not variants or not all(isinstance(v, str) for v, _ in variants):
-            raise ValueError("'variants' must be a nonempty list of [surface, count] pairs")
+        variants = [(v, int(c)) for v, c in record["variants"]]  # int() words a non-numeric count
+        if not variants or not all(isinstance(v, str) and type(c) is int for v, c in record["variants"]):
+            raise ValueError("'variants' must be a nonempty list of [surface, integer count] pairs")
         aset = AmbiguousSet(wordkey=key, variants=variants)
         sets.append(aset)
         by_key[key] = aset
@@ -207,16 +207,17 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
     aset = by_key.get(key)
     if aset is None:
         raise ValueError(f"instance for unknown wordkey '{key}'")
-    tokens, target, label = record["tokens"], int(record["target"]), record["label"]
+    tokens, target, label, line = record["tokens"], record["target"], record["label"], record.get("line", -1)
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("'tokens' must be a list of strings")
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")
+    if type(target) is not int or type(line) is not int:
+        name, value = ("target", target) if type(target) is not int else ("line", line)
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
     if not 0 <= target < len(tokens):
         raise ValueError(f"'target' {target} is outside the {len(tokens)} tokens")
-    aset.instances.append(
-        Instance(tokens=tuple(tokens), target=target, label=label, line=int(record.get("line", -1)))
-    )
+    aset.instances.append(Instance(tokens=tuple(tokens), target=target, label=label, line=line))
 
 
 def _dumps(obj) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import Corpus, TokenKind, open_text, replace_on_success, strip_diacritics
 from .datasetgen import AmbiguousSet, Instance, majority_variant
 from .errors import DataError, ModelError, ParseError
-from .classify import extract_window
+from .classify import extract_window, odd_window
 
 log = logging.getLogger(__name__)
 
@@ -369,7 +369,7 @@ class EmbeddingRestorer:
         scheme, window = spec["scheme"], spec["window"]
         if scheme not in SCHEMES:
             raise ParseError(f"unknown embedding scheme: {scheme!r}")
-        if window is not None and (not isinstance(window, int) or window < 3 or window % 2 == 0):
+        if window is not None and not odd_window(window):
             raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
         cowords = {v: [(w, int(c)) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
         if not all(isinstance(w, str) for pairs in (cowords or {}).values() for w, _ in pairs):

@@ -172,9 +172,9 @@ def load_pipeline(path) -> Pipeline:
         family = payload["family"]
         if family not in FAMILIES:
             raise ModelError(f"unknown pipeline family: {family!r}")
-        index = {k: [(v, int(c)) for v, c in vs] for k, vs in payload["variant_index"].items()}
-        if not all(vs and all(isinstance(v, str) for v, _ in vs) for vs in index.values()):
-            raise ParseError("variant_index lists must be nonempty [variant, count] pairs")
+        index = {k: [(v, c) for v, c in vs] for k, vs in payload["variant_index"].items()}
+        if not all(vs and all(type(v) is str and type(c) is int and c >= 0 for v, c in vs) for vs in index.values()):
+            raise ParseError("variant_index lists must be nonempty [variant, non-negative integer count] pairs")
         unambiguous = dict(payload["unambiguous"])
         if not all(isinstance(v, str) for v in unambiguous.values()):
             raise ParseError("unambiguous forms must be strings")

@@ -1,9 +1,12 @@
+import argparse
 import builtins
 import errno
 import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +15,12 @@ import numpy as np
 import pytest
 
 from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram
-from diacritize.cli import main
+from diacritize.cli import build_parser, main
 from diacritize.corpus import strip_diacritics
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 FIXTURE = str(DATA / "fixture_corpus.txt")
 GOLDEN = DATA / "golden_dataset.jsonl"
 
@@ -333,6 +337,22 @@ class TestEval:
         assert code == 0
         assert len(calls) == loads
 
+    @pytest.mark.parametrize("restorers, loads", [(["ngram:2"], 0), (["clf:logistic"], 0), (["emb:basic"], 1)])
+    def test_vectors_read_only_when_an_emb_restorer_needs_them(
+        self, capsys, tmp_path, dataset_file, vectors_file, monkeypatch, restorers, loads
+    ):
+        calls = []
+        real = embed.load_vectors
+        monkeypatch.setattr(embed, "load_vectors", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        flags = [f for spec in restorers for f in ("--restorer", spec)]
+        vectors = vectors_file if loads else str(tmp_path / "nonexistent.vec")
+        code, _, err = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
+            "--vectors", vectors, "-k", "2", *flags,
+        )
+        assert (code, err) == (0, "")
+        assert len(calls) == loads
+
     def test_bad_restorer_spec(self, capsys, dataset_file):
         code, _, _ = run(
             capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
@@ -400,8 +420,8 @@ class TestFlagRanges:
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
     @pytest.mark.parametrize("family", ["clf", "emb"])
     def test_train_window(self, capsys, tmp_path, dataset_file, vectors_file, family, window):
-        argv = ["train", family, FIXTURE, "--dataset", dataset_file, "--vectors", vectors_file,
-                "--window", window]
+        vectors = ["--vectors", vectors_file] if family == "emb" else []
+        argv = ["train", family, FIXTURE, "--dataset", dataset_file, *vectors, "--window", window]
         self.check_rejected(capsys, tmp_path, argv, "-o")
 
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
@@ -855,3 +875,136 @@ class TestEveryOutputReplacedOnSuccess:
         assert code == 0
         assert sha256(out) == NGRAM_PIPELINE_SHA[5]
         assert out.stat().st_mode & 0o777 == 0o600
+
+
+# The option strings of each leaf command: every one is read by the command's
+# handler, so no flag is accepted and then ignored.
+LEAF_FLAGS = {
+    "stats": {"--out", "--lowercase", "--no-lowercase"},
+    "dataset": {"-o", "--out", "--varnt-rep", "--wdkey-rep", "--varnt-distrib", "--lowercase", "--no-lowercase"},
+    "train ngram": {"--dataset", "-o", "--out", "--lowercase", "--no-lowercase", "-n"},
+    "train clf": {
+        "--dataset", "-o", "--out", "--lowercase", "--no-lowercase",
+        "--kind", "--window", "--epochs", "--lr", "--l2", "--seed",
+    },
+    "train emb": {
+        "--dataset", "-o", "--out", "--lowercase", "--no-lowercase",
+        "--vectors", "--scheme", "--window", "--top-n",
+    },
+    "project": {"--vectors", "--align", "-o", "--out"},
+    "enhance": {
+        "--vectors", "--corpus", "--dataset", "--scheme", "--top-n", "--window",
+        "--lowercase", "--no-lowercase", "-o", "--out",
+    },
+    "restore": {"--model", "--in", "--out"},
+    "eval cv": {
+        "--corpus", "--dataset", "--restorer", "--vectors", "--top-n", "-k", "--seed", "--window",
+        "--lowercase", "--no-lowercase", "--report", "--tsv",
+    },
+    "eval fulltext": {"--restored", "--gold", "--report"},
+    "intrinsic": {"--vectors", "--data", "--list-len"},
+}
+# An argv that parses for each leaf command, with every required argument given.
+LEAF_ARGV = {
+    "stats": ["C"],
+    "dataset": ["C", "-o", "O"],
+    "train ngram": ["C", "--dataset", "D", "-o", "O"],
+    "train clf": ["C", "--dataset", "D", "-o", "O"],
+    "train emb": ["C", "--dataset", "D", "-o", "O"],
+    "project": ["--vectors", "V", "--align", "A", "-o", "O"],
+    "enhance": ["--vectors", "V", "--corpus", "C", "--dataset", "D", "-o", "O"],
+    "restore": ["--model", "M"],
+    "eval cv": [],
+    "eval fulltext": [],
+    "intrinsic": ["oddword", "--vectors", "V", "--data", "T"],
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) for every leaf command below parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def flag_actions(parser):
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+class TestFlagTable:
+    def test_each_leaf_takes_only_the_flags_it_reads(self):
+        leaves = dict(leaf_parsers(build_parser()))
+        assert {cmd: {s for a in flag_actions(p) for s in a.option_strings} for cmd, p in leaves.items()} == LEAF_FLAGS
+        # (command, flag) pairs: 103 before the leaf parsers, of which 58 were read.
+        assert sum(len(flag_actions(p)) for p in leaves.values()) == 58
+
+    def test_shared_flags_carry_each_commands_default(self):
+        defaults = {
+            cmd: {a.dest: a.default for a in flag_actions(p) if a.dest in ("seed", "window", "lowercase")}
+            for cmd, p in leaf_parsers(build_parser())
+        }
+        assert defaults == {
+            "stats": {"lowercase": False},
+            "dataset": {"lowercase": True},
+            "train ngram": {"lowercase": True},
+            "train clf": {"lowercase": True, "window": 9, "seed": 0},
+            "train emb": {"lowercase": True, "window": 11},
+            "project": {},
+            "enhance": {"lowercase": True, "window": None},
+            "restore": {},
+            "eval cv": {"lowercase": True, "window": None, "seed": 0},
+            "eval fulltext": {},
+            "intrinsic": {},
+        }
+
+    @pytest.mark.parametrize("command", sorted(LEAF_FLAGS))
+    def test_a_flag_of_another_command_exits_one_with_usage(self, capsys, command):
+        argv = [*command.split(), *LEAF_ARGV[command]]
+        build_parser().parse_args(argv)
+        others = set().union(*LEAF_FLAGS.values()) - LEAF_FLAGS[command]
+        assert others
+        for flag in sorted(others):
+            code, out, err = run(capsys, *argv, flag)
+            assert code == 1, flag
+            assert out == ""
+            # The usage shown is the command's own.
+            assert err.startswith(f"usage: diacritize {command} "), flag
+            assert err.endswith(f"diacritize {command}: error: unrecognized arguments: {flag}\n"), flag
+
+    def test_a_flag_shortened_to_a_prefix_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "train", "ngram", FIXTURE, "--data", str(GOLDEN), "-o", "O")
+        assert code == 1
+        assert err.startswith("usage: diacritize train ngram ")
+
+    def test_every_readme_invocation_parses(self):
+        text = README.read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+        commands = [
+            shlex.split(command)
+            for block in blocks
+            for command in re.findall(r"(?:^|\|\s*)diacritize (.*)$", block.replace("\\\n", " "), flags=re.M)
+        ]
+        seen = set()
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            seen.add(next(cmd for cmd, p in leaf_parsers(build_parser()) if p.get_default("handler") is args.handler))
+        # The README shows every leaf command.
+        assert seen == set(LEAF_FLAGS)
+
+    def test_main_calls_share_no_parse_state(self, capsys, tmp_path, dataset_file):
+        assert build_parser() is build_parser()
+        for spec in ("ngram:1", "ngram:2"):
+            report = tmp_path / f"{spec}.json"
+            code, _, _ = run(
+                capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
+                "--restorer", spec, "-k", "2", "--report", str(report),
+            )
+            assert code == 0
+            assert set(json.loads(report.read_text(encoding="utf-8"))) == {spec}
+        for lowercase in (True, False, True):
+            code, out, _ = run(capsys, "stats", FIXTURE, *(["--lowercase"] if lowercase else []))
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STATS_SHA[lowercase]

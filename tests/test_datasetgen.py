@@ -243,3 +243,25 @@ class TestSerialization:
         )
         with pytest.raises(ParseError, match="unknown wordkey"):
             read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target", '"1"'), ("target", "1.7"), ("target", "true"),
+        ("line", "2.5"), ("line", '"0"'), ("line", "false"),
+        ("count", "4.5"), ("count", '"4"'), ("count", "true"),
+    ],
+)
+def test_non_integer_field_is_parse_error_with_line(tmp_path, field, value):
+    header = '{"wordkey":"ab","variants":[["áb",COUNT],["àb",1]]}'
+    record = '{"wordkey":"ab","tokens":["x","ab"],"target":TARGET,"label":"áb","line":LINE}'
+    fields = {"COUNT": "1", "TARGET": "1", "LINE": "0"}
+    fields[field.upper()] = value
+    for name, text in fields.items():
+        header, record = header.replace(name, text), record.replace(name, text)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{header}\n{record}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="integer") as err:
+        read_dataset(path)
+    assert err.value.line == (1 if field == "count" else 2)

@@ -306,3 +306,72 @@ def test_bad_ngram_entry_is_a_data_error_at_load(how, files, tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ngram.ParseError, match="n-gram"):
         ngram.model_from_payload(model_spec, {})
+
+
+def break_counts(spec, how):
+    """One count in a classifier pipeline made something other than a non-negative int."""
+    clf = next(iter(spec["restorer"]["models"].values()))
+    pairs = next(iter(spec["variant_index"].values()))
+    if how == "class_counts shorter than classes":
+        clf["class_counts"] = clf["class_counts"][:-1]
+    elif how == "class_counts longer, of floats":
+        clf["class_counts"] = [c + 0.9 for c in clf["class_counts"]] + [2.9]
+    elif how.startswith("class_counts "):
+        clf["class_counts"][0] = json.loads(how.removeprefix("class_counts "))
+    else:
+        pairs[0][1] = json.loads(how.removeprefix("variant count "))
+    return clf
+
+
+COUNT_BREAKS = [
+    "class_counts shorter than classes", "class_counts longer, of floats",
+    "class_counts 2.9", "class_counts true", "class_counts -1",
+    "variant count 2.9", "variant count true", "variant count -1", 'variant count "2"',
+]
+
+
+@pytest.mark.parametrize("how", COUNT_BREAKS)
+def test_count_that_is_not_a_non_negative_integer_is_a_data_error_at_load(how, files, tmp_path, capsys):
+    spec = json.loads((files / "logistic.json").read_text(encoding="utf-8"))
+    clf = break_counts(spec, how)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, how, capsys)
+    assert not out.exists()
+    with pytest.raises(pipeline.ParseError, match="class_counts" if how.startswith("class") else "variant_index"):
+        pipeline.load_pipeline(model)
+    if how.startswith("class"):
+        with pytest.raises(classify.ParseError, match="class_counts"):
+            classify.classifier_from_payload(clf)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("target", '"1"'), ("target", "1.7"), ("target", "true"), ("line", "2.5"), ("count", "4.5"), ("count", '"4"')],
+)
+def test_non_integer_field_in_a_dataset_is_a_data_error(field, value, files, tmp_path, capsys):
+    records = [json.loads(line) for line in (files / "sets.jsonl").read_text(encoding="utf-8").splitlines()]
+    header, instance = records[0], records[1]
+    if field == "count":
+        header["variants"][0][1] = json.loads(value)
+    else:
+        instance[field] = json.loads(value)
+    data, out = tmp_path / "sets.jsonl", tmp_path / "pipe.json"
+    data.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    argv = ["train", "ngram", str(files / "corpus.txt"), "--dataset", str(data), "-o", str(out)]
+    run_data_error(argv, f"{field} {value}", capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["9.5", '"9"', "true", "4", "1"])
+def test_classifier_window_that_breaks_the_window_rule_is_a_data_error(window, files, tmp_path, capsys):
+    spec, clf = classifier_spec(files)
+    clf["window"] = json.loads(window)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, window, capsys)
+    assert not out.exists()
+    with pytest.raises(classify.ParseError, match="classifier window"):
+        classify.classifier_from_payload(clf)
