@@ -19,11 +19,12 @@ head, so `train_classifier` and each CV fold train serially. So does the
 perceptron, which updates only on mistakes and stops classes early, and naive
 Bayes, which does not iterate.
 
-Scoring reads plain Python floats. The numpy arrays of a vectorizer and a model
-are their stored form; each also keeps plain-float copies (the idf list; the
-weight rows and biases, or naive Bayes's log-probability rows and log priors),
-made once when it is built, since each read from a numpy array would box a numpy
-scalar. Every sum runs left to right from 0.0 (naive Bayes from the prior), in
+A trained or loaded classifier holds its numbers once, as plain Python floats:
+the vectorizer's idf list, and the model's rows and offsets (the weight rows and
+biases, or naive Bayes's log-probability rows and log priors). Scoring reads
+them with no numpy scalar boxed; numpy works only inside the naive Bayes fit,
+the lockstep head and the load check, each handing its result over once with
+tolist(). Every sum runs left to right from 0.0 (naive Bayes from the prior), in
 the order the numpy-scalar formula took, so scores keep their bits. No scoring
 or training loop calls sum(): from Python 3.12 it rounds a sum of floats in
 another way. Nor does training call a numpy reduction (sum, dot, @, einsum,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,11 +96,7 @@ def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
 @dataclass
 class Vectorizer:
     vocabulary: dict[str, int]
-    idf: np.ndarray
-    idf_values: list[float] = field(init=False, repr=False)  # idf as plain floats
-
-    def __post_init__(self):
-        self.idf_values = self.idf.tolist()
+    idf: list[float]
 
     @classmethod
     def fit(cls, windows) -> "Vectorizer":
@@ -111,12 +108,10 @@ class Vectorizer:
         for window in windows:
             for term in set(window):
                 df[term] = df.get(term, 0) + 1
-        vocabulary = {term: i for i, term in enumerate(sorted(df))}
+        terms = sorted(df)
         n_docs = len(windows)
-        idf = np.zeros(len(vocabulary))
-        for term, i in vocabulary.items():
-            idf[i] = math.log((1 + n_docs) / (1 + df[term])) + 1.0
-        return cls(vocabulary=vocabulary, idf=idf)
+        idf = [math.log((1 + n_docs) / (1 + df[term])) + 1.0 for term in terms]
+        return cls(vocabulary={term: i for i, term in enumerate(terms)}, idf=idf)
 
     def transform(self, window) -> dict[int, float]:
         """tf-idf the window into a unit-length sparse vector; unknown terms drop."""
@@ -125,7 +120,7 @@ class Vectorizer:
             idx = self.vocabulary.get(term)
             if idx is not None:
                 tf[idx] = tf.get(idx, 0) + 1
-        idf = self.idf_values
+        idf = self.idf
         vec = {idx: count * idf[idx] for idx, count in tf.items()}
         total = 0.0
         for v in vec.values():
@@ -143,20 +138,11 @@ class LinearModel:
     class_counts: list[int]
     n_features: int
     hyper: Hyper
-    weights: np.ndarray | None = None  # (n_classes, n_features)
-    bias: np.ndarray | None = None
-    class_log_prior: np.ndarray | None = None  # naive Bayes
-    feature_log_prob: np.ndarray | None = None
+    # The weight rows (n_classes x n_features) and biases, or for naive Bayes
+    # the feature log-probability rows and class log priors.
+    rows: list[list[float]]
+    offsets: list[float]
     train_errors: dict[str, list[float]] | None = None  # perceptron epoch errors
-    # Plain-float copies that scoring reads: weights and bias, or for naive
-    # Bayes feature_log_prob and class_log_prior.
-    rows: list[list[float]] = field(init=False, repr=False)
-    offsets: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        nb = self.kind == MULTINOMIAL_NB
-        self.rows = (self.feature_log_prob if nb else self.weights).tolist()
-        self.offsets = (self.class_log_prior if nb else self.bias).tolist()
 
 
 def _sigmoid(z: float) -> float:
@@ -235,7 +221,7 @@ def _train_models(kind: str, sets, hyper: Hyper | None) -> list[LinearModel]:
 
 
 def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
-    """The fitted fields of a naive Bayes model: class log priors and feature log-probabilities."""
+    """The fitted fields of a naive Bayes model: feature log-probability rows, class log priors."""
     index = {cls: i for i, cls in enumerate(classes)}
     totals = np.zeros((len(classes), n_features))
     for x, label in zip(X, y):
@@ -244,8 +230,8 @@ def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
             row[i] += v
     smoothed = totals + hyper.alpha
     return {
-        "class_log_prior": np.log(np.array(class_counts, dtype=float) / len(y)),
-        "feature_log_prob": np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True)),
+        "rows": (np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))).tolist(),
+        "offsets": np.log(np.array(class_counts, dtype=float) / len(y)).tolist(),
     }
 
 
@@ -291,7 +277,7 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     while enough (set, class) pairs are live; each set then finishes in
     `_serial_sgd` from the step the head reached. Both give the same bits. A
     single set, and every perceptron, takes the serial loop alone. Returns, per
-    set, the weights, bias and, for the perceptron, train_errors.
+    set, its weight rows, biases (offsets) and, for the perceptron, train_errors.
     """
     fits = [_SGDFit(*training, hyper.seed) for training in sets]
     n_pairs = len([c for fit in fits for c in fit.classes])
@@ -361,8 +347,8 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     if scale != 1.0:
         weights = [[wi * scale for wi in w] for w in weights]
     return {
-        "weights": np.array(weights, dtype=float),
-        "bias": np.array(bias, dtype=float),
+        "rows": weights,
+        "offsets": bias,
         "train_errors": dict(zip(fit.classes, errors)) if kind == PERCEPTRON else None,
     }
 
@@ -471,9 +457,9 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
         bias[pairs] = live_bias
         for f in live:
             if ends[f] == step:
-                fits[f].fitted = {
-                    "weights": block(f) * scale if scale != 1.0 else block(f).copy(),
-                    "bias": biases(f).copy(),
+                fits[f].fitted = {  # x * 1.0 is x, bit for bit
+                    "rows": (block(f) * scale).tolist(),
+                    "offsets": biases(f).tolist(),
                     "train_errors": None,
                 }
         live = [f for f in live if ends[f] > step]
@@ -604,7 +590,7 @@ def classifier_payload(clf: TextClassifier) -> dict:
         "classes": m.classes,
         "class_counts": m.class_counts,
         "vocabulary": clf.vectorizer.vocabulary,
-        "idf": clf.vectorizer.idf.tolist(),
+        "idf": clf.vectorizer.idf,
         "hyper": {
             "learning_rate": m.hyper.learning_rate,
             "epochs": m.hyper.epochs,
@@ -614,21 +600,19 @@ def classifier_payload(clf: TextClassifier) -> dict:
         },
     }
     if m.kind == MULTINOMIAL_NB:
-        payload["nb_params"] = {
-            "class_log_prior": m.class_log_prior.tolist(),
-            "feature_log_prob": m.feature_log_prob.tolist(),
-        }
+        payload["nb_params"] = {"class_log_prior": m.offsets, "feature_log_prob": m.rows}
     else:
-        payload["weights"] = m.weights.tolist()
-        payload["bias"] = m.bias.tolist()
+        payload["weights"] = m.rows
+        payload["bias"] = m.offsets
     return payload
 
 
-def _finite_array(source: dict, name: str, shape: tuple) -> np.ndarray:
+def _finite_array(source: dict, name: str, shape: tuple) -> list:
+    """source[name] as plain floats, once numpy has checked its shape and finiteness."""
     array = np.array(source[name], dtype=float)
     if array.shape != shape or not np.isfinite(array).all():
         raise ParseError(f"classifier {name} must be finite, of shape {shape}")
-    return array
+    return array.tolist()
 
 
 def classifier_from_payload(payload: dict) -> TextClassifier:
@@ -650,22 +634,17 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
         raise ParseError("classifier class_counts must hold one non-negative integer per class")
     hyper = Hyper(**payload["hyper"])
     n_classes, n_features = len(classes), len(vocabulary)
-    if kind == MULTINOMIAL_NB:
-        source = payload["nb_params"]
-        shapes = {"class_log_prior": (n_classes,), "feature_log_prob": (n_classes, n_features)}
+    nb = kind == MULTINOMIAL_NB
+    source = payload["nb_params"] if nb else payload
+    idf = _finite_array(payload, "idf", (n_features,))
+    if nb:
+        offsets = _finite_array(source, "class_log_prior", (n_classes,))
+        rows = _finite_array(source, "feature_log_prob", (n_classes, n_features))
     else:
-        source = payload
-        shapes = {"weights": (n_classes, n_features), "bias": (n_classes,)}
-    vectorizer = Vectorizer(vocabulary=vocabulary, idf=_finite_array(payload, "idf", (n_features,)))
-    model = LinearModel(
-        kind=kind,
-        classes=classes,
-        class_counts=class_counts,
-        n_features=n_features,
-        hyper=hyper,
-        **{name: _finite_array(source, name, shape) for name, shape in shapes.items()},
-    )
-    return TextClassifier(window=window, vectorizer=vectorizer, model=model)
+        rows = _finite_array(source, "weights", (n_classes, n_features))
+        offsets = _finite_array(source, "bias", (n_classes,))
+    model = LinearModel(kind, classes, class_counts, n_features, hyper, rows, offsets)
+    return TextClassifier(window=window, vectorizer=Vectorizer(vocabulary, idf), model=model)
 
 
 @dataclass

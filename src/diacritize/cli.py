@@ -55,6 +55,13 @@ def _leaf(sub, name: str, handler, help: str):
     return p
 
 
+def _intrinsic_leaf(intrinsic, task: str, handler, help: str):
+    p = _leaf(intrinsic, task, handler, help)
+    p.add_argument("--vectors", required=True)
+    p.add_argument("--data", required=True)
+    return p
+
+
 def _train_leaf(train, family: str, handler, help: str):
     p = _leaf(train, family, handler, help)
     p.add_argument("corpus")
@@ -139,11 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", default=None, help="gold marked text")
     p.add_argument("--report", default=None, help="write the JSON report here")
 
-    p = _leaf(sub, "intrinsic", _cmd_intrinsic, "intrinsic embedding tasks")
-    p.add_argument("task", choices=["oddword", "analogy", "wordsim"])
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--list-len", type=int, default=100, help="ranked list length (analogy)")
+    intrinsic = sub.add_parser("intrinsic", help="intrinsic embedding tasks")
+    intrinsic = intrinsic.add_subparsers(dest="task", required=True)
+    _intrinsic_leaf(intrinsic, "oddword", _cmd_oddword, "odd-one-out accuracy")
+    p = _intrinsic_leaf(intrinsic, "analogy", _cmd_analogy, "analogy mean reciprocal rank")
+    p.add_argument("--list-len", type=int, default=100, help="ranked list length")
+    _intrinsic_leaf(intrinsic, "wordsim", _cmd_wordsim, "word-similarity Pearson correlation")
     return parser
 
 
@@ -300,8 +308,8 @@ def _cmd_fulltext(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    if not (args.corpus and args.dataset and args.restorer):
-        raise DataError("eval cv requires --corpus, --dataset and at least one --restorer")
+    if not (args.dataset and args.restorer):
+        raise DataError("eval cv requires --dataset and at least one --restorer")
     specs = [_parse_restorer_spec(s) for s in args.restorer]
     if args.k < 2:
         raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
@@ -314,6 +322,8 @@ def _cmd_cv(args) -> int:
     orders = [n for f, n in specs if f == "ngram"]
     tweaked = any(f == "emb" and d != embed.BASIC for f, d in specs)
     # Only n-gram counts and embedding cowords read the corpus.
+    if (orders or tweaked) and not args.corpus:
+        raise DataError("ngram and enhanced emb restorers need --corpus")
     corp = corpus.load_corpus(args.corpus) if orders or tweaked else None
     sets = datasetgen.read_dataset(args.dataset)
     if not sets:
@@ -375,24 +385,28 @@ def _make_fitter(family, detail, ngram_counts, aset, candidates, seed, windows, 
     return embed.cv_fitter(model, aset, scheme=detail, window=windows["emb"], cowords=cowords)
 
 
-def _cmd_intrinsic(args) -> int:
-    model = embed.load_vectors(args.vectors)
-    if args.task == "oddword":
-        rows = embed.load_oddword_tsv(args.data)
-        got = [embed.odd_word(model, words) for words, _ in rows]
-        skipped = got.count(None)
-        correct = sum(g == odd for g, (_, odd) in zip(got, rows))
-        usable = len(rows) - skipped
-        score = correct / usable if usable else 0.0
-        print(f"oddword accuracy {score:.4f} ({correct}/{usable} usable, {skipped} skipped)")
-    elif args.task == "analogy":
-        quads = embed.load_analogy_tsv(args.data)
-        score = embed.analogy_mrr(model, quads, list_len=args.list_len)
-        print(f"analogy mrr {score:.4f} over {len(quads)} quads (list length {args.list_len})")
-    else:
-        pairs = embed.load_wordsim_tsv(args.data)
-        r, used = embed.wordsim_pearson(model, pairs)
-        print(f"wordsim pearson {r:.4f} over {used}/{len(pairs)} usable pairs")
+def _cmd_oddword(args) -> int:
+    model, rows = embed.load_vectors(args.vectors), embed.load_oddword_tsv(args.data)
+    got = [embed.odd_word(model, words) for words, _ in rows]
+    skipped = got.count(None)
+    correct = sum(g == odd for g, (_, odd) in zip(got, rows))
+    usable = len(rows) - skipped
+    score = correct / usable if usable else 0.0
+    print(f"oddword accuracy {score:.4f} ({correct}/{usable} usable, {skipped} skipped)")
+    return 0
+
+
+def _cmd_analogy(args) -> int:
+    model, quads = embed.load_vectors(args.vectors), embed.load_analogy_tsv(args.data)
+    score = embed.analogy_mrr(model, quads, list_len=args.list_len)
+    print(f"analogy mrr {score:.4f} over {len(quads)} quads (list length {args.list_len})")
+    return 0
+
+
+def _cmd_wordsim(args) -> int:
+    model, pairs = embed.load_vectors(args.vectors), embed.load_wordsim_tsv(args.data)
+    r, used = embed.wordsim_pearson(model, pairs)
+    print(f"wordsim pearson {r:.4f} over {used}/{len(pairs)} usable pairs")
     return 0
 
 

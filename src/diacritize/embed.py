@@ -371,9 +371,10 @@ class EmbeddingRestorer:
             raise ParseError(f"unknown embedding scheme: {scheme!r}")
         if window is not None and not odd_window(window):
             raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
-        cowords = {v: [(w, int(c)) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
-        if not all(isinstance(w, str) for pairs in (cowords or {}).values() for w, _ in pairs):
-            raise ParseError("embedding cowords must be [word, count] pairs")
+        cowords = {v: [(w, c) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
+        entries = [entry for pairs in (cowords or {}).values() for entry in pairs]
+        if not all(isinstance(w, str) and type(c) is int and c >= 0 for w, c in entries):
+            raise ParseError("embedding cowords must be [word, non-negative integer count] pairs")
         if scheme in (TWEAK2, TWEAK3) and cowords is None:
             raise ParseError(f"scheme {scheme} needs a coword table")
         model = load_vectors(vectors_path)

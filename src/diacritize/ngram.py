@@ -191,9 +191,9 @@ class NGramRestorer:
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "NGramRestorer":
         model = model_from_payload(spec["model"], variant_index)
-        n = int(spec["n"])
-        if not (1 <= n <= model.max_n):
-            raise ParseError(f"n-gram order must be in 1..{model.max_n}, got {n}")
+        n = spec["n"]
+        if type(n) is not int or not (1 <= n <= model.max_n):
+            raise ParseError(f"n-gram order must be an integer in 1..{model.max_n}, got {n!r}")
         return cls(model=model, n=n)
 
 

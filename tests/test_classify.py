@@ -179,8 +179,8 @@ class TestLogistic:
                 gw, gb = logistic_example_grad(w, b, X[j], 1 if y[j] == cls else 0, hyper.l2)
                 w = w - hyper.learning_rate * gw
                 b = b - hyper.learning_rate * gb
-            np.testing.assert_allclose(model.weights[c], w, rtol=1e-12, atol=0)
-            assert model.bias[c] == pytest.approx(b, rel=1e-12, abs=0)
+            np.testing.assert_allclose(model.rows[c], w, rtol=1e-12, atol=0)
+            assert model.offsets[c] == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_learns_separable_data(self):
         X = [{0: 1.0}] * 5 + [{1: 1.0}] * 5
@@ -209,8 +209,8 @@ class TestNaiveBayes:
         y = ["A", "B"]
         model = train_classifier(MULTINOMIAL_NB, X, y, 2)
         # P(term0 | A) = (3 + 1) / (3 + 2) with a 2-term vocabulary
-        assert math.exp(model.feature_log_prob[0][0]) == pytest.approx(4 / 5, abs=1e-12)
-        assert math.exp(model.feature_log_prob[0][1]) == pytest.approx(1 / 5, abs=1e-12)
+        assert math.exp(model.rows[0][0]) == pytest.approx(4 / 5, abs=1e-12)
+        assert math.exp(model.rows[0][1]) == pytest.approx(1 / 5, abs=1e-12)
 
     def test_posteriors_normalize(self):
         rng = random.Random(11)
@@ -269,9 +269,7 @@ class TestPredict:
         model = train_classifier(
             MULTINOMIAL_NB, [{0: 1.0}] * 3 + [{1: 1.0}], ["big"] * 3 + ["sm"], 2
         )
-        model = dataclasses.replace(
-            model, class_log_prior=np.zeros(2), feature_log_prob=np.zeros((2, 2))
-        )
+        model = dataclasses.replace(model, offsets=[0.0, 0.0], rows=[[0.0, 0.0], [0.0, 0.0]])
         assert predict_scores(model, {0: 1.0}) == {"big": 0.0, "sm": 0.0}
         assert predict(model, {0: 1.0}) == "big"
 
@@ -284,8 +282,8 @@ class TestDeterminism:
         for kind in (PERCEPTRON, LOGISTIC, LINEAR_SVM):
             a = train_classifier(kind, X, y, 10, Hyper(seed=9))
             b = train_classifier(kind, X, y, 10, Hyper(seed=9))
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
+            assert np.array_equal(a.rows, b.rows)
+            assert np.array_equal(a.offsets, b.offsets)
 
     def test_different_seed_may_differ_but_runs(self):
         X = [{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}, {0: 0.2}]
@@ -374,8 +372,9 @@ FLOOR = Hyper(learning_rate=0.5, l2=0.5, epochs=4, seed=4)
 class TestPinnedBits:
     """Trained weights and perceptron epoch errors, pinned to the bit.
 
-    The sha256 covers weights.tobytes() + bias.tobytes(); errors are the
-    per-epoch mistake counts (train_errors holds each divided by the set size).
+    The sha256 covers the float64 bytes of the weight rows, then of the biases;
+    errors are the per-epoch mistake counts (train_errors holds each divided by
+    the set size).
     """
 
     @pytest.mark.parametrize(
@@ -408,7 +407,7 @@ class TestPinnedBits:
     def test_trained_bits(self, kind, fixture, hyper, sha, mistakes):
         X, y, n_features = fixture()
         model = train_classifier(kind, X, y, n_features, hyper)
-        digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+        digest = hashlib.sha256(np.array(model.rows).tobytes() + np.array(model.offsets).tobytes()).hexdigest()
         assert digest == sha
         if mistakes is None:
             assert model.train_errors is None
@@ -417,13 +416,14 @@ class TestPinnedBits:
 
 
 def numpy_scalar_transform(vectorizer, window):
-    """Vectorizer.transform as computed on numpy scalars read from the idf array."""
+    """Vectorizer.transform as computed on numpy scalars read from an idf array."""
+    idf = np.array(vectorizer.idf)
     tf = {}
     for term in window:
         idx = vectorizer.vocabulary.get(term)
         if idx is not None:
             tf[idx] = tf.get(idx, 0) + 1
-    vec = {idx: count * vectorizer.idf[idx] for idx, count in tf.items()}
+    vec = {idx: count * idf[idx] for idx, count in tf.items()}
     norm = math.sqrt(sum(v * v for v in vec.values()))
     if norm > 0:
         vec = {idx: v / norm for idx, v in vec.items()}
@@ -431,33 +431,30 @@ def numpy_scalar_transform(vectorizer, window):
 
 
 def numpy_scalar_scores(model, x):
-    """predict_scores as computed on numpy scalars read from the model's arrays.
+    """predict_scores as computed on numpy scalars read from arrays of the model's rows and offsets.
 
     A linear kind sums the products with sum(), which takes its generic path for
     numpy scalars on every Python, then adds the bias; naive Bayes adds each
     product to the class log prior.
     """
+    rows, offsets = np.array(model.rows), np.array(model.offsets)
     scores = {}
     for c, cls in enumerate(model.classes):
         if model.kind == MULTINOMIAL_NB:
-            s = model.class_log_prior[c]
+            s = offsets[c]
             for i, v in x.items():
-                s += v * model.feature_log_prob[c][i]
+                s += v * rows[c][i]
         else:
-            s = sum(model.weights[c][i] * v for i, v in x.items()) + model.bias[c]
+            s = sum(rows[c][i] * v for i, v in x.items()) + offsets[c]
         scores[cls] = float(s)
     return scores
 
 
 def tied_copy(model):
     """The model with class 1 scored exactly as class 0."""
-    if model.kind == MULTINOMIAL_NB:
-        rows, offsets = model.feature_log_prob.copy(), model.class_log_prior.copy()
-        rows[1], offsets[1] = rows[0], offsets[0]
-        return dataclasses.replace(model, feature_log_prob=rows, class_log_prior=offsets)
-    rows, offsets = model.weights.copy(), model.bias.copy()
+    rows, offsets = np.array(model.rows), np.array(model.offsets)
     rows[1], offsets[1] = rows[0], offsets[0]
-    return dataclasses.replace(model, weights=rows, bias=offsets)
+    return dataclasses.replace(model, rows=rows.tolist(), offsets=offsets.tolist())
 
 
 class TestScoresMatchNumpyScalars:
@@ -493,22 +490,52 @@ class TestScoresMatchNumpyScalars:
             got = vectorizer.transform(window)
             assert list(got.items()) == list(numpy_scalar_transform(vectorizer, window).items())
 
-    @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
-    def test_scoring_reads_only_the_plain_float_copies(self, kind):
-        insts = TestInstanceInterface().make_instances()
-        for clf in (
-            fit_instances([insts], kind, window=5, hyper=Hyper(epochs=10))[0],
-            ClassifierBank.from_payload(
-                json.loads(json.dumps(ClassifierBank({"ka": fit_instances([insts], kind, window=5)[0]}).to_payload())),
-                {"ka": [("ká", 10), ("kà", 10)]},
-            ).classifiers["ka"],
-        ):
-            windows = [extract_window(i.tokens, i.target, 5) for i in insts]
-            expected = [posterior(clf.model, clf.vectorizer.transform(w)) for w in windows]
-            assert all(type(v) is float for w in windows for v in clf.vectorizer.transform(w).values())
-            m = clf.model
-            clf.vectorizer.idf = m.weights = m.bias = m.class_log_prior = m.feature_log_prob = None
-            assert [posterior(m, clf.vectorizer.transform(w)) for w in windows] == expected
+    @pytest.mark.parametrize("kind", [LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB])
+    def test_trained_and_loaded_classifiers_hold_only_plain_floats(self, kind, tmp_path, monkeypatch):
+        calls = TestLockstepMatchesSerial.recorded_head(monkeypatch)
+        base = TestInstanceInterface().make_instances()
+        rng = random.Random(8)
+        groups = [rng.sample(base, rng.randrange(6, 20)) for _ in range(20)]
+        groups = [g for g in groups if len({i.label for i in g}) == 2]
+        batch = fit_instances(groups, kind, window=5, hyper=Hyper(seed=3))
+        if kind != MULTINOMIAL_NB:  # some sets ended in the lockstep head, the others took over from it
+            [(_, handed_over)] = calls
+            assert 0 < len(handed_over) < len(groups)
+        trained = fit_instances([base], kind, window=5, hyper=Hyper(epochs=10))[0]
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(ClassifierBank({"ka": trained}).to_payload()), encoding="utf-8")
+        loaded = ClassifierBank.from_payload(
+            json.loads(path.read_text(encoding="utf-8")), {"ka": [("ká", 10), ("kà", 10)]}
+        ).classifiers["ka"]
+        windows = [extract_window(i.tokens, i.target, 5) for i in base]
+        for clf in [*batch, trained, loaded]:
+            assert not holds_numpy(clf)
+            rows, offsets = clf.model.rows, clf.model.offsets
+            values = [*clf.vectorizer.idf, *offsets, *(w for row in rows for w in row)]
+            assert values and all(type(v) is float for v in values)
+            for w in windows:
+                # The scores and class of the numpy-scalar formula over arrays of the same numbers.
+                scores = numpy_scalar_scores(clf.model, numpy_scalar_transform(clf.vectorizer, w))
+                assert predict_scores(clf.model, clf.vectorizer.transform(w)) == scores
+                assert clf.predict_window(w) == classify._argmax(clf.model, scores)
+        for w in windows:
+            assert loaded.predict_window(w) == trained.predict_window(w)
+            assert posterior(loaded.model, loaded.vectorizer.transform(w)) == posterior(
+                trained.model, trained.vectorizer.transform(w)
+            )
+
+
+def holds_numpy(value) -> bool:
+    """Whether a numpy array or scalar is reachable from value through fields, dicts and sequences."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return True
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return any(holds_numpy(k) or holds_numpy(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return any(holds_numpy(v) for v in value)
+    return False
 
 
 def mixed_sets(seed, sizes):
@@ -567,9 +594,9 @@ class TestLockstepMatchesSerial:
         assert hyper is not FLOOR or (1 - hyper.learning_rate * hyper.l2) ** step < classify._SCALE_FLOOR
         for (X, y, n_features, _), fields in zip(sets, fitted):
             alone = train_classifier(kind, X, y, n_features, hyper)
-            assert fields["weights"].tobytes() == alone.weights.tobytes()
-            assert fields["bias"].tobytes() == alone.bias.tobytes()
-            assert fields["weights"].shape == alone.weights.shape
+            assert np.array(fields["rows"]).tobytes() == np.array(alone.rows).tobytes()
+            assert np.array(fields["offsets"]).tobytes() == np.array(alone.offsets).tobytes()
+            assert np.array(fields["rows"]).shape == np.array(alone.rows).shape
             assert fields["train_errors"] is None and alone.train_errors is None
 
     def test_perceptron_batch_with_an_early_stop(self, monkeypatch):
@@ -582,8 +609,8 @@ class TestLockstepMatchesSerial:
         assert len(fitted[0]["train_errors"]["A"]) < hyper.epochs
         for (X, y, n_features, _), fields in zip(sets, fitted):
             alone = train_classifier(PERCEPTRON, X, y, n_features, hyper)
-            assert fields["weights"].tobytes() == alone.weights.tobytes()
-            assert fields["bias"].tobytes() == alone.bias.tobytes()
+            assert np.array(fields["rows"]).tobytes() == np.array(alone.rows).tobytes()
+            assert np.array(fields["offsets"]).tobytes() == np.array(alone.offsets).tobytes()
             assert fields["train_errors"] == alone.train_errors
 
     def test_one_set_never_enters_the_head(self, monkeypatch):
@@ -618,5 +645,5 @@ class TestLockstepMatchesSerial:
             for group, clf in zip(groups, batched):
                 alone = fit_instances([group], kind, window=5, hyper=Hyper(seed=3))[0]
                 assert clf.vectorizer.vocabulary == alone.vectorizer.vocabulary
-                assert clf.model.weights.tobytes() == alone.model.weights.tobytes()
-                assert clf.model.bias.tobytes() == alone.model.bias.tobytes()
+                assert np.array(clf.model.rows).tobytes() == np.array(alone.model.rows).tobytes()
+                assert np.array(clf.model.offsets).tobytes() == np.array(alone.model.offsets).tobytes()

@@ -353,6 +353,34 @@ class TestEval:
         assert (code, err) == (0, "")
         assert len(calls) == loads
 
+    @pytest.mark.parametrize("restorers", [["clf:logistic"], ["clf:multinomial_nb", "emb:basic"]])
+    def test_cv_needs_no_corpus_when_no_restorer_reads_it(
+        self, capsys, tmp_path, dataset_file, vectors_file, restorers
+    ):
+        flags = ["--vectors", vectors_file, "-k", "3", *(f for spec in restorers for f in ("--restorer", spec))]
+        reports = {}
+        for corpus_flags in ([], ["--corpus", FIXTURE]):
+            report = tmp_path / f"report{len(corpus_flags)}.json"
+            code, out, err = run(
+                capsys, "eval", "cv", "--dataset", dataset_file, *corpus_flags, *flags, "--report", str(report)
+            )
+            assert (code, err) == (0, "")
+            reports[len(corpus_flags)] = (out, report.read_bytes())
+        assert reports[0] == reports[2]
+
+    @pytest.mark.parametrize("restorers", [["ngram:2"], ["emb:tweak1"], ["clf:logistic", "ngram:1"]])
+    def test_cv_without_corpus_exits_two_when_a_restorer_reads_it(
+        self, capsys, tmp_path, dataset_file, vectors_file, restorers
+    ):
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "eval", "cv", "--dataset", dataset_file, "--vectors", vectors_file,
+            *(f for spec in restorers for f in ("--restorer", spec)), "--report", str(report),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "--corpus" in err
+        assert not report.exists()
+
     def test_bad_restorer_spec(self, capsys, dataset_file):
         code, _, _ = run(
             capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file,
@@ -689,8 +717,10 @@ class TestIntrinsic:
 
         quads = tmp_path / "an.tsv"
         quads.write_text("a\tb\tb\tc\n", encoding="utf-8")
-        code, out, _ = run(capsys, "intrinsic", "analogy", "--vectors", str(vec), "--data", str(quads))
-        assert code == 0 and "mrr" in out
+        code, out, _ = run(
+            capsys, "intrinsic", "analogy", "--vectors", str(vec), "--data", str(quads), "--list-len", "3"
+        )
+        assert code == 0 and "mrr" in out and "(list length 3)" in out
 
         ws = tmp_path / "ws.tsv"
         ws.write_text("a\tb\t9.0\na\tc\t7.0\na\tz\t1.0\n", encoding="utf-8")
@@ -902,7 +932,9 @@ LEAF_FLAGS = {
         "--lowercase", "--no-lowercase", "--report", "--tsv",
     },
     "eval fulltext": {"--restored", "--gold", "--report"},
-    "intrinsic": {"--vectors", "--data", "--list-len"},
+    "intrinsic oddword": {"--vectors", "--data"},
+    "intrinsic analogy": {"--vectors", "--data", "--list-len"},
+    "intrinsic wordsim": {"--vectors", "--data"},
 }
 # An argv that parses for each leaf command, with every required argument given.
 LEAF_ARGV = {
@@ -916,7 +948,9 @@ LEAF_ARGV = {
     "restore": ["--model", "M"],
     "eval cv": [],
     "eval fulltext": [],
-    "intrinsic": ["oddword", "--vectors", "V", "--data", "T"],
+    "intrinsic oddword": ["--vectors", "V", "--data", "T"],
+    "intrinsic analogy": ["--vectors", "V", "--data", "T"],
+    "intrinsic wordsim": ["--vectors", "V", "--data", "T"],
 }
 
 
@@ -938,8 +972,9 @@ class TestFlagTable:
     def test_each_leaf_takes_only_the_flags_it_reads(self):
         leaves = dict(leaf_parsers(build_parser()))
         assert {cmd: {s for a in flag_actions(p) for s in a.option_strings} for cmd, p in leaves.items()} == LEAF_FLAGS
-        # (command, flag) pairs: 103 before the leaf parsers, of which 58 were read.
-        assert sum(len(flag_actions(p)) for p in leaves.values()) == 58
+        # (command, flag) pairs: 103 before the leaf parsers, of which 58 were read;
+        # 62 once each intrinsic task is a leaf that takes its own flags.
+        assert sum(len(flag_actions(p)) for p in leaves.values()) == 62
 
     def test_shared_flags_carry_each_commands_default(self):
         defaults = {
@@ -957,7 +992,9 @@ class TestFlagTable:
             "restore": {},
             "eval cv": {"lowercase": True, "window": None, "seed": 0},
             "eval fulltext": {},
-            "intrinsic": {},
+            "intrinsic oddword": {},
+            "intrinsic analogy": {},
+            "intrinsic wordsim": {},
         }
 
     @pytest.mark.parametrize("command", sorted(LEAF_FLAGS))

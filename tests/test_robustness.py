@@ -375,3 +375,32 @@ def test_classifier_window_that_breaks_the_window_rule_is_a_data_error(window, f
     assert not out.exists()
     with pytest.raises(classify.ParseError, match="classifier window"):
         classify.classifier_from_payload(clf)
+
+
+@pytest.mark.parametrize("n", ["2.9", "true", "3.0", '"2"', "0", "4"])
+def test_ngram_order_that_is_not_an_integer_in_range_is_a_data_error_at_load(n, files, tmp_path, capsys):
+    spec = json.loads((files / "ngram.json").read_text(encoding="utf-8"))
+    assert spec["restorer"]["n"] == 3
+    spec["restorer"]["n"] = json.loads(n)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"n {n}", capsys)
+    assert not out.exists()
+    with pytest.raises(ngram.ParseError, match="n-gram order"):
+        ngram.NGramRestorer.from_payload(spec["restorer"], {})
+
+
+@pytest.mark.parametrize("count", ["2.9", "true", "2.0", '"2"', "-1"])
+def test_coword_count_that_is_not_a_non_negative_integer_is_a_data_error_at_load(count, files, tmp_path, capsys):
+    spec = json.loads((files / "embedding.json").read_text(encoding="utf-8"))
+    pairs = next(pairs for pairs in spec["restorer"]["cowords"].values() if pairs)
+    assert type(pairs[0][1]) is int
+    pairs[0][1] = json.loads(count)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"coword count {count}", capsys)
+    assert not out.exists()
+    with pytest.raises(embed.ParseError, match="embedding cowords"):
+        embed.EmbeddingRestorer.from_payload(spec["restorer"], {})
