@@ -29,12 +29,20 @@ the order the numpy-scalar formula took, so scores keep their bits. No scoring
 or training loop calls sum(): from Python 3.12 it rounds a sum of floats in
 another way. Nor does training call a numpy reduction (sum, dot, @, einsum,
 add.reduce), which adds in pairwise or BLAS order.
+
+Restoring a token is one lean pass per step, with the plain definition's
+values and float operations in the same order: extract_window slices either
+side of the target and asks token_kind only about a token that is not all
+letters; transform fills one dict in place (counts, tf-idf, unit length); and
+predict keeps the leader while it sums each linear margin, sending a tie, a
+NaN score and naive Bayes to _argmax over the full scores.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +57,8 @@ LINEAR_SVM = "linear_svm"
 MULTINOMIAL_NB = "multinomial_nb"
 
 KINDS = (PERCEPTRON, LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB)
+
+_WORD = TokenKind.WORD
 
 _SCALE_FLOOR = 1e-9
 
@@ -85,11 +95,11 @@ def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
         raise DataError(f"target index {target_index} out of range")
     size = min(n, len(tokens))
     start = min(max(target_index - n // 2, 0), len(tokens) - size)
-    window = range(start, start + size)
+    # A string of letters is a word: isalpha() settles most tokens at once.
     return [
-        tokens[i]
-        for i in window
-        if i != target_index and token_kind(tokens[i]) is TokenKind.WORD
+        t
+        for t in tokens[start:target_index] + tokens[target_index + 1 : start + size]
+        if t.isalpha() or token_kind(t) is _WORD
     ]
 
 
@@ -114,20 +124,26 @@ class Vectorizer:
         return cls(vocabulary={term: i for i, term in enumerate(terms)}, idf=idf)
 
     def transform(self, window) -> dict[int, float]:
-        """tf-idf the window into a unit-length sparse vector; unknown terms drop."""
-        tf: dict[int, int] = {}
+        """tf-idf the window into a unit-length sparse vector; unknown terms drop.
+
+        One dict is filled in place: term counts, then tf-idf values, then unit
+        length; the norm is summed left to right in first-seen term order.
+        """
+        vec: dict[int, float] = {}
+        vocabulary = self.vocabulary
         for term in window:
-            idx = self.vocabulary.get(term)
+            idx = vocabulary.get(term)
             if idx is not None:
-                tf[idx] = tf.get(idx, 0) + 1
+                vec[idx] = vec.get(idx, 0) + 1
         idf = self.idf
-        vec = {idx: count * idf[idx] for idx, count in tf.items()}
         total = 0.0
-        for v in vec.values():
+        for idx, count in vec.items():  # replacing a value keeps the keys and their order
+            vec[idx] = v = count * idf[idx]
             total += v * v
         norm = math.sqrt(total)
         if norm > 0:
-            vec = {idx: v / norm for idx, v in vec.items()}
+            for idx, v in vec.items():
+                vec[idx] = v / norm
         return vec
 
 
@@ -475,11 +491,16 @@ def _positions(counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
 
 
+def _check_indices(model: LinearModel, x: dict[int, float]) -> None:
+    """Raise DataError naming the first feature index of x outside the model."""
+    if x and (min(x) < 0 or max(x) >= model.n_features):
+        i = next(i for i in x if not 0 <= i < model.n_features)
+        raise DataError(f"feature index {i} outside model dimension {model.n_features}")
+
+
 def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
     """Per-class decision values (linear kinds) or joint log-probabilities (NB)."""
-    for i in x:
-        if not (0 <= i < model.n_features):
-            raise DataError(f"feature index {i} outside model dimension {model.n_features}")
+    _check_indices(model, x)
     scores = {}
     terms = x.items()
     if model.kind == MULTINOMIAL_NB:
@@ -497,8 +518,29 @@ def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
 
 
 def predict(model: LinearModel, x: dict[int, float]) -> str:
-    scores = predict_scores(model, x)
-    return _argmax(model, scores)
+    """_argmax over predict_scores, in one pass over a linear kind's margins.
+
+    A tie, a NaN score and naive Bayes go to _argmax over the full scores.
+    """
+    if model.kind == MULTINOMIAL_NB:
+        return _argmax(model, predict_scores(model, x))
+    _check_indices(model, x)
+    terms = x.items()
+    top, winner, tied = -math.inf, None, False
+    for cls, row, bias in zip(model.classes, model.rows, model.offsets):
+        z = 0.0
+        for i, v in terms:
+            z += row[i] * v
+        s = z + bias
+        if s > top:
+            top, winner, tied = s, cls, False
+        elif s == top:
+            tied = True
+        elif s != s:  # NaN
+            return _argmax(model, predict_scores(model, x))
+    if tied:
+        return _argmax(model, predict_scores(model, x))
+    return winner
 
 
 def _argmax(model: LinearModel, scores: dict[str, float]) -> str:
@@ -615,6 +657,25 @@ def _finite_array(source: dict, name: str, shape: tuple) -> list:
     return array.tolist()
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that a float holds finitely (NaN fails the comparison)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _hyper(fields: dict) -> Hyper:
+    """A classifier file's hyperparameters, each checked before Hyper is built."""
+    for name, value in fields.items():
+        if name in ("epochs", "seed"):
+            ok, rule = type(value) is int, "an integer"
+        elif name == "learning_rate":
+            ok, rule = value is None or _finite_number(value), "null or a finite number"
+        else:
+            ok, rule = _finite_number(value), "a finite number"
+        if not ok:
+            raise ParseError(f"classifier hyper {name} must be {rule}, got {value!r}")
+    return Hyper(**fields)
+
+
 def classifier_from_payload(payload: dict) -> TextClassifier:
     kind = payload["kind"]
     if kind not in KINDS:
@@ -632,7 +693,7 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     class_counts = list(payload["class_counts"])
     if len(class_counts) != len(classes) or not all(type(c) is int and c >= 0 for c in class_counts):
         raise ParseError("classifier class_counts must hold one non-negative integer per class")
-    hyper = Hyper(**payload["hyper"])
+    hyper = _hyper(payload["hyper"])
     n_classes, n_features = len(classes), len(vocabulary)
     nb = kind == MULTINOMIAL_NB
     source = payload["nb_params"] if nb else payload

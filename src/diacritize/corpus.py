@@ -111,8 +111,11 @@ def strip_diacritics(word: str) -> str:
     """Return the wordkey: decompose, drop all combining marks (Mn), recompose.
 
     Case is preserved; total and idempotent. Cached, since corpora repeat a
-    small vocabulary millions of times.
+    small vocabulary millions of times. ASCII holds no combining mark, so an
+    ASCII word is its own wordkey.
     """
+    if word.isascii():
+        return word
     decomposed = unicodedata.normalize("NFD", word)
     bare = "".join(c for c in decomposed if unicodedata.category(c) != "Mn")
     return unicodedata.normalize("NFC", bare)
@@ -253,7 +256,8 @@ def load_corpus(path) -> Corpus:
 
 def line_keys(tokens, lowercase: bool) -> tuple[str, ...]:
     """The key of each token: its surface, lowercased if asked, with every mark stripped."""
-    return tuple(strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in tokens)
+    # A list comprehension, then one tuple: tuple() over a generator is slower.
+    return tuple([strip_diacritics(t.surface.lower() if lowercase else t.surface) for t in tokens])
 
 
 def variant_counts(corpus: Corpus, lowercase: bool = False) -> dict[str, dict[str, int]]:

@@ -220,5 +220,6 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
     aset.instances.append(Instance(tokens=tuple(tokens), target=target, label=label, line=line))
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every record: json.dumps with non-default options builds a
+# new JSONEncoder per call.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode

@@ -181,12 +181,15 @@ def load_pipeline(path) -> Pipeline:
         for key in (*index, *unambiguous):
             if token_kind(key) is not TokenKind.WORD:
                 raise ParseError(f"routing key {key!r} is not a word", path=path)
+        lowercase = payload.get("lowercase", True)
+        if type(lowercase) is not bool:
+            raise ParseError(f"lowercase must be true or false, got {lowercase!r}", path=path)
         return Pipeline(
             family=family,
             restorer=FAMILIES[family].from_payload(payload["restorer"], index),
             unambiguous=unambiguous,
             variant_index=index,
-            lowercase=payload.get("lowercase", True),
+            lowercase=lowercase,
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed pipeline file: {exc}", path=path)

@@ -25,6 +25,7 @@ from diacritize.classify import (
     predict_scores,
     train_classifier,
 )
+from diacritize.corpus import TokenKind, token_kind
 from diacritize.datasetgen import Instance
 from diacritize.errors import DataError, ModelError
 
@@ -523,6 +524,86 @@ class TestScoresMatchNumpyScalars:
             assert posterior(loaded.model, loaded.vectorizer.transform(w)) == posterior(
                 trained.model, trained.vectorizer.transform(w)
             )
+
+
+def reference_window(tokens, target_index, n):
+    """extract_window as a comprehension over the window's indices, classifying every token."""
+    size = min(n, len(tokens))
+    start = min(max(target_index - n // 2, 0), len(tokens) - size)
+    return [
+        tokens[i]
+        for i in range(start, start + size)
+        if i != target_index and token_kind(tokens[i]) is TokenKind.WORD
+    ]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLeanRestorePath:
+    """The sliced window and the one-pass predict give what the plain definitions give."""
+
+    @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB])
+    def test_predict_is_the_argmax_of_the_scores(self, kind):
+        X, y, n_features = three_class_fixture()
+        model = train_classifier(kind, X, y, n_features, Hyper(epochs=5, seed=4))
+        rng = random.Random(47)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        inputs = [{}]
+        for _ in range(600):
+            x = {rng.randrange(n_features): rng.uniform(-1.0, 2.0) for _ in range(rng.randrange(1, 9))}
+            if rng.random() < 0.3:
+                x[rng.choice(list(x))] = rng.choice(specials)
+            inputs.append(x)
+        tied = tied_copy(model)
+        # The tie of classes A and B goes to the more frequent one, whichever it is.
+        counts = tied.class_counts
+        swapped = dataclasses.replace(tied, class_counts=[counts[1], counts[0], *counts[2:]])
+        seen = {"tie": 0, "nan": 0}
+        for m in (model, tied, swapped):
+            for x in inputs:
+                scores = predict_scores(m, x)
+                best = max(scores.values())
+                seen["tie"] += sum(s == best for s in scores.values()) > 1
+                seen["nan"] += any(s != s for s in scores.values())
+                assert outcome(predict, m, x) == outcome(lambda: classify._argmax(m, scores))
+        assert seen["tie"] > 50 and seen["nan"] > 10
+
+    @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB])
+    def test_out_of_range_index_names_the_first_one(self, kind):
+        X, y, n_features = three_class_fixture()
+        model = train_classifier(kind, X, y, n_features, Hyper(epochs=2))
+        cases = [
+            ({n_features: 1.0}, n_features),
+            ({-1: 0.5}, -1),
+            ({0: 1.0, n_features + 3: 1.0, -2: 1.0}, n_features + 3),
+            ({3: 1.0, -2: 1.0, n_features: 1.0}, -2),
+        ]
+        for x, first in cases:
+            message = f"feature index {first} outside model dimension {n_features}"
+            for fn in (predict, predict_scores):
+                with pytest.raises(DataError) as raised:
+                    fn(model, x)
+                assert str(raised.value) == message
+
+    def test_sliced_window_matches_the_index_comprehension(self):
+        pool = [
+            "ha", "ka", "ọ́", "Ụ", "ñ", "na-", "n'", "n’", "3", "12", "a1", "1a", ",", ".", "!",
+            "…", "-", "'", "€", "+", "αβ", "мир", "中文", "x\u0300", "\u0300", "Ⅻ", "",
+        ]
+        rng = random.Random(53)
+        for _ in range(2000):
+            tokens = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 25)))
+            target = rng.randrange(len(tokens))
+            n = rng.choice([3, 5, 7, 9, 11, 13])
+            expected = reference_window(tokens, target, n)
+            assert extract_window(tokens, target, n) == expected
+            assert extract_window(list(tokens), target, n) == expected
 
 
 def holds_numpy(value) -> bool:

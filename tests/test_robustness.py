@@ -404,3 +404,66 @@ def test_coword_count_that_is_not_a_non_negative_integer_is_a_data_error_at_load
     assert not out.exists()
     with pytest.raises(embed.ParseError, match="embedding cowords"):
         embed.EmbeddingRestorer.from_payload(spec["restorer"], {})
+
+
+HYPER_BREAKS = [
+    ("epochs", '"x"'), ("epochs", "true"), ("epochs", "2.0"), ("epochs", "null"),
+    ("seed", "1.5"), ("seed", "false"), ("seed", '"0"'),
+    ("l2", "[1]"), ("l2", '"0.1"'), ("l2", "null"), ("l2", "Infinity"), ("l2", "NaN"),
+    ("alpha", "true"), ("alpha", "-Infinity"), pytest.param("alpha", "1" + "0" * 400, id="alpha-int-too-large-for-a-float"),
+    ("learning_rate", '"0.1"'), ("learning_rate", "false"), ("learning_rate", "NaN"), ("learning_rate", "{}"),
+]
+
+
+@pytest.mark.parametrize("field, value", HYPER_BREAKS)
+def test_classifier_hyper_field_of_the_wrong_type_is_a_data_error(field, value, files, tmp_path, capsys):
+    spec, clf = classifier_spec(files)
+    assert field in clf["hyper"]
+    clf["hyper"][field] = json.loads(value)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"hyper {field} {value}", capsys)
+    assert not out.exists()
+    with pytest.raises(classify.ParseError, match=f"classifier hyper {field}"):
+        classify.classifier_from_payload(clf)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("learning_rate", "null"), ("learning_rate", "0.5"), ("learning_rate", "1"), ("l2", "0"),
+                     ("alpha", "2"), ("epochs", "0"), ("seed", "-3")],
+)
+def test_classifier_hyper_field_of_the_right_type_loads(field, value, files, tmp_path):
+    spec, clf = classifier_spec(files)
+    clf["hyper"][field] = json.loads(value)
+    model = tmp_path / "pipe.json"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    loaded = pipeline.load_pipeline(model)
+    assert [getattr(c.model.hyper, field) for c in loaded.restorer.classifiers.values()][0] == json.loads(value)
+
+
+@pytest.mark.parametrize("value", ['"no"', '"true"', "0", "1", "null", "[]"])
+def test_pipeline_lowercase_that_is_not_a_boolean_is_a_data_error(value, files, tmp_path, capsys):
+    spec = json.loads((files / "logistic.json").read_text(encoding="utf-8"))
+    assert spec["lowercase"] is True
+    spec["lowercase"] = json.loads(value)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"lowercase {value}", capsys)
+    assert not out.exists()
+    with pytest.raises(pipeline.ParseError, match="lowercase must be true or false"):
+        pipeline.load_pipeline(model)
+
+
+def test_pipeline_without_lowercase_loads_as_true(files, tmp_path, capsys):
+    spec = json.loads((files / "logistic.json").read_text(encoding="utf-8"))
+    del spec["lowercase"]
+    model, out, ref = tmp_path / "pipe.json", tmp_path / "out.txt", tmp_path / "ref.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    assert pipeline.load_pipeline(model).lowercase is True
+    for path, dst in ((model, out), (files / "logistic.json", ref)):
+        argv = ["restore", "--model", str(path), "--in", str(files / "in.txt"), "--out", str(dst)]
+        assert run_cli(argv, "no lowercase key") == 0
+    assert out.read_bytes() == ref.read_bytes()
+    capsys.readouterr()
