@@ -569,9 +569,6 @@ class TextClassifier:
     vectorizer: Vectorizer
     model: LinearModel
 
-    def predict_instance(self, inst: Instance) -> str:
-        return self.predict_window(extract_window(inst.tokens, inst.target, self.window))
-
     def predict_window(self, window: list[str]) -> str:
         return predict(self.model, self.vectorizer.transform(window))
 
@@ -714,8 +711,9 @@ class ClassifierBank:
 
     classifiers: dict[str, TextClassifier]
 
-    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
-        return self.classifiers[inst.tokens[inst.target]].predict_instance(inst)
+    def predict_instance(self, keys, i: int, restored: list[str]) -> str:
+        clf = self.classifiers[keys[i]]
+        return clf.predict_window(extract_window(keys, i, clf.window))
 
     def to_payload(self) -> dict:
         return {"models": {key: classifier_payload(clf) for key, clf in sorted(self.classifiers.items())}}
@@ -723,7 +721,10 @@ class ClassifierBank:
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "ClassifierBank":
         classifiers = {key: classifier_from_payload(p) for key, p in spec["models"].items()}
-        for key in variant_index:
+        for key, variants in variant_index.items():
             if key not in classifiers:
                 raise ParseError(f"no classifier for wordkey {key!r}")
+            stray = set(classifiers[key].model.classes).difference(v for v, _ in variants)
+            if stray:
+                raise ParseError(f"classifier for wordkey {key!r} has classes not among its variants: {sorted(stray)}")
         return cls(classifiers=classifiers)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenKind, line_keys, open_text, replace_on_success, variant_counts
+from .corpus import Corpus, TokenKind, line_keys, open_text, replace_on_success, strip_diacritics, variant_counts
 from .errors import DataError, ParseError
 
 
@@ -120,16 +120,31 @@ def majority_variant(counts) -> str:
 def route(keys, variant_index, unambiguous, predict) -> list[str | None]:
     """The restore walk: each key's form, left to right, or None where its token echoes.
 
-    A key in variant_index takes predict(i, restored), any other its unambiguous
-    form; restored holds the forms so far, with the key where a token echoed.
+    A key in variant_index takes predict(keys, i, restored), any other its
+    unambiguous form; restored holds the forms so far, with the key where a
+    token echoed.
     """
     restored: list[str] = []
     forms: list[str | None] = []
     for i, key in enumerate(keys):
-        form = predict(i, restored) if key in variant_index else unambiguous.get(key)
+        form = predict(keys, i, restored) if key in variant_index else unambiguous.get(key)
         forms.append(form)
         restored.append(key if form is None else form)
     return forms
+
+
+def bad_variants(key: str, variants) -> str | None:
+    """What breaks the rule that a wordkey's variants only add marks to it, if anything.
+
+    Each variant must strip to the key and be listed once. A dataset header
+    and a pipeline's variant index are both held to it.
+    """
+    for j, (v, _) in enumerate(variants):
+        if strip_diacritics(v) != key:
+            return f"variant {v!r} does not strip to wordkey {key!r}"
+        if any(v == w for w, _ in variants[:j]):
+            return f"variant {v!r} is listed twice for wordkey {key!r}"
+    return None
 
 
 def majority_forms(table) -> dict[str, str]:
@@ -197,6 +212,9 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         variants = [(v, int(c)) for v, c in record["variants"]]  # int() words a non-numeric count
         if not variants or not all(isinstance(v, str) and type(c) is int for v, c in record["variants"]):
             raise ValueError("'variants' must be a nonempty list of [surface, integer count] pairs")
+        bad = bad_variants(key, variants)
+        if bad:
+            raise ValueError(bad)
         aset = AmbiguousSet(wordkey=key, variants=variants)
         sets.append(aset)
         by_key[key] = aset
@@ -212,6 +230,8 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         raise ValueError("'tokens' must be a list of strings")
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")
+    if all(label != v for v, _ in aset.variants):
+        raise ValueError(f"label {label!r} is not a variant of wordkey {key!r}")
     if type(target) is not int or type(line) is not int:
         name, value = ("target", target) if type(target) is not int else ("line", line)
         raise ValueError(f"'{name}' must be an integer, got {value!r}")

@@ -344,8 +344,9 @@ class EmbeddingRestorer:
     vectors_path: str | None = None
     top_n: int = 50
 
-    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
-        candidates = self.variant_index[inst.tokens[inst.target]]
+    def predict_instance(self, keys, i: int, restored: list[str]) -> str:
+        candidates = self.variant_index[keys[i]]
+        inst = Instance(keys, i, "")  # embed.restore_instance reads an Instance
         return restore_or_majority(self.model, inst, candidates, self.window, self.scheme, self.cowords)
 
     def to_payload(self) -> dict:
@@ -377,12 +378,15 @@ class EmbeddingRestorer:
             raise ParseError("embedding cowords must be [word, non-negative integer count] pairs")
         if scheme in (TWEAK2, TWEAK3) and cowords is None:
             raise ParseError(f"scheme {scheme} needs a coword table")
+        top_n = spec.get("top_n", 50)
+        if type(top_n) is not int or top_n < 0:
+            raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
         model = load_vectors(vectors_path)
         if scheme != BASIC and cowords:
             model = enhance(model, cowords, scheme=scheme)
         return cls(
             model=model, variant_index=variant_index, scheme=scheme, window=window,
-            cowords=cowords, vectors_path=vectors_path, top_n=spec.get("top_n", 50),
+            cowords=cowords, vectors_path=vectors_path, top_n=top_n,
         )
 
 

@@ -12,6 +12,7 @@ class ParseError(DataError):
     """A file failed to parse. Carries the 1-based line number when known."""
 
     def __init__(self, message, line=None, path=None):
+        self.message = message
         self.line = line
         self.path = path
         where = ":".join(str(part) for part in (path, line) if part is not None)

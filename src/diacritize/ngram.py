@@ -11,8 +11,9 @@ bottom up, one row lookup per order: by nesting, no context above the first
 unseen one is seen either. Context words left of the target are themselves
 restored first, left to right, so later decisions see marked context. Each
 restored form depends only on the tokens to its left, so one left-to-right
-walk, `datasetgen.route`, serves both `restore` (which hands
-`NGramRestorer` the restored forms left of each target) and `restore_instance`.
+walk, `datasetgen.route`, serves both `restore` and `restore_instance`, and
+each hands every ambiguous token to `NGramRestorer.predict_instance` with the
+restored forms left of it.
 
 Cross-validation counts once per run: `shared_counts` scans the corpus for
 candidate occurrences and counts the full tables at the largest order asked
@@ -161,16 +162,12 @@ def _variants(model: NGramModel, wordkey: str) -> list[str]:
 
 
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
-    """Restore the instance target, walking its keys up to it as `restore` does."""
+    """Restore the instance target, walking its keys up to it as `restore` does, with `NGramRestorer`."""
     if not (1 <= n <= model.max_n):
         raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
     keys = [strip_diacritics(w) for w in inst.tokens[: inst.target + 1]]
     _variants(model, keys[-1])  # an unknown target raises ModelError
-
-    def predict(i, restored):
-        return _choose(model, restored, model.variant_index[keys[i]], n)
-
-    return route(keys, model.variant_index, model.unambiguous, predict)[-1]
+    return route(keys, model.variant_index, model.unambiguous, NGramRestorer(model, n).predict_instance)[-1]
 
 
 @dataclass
@@ -180,10 +177,9 @@ class NGramRestorer:
     model: NGramModel
     n: int
 
-    def predict_instance(self, inst: Instance, restored: list[str]) -> str:
-        """restored holds the restored forms of inst.tokens[:inst.target]."""
-        variants = _variants(self.model, inst.tokens[inst.target])
-        return _choose(self.model, restored, variants, self.n)
+    def predict_instance(self, keys, i: int, restored: list[str]) -> str:
+        """restored holds the restored forms of keys[:i]."""
+        return _choose(self.model, restored, _variants(self.model, keys[i]), self.n)
 
     def to_payload(self) -> dict:
         return {"n": self.n, "model": model_payload(self.model)}
@@ -333,8 +329,11 @@ def model_from_payload(payload: dict, variant_index) -> NGramModel:
     """
     max_n = payload["max_n"]
     levels = payload["levels"]
-    if len(levels) != max_n or sorted(level["k"] for level in levels) != list(range(1, max_n + 1)):
-        raise ParseError(f"n-gram model needs one level for each k in 1..{max_n}")
+    if type(max_n) is not int or max_n < 1:
+        raise ParseError(f"n-gram max_n must be a positive integer, got {max_n!r}")
+    ks = [level["k"] for level in levels]
+    if not all(type(k) is int for k in ks) or sorted(ks) != list(range(1, max_n + 1)):
+        raise ParseError(f"n-gram model needs one level for each k in 1..{max_n}, got k = {ks!r}")
     counts: list[dict] = [dict() for _ in range(max_n)]
     for level in sorted(levels, key=lambda level: level["k"]):
         k = level["k"]

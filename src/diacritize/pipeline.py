@@ -4,9 +4,10 @@ Each line's keys take one left-to-right walk, `datasetgen.route`, which
 n-gram cross-validation shares: wordkeys with competing variants go to the
 trained restorer, handed the line's restored forms so far; wordkeys with one
 known marked form are replaced outright; other tokens echo verbatim. Every
-routing key is a word, checked at load, so non-words always echo. The maps
-are built from the training corpus and serialized with the model, so
-restoration needs no corpus at inference time.
+routing key is a word, checked at load, so non-words always echo; and every
+form strips to its key, also checked at load, so restoring a word only adds
+marks and re-cases it. The maps are built from the training corpus and
+serialized with the model, so restoration needs no corpus at inference time.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, variant_counts
-from .corpus import replace_on_success, surface_token
-from .datasetgen import Instance
+from .corpus import replace_on_success, strip_diacritics, surface_token
 from .errors import ModelError, ParseError
 
-# Each family's restorer: predict_instance(inst, restored), to_payload() and
+# Each family's restorer: predict_instance(keys, i, restored), to_payload() and
 # the classmethod from_payload(spec, variant_index), which validates what it
-# reads. inst's target is a key of variant_index; restored holds the restored
-# forms of the tokens left of it, which only the n-gram restorer reads.
+# reads. `datasetgen.route` calls predict_instance once per ambiguous token:
+# keys is the line's key tuple, keys[i] a key of variant_index, and restored
+# the restored forms of keys[:i], which only the n-gram restorer reads.
 FAMILIES = {
     "ngram": ngram.NGramRestorer,
     "classifier": classify.ClassifierBank,
@@ -123,11 +124,7 @@ def match_case(original: str, marked: str) -> str:
 def restore_line(pipeline: Pipeline, tokens: list[Token]) -> list[Token]:
     """Restore one line: the routing walk over its keys, then re-casing."""
     keys = line_keys(tokens, pipeline.lowercase)
-
-    def predict(i, restored):
-        return pipeline.restorer.predict_instance(Instance(keys, i, ""), restored)
-
-    forms = datasetgen.route(keys, pipeline.variant_index, pipeline.unambiguous, predict)
+    forms = datasetgen.route(keys, pipeline.variant_index, pipeline.unambiguous, pipeline.restorer.predict_instance)
     return [
         tok if marked is None else surface_token(match_case(tok.surface, marked))
         for tok, marked in zip(tokens, forms)
@@ -180,10 +177,18 @@ def load_pipeline(path) -> Pipeline:
             raise ParseError("unambiguous forms must be strings")
         for key in (*index, *unambiguous):
             if token_kind(key) is not TokenKind.WORD:
-                raise ParseError(f"routing key {key!r} is not a word", path=path)
+                raise ParseError(f"routing key {key!r} is not a word")
+        # A pipeline may only add marks: every form it can emit strips to its routing key.
+        for key, variants in index.items():
+            bad = datasetgen.bad_variants(key, variants)
+            if bad:
+                raise ParseError(bad)
+        for key, form in unambiguous.items():
+            if strip_diacritics(form) != key:
+                raise ParseError(f"unambiguous form {form!r} does not strip to wordkey {key!r}")
         lowercase = payload.get("lowercase", True)
         if type(lowercase) is not bool:
-            raise ParseError(f"lowercase must be true or false, got {lowercase!r}", path=path)
+            raise ParseError(f"lowercase must be true or false, got {lowercase!r}")
         return Pipeline(
             family=family,
             restorer=FAMILIES[family].from_payload(payload["restorer"], index),
@@ -191,5 +196,9 @@ def load_pipeline(path) -> Pipeline:
             variant_index=index,
             lowercase=lowercase,
         )
+    except ParseError as exc:
+        if exc.path is not None:  # another file's error, such as the vectors file's
+            raise
+        raise ParseError(exc.message, line=exc.line, path=path) from exc
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed pipeline file: {exc}", path=path)

@@ -307,7 +307,8 @@ class TestInstanceInterface:
     def test_fit_and_predict_instances(self):
         insts = self.make_instances()
         clf = fit_instances([insts], LOGISTIC, window=5, hyper=Hyper(epochs=30))[0]
-        assert all(clf.predict_instance(i) == i.label for i in insts)
+        bank = ClassifierBank({"ka": clf})
+        assert all(bank.predict_instance(i.tokens, i.target, list(i.tokens[: i.target])) == i.label for i in insts)
 
     def test_persistence_round_trip(self):
         insts = self.make_instances()
@@ -316,7 +317,10 @@ class TestInstanceInterface:
             spec = json.loads(json.dumps(ClassifierBank({"ka": clf}).to_payload()))
             again = ClassifierBank.from_payload(spec, {"ka": [("ká", 10), ("kà", 10)]})
             for inst in insts:
-                assert again.predict_instance(inst, list(inst.tokens[: inst.target])) == clf.predict_instance(inst)
+                window = extract_window(inst.tokens, inst.target, 5)
+                assert again.predict_instance(inst.tokens, inst.target, list(inst.tokens[: inst.target])) == (
+                    clf.predict_window(window)
+                )
 
     def test_vocabulary_fit_on_training_fold_only(self):
         insts = self.make_instances()

@@ -217,6 +217,12 @@ class TestSerialization:
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":5}', "label"),
             ('{"wordkey":"ab","tokens":["ab"],"target":99,"label":"áb"}', "target"),
             ('{"wordkey":"ab","tokens":["ab"],"target":-1,"label":"áb"}', "target"),
+            # a dataset may only add marks: every variant strips to its wordkey, each label is a variant
+            ('{"wordkey":"ab","variants":[["áb",1],["ác",1]]}', "does not strip to wordkey 'ab'"),
+            ('{"wordkey":"ab","variants":[["áb",1],["Àb",1]]}', "does not strip to wordkey 'ab'"),
+            ('{"wordkey":"ab","variants":[["áb",1],["áb",2]]}', "listed twice"),
+            ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ab"}', "not a variant of wordkey 'ab'"),
+            ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ác"}', "not a variant of wordkey 'ab'"),
         ],
     )
     def test_malformed_record_is_parse_error_with_line(self, tmp_path, record, match):

@@ -491,8 +491,7 @@ class TestRestorerFallback:
         restorer = embed.EmbeddingRestorer(
             model=model_of(c=[1.0, 0.0]), variant_index={"t": [("x", 1), ("y", 3)]}
         )
-        inst = Instance(tokens=("c", "t"), target=1, label="")
-        assert restorer.predict_instance(inst, ["c"]) == "y"
+        assert restorer.predict_instance(("c", "t"), 1, ["c"]) == "y"
 
 
 class TestCvFitter:

@@ -459,9 +459,8 @@ class TestCarriedPrefix:
             targets = targets_of(model, tokens)
             rng.shuffle(targets)
             for t in targets:
-                inst = Instance(tokens=tokens, target=t, label="")
-                got = pipe.restorer.predict_instance(inst, prefix[:t])
-                assert got == ngram.restore_instance(model, inst, 5)
+                got = pipe.restorer.predict_instance(tokens, t, prefix[:t])
+                assert got == ngram.restore_instance(model, make_instance(tokens, t), 5)
 
     def test_model_error_leaves_the_rest_of_the_line_intact(self, long_lines):
         pipe, lines = long_lines
@@ -471,7 +470,7 @@ class TestCarriedPrefix:
         for t in range(len(tokens)):
             if tokens[t] not in pipe.variant_index:
                 with pytest.raises(ModelError):
-                    pipe.restorer.predict_instance(make_instance(tokens, t), expected[:t])
+                    pipe.restorer.predict_instance(tokens, t, expected[:t])
                 failures += 1
         assert failures > 0
         assert restore_keys(pipe, tokens) == expected

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from diacritize import classify, cli, datasetgen, embed, ngram, pipeline
-from diacritize.corpus import corpus_from_lines, strip_diacritics, surface_token, token_kind
+from diacritize.corpus import corpus_from_lines, line_keys, strip_diacritics, surface_token, token_kind
 from diacritize.errors import ModelError, ParseError
 from diacritize.pipeline import (
     build_classifier_pipeline,
@@ -305,6 +306,18 @@ class TestLoadValidation:
             # a routing key that is not a word: train never writes one
             ("ngram", ["unambiguous", ","], "x", 2),
             ("ngram", ["variant_index", "7"], [["7", 3], ["7̀", 2]], 2),
+            # a form that does not strip to its routing key: a pipeline may only add marks
+            ("ngram", ["unambiguous", "oma"], "dog", 2),
+            ("ngram", ["unambiguous", "nwanyi"], "Nwanyị", 2),
+            ("ngram", ["variant_index", "si"], [["sì", 30], ["dog", 20]], 2),
+            ("ngram", ["variant_index", "si"], [["sì", 30], ["sì", 20]], 2),
+            ("classifier", ["variant_index", "si"], [["sì", 30], ["sị", 20]], 2),
+            ("classifier", ["restorer", "models", "si", "classes", 1], "dog", 2),
+            # n-gram integers that are not ints
+            ("ngram", ["restorer", "model", "max_n"], True, 2),
+            ("ngram", ["restorer", "model", "levels", 0, "k"], True, 2),
+            ("ngram", ["restorer", "model", "levels", 1, "k"], "2", 2),
+            ("ngram", ["restorer", "model", "levels", 1, "k"], 2.0, 2),
         ],
     )
     def test_refused_at_load(
@@ -333,3 +346,42 @@ class TestLoadValidation:
         assert cli.main(argv) == code
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+
+def refuse_instance(*args, **kwargs):
+    raise AssertionError("an Instance was built")
+
+
+class TestRestorerProtocol:
+    """Every family's restorer answers predict_instance(keys, i, restored) for one line's keys."""
+
+    @pytest.mark.parametrize("family", sorted(pipeline.FAMILIES))
+    def test_every_family_keeps_the_protocol(self, family):
+        cls = pipeline.FAMILIES[family]
+        assert list(inspect.signature(cls.predict_instance).parameters) == ["self", "keys", "i", "restored"]
+        assert isinstance(inspect.getattr_static(cls, "from_payload"), classmethod)
+        assert callable(inspect.getattr_static(cls, "to_payload"))
+
+    def test_restore_line_builds_no_instance(self, pipe, monkeypatch):
+        line = corpus_from_lines(["nwanyi kwuru si ya , Ha kwera SI si"]).lines[0]
+        expected = restore_line(pipe, line)
+        monkeypatch.setattr(datasetgen.Instance, "__init__", refuse_instance)
+        if pipe.family == "embedding":
+            # embed.restore_instance reads an Instance, so that restorer builds one: the patch bites
+            with pytest.raises(AssertionError, match="an Instance was built"):
+                restore_line(pipe, line)
+        else:
+            assert restore_line(pipe, line) == expected
+
+    def test_each_ambiguous_form_is_the_restorers_answer(self, pipe, training_corpus):
+        extra = corpus_from_lines(["si si ha kwera si nwanyi si", "ya si kwuru si oma si si"])
+        calls = 0
+        for line in training_corpus.stripped().lines + extra.lines:
+            keys = line_keys(line, pipe.lowercase)
+            # the lines are lowercase and unmarked: an echoed token's surface is its key
+            forms = [tok.surface for tok in restore_line(pipe, line)]
+            for i, key in enumerate(keys):
+                if key in pipe.variant_index:
+                    assert forms[i] == pipe.restorer.predict_instance(keys, i, forms[:i])
+                    calls += 1
+        assert calls == 50 + 8  # one per "si"

@@ -467,3 +467,150 @@ def test_pipeline_without_lowercase_loads_as_true(files, tmp_path, capsys):
         assert run_cli(argv, "no lowercase key") == 0
     assert out.read_bytes() == ref.read_bytes()
     capsys.readouterr()
+
+
+def restore_refused(spec, files, tmp_path, capsys, what):
+    """restore with spec as its pipeline exits 2 with one line that names the file; returns that line."""
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    assert run_cli(argv, what) == 2, what
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{what}: {err!r}"
+    assert err.startswith(f"diacritize: data error: {model}: "), f"{what}: {err!r}"
+    assert not out.exists()
+    return err
+
+
+def break_marks(spec, how) -> str:
+    """One form of a pipeline that does not only add marks to its routing key; returns the refusal."""
+    key, pairs = next(iter(spec["variant_index"].items()))
+    if how == "unambiguous form of another word":
+        spec["unambiguous"]["oma"] = "dog"
+        return "unambiguous form 'dog' does not strip to wordkey 'oma'"
+    if how == "unambiguous form of another case":
+        spec["unambiguous"]["nwanyi"] = "Nwanyị"
+        return "unambiguous form 'Nwanyị' does not strip to wordkey 'nwanyi'"
+    if how == "variant of another wordkey":
+        pairs[-1][0] = "dog"
+        return f"variant 'dog' does not strip to wordkey {key!r}"
+    if how == "variant listed twice":
+        pairs[-1][0] = pairs[0][0]
+        return f"variant {pairs[0][0]!r} is listed twice for wordkey {key!r}"
+    spec["restorer"]["models"][key]["classes"][-1] = "dog"
+    return f"classifier for wordkey {key!r} has classes not among its variants: ['dog']"
+
+
+MARK_BREAKS = [
+    (name, how)
+    for name in ("ngram", "logistic", "naive_bayes", "embedding")
+    for how in (
+        "unambiguous form of another word", "unambiguous form of another case",
+        "variant of another wordkey", "variant listed twice",
+        *(["classifier class that is not a variant"] if name in ("logistic", "naive_bayes") else []),
+    )
+]
+
+
+@pytest.mark.parametrize("name, how", MARK_BREAKS)
+def test_pipeline_form_that_does_not_strip_to_its_key_is_a_data_error(name, how, files, tmp_path, capsys):
+    spec = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+    refusal = break_marks(spec, how)
+    assert restore_refused(spec, files, tmp_path, capsys, how).endswith(f": {refusal}\n")
+
+
+def break_ngram_integer(restorer, how):
+    """One n-gram max_n or level k made something other than an int, as a hand edit makes it."""
+    model = restorer["model"]
+    if how == "max_n true, one level":
+        # true == 1, so this file loads and restores at order 1 unless max_n is typed
+        model["levels"], model["max_n"], restorer["n"] = model["levels"][:1], True, 1
+    elif how.startswith("max_n "):
+        model["max_n"] = json.loads(how.removeprefix("max_n "))
+    else:
+        value = json.loads(how.removeprefix("k "))
+        model["levels"][0 if value is True else 1]["k"] = value
+
+
+NGRAM_INTEGER_BREAKS = ["max_n true, one level", 'max_n "3"', "max_n 3.0", "k true", 'k "2"', "k 2.0"]
+
+
+@pytest.mark.parametrize("how", NGRAM_INTEGER_BREAKS)
+def test_ngram_max_n_or_k_that_is_not_an_integer_is_a_data_error_at_load(how, files, tmp_path, capsys):
+    spec = json.loads((files / "ngram.json").read_text(encoding="utf-8"))
+    break_ngram_integer(spec["restorer"], how)
+    restore_refused(spec, files, tmp_path, capsys, how)
+    with pytest.raises(ngram.ParseError, match="n-gram"):
+        ngram.model_from_payload(spec["restorer"]["model"], {})
+
+
+@pytest.mark.parametrize("top_n", ["2.5", "true", "-1", '"50"', "null", "50.0"])
+def test_embedding_top_n_that_is_not_a_non_negative_integer_is_a_data_error_at_load(top_n, files, tmp_path, capsys):
+    spec = json.loads((files / "embedding.json").read_text(encoding="utf-8"))
+    assert spec["restorer"]["top_n"] == 50
+    spec["restorer"]["top_n"] = json.loads(top_n)
+    restore_refused(spec, files, tmp_path, capsys, f"top_n {top_n}")
+    with pytest.raises(embed.ParseError, match="embedding top_n"):
+        embed.EmbeddingRestorer.from_payload(spec["restorer"], {})
+
+
+@pytest.mark.parametrize(
+    "name, where, value",
+    [
+        ("ngram", ["restorer", "model", "levels", 2, "k"], 7),
+        ("ngram", ["restorer", "n"], 9),
+        ("logistic", ["restorer", "models", "si", "kind"], ["x"]),
+        ("naive_bayes", ["restorer", "models", "si", "window"], 4),
+        ("embedding", ["restorer", "scheme"], "bogus"),
+        ("embedding", ["restorer", "cowords"], {"sì": [["ya", -1]]}),
+        ("embedding", ["restorer", "vectors_path"], 7),
+    ],
+)
+def test_a_family_readers_refusal_names_the_pipeline_file(name, where, value, files, tmp_path, capsys):
+    spec = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+    node = spec
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    restore_refused(spec, files, tmp_path, capsys, f"{name} {where[-1]}")
+
+
+def test_a_vectors_file_error_keeps_its_own_path(files, tmp_path, capsys):
+    vectors = tmp_path / "bad.vec"
+    vectors.write_text("2 3\nsì 1 2\n", encoding="utf-8")
+    spec = json.loads((files / "embedding.json").read_text(encoding="utf-8"))
+    spec["restorer"]["vectors_path"] = str(vectors)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, "short vectors row", capsys)
+    with pytest.raises(embed.ParseError) as info:
+        pipeline.load_pipeline(model)
+    assert info.value.path == str(vectors)
+    assert str(info.value).startswith(f"{vectors}:2: ")
+
+
+DATASET_MARK_BREAKS = ["header variant of another wordkey", "header variant listed twice", "label that is not a variant"]
+
+
+@pytest.mark.parametrize("how", DATASET_MARK_BREAKS)
+def test_dataset_form_that_is_not_of_its_wordkey_is_a_data_error(how, files, tmp_path, capsys):
+    records = [json.loads(line) for line in (files / "sets.jsonl").read_text(encoding="utf-8").splitlines()]
+    header = records[0]
+    if how == "header variant of another wordkey":
+        header["variants"][-1][0] = "dog"
+        line = 1
+    elif how == "header variant listed twice":
+        header["variants"][-1][0] = header["variants"][0][0]
+        line = 1
+    else:
+        records[2]["label"] = "dog"
+        line = 3
+    data, out = tmp_path / "sets.jsonl", tmp_path / "pipe.json"
+    data.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    argv = ["train", "ngram", str(files / "corpus.txt"), "--dataset", str(data), "-o", str(out)]
+    assert run_cli(argv, how) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{how}: {err!r}"
+    assert err.startswith(f"diacritize: data error: {data}:{line}: "), err
+    assert not out.exists()
