@@ -8,16 +8,18 @@ class in one seeded pass over the examples, and training is deterministic for a
 fixed seed.
 
 `fit_instances` trains every group it is given in one call, as `train clf`
-does with all its wordkeys. The logistic and linear-SVM models of such a call
-advance together in a numpy lockstep head, one step of every live (model,
-class) pair at a time, while at least _HEAD_FLOOR pairs are live; each model
-then finishes on the serial loop from the step the head reached. The weights
-are the serial loop's, bit for bit: every elementwise float64 operation rounds
-as a Python float does, margins add left to right, and the logistic residual
-keeps math.exp (see _lockstep_head). A call with one model never enters the
-head, so `train_classifier` and each CV fold train serially. So does the
-perceptron, which updates only on mistakes and stops classes early, and naive
-Bayes, which does not iterate.
+does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
+one call, as `eval cv` does with the folds of a group of wordkeys. The
+logistic and linear-SVM models of such a call advance together in a numpy
+lockstep head, one step of every live (model, class) pair at a time, while at
+least _HEAD_FLOOR pairs are live; each model then finishes on the serial loop
+from the step the head reached. The weights are the serial loop's, bit for
+bit: every elementwise float64 operation rounds as a Python float does,
+margins add left to right, and the logistic residual keeps math.exp (see
+_lockstep_head). A call with one model never enters the head, so
+`train_classifier` trains serially. So does the perceptron, which updates
+only on mistakes and stops classes early, and naive Bayes, which does not
+iterate.
 
 A trained or loaded classifier holds its numbers once, as plain Python floats:
 the vectorizer's idf list, and the model's rows and offsets (the weight rows and
@@ -258,8 +260,21 @@ def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
 # pairs (50 ms against 52 ms) and won at 30 (82 ms against 114 ms); two fits
 # of 6 and 4 instances took 4.4 ms against 1.3 ms; one fit of 83 instances x 3
 # classes took 56 ms against 12 ms. On the whole dataset, floors of 16 to 32
-# timed alike and 48 or more slower; 32 keeps clear of the break-even.
+# timed alike and 48 or more slower; 32 keeps clear of the break-even. The ten
+# two-class folds of one CV set make 20 pairs, so CV gains only where a call
+# holds the folds of several sets (see _CV_BATCH_ROWS).
 _HEAD_FLOOR = 32
+
+# `eval cv` queues the folds of a group of sets for one training call; a group
+# takes sets until it holds this many training rows (fold training instances,
+# summed over the folds) or more. Measured with `eval cv --restorer
+# clf:logistic -k 10` on a 200k-token bench corpus of 126 sets (Python 3.11,
+# numpy 2.4, 2-vCPU shared host; cold runs beside the parent, which trained
+# each fold alone in 93 MB peak RSS): 10k rows took 57-71% of the parent's wall
+# time at 120 MB, 15k rows 43-57% at 127 MB, and one call for every set 57% at
+# 541 MB. Groups capped at 10k rows took 93%, and at 20k rows 63-64% at 136 MB:
+# a set of more than half the cap trained alone, its 20 pairs below _HEAD_FLOOR.
+_CV_BATCH_ROWS = 15_000
 
 
 class _SGDFit:
@@ -597,13 +612,33 @@ def _training_set(kind: str, instances: list[Instance], windows):
     return vectorizer, (X, y, len(vectorizer.vocabulary), _classes(kind, X, y))
 
 
-def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
-    """A per-fold fit for one wordkey's CV; each instance's window is extracted once.
+class _QueuedFold:
+    """A checked CV fold: its vectorizer and training set, then, once trained, its classifier."""
 
-    Windows are cached by instance identity for all the folds; only the
-    vocabulary, idf and model depend on the fold.
+    __slots__ = ("vectorizer", "training", "clf")
+
+    def __init__(self, vectorizer: Vectorizer, training):
+        self.vectorizer = vectorizer
+        self.training = training
+        self.clf: TextClassifier | None = None
+
+
+def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
+    """A per-fold fit for CV, over any number of wordkeys; the folds train together.
+
+    fit(train) checks and vectorizes the fold at once, so an untrainable fold
+    raises there, then queues it and returns a predictor. The first prediction
+    from any queued fold trains the whole queue in one _train_models call, which
+    gives each fold the bits that training it alone would. A fit is keyed by the
+    identity of its training instances and kept for one more fit of the same
+    instances, which hands it out: `eval cv` fits every fold of a group of sets
+    before crossval fits them again and scores them, so each fold's model is
+    freed once it has been scored. Each instance's window is extracted once, for
+    all the folds; only the vocabulary, idf and model depend on the fold.
     """
     cache: dict[int, tuple[Instance, list[str]]] = {}
+    held: dict[tuple[int, ...], tuple[list[Instance], object]] = {}
+    queue: list[_QueuedFold] = []
 
     def window_of(inst: Instance) -> list[str]:
         entry = cache.get(id(inst))
@@ -611,12 +646,28 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
             entry = cache[id(inst)] = (inst, extract_window(inst.tokens, inst.target, window))
         return entry[1]
 
+    def train_queue() -> None:
+        models = _train_models(kind, [fold.training for fold in queue], hyper)
+        for fold, model in zip(queue, models):
+            fold.clf = TextClassifier(window, fold.vectorizer, model)
+            fold.training = None
+        queue.clear()
+
     def fit(train_instances):
-        vectorizer, (X, y, n_features, _) = _training_set(
-            kind, train_instances, [window_of(inst) for inst in train_instances]
-        )
-        clf = TextClassifier(window, vectorizer, train_classifier(kind, X, y, n_features, hyper))
-        return lambda inst: clf.predict_window(window_of(inst))
+        key = tuple(map(id, train_instances))
+        if key in held:
+            return held.pop(key)[1]
+        vectorizer, training = _training_set(kind, train_instances, [window_of(inst) for inst in train_instances])
+        fold = _QueuedFold(vectorizer, training)
+        queue.append(fold)
+
+        def predictor(inst: Instance) -> str:
+            if fold.clf is None:
+                train_queue()
+            return fold.clf.predict_window(window_of(inst))
+
+        held[key] = (train_instances, predictor)  # the instances keep their ids from reuse
+        return predictor
 
     return fit
 

@@ -342,11 +342,14 @@ def _cmd_cv(args) -> int:
         model = emb_model
         if family == "emb" and detail != embed.BASIC:
             model = embed.enhance(emb_model, cowords, scheme=detail)
+        if family == "clf":
+            fit = classify.cv_fitter(detail, window=windows["clf"], hyper=classify.Hyper(seed=args.seed))
+            fitted = _queued_folds(fit, sets, args.k, args.seed)
+        else:
+            fitted = ((aset, _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords))
+                      for aset in sets)
         per_wordkey, fold_details = {}, {}
-        for aset in sets:
-            fit = _make_fitter(
-                family, detail, ngram_counts, aset, candidates, args.seed, windows, model, cowords
-            )
+        for aset, fit in fitted:
             result = evaluate.crossval(fit, aset, k=args.k, seed=args.seed)
             rep = evaluate.wordkey_report(result.matrix)
             rep.pop("per_class")
@@ -377,12 +380,29 @@ def _cmd_cv(args) -> int:
     return 0
 
 
-def _make_fitter(family, detail, ngram_counts, aset, candidates, seed, windows, model, cowords):
+def _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords):
     if family == "ngram":
         return ngram.cv_fitter(ngram_counts, aset, candidates, n=detail)
-    if family == "clf":
-        return classify.cv_fitter(detail, window=windows["clf"], hyper=classify.Hyper(seed=seed))
     return embed.cv_fitter(model, aset, scheme=detail, window=windows["emb"], cowords=cowords)
+
+
+def _queued_folds(fit, sets, k: int, seed: int):
+    """Each set with the one classifier fit, once fit has queued every fold of the set's group.
+
+    A group takes sets until it holds classify._CV_BATCH_ROWS training rows or more.
+    """
+    group, rows = [], 0
+    for aset in sets:
+        for _, train, _ in evaluate.fold_plan(aset, k, seed)[0]:
+            # crossval meets the same error again and records the failed fold
+            with contextlib.suppress(DataError, ModelError):
+                fit(train)
+            rows += len(train)
+        group.append(aset)
+        if rows >= classify._CV_BATCH_ROWS:
+            yield from ((queued, fit) for queued in group)
+            group, rows = [], 0
+    yield from ((queued, fit) for queued in group)
 
 
 def _cmd_oddword(args) -> int:

@@ -215,6 +215,8 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         bad = bad_variants(key, variants)
         if bad:
             raise ValueError(bad)
+        if key in by_key:
+            raise ValueError(f"second header for wordkey {key!r}")
         aset = AmbiguousSet(wordkey=key, variants=variants)
         sets.append(aset)
         by_key[key] = aset

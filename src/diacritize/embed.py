@@ -364,7 +364,7 @@ class EmbeddingRestorer:
     def from_payload(cls, spec: dict, variant_index) -> "EmbeddingRestorer":
         vectors_path = spec.get("vectors_path")
         if not vectors_path:
-            raise ModelError("embedding pipeline lacks a vectors_path")
+            raise ParseError("embedding pipeline lacks a vectors_path")
         if not isinstance(vectors_path, str):
             raise ParseError("embedding vectors_path must be a string")
         scheme, window = spec["scheme"], spec["window"]

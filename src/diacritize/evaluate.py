@@ -81,6 +81,24 @@ def stratified_folds(instances, k: int = 10, seed: int = 0) -> list[list[int]]:
     return folds
 
 
+def fold_plan(aset: AmbiguousSet, k: int = 10, seed: int = 0):
+    """The folds crossval walks, as a list of (fold_no, train, test), and its warning.
+
+    A set too small to fold is one train-on-all entry, with fold_no None and a
+    warning; a set that folds has no warning (None).
+    """
+    try:
+        folds = stratified_folds(aset.instances, k=k, seed=seed)
+    except FoldError as exc:
+        return [(None, list(aset.instances), aset.instances)], f"{aset.wordkey}: {exc}; evaluated train-on-all"
+    plan = []
+    for fold_no, test_idx in enumerate(folds):
+        test_set = set(test_idx)
+        train = [inst for i, inst in enumerate(aset.instances) if i not in test_set]
+        plan.append((fold_no, train, [aset.instances[i] for i in test_idx]))
+    return plan, None
+
+
 def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalResult:
     """k-fold evaluation of one ambiguous set, summed into a single matrix.
 
@@ -93,19 +111,13 @@ def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalRes
     classes = [v for v, _ in aset.variants]
     cm = ConfusionMatrix(classes=list(classes))
     result = CrossvalResult(matrix=cm, fold_accuracies=[])
-
-    try:
-        folds = stratified_folds(aset.instances, k=k, seed=seed)
-    except FoldError as exc:
-        result.warnings.append(f"{aset.wordkey}: {exc}; evaluated train-on-all")
-        predictor = fit(list(aset.instances))
-        _score_fold(cm, result, aset.instances, predictor)
-        return result
-
-    for fold_no, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train = [inst for i, inst in enumerate(aset.instances) if i not in test_set]
-        test = [aset.instances[i] for i in test_idx]
+    plan, warning = fold_plan(aset, k, seed)
+    if warning is not None:
+        result.warnings.append(warning)
+    for fold_no, train, test in plan:
+        if fold_no is None:  # train-on-all: an error here is the set's own
+            _score_fold(cm, result, test, fit(train))
+            continue
         try:
             predictor = fit(train)
         except (DataError, ModelError) as exc:

@@ -21,6 +21,14 @@ from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, 
 from .corpus import replace_on_success, strip_diacritics, surface_token
 from .errors import ModelError, ParseError
 
+# The errors a caller of load_pipeline and restore_line catches are exported
+# with the pipeline's own names.
+__all__ = [
+    "FAMILIES", "ModelError", "ParseError", "Pipeline", "build_classifier_pipeline",
+    "build_embedding_pipeline", "build_maps", "build_ngram_pipeline", "load_pipeline",
+    "match_case", "restore_line", "restore_text", "save_pipeline",
+]
+
 # Each family's restorer: predict_instance(keys, i, restored), to_payload() and
 # the classmethod from_payload(spec, variant_index), which validates what it
 # reads. `datasetgen.route` calls predict_instance once per ambiguous token:
@@ -168,7 +176,7 @@ def load_pipeline(path) -> Pipeline:
     try:
         family = payload["family"]
         if family not in FAMILIES:
-            raise ModelError(f"unknown pipeline family: {family!r}")
+            raise ParseError(f"unknown pipeline family: {family!r}")
         index = {k: [(v, c) for v, c in vs] for k, vs in payload["variant_index"].items()}
         if not all(vs and all(type(v) is str and type(c) is int and c >= 0 for v, c in vs) for vs in index.values()):
             raise ParseError("variant_index lists must be nonempty [variant, non-negative integer count] pairs")

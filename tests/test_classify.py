@@ -339,6 +339,28 @@ class TestInstanceInterface:
         vec_b = clf.vectorizer.transform(window_b)
         assert set(vec_p) <= set(vec_b)
 
+    def test_cv_fitter_queues_folds_and_hands_each_out_once(self, monkeypatch):
+        calls = []
+        real = classify._train_models
+        monkeypatch.setattr(classify, "_train_models", lambda kind, sets, hyper: calls.append(len(sets)) or real(kind, sets, hyper))
+        insts = self.make_instances()
+        trains = [insts[:12], insts[4:], insts[::3]]
+        fit = classify.cv_fitter(LOGISTIC, window=5, hyper=Hyper(epochs=5))
+        queued = [fit(train) for train in trains]
+        with pytest.raises(ModelError, match="single class"):
+            fit(insts[::2])
+        assert calls == []
+        # a new list of the same instances hands the queued fit out
+        assert [fit(list(train)) for train in trains] == queued
+        assert [queued[1](inst) for inst in insts] == [queued[1](inst) for inst in insts]
+        assert calls == [3]
+        for predictor, train in zip(queued, trains):
+            alone = fit_instances([train], LOGISTIC, window=5, hyper=Hyper(epochs=5))[0]
+            assert [predictor(i) for i in insts] == [alone.predict_window(extract_window(i.tokens, i.target, 5)) for i in insts]
+        assert calls == [3, 1, 1, 1]
+        # handed out, a fit is let go: the same instances queue a new one
+        assert fit(trains[0]) not in queued
+
 
 def three_class_fixture():
     rng = random.Random(17)

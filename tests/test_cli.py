@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -555,6 +556,114 @@ class TestGoldenClassifierBytes:
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
         # one window per instance, for all its training folds and its test fold
         assert len(calls) == sum(len(s.instances) for s in datasetgen.read_dataset(GOLDEN))
+
+
+def serial_cv_fitter(kind, window=9, hyper=None):
+    """The per-fold reference: each fold trains alone through train_classifier."""
+
+    def fit(train):
+        windows = [classify.extract_window(i.tokens, i.target, window) for i in train]
+        vectorizer, (X, y, n_features, _) = classify._training_set(kind, train, windows)
+        clf = classify.TextClassifier(window, vectorizer, classify.train_classifier(kind, X, y, n_features, hyper))
+        return lambda inst: clf.predict_window(classify.extract_window(inst.tokens, inst.target, window))
+
+    return fit
+
+
+class TestBatchedClassifierCv:
+    """`eval cv` queues the folds of a group of sets and trains them in one call, with each fold's bits."""
+
+    @staticmethod
+    def dataset(tmp_path):
+        """Five 3-variant sets that enter the lockstep head together, a set with a
+        single-class fold, and one too small to fold."""
+        rng = random.Random(5)
+        context = ["ala", "ebe", "ife", "oke", "ulo", "nne", "ego", "ama", "obi", "uwa"]
+        sets = []
+        for key in ("ba", "da", "ga", "ka", "ma"):
+            forms = [key[0] + m for m in ("á", "à", "a")]
+            sets.append((key, [(form, 4) for form in forms]))
+        sets += [("na", [("ná", 5), ("nà", 1)]), ("ta", [("tá", 1), ("tà", 1)])]
+        records = []
+        for key, variants in sets:
+            records.append({"wordkey": key, "variants": [list(v) for v in variants]})
+            for c, (form, count) in enumerate(variants):
+                for _ in range(count):
+                    tokens = [rng.choice(context[c * 3 : c * 3 + 4]) for _ in range(3)] + [key, rng.choice(context)]
+                    records.append({"wordkey": key, "tokens": tokens, "target": 3, "label": form, "line": len(records)})
+        path = tmp_path / "batched.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def cv(capsys, dataset, report, kind="logistic"):
+        code, _, _ = run(
+            capsys, "eval", "cv", "--dataset", str(dataset), "--restorer", f"clf:{kind}",
+            "-k", "3", "--report", str(report),
+        )
+        assert code == 0
+        return report.read_bytes()
+
+    @staticmethod
+    def recorded(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("kind", [classify.LOGISTIC, classify.LINEAR_SVM])
+    def test_one_call_enters_the_head_and_matches_serial_folds(self, capsys, tmp_path, monkeypatch, kind):
+        dataset = self.dataset(tmp_path)
+        heads = self.recorded(monkeypatch, classify, "_lockstep_head")
+        trainings = self.recorded(monkeypatch, classify, "_train_models")
+        real_crossval, results = evaluate.crossval, []
+        monkeypatch.setattr(evaluate, "crossval", lambda *a, **kw: results.append(real_crossval(*a, **kw)) or results[-1])
+        batched = self.cv(capsys, dataset, tmp_path / "batched.json", kind)
+        assert len(trainings) == 1 and len(heads) == 1
+        batched_results, results[:] = results[:], []
+
+        monkeypatch.setattr(classify, "cv_fitter", serial_cv_fitter)
+        assert self.cv(capsys, dataset, tmp_path / "serial.json", kind) == batched
+        assert len(results) == len(batched_results) == 7
+        for got, want in zip(batched_results, results):
+            assert (got.matrix.classes, got.matrix.cells) == (want.matrix.classes, want.matrix.cells)
+            assert got.fold_accuracies == want.fold_accuracies
+            assert (got.failed_folds, got.warnings) == (want.failed_folds, want.warnings)
+        assert batched_results[5].failed_folds and "single class" in batched_results[5].warnings[0]
+        assert "evaluated train-on-all" in batched_results[6].warnings[0]
+
+    @pytest.mark.parametrize("rows, calls", [(1, 4), (20, 3)])
+    def test_a_small_group_bound_trains_in_more_calls_with_the_same_bytes(
+        self, capsys, tmp_path, monkeypatch, rows, calls
+    ):
+        trainings = self.recorded(monkeypatch, classify, "_train_models")
+        assert hashlib.sha256(self.cv(capsys, GOLDEN, tmp_path / "one.json")).hexdigest() == CV_CLF_REPORT_SHA
+        assert len(trainings) == 1
+        trainings.clear()
+        monkeypatch.setattr(classify, "_CV_BATCH_ROWS", rows)
+        assert hashlib.sha256(self.cv(capsys, GOLDEN, tmp_path / "many.json")).hexdigest() == CV_CLF_REPORT_SHA
+        assert len(trainings) == calls
+
+    def test_an_error_inside_the_batch_is_no_failed_fold(self, capsys, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("batch broke")
+
+        monkeypatch.setattr(classify, "_train_models", broken)
+        report = tmp_path / "report.json"
+        with pytest.raises(RuntimeError, match="batch broke"):
+            main(["eval", "cv", "--dataset", str(GOLDEN), "--restorer", "clf:logistic", "-k", "3",
+                  "--report", str(report)])
+        capsys.readouterr()
+        assert not report.exists()
+
+    def test_a_second_header_for_a_wordkey_exits_two(self, capsys, tmp_path):
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        lines.insert(6, lines[0])  # the akwa header again, after its fifth instance
+        dataset = tmp_path / "twice.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "cv", "--dataset", str(dataset), "--restorer", "clf:logistic", "-k", "3")
+        assert code == 2
+        assert f"{dataset}:7: second header for wordkey 'akwa'" in err
 
 
 class TestGoldenNgramPipelineBytes:

@@ -223,12 +223,14 @@ class TestSerialization:
             ('{"wordkey":"ab","variants":[["áb",1],["áb",2]]}', "listed twice"),
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ab"}', "not a variant of wordkey 'ab'"),
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ác"}', "not a variant of wordkey 'ab'"),
+            ('{"wordkey":"ab","variants":[["áb",1],["àb",1]]}', "second header for wordkey 'ab'"),
         ],
     )
     def test_malformed_record_is_parse_error_with_line(self, tmp_path, record, match):
         path = tmp_path / "bad.jsonl"
         header = '{"wordkey":"ab","variants":[["áb",1],["àb",1]]}'
-        path.write_text(f"{header}\n{header}\n{record}\n", encoding="utf-8")
+        instance = '{"wordkey":"ab","tokens":["ab"],"target":0,"label":"áb"}'
+        path.write_text(f"{header}\n{instance}\n{record}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=match) as err:
             read_dataset(path)
         assert err.value.line == 3

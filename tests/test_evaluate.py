@@ -10,6 +10,7 @@ from diacritize.evaluate import (
     ConfusionMatrix,
     aggregate,
     crossval,
+    fold_plan,
     full_text_eval,
     metrics,
     stratified_folds,
@@ -147,6 +148,22 @@ class TestCrossval:
 
         with pytest.raises(AttributeError):
             crossval(fit, aset, k=10, seed=0)
+
+    def test_fold_plan_walks_the_stratified_folds(self):
+        aset = make_set({"a": 7, "b": 5})
+        plan, warning = fold_plan(aset, k=4, seed=2)
+        assert warning is None
+        folds = stratified_folds(aset.instances, k=4, seed=2)
+        assert [fold_no for fold_no, _, _ in plan] == list(range(4))
+        for (_, train, test), test_idx in zip(plan, folds):
+            assert [id(i) for i in test] == [id(aset.instances[j]) for j in test_idx]
+            assert [id(i) for i in train] == [id(inst) for j, inst in enumerate(aset.instances) if j not in test_idx]
+
+    def test_fold_plan_of_a_set_too_small_to_fold(self):
+        aset = make_set({"a": 2, "b": 1})
+        [(fold_no, train, test)], warning = fold_plan(aset, k=5)
+        assert fold_no is None and train == test == aset.instances and train is not aset.instances
+        assert warning == "ka: 3 instances cannot fill 5 folds; evaluated train-on-all"
 
     def test_reproducible_with_seed(self):
         aset = make_set({"a": 25, "b": 25})

@@ -302,7 +302,7 @@ class TestLoadValidation:
             ("ngram", ["restorer", "n"], 9, 2),
             ("classifier", ["restorer", "models", "si", "weights"], [[0.0]], 2),
             ("classifier", ["restorer", "models", "si", "kind"], "bogus", 2),
-            ("ngram", ["family"], "rules", 3),
+            ("ngram", ["family"], "rules", 2),
             # a routing key that is not a word: train never writes one
             ("ngram", ["unambiguous", ","], "x", 2),
             ("ngram", ["variant_index", "7"], [["7", 3], ["7̀", 2]], 2),

@@ -564,6 +564,8 @@ def test_embedding_top_n_that_is_not_a_non_negative_integer_is_a_data_error_at_l
         ("embedding", ["restorer", "scheme"], "bogus"),
         ("embedding", ["restorer", "cowords"], {"sì": [["ya", -1]]}),
         ("embedding", ["restorer", "vectors_path"], 7),
+        ("embedding", ["restorer", "vectors_path"], ""),
+        ("ngram", ["family"], "rules"),
     ],
 )
 def test_a_family_readers_refusal_names_the_pipeline_file(name, where, value, files, tmp_path, capsys):

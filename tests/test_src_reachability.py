@@ -12,6 +12,7 @@ ALLOWED = {
     "classify.logistic_example_loss",
     "classify.logistic_example_grad",
     "classify.posterior",
+    "classify.train_classifier",
     "pipeline.restore_text",
 }
 
