@@ -183,6 +183,12 @@ def _window(window: int | None) -> int | None:
     return window
 
 
+def _order(n: int) -> int:
+    if not 1 <= n <= ngram.MAX_ORDER:
+        raise DataError(f"n-gram order must be in 1..{ngram.MAX_ORDER}, got {n}")
+    return n
+
+
 def _top_n(top_n: int) -> int:
     if top_n < 0:
         raise DataError(f"--top-n must be >= 0, got {top_n}")
@@ -226,7 +232,7 @@ def _train(args, build, **options) -> int:
 
 
 def _cmd_train_ngram(args) -> int:
-    return _train(args, pipeline.build_ngram_pipeline, n=args.n)
+    return _train(args, pipeline.build_ngram_pipeline, n=_order(args.n))
 
 
 def _cmd_train_clf(args) -> int:
@@ -282,9 +288,9 @@ def _cmd_restore(args) -> int:
 def _parse_restorer_spec(spec: str):
     family, _, detail = spec.partition(":")
     if family == "ngram":
-        if not (detail.isdecimal() and int(detail) >= 1):
-            raise DataError(f"expected ngram:N with N >= 1, got {spec!r}")
-        return family, int(detail)
+        if not detail.isdecimal():
+            raise DataError(f"expected ngram:N with N in 1..{ngram.MAX_ORDER}, got {spec!r}")
+        return family, _order(int(detail))
     if family == "clf" and detail not in classify.KINDS:
         raise DataError(f"expected clf:KIND with KIND in {classify.KINDS}, got {spec!r}")
     if family == "emb" and detail not in embed.SCHEMES:

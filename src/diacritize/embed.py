@@ -1,18 +1,24 @@
 """Embedding-based restoration: projection, variant enhancement, intrinsic tasks.
 
-Pretrained vectors are consumed from word2vec text files. Cross-lingual
-projection assigns each target word the count-weighted average of its aligned
-source words' vectors. Variant vectors can be enhanced toward the centroid of
-their exclusive co-occurring words, and restoration picks the candidate whose
-vector is most cosine-similar to the averaged context vector.
+Pretrained vectors are consumed from word2vec text files, whose values are
+parsed in one C pass (`load_vectors`). Cross-lingual projection assigns each
+target word the count-weighted average of its aligned source words' vectors.
+Variant vectors can be enhanced toward the centroid of their exclusive
+co-occurring words, counted once per occurrence over its sentence or window
+(`build_cowords`). Restoration picks the candidate whose vector is most
+cosine-similar to the averaged context vector: each call averages a distinct
+context once, and the model keeps each scored candidate's norm. An embedding
+pipeline names its vectors file by path and records the file's byte size,
+dim, word count and sha256, which loading checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,20 +42,43 @@ class UnrepresentableInstance(ModelError):
 
 @dataclass
 class EmbeddingModel:
+    """Word vectors of one dimension.
+
+    `norms` keeps the norm of each vector restore_instance has scored, so the
+    vectors must not change once the model has restored: `enhance` and
+    `project` return new models.
+    """
+
     dim: int
     vectors: dict[str, np.ndarray]
+    norms: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def norm(self, word: str) -> float:
+        norm = self.norms.get(word)
+        if norm is None:
+            norm = self.norms[word] = float(np.linalg.norm(self.vectors[word]))
+        return norm
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return _cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
 
 
 def load_vectors(path) -> EmbeddingModel:
-    """Parse word2vec text format: header 'V D', then V rows 'word f1 .. fD'."""
+    """Parse word2vec text format: header 'V D', then V rows 'word f1 .. fD'.
+
+    Rows are checked for their field count as they are read. Their values are
+    parsed together in one C pass, and row by row with float() wherever that
+    pass could differ: the row-by-row parse names the first bad line. Rows
+    read before a read stops on an error are parsed first, so an earlier bad
+    value is the error reported, as when every row was parsed as it was read.
+    """
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -62,27 +91,29 @@ def load_vectors(path) -> EmbeddingModel:
             raise ParseError(f"dim must not be negative, got {dim}", line=1, path=path)
         words: list[str] = []
         line_nos: list[int] = []
-        values: list[float] = []
-        for line_no, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split(" ")
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"expected a word and {dim} values, got {len(parts)} fields",
-                    line=line_no,
-                    path=path,
-                )
-            try:
-                values.extend([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ParseError("non-numeric vector component", line=line_no, path=path)
-            words.append(parts[0])
-            line_nos.append(line_no)
-    # One array for the whole file: a finiteness check per row would cost
-    # more than parsing it.
-    matrix = np.array(values, dtype=float).reshape(len(words), dim)
+        rows: list[str] = []
+        try:
+            for line_no, raw in enumerate(fh, start=2):
+                raw = raw.rstrip("\n")
+                if not raw:
+                    continue
+                # split(" ") would give dim + 1 fields
+                if raw.count(" ") != dim:
+                    raise ParseError(
+                        f"expected a word and {dim} values, got {raw.count(' ') + 1} fields",
+                        line=line_no,
+                        path=path,
+                    )
+                word, _, values = raw.partition(" ")
+                words.append(word)
+                line_nos.append(line_no)
+                rows.append(values)
+        except (ParseError, UnicodeDecodeError):
+            _parse_rows(rows, dim, line_nos, path)
+            raise
+    matrix = _bulk_parse(rows, dim)
+    if matrix is None:
+        matrix = _parse_rows(rows, dim, line_nos, path)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite vector component", line=line_nos[int(finite.argmin())], path=path)
@@ -93,6 +124,52 @@ def load_vectors(path) -> EmbeddingModel:
             path=path,
         )
     return EmbeddingModel(dim=dim, vectors=vectors)
+
+
+def _bulk_parse(rows: list[str], dim: int) -> np.ndarray | None:
+    """The rows' values as one (rows, dim) array, or None to parse them row by row.
+
+    numpy reads a number with the correctly rounded strtod that float() uses.
+    It refuses some forms that float() takes, such as '1_0' and non-ASCII
+    digits; None sends those to float(). The one form it takes and float()
+    refuses is a number beside the ASCII separators \\x1c-\\x1f, which numpy
+    strips as whitespace: such rows go to float() too.
+    """
+    if not (rows and dim):
+        return None
+    for values in rows:
+        if "\x1c" in values or "\x1d" in values or "\x1e" in values or "\x1f" in values:
+            return None
+    try:
+        # Without comments=None numpy would cut '1#x' down to 1.
+        matrix = np.loadtxt(rows, dtype=float, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # A row with no values at all is skipped by numpy, not refused.
+    return matrix if matrix.shape == (len(rows), dim) else None
+
+
+def _parse_rows(rows: list[str], dim: int, line_nos: list[int], path) -> np.ndarray:
+    """The rows' values parsed one by one with float(); the first bad one is a ParseError."""
+    values: list[float] = []
+    for line_no, row in zip(line_nos, rows):
+        try:
+            values.extend([float(v) for v in row.split(" ")] if dim else ())
+        except ValueError:
+            raise ParseError("non-numeric vector component", line=line_no, path=path)
+    # One array for the whole file: a finiteness check per row would cost
+    # more than parsing it.
+    return np.array(values, dtype=float).reshape(len(rows), dim)
+
+
+def vectors_fingerprint(path, model: EmbeddingModel) -> dict:
+    """What a pipeline records of its vectors file: byte size, dim, word count and sha256."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+        size = fh.tell()
+    return {"bytes": size, "dim": model.dim, "words": len(model.vectors), "sha256": digest.hexdigest()}
 
 
 def save_vectors(model: EmbeddingModel, path) -> None:
@@ -170,13 +247,19 @@ def build_cowords(
             (t.surface.lower() if lowercase else t.surface, t.kind is TokenKind.WORD)
             for t in line
         ]
+        if half is None:
+            # Every word of the sentence but the occurrence itself.
+            words = [surface for surface, is_word in surfaces if is_word]
+            for word in words:
+                counter = counters.get(word)
+                if counter is not None:
+                    counter.update(words)
+                    counter[word] -= 1
+            continue
         for pos, (surface, is_word) in enumerate(surfaces):
             if not is_word or surface not in counters:
                 continue
-            if half is None:
-                span = range(len(surfaces))
-            else:
-                span = range(max(0, pos - half), min(len(surfaces), pos + half + 1))
+            span = range(max(0, pos - half), min(len(surfaces), pos + half + 1))
             counter = counters[surface]
             for j in span:
                 if j == pos:
@@ -187,7 +270,8 @@ def build_cowords(
 
     top: dict[str, list[tuple[str, int]]] = {}
     for variant, counter in counters.items():
-        ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+        # A variant alone on its line leaves itself a count of 0.
+        ranked = sorted(((w, c) for w, c in counter.items() if c), key=lambda kv: (-kv[1], kv[0]))[:top_n]
         top[variant] = ranked
 
     pruned: dict[str, list[tuple[str, int]]] = {}
@@ -295,12 +379,15 @@ def restore_instance(
     if not context:
         return majority_variant(candidates)
 
+    context = tuple(context)
     restricted = {}
     if scheme in (TWEAK2, TWEAK3):
         for v, _ in candidates:
             allowed = {w for w, _ in cowords.get(v, ())}
-            restricted[v] = [w for w in context if w in allowed]
+            restricted[v] = tuple([w for w in context if w in allowed])
 
+    # Each distinct context's mean and norm, or None for an all-zero mean.
+    means: dict[tuple[str, ...], tuple[np.ndarray, float] | None] = {}
     scores = {}
     for v, _ in candidates:
         vec = model.vectors.get(v)
@@ -313,12 +400,15 @@ def restore_instance(
                 "no vector" if vec is None else "empty restricted context",
             )
             continue
-        vec_c = np.mean([model.vectors[w] for w in ctx], axis=0)
-        if not np.any(vec_c):
+        if ctx not in means:
+            vec_c = np.mean([model.vectors[w] for w in ctx], axis=0)
+            means[ctx] = (vec_c, float(np.linalg.norm(vec_c))) if np.any(vec_c) else None
+        if means[ctx] is None:
             scores[v] = prior[v]
             log.debug("candidate %r scored by unigram prior (zero context vector)", v)
             continue
-        scores[v] = cosine(vec_c, vec)
+        vec_c, norm_c = means[ctx]
+        scores[v] = _cosine(vec_c, norm_c, vec, model.norm(v))
     best = max(scores.values())
     return min(v for v, s in scores.items() if s == best)
 
@@ -343,6 +433,7 @@ class EmbeddingRestorer:
     cowords: dict[str, list[tuple[str, int]]] | None = None
     vectors_path: str | None = None
     top_n: int = 50
+    vectors_fingerprint: dict | None = None
 
     def predict_instance(self, keys, i: int, restored: list[str]) -> str:
         candidates = self.variant_index[keys[i]]
@@ -352,6 +443,7 @@ class EmbeddingRestorer:
     def to_payload(self) -> dict:
         return {
             "vectors_path": self.vectors_path,
+            "vectors_fingerprint": self.vectors_fingerprint,
             "scheme": self.scheme,
             "window": self.window,
             "top_n": self.top_n,
@@ -381,12 +473,32 @@ class EmbeddingRestorer:
         top_n = spec.get("top_n", 50)
         if type(top_n) is not int or top_n < 0:
             raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
+        # Pipelines written before the fingerprint have none (or null), and load unchecked.
+        recorded = spec.get("vectors_fingerprint")
+        if recorded is not None and not (
+            type(recorded) is dict
+            and sorted(recorded) == ["bytes", "dim", "sha256", "words"]
+            and all(type(recorded[key]) is int for key in ("bytes", "dim", "words"))
+            and type(recorded["sha256"]) is str
+        ):
+            raise ParseError(
+                "embedding vectors_fingerprint must hold integer bytes, dim and words and a sha256 string"
+            )
         model = load_vectors(vectors_path)
+        if recorded is not None:
+            found = vectors_fingerprint(vectors_path, model)
+            for key in ("dim", "words", "bytes", "sha256"):
+                if found[key] != recorded[key]:
+                    raise ParseError(
+                        f"not the vectors file the pipeline was trained with: {key} {found[key]}, "
+                        f"trained with {recorded[key]}",
+                        path=vectors_path,
+                    )
         if scheme != BASIC and cowords:
             model = enhance(model, cowords, scheme=scheme)
         return cls(
             model=model, variant_index=variant_index, scheme=scheme, window=window,
-            cowords=cowords, vectors_path=vectors_path, top_n=top_n,
+            cowords=cowords, vectors_path=vectors_path, top_n=top_n, vectors_fingerprint=recorded,
         )
 
 

@@ -30,6 +30,11 @@ from .corpus import Corpus, strip_diacritics, variant_counts
 from .datasetgen import AmbiguousSet, Instance, majority_forms, majority_variant, route
 from .errors import ModelError, ParseError
 
+# The largest order `train ngram -n` and `eval cv --restorer ngram:N` accept.
+# The paper goes up to 5; an order past the longest line adds only empty levels.
+# Pipeline files of any order still load.
+MAX_ORDER = 20
+
 
 @dataclass
 class PreparedCorpus:

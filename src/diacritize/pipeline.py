@@ -103,6 +103,7 @@ def build_embedding_pipeline(
 ) -> Pipeline:
     unambiguous, index = build_maps(corpus, sets, lowercase)
     model = embed.load_vectors(vectors_path)
+    fingerprint = embed.vectors_fingerprint(vectors_path, model)
     cowords = None
     if scheme != embed.BASIC:
         cowords = embed.build_cowords(corpus, sets, top_n=top_n, lowercase=lowercase)
@@ -110,6 +111,7 @@ def build_embedding_pipeline(
     restorer = embed.EmbeddingRestorer(
         model=model, variant_index=index, scheme=scheme, window=window, cowords=cowords,
         vectors_path=str(Path(vectors_path).resolve()), top_n=top_n,
+        vectors_fingerprint=fingerprint,
     )
     return Pipeline(
         family="embedding",

@@ -72,6 +72,20 @@ ENHANCE_SHA = "0c8bb254c82a98e7fa1bbc3fb5ceef8f75ff0c61cce717d6bfc72cd72d07c242"
 # sha256 of `eval cv -k 3 --report` for emb:tweak1 + emb:tweak2, on the fixture
 # corpus, the golden dataset and the `vectors_file` vectors.
 CV_TWEAK_REPORT_SHA = "e0e5c04800cacdabb778538395c667467895a874479fb5df6031b020ba2a6482"
+# sha256 of `eval cv -k 3 --report` for emb:SCHEME alone, on the same inputs.
+CV_EMB_REPORT_SHA = {
+    "basic": "daad71e57c9110487700c8fc168b7a1ac5697ca03d4853d6d8940d17afdb7c5c",
+    "tweak3": "3e844928c342f02f7740e4146519ad225ffd7adf56b4284410a54fb5ea9a13e6",
+}
+# sha256 of `restore` on the stripped fixture corpus through a `train emb
+# --scheme SCHEME` pipeline on the same inputs. The restored text is pinned, not
+# the pipeline, which names its vectors file by absolute path.
+RESTORED_EMB_SHA = {
+    "basic": "edebbce0d7f2c4021ddfc6535dfc4a3cf03b4c927364096933ce7772aa82027c",
+    "tweak1": "8da3519615451b2aa008fc34c65449bdaca91bb10bef2f99c16d12a5d511c6dc",
+    "tweak2": "ae43ced8412f32071f9db5afac25c4a2dfa926c4dd2d74f9423f13df3585d5c8",
+    "tweak3": "dbe3793c124e77d649b7d54339d85fced4408853e0c62da0cbebfb55a7f075d1",
+}
 # A `train ngram -n 5` pipeline in the older layout, whose restorer.model also
 # holds copies of variant_index and unambiguous, and a lowercase flag.
 INNER_MAPS_PIPELINE = DATA / "ngram_pipeline_inner_maps.json"
@@ -267,6 +281,60 @@ class TestTrainRestore:
         assert code == 0, err
         assert out_file.read_text(encoding="utf-8").strip()
 
+    def train_emb_on_a_copy(self, capsys, tmp_path, dataset_file, vectors_file):
+        vectors = tmp_path / "copy.vec"
+        vectors.write_bytes(Path(vectors_file).read_bytes())
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "emb", FIXTURE, "--dataset", dataset_file,
+            "--vectors", str(vectors), "-o", str(model),
+        )
+        assert code == 0
+        return model, vectors
+
+    @pytest.mark.parametrize("swap", ["dim", "words", "bytes", "sha256"])
+    def test_a_vectors_file_swapped_after_training_exits_two(
+        self, capsys, tmp_path, dataset_file, vectors_file, swap
+    ):
+        # Each swap differs from the trained file first in the field it names,
+        # in the order the loader compares them: dim, words, bytes, sha256.
+        model, vectors = self.train_emb_on_a_copy(capsys, tmp_path, dataset_file, vectors_file)
+        trained = embed.load_vectors(vectors)
+        words = dict(trained.vectors)
+        if swap == "dim":
+            embed.save_vectors(embed.EmbeddingModel(3, {w: v[:3] for w, v in words.items()}), vectors)
+        elif swap == "words":
+            embed.save_vectors(embed.EmbeddingModel(4, {**words, "extra": words["oma"]}), vectors)
+        elif swap == "bytes":
+            vectors.write_bytes(vectors.read_bytes() + b"\n")
+        else:
+            words["oma"], words["nwa"] = words["nwa"], words["oma"]
+            embed.save_vectors(embed.EmbeddingModel(4, words), vectors)
+            assert vectors.stat().st_size == Path(vectors_file).stat().st_size
+        out = tmp_path / "restored.txt"
+        code, stdout, err = run(capsys, "restore", "--model", str(model), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"diacritize: data error: {vectors}: not the vectors file the pipeline was trained with: {swap} ")
+        assert not out.exists()
+
+    def test_a_pipeline_without_a_vectors_fingerprint_still_loads(
+        self, capsys, tmp_path, dataset_file, vectors_file
+    ):
+        model, _ = self.train_emb_on_a_copy(capsys, tmp_path, dataset_file, vectors_file)
+        spec = json.loads(model.read_text(encoding="utf-8"))
+        assert set(spec["restorer"].pop("vectors_fingerprint")) == {"bytes", "dim", "words", "sha256"}
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+        stripped = tmp_path / "in.txt"
+        stripped.write_text("nwanyi ziri akwa oma\nogè di ya\n", encoding="utf-8")
+        outs = []
+        for pipe in (model, older):
+            out = tmp_path / f"{pipe.stem}.txt"
+            assert run(capsys, "restore", "--model", str(pipe), "--in", str(stripped), "--out", str(out))[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_model_file_is_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "restore", "--model", str(tmp_path / "nope.json"))
         assert code == 2
@@ -395,6 +463,7 @@ class TestEval:
             ["--restorer", "ngram:x"],
             ["--restorer", "ngram:0"],
             ["--restorer", "ngram:-2"],
+            ["--restorer", f"ngram:{ngram.MAX_ORDER + 1}"],
             ["--restorer", "ngram:2", "-k", "1"],
             ["--restorer", "clf:logistic", "-k", "0"],
         ],
@@ -435,7 +504,7 @@ class TestEval:
 
 
 class TestFlagRanges:
-    """A --window or --top-n that no restorer accepts exits 2 before any work."""
+    """A --window, --top-n or n-gram order that no restorer accepts exits 2 before any work."""
 
     def check_rejected(self, capsys, tmp_path, argv, out_flag):
         out = tmp_path / "out"
@@ -467,6 +536,18 @@ class TestFlagRanges:
         assert run(capsys, *train, str(zero), "--window", "0")[0] == 2
         assert sha256(default) == CLF_PIPELINE_SHA["logistic"]
         assert not zero.exists()
+
+    @pytest.mark.parametrize("n", ["0", str(ngram.MAX_ORDER + 1), "2000"])
+    def test_train_ngram_order(self, capsys, tmp_path, dataset_file, n):
+        argv = ["train", "ngram", FIXTURE, "--dataset", dataset_file, "-n", n]
+        self.check_rejected(capsys, tmp_path, argv, "-o")
+
+    def test_train_ngram_takes_the_largest_order(self, capsys, tmp_path, dataset_file):
+        out = tmp_path / "pipe.json"
+        code, _, _ = run(capsys, "train", "ngram", FIXTURE, "--dataset", dataset_file,
+                         "-n", str(ngram.MAX_ORDER), "-o", str(out))
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["restorer"]["n"] == ngram.MAX_ORDER
 
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
     def test_enhance_window(self, capsys, tmp_path, dataset_file, vectors_file, window):
@@ -508,6 +589,16 @@ class TestGoldenEmbeddingCvBytes:
         assert code == 0
         assert sha256(report) == CV_TWEAK_REPORT_SHA
         assert calls == [1]
+
+    @pytest.mark.parametrize("scheme", sorted(CV_EMB_REPORT_SHA))
+    def test_cv_report_of_one_scheme(self, capsys, tmp_path, vectors_file, scheme):
+        report = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
+            "--restorer", f"emb:{scheme}", "--vectors", vectors_file, "-k", "3", "--report", str(report),
+        )
+        assert code == 0
+        assert sha256(report) == CV_EMB_REPORT_SHA[scheme]
 
 
 class TestGoldenClassifierBytes:
@@ -759,6 +850,16 @@ class TestGoldenRestoreBytes:
         assert corpus._chunk_tokens.cache_info().currsize > 0
         assert self.restore(capsys, model, stripped) == RESTORED_SHA[family]
         assert corpus._chunk_tokens.cache_info().hits > 0
+
+    @pytest.mark.parametrize("scheme", embed.SCHEMES)
+    def test_restore_emb_scheme(self, capsys, tmp_path, stripped, vectors_file, scheme):
+        model = tmp_path / "pipe.json"
+        code, _, _ = run(
+            capsys, "train", "emb", FIXTURE, "--dataset", str(GOLDEN), "--vectors", vectors_file,
+            "--scheme", scheme, "-o", str(model),
+        )
+        assert code == 0
+        assert self.restore(capsys, model, stripped) == RESTORED_EMB_SHA[scheme]
 
     def test_older_ngram_layout_restores_identically(self, capsys, tmp_path, stripped):
         assert self.restore(capsys, INNER_MAPS_PIPELINE, stripped) == RESTORED_SHA["ngram"]

@@ -1,12 +1,14 @@
 import itertools
+import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from diacritize import embed
-from diacritize.corpus import corpus_from_lines
+from diacritize.corpus import TokenKind, corpus_from_lines, open_text
 from diacritize.datasetgen import AmbiguousSet, Instance
 from diacritize.embed import (
     BASIC,
@@ -33,6 +35,154 @@ from diacritize.errors import DataError, ModelError, ParseError
 def model_of(**vectors):
     dim = len(next(iter(vectors.values())))
     return EmbeddingModel(dim=dim, vectors={k: np.array(v, dtype=float) for k, v in vectors.items()})
+
+
+def reference_load_vectors(path) -> EmbeddingModel:
+    """The row-by-row loader: every value parsed with float() as its row is read."""
+    with open_text(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ParseError("header must be 'vocab_size dim'", line=1, path=path)
+        try:
+            vocab_size, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise ParseError("header must hold two integers", line=1, path=path)
+        if dim < 0:
+            raise ParseError(f"dim must not be negative, got {dim}", line=1, path=path)
+        words, line_nos, values = [], [], []
+        for line_no, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if not raw:
+                continue
+            parts = raw.split(" ")
+            if len(parts) != dim + 1:
+                raise ParseError(
+                    f"expected a word and {dim} values, got {len(parts)} fields", line=line_no, path=path
+                )
+            try:
+                values.extend([float(v) for v in parts[1:]])
+            except ValueError:
+                raise ParseError("non-numeric vector component", line=line_no, path=path)
+            words.append(parts[0])
+            line_nos.append(line_no)
+    matrix = np.array(values, dtype=float).reshape(len(words), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite vector component", line=line_nos[int(finite.argmin())], path=path)
+    vectors = dict(zip(words, matrix))
+    if len(vectors) != vocab_size:
+        raise ParseError(f"header declares {vocab_size} words but file holds {len(vectors)}", path=path)
+    return EmbeddingModel(dim=dim, vectors=vectors)
+
+
+def reference_cowords(corpus, sets, top_n=50, window=None, lowercase=True):
+    """build_cowords as one loop over each occurrence's span, for the whole sentence too."""
+    siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}
+    counters = {v: Counter() for aset in sets for v, _ in aset.variants}
+    half = window // 2 if window else None
+    for line in corpus.lines:
+        surfaces = [(t.surface.lower() if lowercase else t.surface, t.kind is TokenKind.WORD) for t in line]
+        for pos, (surface, is_word) in enumerate(surfaces):
+            if not is_word or surface not in counters:
+                continue
+            lo, hi = (0, len(surfaces)) if half is None else (max(0, pos - half), pos + half + 1)
+            for j, (coword, word_kind) in enumerate(surfaces[lo:hi], start=lo):
+                if j != pos and word_kind:
+                    counters[surface][coword] += 1
+    top = {v: sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n] for v, c in counters.items()}
+    return {
+        v: [(w, c) for w, c in ranked if w not in {s for o in siblings[v] for s, _ in top[o]}]
+        for v, ranked in top.items()
+    }
+
+
+def reference_restore(model, inst, candidates, window=11, scheme=BASIC, cowords=None):
+    """restore_instance with one mean and two norms computed for every candidate.
+
+    Returns the choice and the number of candidates scored by their prior.
+    """
+    if window is None:
+        context = [w for i, w in enumerate(inst.tokens) if i != inst.target and w in model.vectors]
+    else:
+        context = [w for w in embed.extract_window(inst.tokens, inst.target, window) if w in model.vectors]
+    total = sum(c for _, c in candidates)
+    if not context:
+        return embed.majority_variant(candidates), 0
+    scores, priors = {}, 0
+    for v, c in candidates:
+        vec = model.vectors.get(v)
+        ctx = context
+        if scheme in (TWEAK2, TWEAK3):
+            allowed = {w for w, _ in cowords.get(v, ())}
+            ctx = [w for w in context if w in allowed]
+        vec_c = np.mean([model.vectors[w] for w in ctx], axis=0) if vec is not None and ctx else None
+        if vec_c is None or not np.any(vec_c):
+            scores[v] = c / total if total else 0.0
+            priors += 1
+            continue
+        scores[v] = cosine(vec_c, vec)
+    best = max(scores.values())
+    return min(v for v, s in scores.items() if s == best), priors
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its vectors bit for bit, or its ParseError."""
+    try:
+        model = load(path)
+    except ParseError as exc:
+        return "error", exc.line, exc.message
+    return model.dim, [(w, v.shape, v.tobytes()) for w, v in model.vectors.items()]
+
+
+# Files the bulk parse reads ("bulk") or hands to float() row by row ("rows"),
+# and files refused while they are read ("read"), all compared with the
+# row-by-row loader.
+VECTOR_FILES = {
+    "plain": ("2 2\na 1.5 -2\nb 0.1 3e-5\n", "bulk"),
+    "underscore digits": ("1 2\na 1_0 2\n", "rows"),
+    "full-width digit": ("1 2\na \uff11 2\n", "rows"),
+    "comment sign": ("1 2\na 1#2 2\n", "rows"),
+    "doubled space": ("1 2\na 1  2\n", "read"),
+    "trailing space": ("1 2\na 1 2 \n", "read"),
+    "tab inside a field": ("1 3\na 1\t2 3\n", "rows"),
+    "tab beside a field": ("1 2\na 1\t \t2\n", "bulk"),
+    "overflow": ("2 2\na 1 2\nb 1e400 2\n", "bulk"),
+    "nan": ("2 2\na 1 2\nb 1 nan\n", "bulk"),
+    "blank lines": ("2 2\n\na 1 2\n\n\nb 3 4\n\n", "bulk"),
+    "crlf": ("2 2\r\na 1 2\r\nb 3 4\r\n", "bulk"),
+    "dim 0": ("2 0\na\nb\n", "rows"),
+    "no rows": ("0 3\n", "rows"),
+    "word with form feed": ("2 2\na\x0cb 1 2\nc 3 4\n", "bulk"),
+    "word with line separator": ("2 2\na\u2028b 1 2\nc 3 4\n", "bulk"),
+    "word with next line": ("2 2\na\x85b 1 2\nc 3 4\n", "bulk"),
+    "word with file separator": ("2 2\na\x1cb 1 2\nc 3 4\n", "bulk"),
+    "unit separator beside a value": ("1 2\na 1\x1f 2\n", "rows"),
+    "record separator beside a value": ("1 2\na \x1e1 2\n", "rows"),
+    "a row with no value": ("2 1\na 1\nb \n", "rows"),
+    "bad value before a short row": ("3 2\na 1 2\nb 1 x\nc 1\n", "read"),
+    "wrong vocabulary count": ("3 2\na 1 2\nb 3 4\n", "bulk"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FILES))
+def test_bulk_parse_matches_the_row_by_row_loader(name, tmp_path, monkeypatch):
+    text, route = VECTOR_FILES[name]
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(reference_load_vectors, path)
+    calls = []
+    monkeypatch.setattr(embed, "_parse_rows", lambda *a, real=embed._parse_rows: calls.append(1) or real(*a))
+    assert outcome(load_vectors, path) == expected
+    assert {"bulk": [], "rows": [1], "read": [1]}[route] == calls
+
+
+def test_a_bad_value_is_reported_before_bad_utf8_read_later(tmp_path):
+    # The bad byte sits past the text reader's first 8 KiB chunk.
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"2 2\na 1 x\n" + b"\n" * 9000 + b"\xff\n")
+    assert outcome(load_vectors, path) == outcome(reference_load_vectors, path) == (
+        "error", 2, "non-numeric vector component"
+    )
 
 
 class TestCosine:
@@ -218,6 +368,34 @@ class TestCowords:
         table = build_cowords(corp, self.build_sets(), top_n=10)
         assert {w for w, _ in table["ká"]} == {"word"}
 
+    def test_a_variant_twice_on_its_line_counts_the_other(self):
+        corp = corpus_from_lines(["ká x ká", "kà"])
+        table = build_cowords(corp, self.build_sets(), top_n=10)
+        assert table == reference_cowords(corp, self.build_sets(), top_n=10)
+        assert table["ká"] == [("ká", 2), ("x", 2)]
+
+    def test_a_variant_alone_on_its_line_ranks_no_zero_count(self):
+        corp = corpus_from_lines(["kà", "Ká", "ká y"])
+        table = build_cowords(corp, self.build_sets(), top_n=10)
+        assert table == reference_cowords(corp, self.build_sets(), top_n=10)
+        assert table == {"ká": [("y", 1)], "kà": []}
+
+    @pytest.mark.parametrize("window, lowercase", [(None, True), (None, False), (3, True), (5, False)])
+    def test_random_corpora_match_the_reference(self, window, lowercase):
+        rng = random.Random(11)
+        sets = [
+            AmbiguousSet(wordkey="ka", variants=[("ká", 2), ("kà", 2), ("ka", 1)]),
+            AmbiguousSet(wordkey="o", variants=[("ọ", 2), ("ò", 2)]),
+        ]
+        vocab = ["ká", "kà", "ka", "Ká", "ọ", "ò", "a", "b", "c", "d", "e", ",", "."]
+        for _ in range(20):
+            lines = [" ".join(rng.choices(vocab, k=rng.randrange(1, 12))) for _ in range(rng.randrange(1, 15))]
+            corp = corpus_from_lines(lines)
+            for top_n in (0, 1, 3, 50):
+                assert build_cowords(corp, sets, top_n, window, lowercase) == reference_cowords(
+                    corp, sets, top_n, window, lowercase
+                )
+
 
 class TestEnhance:
     def test_basic_is_identity(self):
@@ -338,6 +516,35 @@ class TestRestore:
         inst = Instance(tokens=tokens, target=5, label="")
         got = restore_instance(model, inst, [("x", 1), ("y", 1)], window=3)
         assert got == "x"
+
+    @pytest.mark.parametrize("scheme", [BASIC, TWEAK1, TWEAK2, TWEAK3])
+    def test_random_instances_match_the_reference(self, scheme, caplog):
+        """Same choice and the same prior-fallback records; norms only of the candidates scored."""
+        rng = np.random.default_rng(21)
+        words = [f"w{i}" for i in range(12)]
+        variants = ["x", "y", "z"]
+        vectors = {w: rng.normal(size=3) for w in words + variants}
+        vectors["w0"] = np.zeros(3)  # a context of w0 alone averages to zero
+        del vectors["z"]  # a candidate with no vector
+        model = EmbeddingModel(3, vectors)
+        cowords = {v: [(w, 1) for w in rng.choice(words, size=4, replace=False)] for v in variants}
+        caplog.set_level(logging.DEBUG, logger="diacritize.embed")
+        reasons = set()
+        for trial in range(300):
+            tokens = tuple(rng.choice(words + ["oov"], size=rng.integers(1, 9)))
+            target = int(rng.integers(len(tokens)))
+            inst = Instance(tokens=tokens, target=target, label="")
+            candidates = [(v, int(rng.integers(0, 4))) for v in variants]
+            window = (None, 3, 11)[trial % 3]
+            caplog.clear()
+            got = restore_instance(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
+            fallbacks = [r.getMessage() for r in caplog.records if "scored by unigram prior" in r.getMessage()]
+            expected = reference_restore(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
+            assert (got, len(fallbacks)) == expected
+            reasons.update(m.split("(")[1] for m in fallbacks)
+        assert reasons >= {"no vector)", "zero context vector)"}
+        assert set(model.norms) == {"x", "y"}
+        assert all(model.norms[v] == float(np.linalg.norm(vectors[v])) for v in model.norms)
 
 
 class TestOddWord:

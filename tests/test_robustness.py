@@ -565,6 +565,7 @@ def test_embedding_top_n_that_is_not_a_non_negative_integer_is_a_data_error_at_l
         ("embedding", ["restorer", "cowords"], {"sì": [["ya", -1]]}),
         ("embedding", ["restorer", "vectors_path"], 7),
         ("embedding", ["restorer", "vectors_path"], ""),
+        ("embedding", ["restorer", "vectors_fingerprint"], {"bytes": 1}),
         ("ngram", ["family"], "rules"),
     ],
 )
