@@ -423,6 +423,8 @@ def _cmd_oddword(args) -> int:
 
 
 def _cmd_analogy(args) -> int:
+    if args.list_len < 1:
+        raise DataError(f"--list-len must be >= 1, got {args.list_len}")
     model, quads = embed.load_vectors(args.vectors), embed.load_analogy_tsv(args.data)
     score = embed.analogy_mrr(model, quads, list_len=args.list_len)
     print(f"analogy mrr {score:.4f} over {len(quads)} quads (list length {args.list_len})")

@@ -7,9 +7,12 @@ Variant vectors can be enhanced toward the centroid of their exclusive
 co-occurring words, counted once per occurrence over its sentence or window
 (`build_cowords`). Restoration picks the candidate whose vector is most
 cosine-similar to the averaged context vector: each call averages a distinct
-context once, and the model keeps each scored candidate's norm. An embedding
-pipeline names its vectors file by path and records the file's byte size,
-dim, word count and sha256, which loading checks.
+context once, and the model keeps each scored candidate's norm. The restorer
+and the cross-validation predictor read a line's keys and the token's index
+through one function, `restore_or_majority`; each builds its variants' coword
+sets when it is built, so a call only scores. An embedding pipeline names its
+vectors file by path and records the file's byte size, dim, word count and
+sha256, which loading checks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, TokenKind, open_text, replace_on_success, strip_diacritics
-from .datasetgen import AmbiguousSet, Instance, majority_variant
+from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, ModelError, ParseError
 from .classify import extract_window, odd_window
 
@@ -340,91 +343,75 @@ def enhance(
     return EmbeddingModel(dim=model.dim, vectors=vectors)
 
 
+def coword_sets(scheme: str, cowords, variants) -> dict[str, frozenset[str]] | None:
+    """Each variant's allowed context words under tweak2/tweak3, built once per restorer; else None."""
+    if scheme not in (TWEAK2, TWEAK3):
+        return None
+    if cowords is None:
+        raise ModelError(f"scheme {scheme} needs a coword table")
+    return {v: frozenset([w for w, _ in cowords.get(v, ())]) for v in variants}
+
+
 def restore_instance(
     model: EmbeddingModel,
-    inst: Instance,
+    context,
     candidates,
-    window: int | None = 11,
-    scheme: str = BASIC,
-    cowords: dict[str, list[tuple[str, int]]] | None = None,
+    allowed: dict[str, frozenset[str]] | None = None,
 ) -> str:
     """Pick the candidate most cosine-similar to the averaged context vector.
 
-    candidates is a list of (variant, unigram count). Out-of-vocabulary
-    context words are dropped; under tweak2/tweak3 each candidate sees only
-    the context words in its own coword set. A candidate without a usable
-    context vector scores its unigram prior; an entirely empty context falls
-    back to the most frequent candidate.
+    context is the target's context words and candidates a nonempty list of
+    (variant, unigram count). Out-of-vocabulary context words are dropped;
+    with `allowed` (tweak2/tweak3) each candidate sees only the context words
+    in its own coword set. A candidate without a usable context vector scores
+    its unigram prior; an entirely empty context falls back to the most
+    frequent candidate.
     """
-    if scheme in (TWEAK2, TWEAK3) and cowords is None:
-        raise ModelError(f"scheme {scheme} needs a coword table")
-    candidates = list(candidates)
-    if not candidates:
-        raise DataError("no candidate variants supplied")
     if not any(v in model.vectors for v, _ in candidates):
         raise UnrepresentableInstance(
             f"no candidate of {strip_diacritics(candidates[0][0])!r} has a vector"
         )
-    if window is None:
-        context = [
-            w
-            for i, w in enumerate(inst.tokens)
-            if i != inst.target and w in model.vectors
-        ]
-    else:
-        context = [w for w in extract_window(inst.tokens, inst.target, window) if w in model.vectors]
-
-    total = sum(c for _, c in candidates)
-    prior = {v: (c / total if total else 0.0) for v, c in candidates}
+    context = tuple([w for w in context if w in model.vectors])
     if not context:
         return majority_variant(candidates)
-
-    context = tuple(context)
-    restricted = {}
-    if scheme in (TWEAK2, TWEAK3):
-        for v, _ in candidates:
-            allowed = {w for w, _ in cowords.get(v, ())}
-            restricted[v] = tuple([w for w in context if w in allowed])
+    total = sum(c for _, c in candidates)
 
     # Each distinct context's mean and norm, or None for an all-zero mean.
     means: dict[tuple[str, ...], tuple[np.ndarray, float] | None] = {}
     scores = {}
-    for v, _ in candidates:
+    for v, c in candidates:
         vec = model.vectors.get(v)
-        ctx = restricted.get(v, context)
-        if vec is None or not ctx:
-            scores[v] = prior[v]
-            log.debug(
-                "candidate %r scored by unigram prior (%s)",
-                v,
-                "no vector" if vec is None else "empty restricted context",
-            )
-            continue
-        if ctx not in means:
+        ctx = context if allowed is None else tuple([w for w in context if w in allowed[v]])
+        if vec is not None and ctx and ctx not in means:
             vec_c = np.mean([model.vectors[w] for w in ctx], axis=0)
             means[ctx] = (vec_c, float(np.linalg.norm(vec_c))) if np.any(vec_c) else None
-        if means[ctx] is None:
-            scores[v] = prior[v]
-            log.debug("candidate %r scored by unigram prior (zero context vector)", v)
-            continue
-        vec_c, norm_c = means[ctx]
-        scores[v] = _cosine(vec_c, norm_c, vec, model.norm(v))
+        if vec is None or not ctx or means[ctx] is None:
+            scores[v] = c / total if total else 0.0
+            reason = "no vector" if vec is None else "zero context vector" if ctx else "empty restricted context"
+            log.debug("candidate %r scored by unigram prior (%s)", v, reason)
+        else:
+            vec_c, norm_c = means[ctx]
+            scores[v] = _cosine(vec_c, norm_c, vec, model.norm(v))
     best = max(scores.values())
     return min(v for v, s in scores.items() if s == best)
 
 
-def restore_or_majority(model: EmbeddingModel, inst: Instance, candidates, window, scheme, cowords) -> str:
-    """restore_instance, or the majority candidate when no candidate has a vector."""
+def restore_or_majority(model: EmbeddingModel, keys, i: int, candidates, window, allowed) -> str:
+    """keys[i] restored by restore_instance, or the majority candidate when no candidate has a vector.
+
+    The context is the window around i, or every other key when window is None.
+    """
+    context = keys[:i] + keys[i + 1 :] if window is None else extract_window(keys, i, window)
     try:
-        return restore_instance(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
+        return restore_instance(model, context, candidates, allowed)
     except UnrepresentableInstance:
-        log.debug("unrepresentable instance for %r, unigram fallback", inst.tokens[inst.target])
+        log.debug("unrepresentable instance for %r, unigram fallback", keys[i])
         return majority_variant(candidates)
 
 
 @dataclass
 class EmbeddingRestorer:
-    """The embedding family's restorer; its payload names the vectors file by path."""
+    """The embedding family's restorer, which builds its coword sets once; its payload names the vectors file."""
 
     model: EmbeddingModel
     variant_index: dict[str, list[tuple[str, int]]]
@@ -434,11 +421,15 @@ class EmbeddingRestorer:
     vectors_path: str | None = None
     top_n: int = 50
     vectors_fingerprint: dict | None = None
+    allowed: dict[str, frozenset[str]] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        variants = [v for pairs in self.variant_index.values() for v, _ in pairs]
+        self.allowed = coword_sets(self.scheme, self.cowords, variants)
 
     def predict_instance(self, keys, i: int, restored: list[str]) -> str:
         candidates = self.variant_index[keys[i]]
-        inst = Instance(keys, i, "")  # embed.restore_instance reads an Instance
-        return restore_or_majority(self.model, inst, candidates, self.window, self.scheme, self.cowords)
+        return restore_or_majority(self.model, keys, i, candidates, self.window, self.allowed)
 
     def to_payload(self) -> dict:
         return {
@@ -510,11 +501,12 @@ def cv_fitter(
     cowords: dict[str, list[tuple[str, int]]] | None = None,
 ):
     """Static predictor for crossval; only the prior counts come from the folds."""
+    allowed = coword_sets(scheme, cowords, [v for v, _ in aset.variants])
 
     def fit(train_instances):
         counts = Counter(inst.label for inst in train_instances)
         candidates = [(v, counts.get(v, 0)) for v, _ in aset.variants]
-        return lambda inst: restore_or_majority(model, inst, candidates, window, scheme, cowords)
+        return lambda inst: restore_or_majority(model, inst.tokens, inst.target, candidates, window, allowed)
 
     return fit
 
@@ -543,6 +535,8 @@ def odd_word(model: EmbeddingModel, words):
 
 def analogy_mrr(model: EmbeddingModel, quads, list_len: int = 100):
     """Mean reciprocal rank of d among neighbors of b - a + c, or 0 past list_len."""
+    if not model.vectors:
+        raise DataError("no word vectors to rank")
     vocab = sorted(model.vectors)
     matrix = np.stack([model.vectors[w] for w in vocab])
     norms = np.linalg.norm(matrix, axis=1)

@@ -2,15 +2,16 @@
 
 The tracer wraps toolkit functions by module attribute name. A rename or
 removal in src/ would only show as a crash of the traced benchmark run; these
-tests install the tracer around one small restore, one small n-gram `eval cv`
-and each command of the bench's train job, and check that it finds every
-attribute, records the calls, changes no output byte, and puts every attribute
-back.
+tests install the tracer around one small restore, one small n-gram and one
+small embedding `eval cv`, and each command of the bench's train job, and check
+that it finds every attribute, records the calls, changes no output byte, and
+puts every attribute back.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diacritize import classify, cli, corpus, datasetgen, embed, evaluate, ngram, pipeline
@@ -72,12 +73,33 @@ def test_traced_restore_is_byte_identical(spans, tmp_path, family):
     assert restore() == plain
 
 
-def test_traced_ngram_cv_is_byte_identical(spans, tmp_path, capsys):
+# Each cv restorer the tracer follows: the spans it must record.
+CV_SPANS = {
+    "ngram:2": ["ngram.prepare", "ngram.find_occurrences", "ngram.train_from_occurrences",
+                "ngram.restore_instance"],
+    "emb:tweak2": ["embed.load_vectors", "embed.build_cowords", "embed.enhance",
+                   "embed.restore_instance", "classify.extract_window"],
+}
+
+
+@pytest.fixture()
+def vectors(tmp_path):
+    rng = np.random.default_rng(3)
+    words = ["ákwà", "ákwá", "ógè", "ògè", "dị", "di", "ùdó", "údó", "oma", "nwa", "ya", "ha", "na", "oke"]
+    path = tmp_path / "toy.vec"
+    embed.save_vectors(embed.EmbeddingModel(dim=4, vectors={w: rng.normal(size=4) for w in words}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("restorer", sorted(CV_SPANS))
+def test_traced_cv_is_byte_identical(spans, tmp_path, capsys, vectors, restorer):
+    family = restorer.split(":")[0]
+
     def cv(report):
         argv = [
             "eval", "cv", "--corpus", str(DATA / "fixture_corpus.txt"),
-            "--dataset", str(DATA / "golden_dataset.jsonl"),
-            "--restorer", "ngram:2", "-k", "3", "--report", str(report),
+            "--dataset", str(DATA / "golden_dataset.jsonl"), "--vectors", vectors,
+            "--restorer", restorer, "-k", "3", "--report", str(report),
         ]
         assert cli.main(argv) == 0
         return report.read_bytes()
@@ -85,7 +107,7 @@ def test_traced_ngram_cv_is_byte_identical(spans, tmp_path, capsys):
     plain = cv(tmp_path / "plain.json")
     before = {(m, a): m.__dict__[a] for m in SWAPPED for a in vars(m)}
     tracer = spans.Tracer()
-    tracer.label = "eval_cv_ngram"
+    tracer.label = f"eval_cv_{family}"
     tracer.install()
     try:
         traced = cv(tmp_path / "traced.json")
@@ -93,13 +115,15 @@ def test_traced_ngram_cv_is_byte_identical(spans, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert traced == plain
-    recorded = tracer.summary()["spans"]
+    summary = tracer.summary()
     for name in (
-        "cli.main.eval_cv_ngram", "ngram.prepare", "ngram.find_occurrences",
-        "ngram.train_from_occurrences", "ngram.restore_instance",
-        "evaluate.crossval", "evaluate.fit.ngram", "evaluate.predict.ngram",
+        f"cli.main.eval_cv_{family}", *CV_SPANS[restorer],
+        "evaluate.crossval", f"evaluate.fit.{family}", f"evaluate.predict.{family}",
     ):
-        assert recorded[name]["calls"] >= 1, name
+        assert summary["spans"][name]["calls"] >= 1, name
+    if family == "emb":
+        # two candidates for each instance restore_instance scored
+        assert summary["counts"]["embed.candidates"] == 2 * summary["spans"]["embed.restore_instance"]["calls"]
     assert all(m.__dict__[a] is fn for (m, a), fn in before.items())
     assert cv(tmp_path / "again.json") == plain
 

@@ -504,7 +504,7 @@ class TestEval:
 
 
 class TestFlagRanges:
-    """A --window, --top-n or n-gram order that no restorer accepts exits 2 before any work."""
+    """A --window, --top-n, --list-len or n-gram order that no command accepts exits 2 before any work."""
 
     def check_rejected(self, capsys, tmp_path, argv, out_flag):
         out = tmp_path / "out"
@@ -573,6 +573,15 @@ class TestFlagRanges:
     def test_negative_top_n(self, capsys, tmp_path, dataset_file, vectors_file, argv, out_flag):
         argv = [*argv, "--dataset", dataset_file, "--vectors", vectors_file, "--top-n", "-1"]
         self.check_rejected(capsys, tmp_path, argv, out_flag)
+
+    @pytest.mark.parametrize("list_len", ["0", "-3"])
+    def test_analogy_list_len(self, capsys, tmp_path, vectors_file, list_len):
+        quads = tmp_path / "an.tsv"
+        quads.write_text("ákwà\tákwá\tógè\tògè\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "intrinsic", "analogy", "--vectors", vectors_file, "--data", str(quads),
+                                "--list-len", list_len)
+        assert (code, stdout) == (2, "")
+        assert err == f"diacritize: data error: --list-len must be >= 1, got {list_len}\n"
 
 
 class TestGoldenEmbeddingCvBytes:
@@ -936,6 +945,15 @@ class TestIntrinsic:
         ws.write_text("a\tb\t9.0\na\tc\t7.0\na\tz\t1.0\n", encoding="utf-8")
         code, out, _ = run(capsys, "intrinsic", "wordsim", "--vectors", str(vec), "--data", str(ws))
         assert code == 0 and "pearson" in out
+
+    def test_analogy_over_no_vectors_exits_2(self, capsys, tmp_path):
+        vec = tmp_path / "empty.vec"
+        vec.write_text("0 3\n", encoding="utf-8")
+        quads = tmp_path / "an.tsv"
+        quads.write_text("a\tb\tc\td\n", encoding="utf-8")
+        code, out, err = run(capsys, "intrinsic", "analogy", "--vectors", str(vec), "--data", str(quads))
+        assert (code, out) == (2, "")
+        assert err == "diacritize: data error: no word vectors to rank\n"
 
 
 class TestRestoreOutput:

@@ -441,45 +441,46 @@ class TestEnhance:
             enhance(model_of(v=[1.0]), {}, scheme="tweak9")
 
 
+def restore(model, tokens, target, candidates, window=None, scheme=BASIC, cowords=None):
+    """One token through the embedding restorer, as a line's restore calls it."""
+    restorer = embed.EmbeddingRestorer(
+        model=model, variant_index={tokens[target]: candidates}, scheme=scheme, window=window, cowords=cowords
+    )
+    return restorer.predict_instance(tokens, target, list(tokens[:target]))
+
+
 class TestRestore:
     def test_context_matching_candidate_direction(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], cx=[1.0, 0.0])
-        inst = Instance(tokens=("cx", "t"), target=1, label="")
-        assert restore_instance(model, inst, [("x", 1), ("y", 1)], window=None) == "x"
+        assert restore_instance(model, ("cx",), [("x", 1), ("y", 1)]) == "x"
 
     def test_two_dimensional_fixture(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], c1=[0.9, 0.1])
-        inst = Instance(tokens=("c1", "t"), target=1, label="")
-        assert restore_instance(model, inst, [("x", 1), ("y", 1)], window=None) == "x"
+        assert restore_instance(model, ("c1",), [("x", 1), ("y", 1)]) == "x"
 
     def test_empty_context_falls_back_to_majority(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0])
-        inst = Instance(tokens=("t",), target=0, label="")
-        assert restore_instance(model, inst, [("x", 2), ("y", 5)], window=None) == "y"
+        assert restore_instance(model, (), [("x", 2), ("y", 5)]) == "y"
 
     def test_oov_context_words_dropped(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], cy=[0.0, 1.0])
-        inst = Instance(tokens=("nowhere", "cy", "t"), target=2, label="")
-        assert restore_instance(model, inst, [("x", 9), ("y", 1)], window=None) == "y"
+        assert restore_instance(model, ("nowhere", "cy"), [("x", 9), ("y", 1)]) == "y"
 
     def test_no_candidate_vector_raises(self):
         model = model_of(c=[1.0, 0.0])
-        inst = Instance(tokens=("c", "t"), target=1, label="")
         with pytest.raises(UnrepresentableInstance):
-            restore_instance(model, inst, [("x", 1), ("y", 1)], window=None)
+            restore_instance(model, ("c",), [("x", 1), ("y", 1)])
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(8)
         base = {f"w{i}": rng.normal(size=3) for i in range(6)}
         base.update({"x": rng.normal(size=3), "y": rng.normal(size=3)})
-        inst = Instance(tokens=("w0", "w1", "t", "w2"), target=2, label="")
+        context = ("w0", "w1", "w2")
         one = restore_instance(
-            EmbeddingModel(3, {k: v.copy() for k, v in base.items()}),
-            inst, [("x", 1), ("y", 1)], window=None,
+            EmbeddingModel(3, {k: v.copy() for k, v in base.items()}), context, [("x", 1), ("y", 1)]
         )
         scaled = restore_instance(
-            EmbeddingModel(3, {k: 37.0 * v for k, v in base.items()}),
-            inst, [("x", 1), ("y", 1)], window=None,
+            EmbeddingModel(3, {k: 37.0 * v for k, v in base.items()}), context, [("x", 1), ("y", 1)]
         )
         assert one == scaled
 
@@ -491,31 +492,25 @@ class TestRestore:
             xcue=[1.0, 0.0], noise1=[0.0, 1.0], noise2=[0.0, 1.0],
         )
         cowords = {"x": [("xcue", 5)], "y": [("absent", 1)]}
-        inst = Instance(tokens=("xcue", "noise1", "noise2", "t"), target=3, label="")
+        context = ("xcue", "noise1", "noise2")
         candidates = [("x", 1), ("y", 1)]
-        basic = restore_instance(model, inst, candidates, window=None, scheme=BASIC)
+        assert embed.coword_sets(BASIC, cowords, "xy") is None
+        basic = restore_instance(model, context, candidates)
         assert basic == "y"
-        restricted = restore_instance(
-            model, inst, candidates, window=None, scheme=TWEAK2, cowords=cowords
-        )
+        restricted = restore_instance(model, context, candidates, embed.coword_sets(TWEAK2, cowords, "xy"))
         assert restricted == "x"  # cos 1.0 beats y's empty-context prior 0.5
 
     def test_tweak2_empty_restricted_context_scores_prior(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], xcue=[0.6, 0.8])
         cowords = {"x": [("xcue", 1)], "y": [("absent", 1)]}
-        inst = Instance(tokens=("xcue", "t"), target=1, label="")
         # y's restricted context is empty -> prior 9/10 = 0.9 beats cos 0.6
-        got = restore_instance(
-            model, inst, [("x", 1), ("y", 9)], window=None, scheme=TWEAK2, cowords=cowords
-        )
+        got = restore(model, ("xcue", "t"), 1, [("x", 1), ("y", 9)], scheme=TWEAK2, cowords=cowords)
         assert got == "y"
 
     def test_window_limits_context(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], far=[0.0, 1.0], near=[1.0, 0.0])
         tokens = ("far", "pad1", "pad2", "pad3", "near", "t", "pad4")
-        inst = Instance(tokens=tokens, target=5, label="")
-        got = restore_instance(model, inst, [("x", 1), ("y", 1)], window=3)
-        assert got == "x"
+        assert restore(model, tokens, 5, [("x", 1), ("y", 1)], window=3) == "x"
 
     @pytest.mark.parametrize("scheme", [BASIC, TWEAK1, TWEAK2, TWEAK3])
     def test_random_instances_match_the_reference(self, scheme, caplog):
@@ -537,7 +532,7 @@ class TestRestore:
             candidates = [(v, int(rng.integers(0, 4))) for v in variants]
             window = (None, 3, 11)[trial % 3]
             caplog.clear()
-            got = restore_instance(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
+            got = restore(model, tokens, target, candidates, window=window, scheme=scheme, cowords=cowords)
             fallbacks = [r.getMessage() for r in caplog.records if "scored by unigram prior" in r.getMessage()]
             expected = reference_restore(model, inst, candidates, window=window, scheme=scheme, cowords=cowords)
             assert (got, len(fallbacks)) == expected
@@ -715,3 +710,12 @@ class TestCvFitter:
         fit = embed.cv_fitter(model, aset, scheme=BASIC, window=None)
         predictor = fit(aset.instances[:6])
         assert predictor(aset.instances[0]) == "ká"
+
+    @pytest.mark.parametrize("scheme", [TWEAK2, TWEAK3])
+    def test_a_restricting_scheme_without_cowords_is_refused_when_built(self, scheme):
+        model = model_of(**{"ká": [1.0, 0.0], "kà": [0.0, 1.0]})
+        aset = AmbiguousSet(wordkey="ka", variants=[("ká", 6), ("kà", 4)], instances=[])
+        with pytest.raises(ModelError, match="needs a coword table"):
+            embed.cv_fitter(model, aset, scheme=scheme, window=None)
+        with pytest.raises(ModelError, match="needs a coword table"):
+            embed.EmbeddingRestorer(model=model, variant_index={"ka": aset.variants}, scheme=scheme)

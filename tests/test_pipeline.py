@@ -366,12 +366,19 @@ class TestRestorerProtocol:
         line = corpus_from_lines(["nwanyi kwuru si ya , Ha kwera SI si"]).lines[0]
         expected = restore_line(pipe, line)
         monkeypatch.setattr(datasetgen.Instance, "__init__", refuse_instance)
-        if pipe.family == "embedding":
-            # embed.restore_instance reads an Instance, so that restorer builds one: the patch bites
-            with pytest.raises(AssertionError, match="an Instance was built"):
-                restore_line(pipe, line)
-        else:
-            assert restore_line(pipe, line) == expected
+        assert restore_line(pipe, line) == expected
+
+    def test_tweak2_builds_each_coword_set_once(self, training_corpus, trained_sets, vector_file, monkeypatch):
+        """The restorer builds every variant's coword set when it is built; restoring builds none."""
+        built = []
+        monkeypatch.setattr(embed, "frozenset", lambda words: built.append(1) or frozenset(words), raising=False)
+        pipe = build_embedding_pipeline(training_corpus, trained_sets, vector_file, scheme=embed.TWEAK2, window=5)
+        assert len(built) == sum(len(pairs) for pairs in pipe.variant_index.values())
+        built.clear()
+        monkeypatch.setattr(embed, "set", lambda *words: built.append(1) or set(*words), raising=False)
+        line = corpus_from_lines(["nwanyi kwuru si ya , Ha kwera SI si"]).lines[0]
+        assert [t.surface for t in restore_line(pipe, line)].count("sì") == 1
+        assert built == []
 
     def test_each_ambiguous_form_is_the_restorers_answer(self, pipe, training_corpus):
         extra = corpus_from_lines(["si si ha kwera si nwanyi si", "ya si kwuru si oma si si"])
