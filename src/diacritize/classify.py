@@ -42,6 +42,8 @@ NaN score and naive Bayes to _argmax over the full scores.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -681,13 +683,7 @@ def classifier_payload(clf: TextClassifier) -> dict:
         "class_counts": m.class_counts,
         "vocabulary": clf.vectorizer.vocabulary,
         "idf": clf.vectorizer.idf,
-        "hyper": {
-            "learning_rate": m.hyper.learning_rate,
-            "epochs": m.hyper.epochs,
-            "l2": m.hyper.l2,
-            "alpha": m.hyper.alpha,
-            "seed": m.hyper.seed,
-        },
+        "hyper": dataclasses.asdict(m.hyper),
     }
     if m.kind == MULTINOMIAL_NB:
         payload["nb_params"] = {"class_log_prior": m.offsets, "feature_log_prob": m.rows}
@@ -697,23 +693,35 @@ def classifier_payload(clf: TextClassifier) -> dict:
     return payload
 
 
+# The types of a JSON number: a bool is not one, nor a numeric string.
+_NUMBER = {int, float}
+
+
 def _finite_array(source: dict, name: str, shape: tuple) -> list:
-    """source[name] as plain floats, once numpy has checked its shape and finiteness."""
-    array = np.array(source[name], dtype=float)
-    if array.shape != shape or not np.isfinite(array).all():
-        raise ParseError(f"classifier {name} must be finite, of shape {shape}")
+    """source[name] as plain floats, once it is checked to hold finite JSON numbers of the shape.
+
+    numpy checks the shape and finiteness; the element types are checked apart,
+    because numpy would read true or "1.5" as a number.
+    """
+    value = source[name]
+    array = np.array(value, dtype=float)
+    elements = itertools.chain.from_iterable(value) if len(shape) == 2 else value  # iterated only if the shape holds
+    if array.shape != shape or not np.isfinite(array).all() or not set(map(type, elements)) <= _NUMBER:
+        raise ParseError(f"classifier {name} must hold finite JSON numbers, of shape {shape}")
     return array.tolist()
 
 
 def _finite_number(value) -> bool:
     """A JSON number, not a bool, that a float holds finitely (NaN fails the comparison)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) in _NUMBER and abs(value) <= sys.float_info.max
 
 
-def _hyper(fields: dict) -> Hyper:
-    """A classifier file's hyperparameters, each checked before Hyper is built."""
+def checked_hyper(fields: dict) -> Hyper:
+    """Hyperparameters, each checked before Hyper is built: a classifier file's, or `train clf`'s flags'."""
     for name, value in fields.items():
-        if name in ("epochs", "seed"):
+        if name == "epochs":
+            ok, rule = type(value) is int and value >= 1, "an integer >= 1"
+        elif name == "seed":
             ok, rule = type(value) is int, "an integer"
         elif name == "learning_rate":
             ok, rule = value is None or _finite_number(value), "null or a finite number"
@@ -741,7 +749,7 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     class_counts = list(payload["class_counts"])
     if len(class_counts) != len(classes) or not all(type(c) is int and c >= 0 for c in class_counts):
         raise ParseError("classifier class_counts must hold one non-negative integer per class")
-    hyper = _hyper(payload["hyper"])
+    hyper = checked_hyper(payload["hyper"])
     n_classes, n_features = len(classes), len(vocabulary)
     nb = kind == MULTINOMIAL_NB
     source = payload["nb_params"] if nb else payload

@@ -236,7 +236,10 @@ def _cmd_train_ngram(args) -> int:
 
 
 def _cmd_train_clf(args) -> int:
-    hyper = classify.Hyper(learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed)
+    # The loader's rule, so that what train writes, restore reads.
+    hyper = classify.checked_hyper(
+        {"learning_rate": args.lr, "epochs": args.epochs, "l2": args.l2, "seed": args.seed}
+    )
     window = _window(args.window)
     return _train(args, pipeline.build_classifier_pipeline, kind=args.kind, window=window, hyper=hyper)
 
@@ -307,10 +310,15 @@ def _cmd_fulltext(args) -> int:
     summary = {k: v for k, v in result.items() if k != "line_errors"}
     print(json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True))
     if args.report:
-        with corpus.replace_on_success(args.report) as fh:
-            json.dump(result, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_report(result, args.report)
     return 0
+
+
+def _write_report(payload, path) -> None:
+    """An `eval` JSON report: sorted keys, two-space indent, a final newline."""
+    with corpus.replace_on_success(path) as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_cv(args) -> int:
@@ -377,9 +385,7 @@ def _cmd_cv(args) -> int:
         )
 
     if args.report:
-        with corpus.replace_on_success(args.report) as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_report(payload, args.report)
     if args.tsv:
         baseline = "ngram:1" if "ngram:1" in reports else next(iter(reports))
         evaluate.write_comparison_tsv(reports, baseline, args.tsv)

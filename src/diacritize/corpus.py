@@ -33,11 +33,6 @@ from enum import Enum
 
 from .errors import DataError
 
-WORD = "Word"
-PUNCTUATION = "Punctuation"
-DIGIT = "Digit"
-SYMBOL = "Symbol"
-
 # Splitting marks kept attached to the left-hand piece, e.g. verb auxiliaries
 # written "na-" and contracted prepositions written "n'".
 _ATTACHED_MARKS = ("-", "'", "’")
@@ -52,10 +47,10 @@ STRING_CACHE_SIZE = 1 << 15
 
 
 class TokenKind(str, Enum):
-    WORD = WORD
-    PUNCTUATION = PUNCTUATION
-    DIGIT = DIGIT
-    SYMBOL = SYMBOL
+    WORD = "Word"
+    PUNCTUATION = "Punctuation"
+    DIGIT = "Digit"
+    SYMBOL = "Symbol"
 
 
 @dataclass(frozen=True)

@@ -134,11 +134,18 @@ def route(keys, variant_index, unambiguous, predict) -> list[str | None]:
 
 
 def bad_variants(key: str, variants) -> str | None:
-    """What breaks the rule that a wordkey's variants only add marks to it, if anything.
+    """What breaks the rule for a wordkey's variant list, as read from a file, if anything.
 
-    Each variant must strip to the key and be listed once. A dataset header
-    and a pipeline's variant index are both held to it.
+    The list must be a nonempty list of [variant, non-negative integer count]
+    pairs, and each variant must strip to the key and be listed once: a
+    wordkey's variants only add marks to it. A dataset header and a
+    pipeline's variant index are both held to it.
     """
+    if not (type(variants) is list and variants and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int and p[1] >= 0
+        for p in variants
+    )):
+        return f"wordkey {key!r} needs a nonempty list of [variant, non-negative integer count] pairs"
     for j, (v, _) in enumerate(variants):
         if strip_diacritics(v) != key:
             return f"variant {v!r} does not strip to wordkey {key!r}"
@@ -209,12 +216,10 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         raise ValueError("record needs a string 'wordkey'")
     key = record["wordkey"]
     if "variants" in record:
-        variants = [(v, int(c)) for v, c in record["variants"]]  # int() words a non-numeric count
-        if not variants or not all(isinstance(v, str) and type(c) is int for v, c in record["variants"]):
-            raise ValueError("'variants' must be a nonempty list of [surface, integer count] pairs")
-        bad = bad_variants(key, variants)
+        bad = bad_variants(key, record["variants"])
         if bad:
             raise ValueError(bad)
+        variants = [(v, c) for v, c in record["variants"]]
         if key in by_key:
             raise ValueError(f"second header for wordkey {key!r}")
         aset = AmbiguousSet(wordkey=key, variants=variants)
@@ -239,6 +244,8 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         raise ValueError(f"'{name}' must be an integer, got {value!r}")
     if not 0 <= target < len(tokens):
         raise ValueError(f"'target' {target} is outside the {len(tokens)} tokens")
+    if strip_diacritics(tokens[target]) != key:
+        raise ValueError(f"target token {tokens[target]!r} does not strip to wordkey {key!r}")
     aset.instances.append(Instance(tokens=tuple(tokens), target=target, label=label, line=line))
 
 

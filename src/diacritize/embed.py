@@ -20,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TokenKind, open_text, replace_on_success, strip_diacritics
+from .corpus import Corpus, TokenKind, open_text, replace_on_success
 from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, ModelError, ParseError
 from .classify import extract_window, odd_window
@@ -207,19 +208,13 @@ def project(source: EmbeddingModel, align: dict[str, list[tuple[str, int]]]) -> 
     model are omitted from the output.
     """
     vectors: dict[str, np.ndarray] = {}
-    for word in align:
-        usable = [(src, c) for src, c in align[word] if src in source.vectors]
-        if not usable:
-            continue
+    for word, pairs in align.items():
+        usable = [(src, c) for src, c in pairs if src in source.vectors]
         if len(usable) == 1:
             # the weighted average of one vector is that vector, bit for bit
             vectors[word] = source.vectors[usable[0][0]].copy()
-            continue
-        total = sum(c for _, c in usable)
-        acc = np.zeros(source.dim)
-        for src, c in usable:
-            acc += source.vectors[src] * c
-        vectors[word] = acc / total
+        elif usable:
+            vectors[word] = coword_mean(source, usable)
     if not vectors:
         raise ModelError("no alignment entry resolved to a source vector")
     return EmbeddingModel(dim=source.dim, vectors=vectors)
@@ -244,32 +239,20 @@ def build_cowords(
     siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}
 
     counters: dict[str, Counter[str]] = {v: Counter() for v in targets}
-    half = window // 2 if window else None
     for line in corpus.lines:
-        surfaces = [
-            (t.surface.lower() if lowercase else t.surface, t.kind is TokenKind.WORD)
-            for t in line
-        ]
-        if half is None:
-            # Every word of the sentence but the occurrence itself.
-            words = [surface for surface, is_word in surfaces if is_word]
-            for word in words:
-                counter = counters.get(word)
-                if counter is not None:
-                    counter.update(words)
-                    counter[word] -= 1
-            continue
-        for pos, (surface, is_word) in enumerate(surfaces):
-            if not is_word or surface not in counters:
-                continue
-            span = range(max(0, pos - half), min(len(surfaces), pos + half + 1))
-            counter = counters[surface]
-            for j in span:
-                if j == pos:
-                    continue
-                coword, word_kind = surfaces[j]
-                if word_kind:
-                    counter[coword] += 1
+        # A window past either end of the line is the whole sentence.
+        half = window // 2 if window else len(line)
+        positions, words = [], []
+        for pos, t in enumerate(line):
+            if t.kind is TokenKind.WORD:
+                positions.append(pos)
+                words.append(t.surface.lower() if lowercase else t.surface)
+        for pos, word in zip(positions, words):
+            counter = counters.get(word)
+            if counter is not None:
+                # Every word of the span but the occurrence itself.
+                counter.update(words[bisect_left(positions, pos - half) : bisect_right(positions, pos + half)])
+                counter[word] -= 1
 
     top: dict[str, list[tuple[str, int]]] = {}
     for variant, counter in counters.items():
@@ -354,23 +337,26 @@ def coword_sets(scheme: str, cowords, variants) -> dict[str, frozenset[str]] | N
 
 def restore_instance(
     model: EmbeddingModel,
-    context,
+    keys,
     candidates,
+    i: int,
+    window: int | None,
     allowed: dict[str, frozenset[str]] | None = None,
 ) -> str:
-    """Pick the candidate most cosine-similar to the averaged context vector.
+    """Pick the candidate of keys[i] most cosine-similar to its averaged context vector.
 
-    context is the target's context words and candidates a nonempty list of
-    (variant, unigram count). Out-of-vocabulary context words are dropped;
-    with `allowed` (tweak2/tweak3) each candidate sees only the context words
-    in its own coword set. A candidate without a usable context vector scores
-    its unigram prior; an entirely empty context falls back to the most
-    frequent candidate.
+    keys is the line's key tuple and candidates a nonempty list of (variant,
+    unigram count). When some candidate has a vector, the context is taken:
+    the window around i, or every other key when window is None.
+    Out-of-vocabulary context words are dropped; with `allowed`
+    (tweak2/tweak3) each candidate sees only the context words in its own
+    coword set. A candidate without a usable context vector scores its
+    unigram prior; an entirely empty context falls back to the most frequent
+    candidate.
     """
     if not any(v in model.vectors for v, _ in candidates):
-        raise UnrepresentableInstance(
-            f"no candidate of {strip_diacritics(candidates[0][0])!r} has a vector"
-        )
+        raise UnrepresentableInstance(f"no candidate of {keys[i]!r} has a vector")
+    context = keys[:i] + keys[i + 1 :] if window is None else extract_window(keys, i, window)
     context = tuple([w for w in context if w in model.vectors])
     if not context:
         return majority_variant(candidates)
@@ -396,14 +382,10 @@ def restore_instance(
     return min(v for v, s in scores.items() if s == best)
 
 
-def restore_or_majority(model: EmbeddingModel, keys, i: int, candidates, window, allowed) -> str:
-    """keys[i] restored by restore_instance, or the majority candidate when no candidate has a vector.
-
-    The context is the window around i, or every other key when window is None.
-    """
-    context = keys[:i] + keys[i + 1 :] if window is None else extract_window(keys, i, window)
+def restore_or_majority(model: EmbeddingModel, keys, candidates, i: int, window, allowed) -> str:
+    """keys[i] restored by restore_instance, or the majority candidate when no candidate has a vector."""
     try:
-        return restore_instance(model, context, candidates, allowed)
+        return restore_instance(model, keys, candidates, i, window, allowed)
     except UnrepresentableInstance:
         log.debug("unrepresentable instance for %r, unigram fallback", keys[i])
         return majority_variant(candidates)
@@ -429,7 +411,7 @@ class EmbeddingRestorer:
 
     def predict_instance(self, keys, i: int, restored: list[str]) -> str:
         candidates = self.variant_index[keys[i]]
-        return restore_or_majority(self.model, keys, i, candidates, self.window, self.allowed)
+        return restore_or_majority(self.model, keys, candidates, i, self.window, self.allowed)
 
     def to_payload(self) -> dict:
         return {
@@ -506,7 +488,7 @@ def cv_fitter(
     def fit(train_instances):
         counts = Counter(inst.label for inst in train_instances)
         candidates = [(v, counts.get(v, 0)) for v, _ in aset.variants]
-        return lambda inst: restore_or_majority(model, inst.tokens, inst.target, candidates, window, allowed)
+        return lambda inst: restore_or_majority(model, inst.tokens, candidates, inst.target, window, allowed)
 
     return fit
 
@@ -538,6 +520,7 @@ def analogy_mrr(model: EmbeddingModel, quads, list_len: int = 100):
     if not model.vectors:
         raise DataError("no word vectors to rank")
     vocab = sorted(model.vectors)
+    index = {w: j for j, w in enumerate(vocab)}
     matrix = np.stack([model.vectors[w] for w in vocab])
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0] = 1.0
@@ -546,28 +529,20 @@ def analogy_mrr(model: EmbeddingModel, quads, list_len: int = 100):
     for a, b, c, d in quads:
         if any(w not in model.vectors for w in (a, b, c)):
             continue
-        if d not in model.vectors:
-            scores.append(0.0)
-            continue
         target = model.vectors[b] - model.vectors[a] + model.vectors[c]
         tnorm = float(np.linalg.norm(target))
-        if tnorm == 0.0:
+        if d not in model.vectors or d in (a, b, c) or tnorm == 0.0:
             scores.append(0.0)
             continue
         sims = matrix @ target / (norms * tnorm)
-        ranked = sorted(zip(vocab, sims), key=lambda ws: (-ws[1], ws[0]))
-        rank = 0
-        score = 0.0
-        for word, _ in ranked:
-            if word in (a, b, c):
-                continue
-            rank += 1
-            if rank > list_len:
-                break
-            if word == d:
-                score = 1.0 / rank
-                break
-        scores.append(score)
+        # d's place in the vocabulary ranked by similarity, ties by vocabulary order,
+        # with a, b and c left out: the words above it, counted.
+        j = index[d]
+        ahead = sims > sims[j]
+        ahead[:j] |= sims[:j] == sims[j]
+        ahead[[index[a], index[b], index[c]]] = False
+        rank = int(np.count_nonzero(ahead)) + 1
+        scores.append(1.0 / rank if rank <= list_len else 0.0)
     if not scores:
         raise DataError("no scoreable analogy quads")
     return sum(scores) / len(scores)

@@ -52,8 +52,9 @@ class NGramModel:
     # `_FoldLevel`s instead.
     counts: list[dict[tuple[str, ...], dict[str, int]]]
     variant_index: dict[str, list[str]]
-    # The unambiguous map of `restore_instance`'s walk. A pipeline walks with
-    # its own map, so a model loaded from a pipeline file leaves it empty.
+    # The unambiguous map of `restore_instance`'s walk, shared read-only with
+    # the PreparedCorpus it was counted from. A pipeline walks with its own
+    # map, so a model loaded from a pipeline file leaves it empty.
     unambiguous: dict[str, str] = field(default_factory=dict)
 
 
@@ -89,12 +90,7 @@ def train_from_occurrences(
     counts: list[dict] = [dict() for _ in range(max_n)]
     _count(prepared.lines, occurrences, counts)
     index = {k: sorted(vs) for k, vs in candidates.items()}
-    return NGramModel(
-        max_n=max_n,
-        counts=counts,
-        variant_index=index,
-        unambiguous=dict(prepared.unambiguous),
-    )
+    return NGramModel(max_n=max_n, counts=counts, variant_index=index, unambiguous=prepared.unambiguous)
 
 
 def _count(lines: list[list[str]], occurrences, counts: list[dict]) -> None:

@@ -179,20 +179,20 @@ def load_pipeline(path) -> Pipeline:
         family = payload["family"]
         if family not in FAMILIES:
             raise ParseError(f"unknown pipeline family: {family!r}")
+        # A pipeline may only add marks: every form it can emit strips to its routing key.
+        for key, variants in payload["variant_index"].items():
+            bad = datasetgen.bad_variants(key, variants)
+            if bad:
+                raise ParseError(bad)
         index = {k: [(v, c) for v, c in vs] for k, vs in payload["variant_index"].items()}
-        if not all(vs and all(type(v) is str and type(c) is int and c >= 0 for v, c in vs) for vs in index.values()):
-            raise ParseError("variant_index lists must be nonempty [variant, non-negative integer count] pairs")
-        unambiguous = dict(payload["unambiguous"])
+        unambiguous = payload["unambiguous"]
+        if type(unambiguous) is not dict:
+            raise ParseError("unambiguous must be an object of wordkey: form")
         if not all(isinstance(v, str) for v in unambiguous.values()):
             raise ParseError("unambiguous forms must be strings")
         for key in (*index, *unambiguous):
             if token_kind(key) is not TokenKind.WORD:
                 raise ParseError(f"routing key {key!r} is not a word")
-        # A pipeline may only add marks: every form it can emit strips to its routing key.
-        for key, variants in index.items():
-            bad = datasetgen.bad_variants(key, variants)
-            if bad:
-                raise ParseError(bad)
         for key, form in unambiguous.items():
             if strip_diacritics(form) != key:
                 raise ParseError(f"unambiguous form {form!r} does not strip to wordkey {key!r}")

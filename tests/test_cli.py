@@ -504,7 +504,8 @@ class TestEval:
 
 
 class TestFlagRanges:
-    """A --window, --top-n, --list-len or n-gram order that no command accepts exits 2 before any work."""
+    """A --window, --top-n, --list-len, n-gram order or `train clf` hyperparameter that no command
+    accepts exits 2 before any work."""
 
     def check_rejected(self, capsys, tmp_path, argv, out_flag):
         out = tmp_path / "out"
@@ -573,6 +574,29 @@ class TestFlagRanges:
     def test_negative_top_n(self, capsys, tmp_path, dataset_file, vectors_file, argv, out_flag):
         argv = [*argv, "--dataset", dataset_file, "--vectors", vectors_file, "--top-n", "-1"]
         self.check_rejected(capsys, tmp_path, argv, out_flag)
+
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [("--lr", "nan", "learning_rate must be null or a finite number"),
+         ("--lr", "inf", "learning_rate must be null or a finite number"),
+         ("--l2", "inf", "l2 must be a finite number"), ("--l2", "nan", "l2 must be a finite number"),
+         ("--epochs", "0", "epochs must be an integer >= 1"), ("--epochs", "-1", "epochs must be an integer >= 1")],
+    )
+    def test_train_clf_hyper(self, capsys, tmp_path, flag, value, rule):
+        # the loader's rule, checked before the corpus or the dataset is opened
+        out = tmp_path / "pipe.json"
+        code, stdout, err = run(capsys, "train", "clf", str(tmp_path / "no-corpus.txt"),
+                                "--dataset", str(tmp_path / "no-sets.jsonl"), flag, value, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"diacritize: data error: classifier hyper {rule}, got ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_train_clf_takes_one_epoch(self, capsys, tmp_path):
+        out = tmp_path / "pipe.json"
+        code, _, _ = run(capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN), "--epochs", "1", "-o", str(out))
+        assert code == 0
+        assert run(capsys, "restore", "--model", str(out), "--in", FIXTURE)[0] == 0
 
     @pytest.mark.parametrize("list_len", ["0", "-3"])
     def test_analogy_list_len(self, capsys, tmp_path, vectors_file, list_len):

@@ -211,7 +211,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "record, match",
         [
-            ('{"wordkey":"ab","variants":[["áb","x"],["àb",1]]}', "invalid literal"),
+            ('{"wordkey":"ab","variants":[["áb","x"],["àb",1]]}', "integer count"),
+            ('{"wordkey":"ab","variants":[["áb",-5],["àb",1]]}', "non-negative integer count"),
+            ('{"wordkey":"ab","variants":[]}', "nonempty list"),
+            ('{"wordkey":"ab","variants":[["áb",1,2]]}', r"\[variant, non-negative integer count\] pairs"),
             ('{"wordkey":"ab","tokens":"ab","target":0,"label":"áb"}', "tokens"),
             ('{"wordkey":"ab","tokens":["ab",3],"target":0,"label":"áb"}', "tokens"),
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":5}', "label"),
@@ -223,6 +226,7 @@ class TestSerialization:
             ('{"wordkey":"ab","variants":[["áb",1],["áb",2]]}', "listed twice"),
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ab"}', "not a variant of wordkey 'ab'"),
             ('{"wordkey":"ab","tokens":["ab"],"target":0,"label":"ác"}', "not a variant of wordkey 'ab'"),
+            ('{"wordkey":"ab","tokens":["zzz","ab"],"target":0,"label":"áb"}', "target token 'zzz' does not strip"),
             ('{"wordkey":"ab","variants":[["áb",1],["àb",1]]}', "second header for wordkey 'ab'"),
         ],
     )

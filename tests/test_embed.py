@@ -125,6 +125,57 @@ def reference_restore(model, inst, candidates, window=11, scheme=BASIC, cowords=
     return min(v for v, s in scores.items() if s == best), priors
 
 
+def reference_project(source, align):
+    """project as a loop that sums every usable source into one accumulator, copying a lone source."""
+    vectors = {}
+    for word in align:
+        usable = [(src, c) for src, c in align[word] if src in source.vectors]
+        if not usable:
+            continue
+        if len(usable) == 1:
+            vectors[word] = source.vectors[usable[0][0]].copy()
+            continue
+        total = sum(c for _, c in usable)
+        acc = np.zeros(source.dim)
+        for src, c in usable:
+            acc += source.vectors[src] * c
+        vectors[word] = acc / total
+    return vectors
+
+
+def reference_analogy_mrr(model, quads, list_len=100):
+    """analogy_mrr that sorts the whole vocabulary for every quad and walks down to d."""
+    vocab = sorted(model.vectors)
+    matrix = np.stack([model.vectors[w] for w in vocab])
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0] = 1.0
+    scores = []
+    for a, b, c, d in quads:
+        if any(w not in model.vectors for w in (a, b, c)):
+            continue
+        if d not in model.vectors:
+            scores.append(0.0)
+            continue
+        target = model.vectors[b] - model.vectors[a] + model.vectors[c]
+        tnorm = float(np.linalg.norm(target))
+        if tnorm == 0.0:
+            scores.append(0.0)
+            continue
+        sims = matrix @ target / (norms * tnorm)
+        rank, score = 0, 0.0
+        for word, _ in sorted(zip(vocab, sims), key=lambda ws: (-ws[1], ws[0])):
+            if word in (a, b, c):
+                continue
+            rank += 1
+            if rank > list_len:
+                break
+            if word == d:
+                score = 1.0 / rank
+                break
+        scores.append(score)
+    return sum(scores) / len(scores)
+
+
 def outcome(load, path):
     """What a loader makes of a file: its vectors bit for bit, or its ParseError."""
     try:
@@ -293,6 +344,21 @@ class TestProjection:
             expected /= total
             assert np.max(np.abs(out.vectors[word] - expected)) < 1e-9
 
+    def test_random_alignments_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        src_vocab = [f"s{i}" for i in range(200)]
+        src = EmbeddingModel(dim=7, vectors={w: rng.normal(size=7) * 10.0 ** rng.integers(-3, 4) for w in src_vocab})
+        # sources drawn from beyond the model too, so some targets keep one usable source and some none
+        align = {
+            f"t{i}": [(f"s{int(j)}", int(rng.integers(1, 1000))) for j in rng.integers(0, 260, size=rng.integers(1, 6))]
+            for i in range(3000)
+        }
+        out = project(src, align)
+        expected = reference_project(src, align)
+        assert list(out.vectors) == list(expected)
+        assert all(out.vectors[w].tobytes() == v.tobytes() for w, v in expected.items())
+        assert any(len([s for s, _ in pairs if s in src.vectors]) == 1 for pairs in align.values())
+
     def test_projection_is_coordinatewise_convex(self):
         rng = np.random.default_rng(21)
         src = EmbeddingModel(dim=4, vectors={f"s{i}": rng.normal(size=4) for i in range(20)})
@@ -380,7 +446,7 @@ class TestCowords:
         assert table == reference_cowords(corp, self.build_sets(), top_n=10)
         assert table == {"ká": [("y", 1)], "kà": []}
 
-    @pytest.mark.parametrize("window, lowercase", [(None, True), (None, False), (3, True), (5, False)])
+    @pytest.mark.parametrize("window, lowercase", [(None, True), (None, False), (3, True), (5, False), (11, True)])
     def test_random_corpora_match_the_reference(self, window, lowercase):
         rng = random.Random(11)
         sets = [
@@ -449,37 +515,42 @@ def restore(model, tokens, target, candidates, window=None, scheme=BASIC, coword
     return restorer.predict_instance(tokens, target, list(tokens[:target]))
 
 
+def score(model, context, candidates, allowed=None):
+    """restore_instance on a target whose every other key is the context."""
+    return restore_instance(model, ("target", *context), candidates, 0, None, allowed)
+
+
 class TestRestore:
     def test_context_matching_candidate_direction(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], cx=[1.0, 0.0])
-        assert restore_instance(model, ("cx",), [("x", 1), ("y", 1)]) == "x"
+        assert score(model, ("cx",), [("x", 1), ("y", 1)]) == "x"
 
     def test_two_dimensional_fixture(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], c1=[0.9, 0.1])
-        assert restore_instance(model, ("c1",), [("x", 1), ("y", 1)]) == "x"
+        assert score(model, ("c1",), [("x", 1), ("y", 1)]) == "x"
 
     def test_empty_context_falls_back_to_majority(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0])
-        assert restore_instance(model, (), [("x", 2), ("y", 5)]) == "y"
+        assert score(model, (), [("x", 2), ("y", 5)]) == "y"
 
     def test_oov_context_words_dropped(self):
         model = model_of(x=[1.0, 0.0], y=[0.0, 1.0], cy=[0.0, 1.0])
-        assert restore_instance(model, ("nowhere", "cy"), [("x", 9), ("y", 1)]) == "y"
+        assert score(model, ("nowhere", "cy"), [("x", 9), ("y", 1)]) == "y"
 
     def test_no_candidate_vector_raises(self):
         model = model_of(c=[1.0, 0.0])
         with pytest.raises(UnrepresentableInstance):
-            restore_instance(model, ("c",), [("x", 1), ("y", 1)])
+            score(model, ("c",), [("x", 1), ("y", 1)])
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(8)
         base = {f"w{i}": rng.normal(size=3) for i in range(6)}
         base.update({"x": rng.normal(size=3), "y": rng.normal(size=3)})
         context = ("w0", "w1", "w2")
-        one = restore_instance(
+        one = score(
             EmbeddingModel(3, {k: v.copy() for k, v in base.items()}), context, [("x", 1), ("y", 1)]
         )
-        scaled = restore_instance(
+        scaled = score(
             EmbeddingModel(3, {k: 37.0 * v for k, v in base.items()}), context, [("x", 1), ("y", 1)]
         )
         assert one == scaled
@@ -495,9 +566,9 @@ class TestRestore:
         context = ("xcue", "noise1", "noise2")
         candidates = [("x", 1), ("y", 1)]
         assert embed.coword_sets(BASIC, cowords, "xy") is None
-        basic = restore_instance(model, context, candidates)
+        basic = score(model, context, candidates)
         assert basic == "y"
-        restricted = restore_instance(model, context, candidates, embed.coword_sets(TWEAK2, cowords, "xy"))
+        restricted = score(model, context, candidates, embed.coword_sets(TWEAK2, cowords, "xy"))
         assert restricted == "x"  # cos 1.0 beats y's empty-context prior 0.5
 
     def test_tweak2_empty_restricted_context_scores_prior(self):
@@ -617,6 +688,33 @@ class TestAnalogy:
         model = self.build_rank_model(1)
         assert analogy_mrr(model, [("a", "b", "c", "d")]) == 1.0
 
+    def test_d_among_the_question_words_scores_zero(self):
+        model = self.build_rank_model(1)
+        assert analogy_mrr(model, [("a", "b", "c", "c"), ("a", "b", "c", "d")]) == pytest.approx(0.5)
+
+    def test_a_tie_goes_to_the_earlier_word(self):
+        model = model_of(a=[1.0, 0.0], b=[1.0, 1.0], c=[0.0, 0.0], d1=[0.0, 2.0], d2=[0.0, 1.0])
+        assert analogy_mrr(model, [("a", "b", "c", "d1"), ("a", "b", "c", "d2")]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("list_len", [1, 3, 100])
+    def test_random_models_match_the_sorting_reference(self, list_len):
+        rng = np.random.default_rng(list_len)
+        for trial in range(60):
+            words = [f"w{i}" for i in range(int(rng.integers(4, 40)))]
+            # small integer components make ties and zero rows common
+            vectors = {w: rng.integers(-2, 3, size=3).astype(float) for w in words}
+            model = EmbeddingModel(dim=3, vectors=vectors)
+            pool = [*words, "oov"]
+            quads = [tuple(pool[int(j)] for j in rng.integers(0, len(pool), size=4)) for _ in range(30)]
+            quads.append((words[0], words[1], words[2], words[1]))
+            try:
+                expected = reference_analogy_mrr(model, quads, list_len)
+            except ZeroDivisionError:
+                with pytest.raises(DataError, match="no scoreable"):
+                    analogy_mrr(model, quads, list_len)
+                continue
+            assert analogy_mrr(model, quads, list_len) == expected
+
 
 class TestWordsim:
     def test_proportional_scores_give_one(self):
@@ -694,6 +792,18 @@ class TestRestorerFallback:
             model=model_of(c=[1.0, 0.0]), variant_index={"t": [("x", 1), ("y", 3)]}
         )
         assert restorer.predict_instance(("c", "t"), 1, ["c"]) == "y"
+
+    def test_unrepresentable_instance_takes_no_window(self, monkeypatch):
+        def no_window(*args):
+            raise AssertionError("a window was taken for an unrepresentable instance")
+
+        monkeypatch.setattr(embed, "extract_window", no_window)
+        restorer = embed.EmbeddingRestorer(
+            model=model_of(c=[1.0, 0.0]), variant_index={"t": [("x", 1), ("y", 3)]}, window=3
+        )
+        assert restorer.predict_instance(("c", "t", "c"), 1, ["c"]) == "y"
+        with pytest.raises(UnrepresentableInstance, match="no candidate of 't' has a vector"):
+            restore_instance(restorer.model, ("c", "t", "c"), [("x", 1), ("y", 3)], 1, 3)
 
 
 class TestCvFitter:

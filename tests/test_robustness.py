@@ -240,6 +240,69 @@ def classifier_spec(files):
     return spec, next(iter(spec["restorer"]["models"].values()))
 
 
+NUMBER_BREAKS = [
+    ("idf", "true"), ("idf", '"1.5"'), ("bias", '"0.25"'), ("weights", "false"), ("weights", '"0"'),
+    ("class_log_prior", "true"), ("feature_log_prob", '"-1.5"'),
+]
+
+
+@pytest.mark.parametrize("field, value", NUMBER_BREAKS)
+def test_classifier_number_that_is_not_a_json_number_is_a_data_error(field, value, files, tmp_path, capsys):
+    nb = field in ("class_log_prior", "feature_log_prob")
+    spec = json.loads((files / ("naive_bayes.json" if nb else "logistic.json")).read_text(encoding="utf-8"))
+    clf = next(iter(spec["restorer"]["models"].values()))
+    source = clf["nb_params"] if nb else clf
+    row = source[field][0] if field in ("weights", "feature_log_prob") else source[field]
+    row[0] = json.loads(value)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"{field} {value}", capsys)
+    assert not out.exists()
+    with pytest.raises(classify.ParseError, match=f"classifier {field} must hold finite JSON numbers"):
+        classify.classifier_from_payload(clf)
+
+
+@pytest.mark.parametrize("value", ["pairs", "[]", '"x"', "null"])
+def test_unambiguous_that_is_not_an_object_is_a_data_error(value, files, tmp_path, capsys):
+    spec = json.loads((files / "ngram.json").read_text(encoding="utf-8"))
+    assert spec["unambiguous"]
+    spec["unambiguous"] = [list(kv) for kv in spec["unambiguous"].items()] if value == "pairs" else json.loads(value)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"unambiguous {value}", capsys)
+    assert not out.exists()
+    with pytest.raises(pipeline.ParseError, match="unambiguous must be an object"):
+        pipeline.load_pipeline(model)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "cv", "--restorer", "ngram:3"], ["eval", "cv", "--restorer", "clf:logistic"],
+     ["eval", "cv", "--restorer", "emb:basic"], ["train", "ngram"]],
+    ids=["cv-ngram", "cv-clf", "cv-emb", "train-ngram"],
+)
+def test_target_token_that_does_not_strip_to_its_wordkey_is_a_data_error(argv, files, tmp_path, capsys):
+    # n-gram CV met such a token mid-run (exit 3); classifier and embedding CV scored it
+    records = [json.loads(line) for line in (files / "sets.jsonl").read_text(encoding="utf-8").splitlines()]
+    records[1]["tokens"][records[1]["target"]] = "zzz"
+    data = tmp_path / "sets.jsonl"
+    data.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out"
+    corpus = str(files / "corpus.txt")
+    if argv[0] == "train":
+        argv = [*argv, corpus, "--dataset", str(data), "-o", str(out)]
+    else:
+        argv = [*argv, "--corpus", corpus, "--vectors", str(files / "toy.vec"), "--dataset", str(data),
+                "-k", "2", "--report", str(out)]
+    run_data_error(argv, "target zzz", capsys)
+    assert not out.exists()
+    with pytest.raises(datasetgen.ParseError, match="target token 'zzz' does not strip to wordkey") as err:
+        datasetgen.read_dataset(data)
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("field", ["weights", "bias", "idf"])
 def test_integer_too_large_for_a_float_is_a_data_error(field, files, tmp_path, capsys):
     spec, clf = classifier_spec(files)
@@ -339,7 +402,8 @@ def test_count_that_is_not_a_non_negative_integer_is_a_data_error_at_load(how, f
     argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
     run_data_error(argv, how, capsys)
     assert not out.exists()
-    with pytest.raises(pipeline.ParseError, match="class_counts" if how.startswith("class") else "variant_index"):
+    match = "class_counts" if how.startswith("class") else "non-negative integer count"
+    with pytest.raises(pipeline.ParseError, match=match):
         pipeline.load_pipeline(model)
     if how.startswith("class"):
         with pytest.raises(classify.ParseError, match="class_counts"):
@@ -407,7 +471,7 @@ def test_coword_count_that_is_not_a_non_negative_integer_is_a_data_error_at_load
 
 
 HYPER_BREAKS = [
-    ("epochs", '"x"'), ("epochs", "true"), ("epochs", "2.0"), ("epochs", "null"),
+    ("epochs", '"x"'), ("epochs", "true"), ("epochs", "2.0"), ("epochs", "null"), ("epochs", "0"), ("epochs", "-1"),
     ("seed", "1.5"), ("seed", "false"), ("seed", '"0"'),
     ("l2", "[1]"), ("l2", '"0.1"'), ("l2", "null"), ("l2", "Infinity"), ("l2", "NaN"),
     ("alpha", "true"), ("alpha", "-Infinity"), pytest.param("alpha", "1" + "0" * 400, id="alpha-int-too-large-for-a-float"),
@@ -431,7 +495,7 @@ def test_classifier_hyper_field_of_the_wrong_type_is_a_data_error(field, value, 
 
 @pytest.mark.parametrize(
     "field, value", [("learning_rate", "null"), ("learning_rate", "0.5"), ("learning_rate", "1"), ("l2", "0"),
-                     ("alpha", "2"), ("epochs", "0"), ("seed", "-3")],
+                     ("alpha", "2"), ("epochs", "1"), ("seed", "-3")],
 )
 def test_classifier_hyper_field_of_the_right_type_loads(field, value, files, tmp_path):
     spec, clf = classifier_spec(files)

@@ -1,6 +1,7 @@
-"""Every function in src/ is reached from src/, apart from a short allow-list,
-every module in src/ uses every name it imports, the classifier's scoring and
-training loops never call sum(), and its SGD training calls no numpy reduction."""
+"""Every function and every class member in src/ is reached from src/, apart
+from short allow-lists, every module in src/ uses every name it imports, the
+classifier's scoring and training loops never call sum(), and its SGD training
+calls no numpy reduction."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,51 @@ def unreferenced_functions():
 
 def test_only_allow_listed_functions_go_unreferenced():
     assert unreferenced_functions() == ALLOWED
+
+
+# Class members no src/ code reads, each with the reason it stays.
+ALLOWED_MEMBERS = {
+    "classify.LinearModel.train_errors": "tests read it to see the perceptron's early stop",
+    "corpus.Corpus.is_marked": "the acceptance oracles use it",
+    "corpus.Corpus.stripped": "the acceptance oracles call it",
+    **{
+        f"corpus.CorpusStats.{name}": "`stats` writes every field out through __dict__"
+        for name in (
+            "all_tokens", "words_only", "vocab_size", "all_diac_words", "unique_diac_words",
+            "amb_diac_words", "diac_vocab_size", "all_wordkeys", "unique_wordkeys", "ambiguous_wordkeys",
+        )
+    },
+}
+
+
+def unread_members():
+    """Dataclass fields, methods and properties of src/ classes that src/ never reads as an attribute.
+
+    A member counts as read wherever an attribute of that name is loaded
+    (`x.name`, a call `x.name()` included); assigning it (`x.name = ...`,
+    `x.name += ...`) or passing it to the constructor does not count. The scan
+    matches by name only, as unreferenced_functions does. Dunder methods are
+    left out.
+    """
+    members, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.append((f"{path.stem}.{node.name}.{item.target.id}", item.target.id))
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
+                    members.append((f"{path.stem}.{node.name}.{item.name}", item.name))
+        read |= {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return {qualified for qualified, name in members if name not in read}
+
+
+def test_only_allow_listed_class_members_go_unread():
+    assert unread_members() == set(ALLOWED_MEMBERS)
 
 
 def unused_imports():
