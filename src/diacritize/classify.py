@@ -5,21 +5,27 @@ only word tokens inside it (minus the target) become features. Classifier
 kinds: perceptron, logistic regression via SGD, linear SVM via SGD hinge, and
 multinomial naive Bayes. Multi-class is one-vs-rest: the SGD kinds train every
 class in one seeded pass over the examples, and training is deterministic for a
-fixed seed.
+fixed seed. A set's epoch orders are the successive in-place shuffles of its
+example indices by one random.Random(seed), so they depend only on the seed and
+the set's size: a training call draws them once per distinct size
+(_epoch_orders), and every set of that size walks the same orders.
 
 `fit_instances` trains every group it is given in one call, as `train clf`
 does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
-one call, as `eval cv` does with the folds of a group of wordkeys. The
-logistic and linear-SVM models of such a call advance together in a numpy
-lockstep head, one step of every live (model, class) pair at a time, while at
-least _HEAD_FLOOR pairs are live; each model then finishes on the serial loop
-from the step the head reached. The weights are the serial loop's, bit for
-bit: every elementwise float64 operation rounds as a Python float does,
-margins add left to right, and the logistic residual keeps math.exp (see
-_lockstep_head). A call with one model never enters the head, so
-`train_classifier` trains serially. So does the perceptron, which updates
-only on mistakes and stops classes early, and naive Bayes, which does not
-iterate.
+one call, as `eval cv` does with the folds of a group of wordkeys. CV counts
+each instance's window terms once (term_counts); a fold fits its vectorizer on
+those counts and weighs its training vectors from them, with the bits that
+Vectorizer.fit and transform give on the windows, because _unit_tfidf is the
+one tf-idf weighting of both. The logistic and linear-SVM models of such a
+call advance together in a numpy lockstep head, one step of every live (model,
+class) pair at a time, while at least _HEAD_FLOOR pairs are live; each model
+then finishes on the serial loop from the step the head reached. The weights
+are the serial loop's, bit for bit: every elementwise float64 operation rounds
+as a Python float does, margins add left to right, and the logistic residual
+keeps math.exp (see _lockstep_head). A call with one model never enters the
+head, so `train_classifier` trains serially. So does the perceptron, which
+updates only on mistakes and stops classes early, and naive Bayes, which does
+not iterate.
 
 A trained or loaded classifier holds its numbers once, as plain Python floats:
 the vectorizer's idf list, and the model's rows and offsets (the weight rows and
@@ -115,23 +121,27 @@ class Vectorizer:
     @classmethod
     def fit(cls, windows) -> "Vectorizer":
         """Build the vocabulary and smoothed idf from training windows only."""
-        windows = list(windows)
-        if not windows:
+        return cls.fit_terms([set(window) for window in windows])
+
+    @classmethod
+    def fit_terms(cls, documents) -> "Vectorizer":
+        """fit, from each training window's distinct terms (a set, or the keys of its term counts)."""
+        if not documents:
             raise DataError("cannot fit a vectorizer on zero windows")
         df: dict[str, int] = {}
-        for window in windows:
-            for term in set(window):
+        for terms in documents:
+            for term in terms:
                 df[term] = df.get(term, 0) + 1
         terms = sorted(df)
-        n_docs = len(windows)
+        n_docs = len(documents)
         idf = [math.log((1 + n_docs) / (1 + df[term])) + 1.0 for term in terms]
         return cls(vocabulary={term: i for i, term in enumerate(terms)}, idf=idf)
 
     def transform(self, window) -> dict[int, float]:
         """tf-idf the window into a unit-length sparse vector; unknown terms drop.
 
-        One dict is filled in place: term counts, then tf-idf values, then unit
-        length; the norm is summed left to right in first-seen term order.
+        One dict is filled in place: term counts in first-seen order, then
+        _unit_tfidf.
         """
         vec: dict[int, float] = {}
         vocabulary = self.vocabulary
@@ -139,16 +149,37 @@ class Vectorizer:
             idx = vocabulary.get(term)
             if idx is not None:
                 vec[idx] = vec.get(idx, 0) + 1
-        idf = self.idf
-        total = 0.0
-        for idx, count in vec.items():  # replacing a value keeps the keys and their order
-            vec[idx] = v = count * idf[idx]
-            total += v * v
-        norm = math.sqrt(total)
-        if norm > 0:
-            for idx, v in vec.items():
-                vec[idx] = v / norm
-        return vec
+        return _unit_tfidf(vec, self.idf)
+
+    def transform_counts(self, counts: dict[str, int]) -> dict[int, float]:
+        """transform of a training window from its term_counts: every term is in the vocabulary."""
+        vocabulary = self.vocabulary
+        return _unit_tfidf({vocabulary[term]: count for term, count in counts.items()}, self.idf)
+
+
+def term_counts(window) -> dict[str, int]:
+    """Each term of the window and its count, in first-seen order."""
+    counts: dict[str, int] = {}
+    for term in window:
+        counts[term] = counts.get(term, 0) + 1
+    return counts
+
+
+def _unit_tfidf(vec: dict[int, int], idf: list[float]) -> dict[int, float]:
+    """Weigh term counts in place: count * idf, then unit length (a zero vector stays zero).
+
+    The norm is summed left to right from 0.0 in the dict's order, the terms'
+    first-seen order in their window.
+    """
+    total = 0.0
+    for idx, count in vec.items():  # replacing a value keeps the keys and their order
+        vec[idx] = v = count * idf[idx]
+        total += v * v
+    norm = math.sqrt(total)
+    if norm > 0:
+        for idx, v in vec.items():
+            vec[idx] = v / norm
+    return vec
 
 
 @dataclass
@@ -280,17 +311,16 @@ _CV_BATCH_ROWS = 15_000
 
 
 class _SGDFit:
-    """One training set of an SGD call, and its shuffles and result."""
+    """One training set of an SGD call, its epoch orders and its result."""
 
-    def __init__(self, X, y, n_features: int, classes: list[str], seed: int):
+    def __init__(self, X, y, n_features: int, classes: list[str], orders: list[list[int]]):
         index = {cls: c for c, cls in enumerate(classes)}
         self.X = X
         self.truth = [index[label] for label in y]
         self.n_classes = len(classes)
         self.n_features = n_features
         self.classes = classes
-        self.order = list(range(len(X)))
-        self.rng = random.Random(seed)
+        self.orders = orders  # shared by every set of its size in the call
         self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
         self.bias: list[float] | None = None
         self.fitted: dict | None = None
@@ -306,18 +336,43 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     g that each kind picks. A perceptron class stops after its first error-free
     epoch.
 
-    Logistic and linear-SVM sets first advance together in `_lockstep_head`,
-    while enough (set, class) pairs are live; each set then finishes in
-    `_serial_sgd` from the step the head reached. Both give the same bits. A
-    single set, and every perceptron, takes the serial loop alone. Returns, per
-    set, its weight rows, biases (offsets) and, for the perceptron, train_errors.
+    Each logistic or linear-SVM step scales the weights by 1 - rate * l2, so
+    that product must be below 1. Those sets first advance together in
+    `_lockstep_head`, while enough (set, class) pairs are live; each set then
+    finishes in `_serial_sgd` from the step the head reached. Both give the
+    same bits. A single set, and every perceptron, takes the serial loop alone.
+    Every set of a size walks the same epoch orders, drawn once per call by
+    _epoch_orders. Returns, per set, its weight rows, biases (offsets) and, for
+    the perceptron, train_errors.
     """
-    fits = [_SGDFit(*training, hyper.seed) for training in sets]
+    rate = hyper.rate_for(kind)
+    if kind != PERCEPTRON and not rate * hyper.l2 < 1:
+        raise ModelError(f"{kind} learning rate {rate!r} times l2 {hyper.l2!r} must be below 1")
+    orders = {n: _epoch_orders(n, hyper) for n in {len(X) for X, *_ in sets}}
+    fits = [_SGDFit(*training, orders[len(training[0])]) for training in sets]
     n_pairs = len([c for fit in fits for c in fit.classes])
     step, scale = 0, 1.0
     if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
         step, scale = _lockstep_head(kind, fits, hyper)
     return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale) for fit in fits]
+
+
+def _epoch_orders(n: int, hyper: Hyper) -> list[list[int]]:
+    """The example order of each epoch of an n-example set: hyper.epochs
+    in-place shuffles of list(range(n)) by one random.Random(hyper.seed), each
+    kept.
+
+    They depend only on n and the hyper, so _fit_sgd draws them once per set
+    size for the sets of one call; a memo over calls would hold them all.
+    They stay lists, which the serial loop walks with no numpy call: held as
+    numpy rows, the smallest CV fits ran slower.
+    """
+    rng, order = random.Random(hyper.seed), list(range(n))
+    orders = []
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        orders.append(order.copy())
+    return orders
 
 
 def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) -> dict:
@@ -331,7 +386,7 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     # Made here, just before the pass, so that only the sets in the serial loop
     # hold rows, and each set's rows are still in cache when it runs.
     rows = [tuple((i, float(v)) for i, v in x.items()) for x in fit.X]
-    truth, order = fit.truth, fit.order
+    truth = fit.truth
     n = len(rows)
     classes = range(fit.n_classes)
     weights = fit.weights or [[0.0] * fit.n_features for _ in classes]
@@ -339,9 +394,7 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     errors = [[] for _ in classes]
     training = list(classes)
     epoch, start = divmod(step, n)
-    for _ in range(epoch, hyper.epochs):
-        if start == 0:
-            fit.rng.shuffle(order)
+    for order in fit.orders[epoch:]:
         mistakes = [0] * fit.n_classes
         for j in order[start:] if start else order:
             x = rows[j]
@@ -386,6 +439,7 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow makes inf and NaN silently, as Python floats do
 def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
     """Step every live (fit, class) pair of a logistic or linear-SVM call together, in numpy.
 
@@ -430,11 +484,17 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
     first_weight = np.cumsum(n_classes * widths) - n_classes * widths
     weights = np.zeros(first_weight[-1] + n_classes[-1] * widths[-1])
     bias = np.zeros(first_pair[-1] + n_classes[-1])
-    order = np.empty(len(truth), dtype=np.int64)  # each fit's current epoch
-    shuffles: dict[int, list[int]] = {}
+    # Every fit's epoch orders in turn, as indices into the examples of all the
+    # fits (a call holds far fewer than 2**31): fit f's step-th example is
+    # sequence[epochs * first_example[f] + step].
+    sequence = np.empty(hyper.epochs * len(truth), dtype=np.int32)
+    of_size: dict[int, list[int]] = {}
     for f, n in enumerate(sizes.tolist()):
-        for epoch_start in range(0, ends[f], n):
-            shuffles.setdefault(epoch_start, []).append(f)
+        of_size.setdefault(n, []).append(f)
+    for n, same in of_size.items():  # each size's orders converted once, one size at a time
+        flat = np.array(fits[same[0]].orders, dtype=np.int32).ravel()
+        for first in first_example[same].tolist():
+            np.add(flat, first, out=sequence[hyper.epochs * first : hyper.epochs * (first + n)])
 
     def block(f):  # fit f's weights, less the spare slots
         start, n_weights = first_weight[f], n_classes[f] * widths[f]
@@ -451,17 +511,12 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
             break
         pair_class = _positions(n_classes[live])
         pairs = first_pair[pair_fit] + pair_class
-        pair_first, pair_size = first_example[pair_fit], sizes[pair_fit]
+        pair_start = hyper.epochs * first_example[pair_fit]
         pair_base = (first_weight[pair_fit] + pair_class * widths[pair_fit])[:, None]
         live_bias = bias[pairs]
         stop = min(ends[f] for f in live)
         while step < stop:
-            for f in shuffles.get(step, ()):
-                fit = fits[f]
-                fit.rng.shuffle(fit.order)
-                order[first_example[f] : first_example[f] + sizes[f]] = fit.order
-            example = order.take(pair_first + step % pair_size)
-            example += pair_first
+            example = sequence.take(pair_start + step)
             idx = slots.take(example, axis=0)
             idx += pair_base
             val = values.take(example, axis=0)
@@ -606,12 +661,17 @@ def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None
 
 def _training_set(kind: str, instances: list[Instance], windows):
     """A group's vectorizer and its checked (X, y, n_features, classes) training set."""
+    y, classes = _labels(kind, instances)
+    vectorizer = Vectorizer.fit(windows)
+    return vectorizer, ([vectorizer.transform(w) for w in windows], y, len(vectorizer.vocabulary), classes)
+
+
+def _labels(kind: str, instances: list[Instance]):
+    """The labels and sorted classes of a group, checked trainable before anything is vectorized."""
     if not instances:
         raise DataError("no instances to train on")
-    vectorizer = Vectorizer.fit(windows)
-    X = [vectorizer.transform(w) for w in windows]
     y = [i.label for i in instances]
-    return vectorizer, (X, y, len(vectorizer.vocabulary), _classes(kind, X, y))
+    return y, _classes(kind, instances, y)
 
 
 class _QueuedFold:
@@ -635,18 +695,25 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
     identity of its training instances and kept for one more fit of the same
     instances, which hands it out: `eval cv` fits every fold of a group of sets
     before crossval fits them again and scores them, so each fold's model is
-    freed once it has been scored. Each instance's window is extracted once, for
-    all the folds; only the vocabulary, idf and model depend on the fold.
+    freed once it has been scored. Each instance's window and its term_counts
+    are taken once, for all the folds: a fold's vectorizer is fit on the counts'
+    terms and its training vectors weighed from the counts (Vectorizer.fit_terms
+    and transform_counts, the bits of fit and transform on the windows); only
+    the vocabulary, idf and model depend on the fold. An instance's entry goes
+    when it is predicted, as crossval predicts each held-out instance once
+    after every fold that trains on it has been fit; an instance met again is
+    taken from its window again.
     """
-    cache: dict[int, tuple[Instance, list[str]]] = {}
+    cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
     held: dict[tuple[int, ...], tuple[list[Instance], object]] = {}
     queue: list[_QueuedFold] = []
 
-    def window_of(inst: Instance) -> list[str]:
-        entry = cache.get(id(inst))
-        if entry is None:
-            entry = cache[id(inst)] = (inst, extract_window(inst.tokens, inst.target, window))
-        return entry[1]
+    def entry(inst: Instance):
+        cached = cache.get(id(inst))
+        if cached is None:
+            words = extract_window(inst.tokens, inst.target, window)
+            cached = cache[id(inst)] = (inst, words, term_counts(words))
+        return cached
 
     def train_queue() -> None:
         models = _train_models(kind, [fold.training for fold in queue], hyper)
@@ -659,14 +726,19 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
         key = tuple(map(id, train_instances))
         if key in held:
             return held.pop(key)[1]
-        vectorizer, training = _training_set(kind, train_instances, [window_of(inst) for inst in train_instances])
-        fold = _QueuedFold(vectorizer, training)
+        y, classes = _labels(kind, train_instances)
+        counts = [entry(inst)[2] for inst in train_instances]
+        vectorizer = Vectorizer.fit_terms(counts)
+        X = [vectorizer.transform_counts(c) for c in counts]
+        fold = _QueuedFold(vectorizer, (X, y, len(vectorizer.vocabulary), classes))
         queue.append(fold)
 
         def predictor(inst: Instance) -> str:
             if fold.clf is None:
                 train_queue()
-            return fold.clf.predict_window(window_of(inst))
+            cached = cache.pop(id(inst), None)
+            words = cached[1] if cached else extract_window(inst.tokens, inst.target, window)
+            return fold.clf.predict_window(words)
 
         held[key] = (train_instances, predictor)  # the instances keep their ids from reuse
         return predictor
@@ -717,7 +789,11 @@ def _finite_number(value) -> bool:
 
 
 def checked_hyper(fields: dict) -> Hyper:
-    """Hyperparameters, each checked before Hyper is built: a classifier file's, or `train clf`'s flags'."""
+    """Hyperparameters, each checked before Hyper is built: a classifier file's, or `train clf`'s flags'.
+
+    A rate steps down the gradient only when it is positive, and a negative
+    L2 term would grow the weights it should shrink.
+    """
     for name, value in fields.items():
         if name == "epochs":
             ok, rule = type(value) is int and value >= 1, "an integer >= 1"
@@ -725,8 +801,12 @@ def checked_hyper(fields: dict) -> Hyper:
             ok, rule = type(value) is int, "an integer"
         elif name == "learning_rate":
             ok, rule = value is None or _finite_number(value), "null or a finite number"
+            if ok and value is not None:
+                ok, rule = value > 0, "null or a number > 0"
         else:
             ok, rule = _finite_number(value), "a finite number"
+            if ok and name == "l2":
+                ok, rule = value >= 0, "a number >= 0"
         if not ok:
             raise ParseError(f"classifier hyper {name} must be {rule}, got {value!r}")
     return Hyper(**fields)

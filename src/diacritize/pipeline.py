@@ -151,7 +151,10 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
     """Write the pipeline as one line of JSON, replacing path only on success.
 
     The whole payload is encoded in one call to the C encoder: `json.dump`
-    would take the pure-Python encoder, for the same bytes.
+    would take the pure-Python encoder, for the same bytes. It is encoded
+    before path is opened, and a non-finite number (an overflowed weight) is
+    a ModelError that writes nothing: JSON holds no infinity or NaN, so
+    load_pipeline would refuse the file.
     """
     payload = {
         "family": pipeline.family,
@@ -164,8 +167,12 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
         },
         "restorer": pipeline.restorer.to_payload(),
     }
+    try:
+        text = json.dumps(payload, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        raise ModelError(f"{path}: not written: the pipeline holds an infinite or NaN number") from None
     with replace_on_success(path) as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False))
+        fh.write(text)
         fh.write("\n")
 
 

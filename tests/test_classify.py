@@ -754,3 +754,168 @@ class TestLockstepMatchesSerial:
                 assert clf.vectorizer.vocabulary == alone.vectorizer.vocabulary
                 assert np.array(clf.model.rows).tobytes() == np.array(alone.model.rows).tobytes()
                 assert np.array(clf.model.offsets).tobytes() == np.array(alone.model.offsets).tobytes()
+
+
+def reference_epoch_orders(n, hyper):
+    """Each epoch's order as one fit drew it alone: its own Random, shuffling in place."""
+    rng, order, orders = random.Random(hyper.seed), list(range(n)), []
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        orders.append(list(order))
+    return orders
+
+
+def counted_shuffles(monkeypatch):
+    calls = []
+    shuffle = random.Random.shuffle
+
+    def counting(self, x):
+        calls.append(len(x))
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counting)
+    return calls
+
+
+class TestEpochOrders:
+    """Each set size's epoch orders are drawn once per call, with the bits each fit drew alone."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 977])
+    @pytest.mark.parametrize("n", [1, 2, 7, 90])
+    def test_orders_are_one_randoms_in_place_shuffles(self, seed, n):
+        hyper = Hyper(epochs=6, seed=seed)
+        orders = classify._epoch_orders(n, hyper)
+        assert orders == reference_epoch_orders(n, hyper)
+        assert len({id(order) for order in orders}) == hyper.epochs  # each epoch's own list
+
+    @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM])
+    def test_one_call_shuffles_epochs_times_distinct_sizes(self, kind, monkeypatch):
+        head = TestLockstepMatchesSerial.recorded_head(monkeypatch)
+        shuffles = counted_shuffles(monkeypatch)
+        sizes = [40] * 8 + [25] * 6 + [9, 9, 3]
+        hyper = Hyper(epochs=7, seed=5)
+        classify._fit_sgd(kind, mixed_sets(13, sizes), hyper)
+        assert sorted(shuffles) == sorted(n for n in set(sizes) for _ in range(hyper.epochs))
+        assert (head != []) == (kind != PERCEPTRON)
+
+    def test_a_memo_lives_for_one_call(self, monkeypatch):
+        shuffles = counted_shuffles(monkeypatch)
+        sets = mixed_sets(14, [12, 12])
+        classify._fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
+        classify._fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
+        assert shuffles == [12] * 6
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, LINEAR_SVM, PERCEPTRON])
+    def test_equal_and_mixed_sizes_match_train_classifier(self, kind, monkeypatch):
+        calls = TestLockstepMatchesSerial.recorded_head(monkeypatch)
+        sets = mixed_sets(15, [40] * 8 + [25] * 6 + [26, 24, 9, 9, 9, 3, 3, 2])
+        if kind == PERCEPTRON:
+            X, y, n_features = early_and_late_fixture()
+            sets = [(X, y, n_features, sorted(set(y)))] * 2 + sets
+        hyper = Hyper(epochs=9, seed=6)
+        fitted = classify._fit_sgd(kind, sets, hyper)
+        if kind == PERCEPTRON:
+            assert calls == []
+            assert len(fitted[0]["train_errors"]["A"]) < hyper.epochs
+        else:
+            [(step, handed_over)] = calls
+            assert 0 < len(handed_over) < len(sets) and any(step % n for n in handed_over)
+        for (X, y, n_features, _), fields in zip(sets, fitted):
+            alone = train_classifier(kind, X, y, n_features, hyper)
+            assert np.array(fields["rows"]).tobytes() == np.array(alone.rows).tobytes()
+            assert np.array(fields["offsets"]).tobytes() == np.array(alone.offsets).tobytes()
+            assert fields["train_errors"] == alone.train_errors
+
+
+class TestDecayRule:
+    """A logistic or linear-SVM step scales the weights by 1 - rate * l2, which must stay positive."""
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, LINEAR_SVM])
+    @pytest.mark.parametrize("hyper", [Hyper(learning_rate=1e4), Hyper(learning_rate=3e4), Hyper(l2=100.0)])
+    def test_a_step_that_would_not_shrink_the_weights_is_refused(self, kind, hyper):
+        X, y, n_features = three_class_fixture()
+        with pytest.raises(ModelError, match="times l2 .* must be below 1"):
+            train_classifier(kind, X, y, n_features, hyper)
+        below = dataclasses.replace(hyper, learning_rate=0.99 / hyper.l2)
+        assert train_classifier(kind, X, y, n_features, below)
+
+    def test_the_perceptron_takes_no_l2(self):
+        X, y, n_features = three_class_fixture()
+        assert train_classifier(PERCEPTRON, X, y, n_features, Hyper(learning_rate=1e4, epochs=2))
+
+
+def cv_instances(seed, n):
+    """Instances of one wordkey whose width-5 windows repeat terms, and hold one term or none."""
+    rng = random.Random(seed)
+    pool = ["sun", "moon", "rose", "the", "a", ".", ",", "7"]
+    insts = [
+        Instance(tokens=(".", "ka", ","), target=1, label="ká", line=0),  # no context word
+        Instance(tokens=("moon", "ka"), target=1, label="kà", line=1),  # one
+        Instance(tokens=("sun", "sun", "ka", "sun", "rose"), target=2, label="ká", line=2),  # repeated
+    ]
+    for line in range(3, n):
+        left = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
+        right = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
+        label = rng.choice(["ká", "kà", "kā"])
+        insts.append(Instance(tokens=(*left, "ka", *right), target=len(left), label=label, line=line))
+    return insts
+
+
+def same_vector(a, b):
+    return [(i, v.hex()) for i, v in a.items()] == [(i, v.hex()) for i, v in b.items()]
+
+
+class TestCvVectorizing:
+    """A CV fold vectorizes from term counts with the bits of fitting and transforming its windows."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fit_terms_and_transform_counts_match_fit_and_transform(self, seed):
+        rng = random.Random(seed)
+        terms = [f"t{i}" for i in range(12)]
+        windows = [[], ["t0"], ["t3", "t3", "t1", "t3"]] + [
+            [rng.choice(terms) for _ in range(rng.randrange(0, 10))] for _ in range(80)
+        ]
+        counted = classify.Vectorizer.fit_terms([classify.term_counts(w) for w in windows])
+        fitted = Vectorizer.fit(windows)
+        assert list(counted.vocabulary.items()) == list(fitted.vocabulary.items())
+        assert [v.hex() for v in counted.idf] == [v.hex() for v in fitted.idf]
+        for window in windows:
+            assert same_vector(counted.transform_counts(classify.term_counts(window)), fitted.transform(window))
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
+    def test_folds_match_training_set(self, kind, monkeypatch):
+        trained, vectorizers = [], []
+        real_train, real_clf = classify._train_models, classify.TextClassifier
+        monkeypatch.setattr(classify, "_train_models", lambda k, sets, h: trained.extend(sets) or real_train(k, sets, h))
+        monkeypatch.setattr(classify, "TextClassifier", lambda w, v, m: vectorizers.append(v) or real_clf(w, v, m))
+        insts = cv_instances(9, 60)
+        rng = random.Random(10)
+        folds = [insts[:40], insts[20:], rng.sample(insts, 45), insts[::2]]
+        fit = classify.cv_fitter(kind, window=5, hyper=Hyper(epochs=2))
+        predictors = [fit(train) for train in folds]
+        predictors[0](insts[0])
+        assert len(trained) == len(vectorizers) == len(folds)
+        for train, (X, y, n_features, classes), vectorizer in zip(folds, trained, vectorizers):
+            windows = [extract_window(i.tokens, i.target, 5) for i in train]
+            assert [] in windows and any(len(w) == 1 for w in windows) and any(len(set(w)) < len(w) for w in windows)
+            want, (want_X, want_y, want_features, want_classes) = classify._training_set(kind, train, windows)
+            assert list(vectorizer.vocabulary.items()) == list(want.vocabulary.items())
+            assert [v.hex() for v in vectorizer.idf] == [v.hex() for v in want.idf]
+            assert all(same_vector(a, b) for a, b in zip(X, want_X, strict=True))
+            assert (y, n_features, classes) == (want_y, want_features, want_classes)
+
+    def test_a_predicted_instance_lets_its_entry_go(self, monkeypatch):
+        windows = []
+        real = classify.extract_window
+        monkeypatch.setattr(classify, "extract_window", lambda *a: windows.append(a) or real(*a))
+        insts = cv_instances(11, 30)
+        held, train = insts[:10], insts[10:]
+        fit = classify.cv_fitter(LOGISTIC, window=5, hyper=Hyper(epochs=2))
+        predictor = fit(train)
+        fit(insts[5:])  # instances shared with the first fold take their window once
+        assert len(windows) == 25
+        predictions = [predictor(inst) for inst in held + train]
+        assert len(windows) == 25 + 5  # held[:5] were never fit; held[5:] and train were
+        # once predicted, an instance is taken from its window again
+        assert [predictor(inst) for inst in held + train] == predictions
+        assert len(windows) == 30 + 30

@@ -580,7 +580,10 @@ class TestFlagRanges:
         [("--lr", "nan", "learning_rate must be null or a finite number"),
          ("--lr", "inf", "learning_rate must be null or a finite number"),
          ("--l2", "inf", "l2 must be a finite number"), ("--l2", "nan", "l2 must be a finite number"),
-         ("--epochs", "0", "epochs must be an integer >= 1"), ("--epochs", "-1", "epochs must be an integer >= 1")],
+         ("--epochs", "0", "epochs must be an integer >= 1"), ("--epochs", "-1", "epochs must be an integer >= 1"),
+         ("--lr", "0", "learning_rate must be null or a number > 0"),
+         ("--lr", "-5", "learning_rate must be null or a number > 0"),
+         ("--l2", "-1000", "l2 must be a number >= 0"), ("--l2", "-0.5", "l2 must be a number >= 0")],
     )
     def test_train_clf_hyper(self, capsys, tmp_path, flag, value, rule):
         # the loader's rule, checked before the corpus or the dataset is opened
@@ -591,6 +594,25 @@ class TestFlagRanges:
         assert err.startswith(f"diacritize: data error: classifier hyper {rule}, got ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--kind", "perceptron", "--lr", "1.7e308"], "{out}: not written: the pipeline holds an infinite or NaN number"),
+         (["--lr", "1e300"], "logistic learning rate 1e+300 times l2 0.0001 must be below 1"),
+         (["--kind", "linear_svm", "--l2", "100"], "linear_svm learning rate 0.01 times l2 100.0 must be below 1")],
+    )
+    def test_train_clf_that_cannot_train_a_finite_model_exits_three(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "pipe.json"
+        code, stdout, err = run(capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN), *flags, "-o", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == f"diacritize: model error: {message.format(out=out)}\n"
+        assert not out.exists()
+
+    def test_train_clf_takes_no_l2(self, capsys, tmp_path):
+        out = tmp_path / "pipe.json"
+        code, _, _ = run(capsys, "train", "clf", FIXTURE, "--dataset", str(GOLDEN), "--l2", "0", "-o", str(out))
+        assert code == 0
+        assert run(capsys, "restore", "--model", str(out), "--in", FIXTURE)[0] == 0
 
     def test_train_clf_takes_one_epoch(self, capsys, tmp_path):
         out = tmp_path / "pipe.json"

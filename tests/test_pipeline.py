@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import random
 
 import numpy as np
@@ -274,6 +275,19 @@ class TestWriterBytes:
             save_pipeline(pipe, path)
             assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.json", "pipe.json"]
+
+    @pytest.mark.parametrize("number", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_number_writes_nothing(self, tmp_path, number):
+        # JSON holds no infinity or NaN, so load_pipeline would refuse the file
+        path = tmp_path / "pipe.json"
+        path.write_text("before\n", encoding="utf-8")
+        restorer = PayloadRestorer({"models": {"ka": {"weights": [[0.5, number]], "bias": [0.0]}}})
+        pipe = pipeline.Pipeline(family="classifier", restorer=restorer, unambiguous={}, variant_index={})
+        with pytest.raises(ModelError) as info:
+            save_pipeline(pipe, path)
+        assert str(info.value) == f"{path}: not written: the pipeline holds an infinite or NaN number"
+        assert path.read_text(encoding="utf-8") == "before\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe.json"]
 
 
 class TestLoadValidation:

@@ -476,6 +476,7 @@ HYPER_BREAKS = [
     ("l2", "[1]"), ("l2", '"0.1"'), ("l2", "null"), ("l2", "Infinity"), ("l2", "NaN"),
     ("alpha", "true"), ("alpha", "-Infinity"), pytest.param("alpha", "1" + "0" * 400, id="alpha-int-too-large-for-a-float"),
     ("learning_rate", '"0.1"'), ("learning_rate", "false"), ("learning_rate", "NaN"), ("learning_rate", "{}"),
+    ("learning_rate", "0"), ("learning_rate", "-0.5"), ("l2", "-1e-4"),
 ]
 
 
