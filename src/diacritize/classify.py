@@ -8,24 +8,25 @@ class in one seeded pass over the examples, and training is deterministic for a
 fixed seed. A set's epoch orders are the successive in-place shuffles of its
 example indices by one random.Random(seed), so they depend only on the seed and
 the set's size: a training call draws them once per distinct size
-(_epoch_orders), and every set of that size walks the same orders.
+(_epoch_orders), every set of that size walks the same orders, and they are
+let go once the last such set has taken them.
 
 `fit_instances` trains every group it is given in one call, as `train clf`
 does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
-one call, as `eval cv` does with the folds of a group of wordkeys. CV counts
-each instance's window terms once (term_counts); a fold fits its vectorizer on
-those counts and weighs its training vectors from them, with the bits that
-Vectorizer.fit and transform give on the windows, because _unit_tfidf is the
-one tf-idf weighting of both. The logistic and linear-SVM models of such a
-call advance together in a numpy lockstep head, one step of every live (model,
-class) pair at a time, while at least _HEAD_FLOOR pairs are live; each model
-then finishes on the serial loop from the step the head reached. The weights
-are the serial loop's, bit for bit: every elementwise float64 operation rounds
-as a Python float does, margins add left to right, and the logistic residual
-keeps math.exp (see _lockstep_head). A call with one model never enters the
-head, so `train_classifier` trains serially. So does the perceptron, which
-updates only on mistakes and stops classes early, and naive Bayes, which does
-not iterate.
+one call, as `eval cv` does with the folds of a group of wordkeys. Both build
+a training set from its windows' term_counts (_training_set): Vectorizer.fit
+takes the counts as it takes windows, and transform_counts weighs them with
+transform's bits, as _unit_tfidf is the one tf-idf weighting of both. CV
+counts each instance's window once, for all its folds. The logistic and
+linear-SVM models of such a call advance together in a numpy lockstep head,
+one step of every live (model, class) pair at a time, while at least
+_HEAD_FLOOR pairs are live; each model then finishes on the serial loop from
+the step the head reached. The weights are the serial loop's, bit for bit:
+every elementwise float64 operation rounds as a Python float does, margins add
+left to right, and the logistic residual keeps math.exp (see _lockstep_head).
+A call with one model never enters the head, so `train_classifier` trains
+serially. So does the perceptron, which updates only on mistakes and stops
+classes early, and naive Bayes, which does not iterate.
 
 A trained or loaded classifier holds its numbers once, as plain Python floats:
 the vectorizer's idf list, and the model's rows and offsets (the weight rows and
@@ -120,20 +121,19 @@ class Vectorizer:
 
     @classmethod
     def fit(cls, windows) -> "Vectorizer":
-        """Build the vocabulary and smoothed idf from training windows only."""
-        return cls.fit_terms([set(window) for window in windows])
+        """Build the vocabulary and smoothed idf from training windows only.
 
-    @classmethod
-    def fit_terms(cls, documents) -> "Vectorizer":
-        """fit, from each training window's distinct terms (a set, or the keys of its term counts)."""
-        if not documents:
+        A window may be given as its term_counts: a dict's set is its keys.
+        """
+        windows = list(windows)
+        if not windows:
             raise DataError("cannot fit a vectorizer on zero windows")
         df: dict[str, int] = {}
-        for terms in documents:
-            for term in terms:
+        for window in windows:
+            for term in set(window):
                 df[term] = df.get(term, 0) + 1
         terms = sorted(df)
-        n_docs = len(documents)
+        n_docs = len(windows)
         idf = [math.log((1 + n_docs) / (1 + df[term])) + 1.0 for term in terms]
         return cls(vocabulary={term: i for i, term in enumerate(terms)}, idf=idf)
 
@@ -313,14 +313,15 @@ _CV_BATCH_ROWS = 15_000
 class _SGDFit:
     """One training set of an SGD call, its epoch orders and its result."""
 
-    def __init__(self, X, y, n_features: int, classes: list[str], orders: list[list[int]]):
+    def __init__(self, X, y, n_features: int, classes: list[str], take_orders):
         index = {cls: c for c, cls in enumerate(classes)}
         self.X = X
         self.truth = [index[label] for label in y]
         self.n_classes = len(classes)
         self.n_features = n_features
         self.classes = classes
-        self.orders = orders  # shared by every set of its size in the call
+        self.take_orders = take_orders  # called once, for the set's epoch orders (see _fit_sgd)
+        self.orders_left = None  # set where the lockstep head hands over: the orders from its step's epoch on
         self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
         self.bias: list[float] | None = None
         self.fitted: dict | None = None
@@ -341,15 +342,33 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     `_lockstep_head`, while enough (set, class) pairs are live; each set then
     finishes in `_serial_sgd` from the step the head reached. Both give the
     same bits. A single set, and every perceptron, takes the serial loop alone.
-    Every set of a size walks the same epoch orders, drawn once per call by
-    _epoch_orders. Returns, per set, its weight rows, biases (offsets) and, for
-    the perceptron, train_errors.
+    Every set of a size walks the same epoch orders, drawn by _epoch_orders
+    when the first set of that size takes them; they are kept, one list per
+    epoch, only while another set of that size has yet to take them. The head
+    takes every set's at its start, the serial loop each set's as it runs.
+    Returns, per set, its weight rows, biases (offsets) and, for the
+    perceptron, train_errors.
     """
     rate = hyper.rate_for(kind)
     if kind != PERCEPTRON and not rate * hyper.l2 < 1:
         raise ModelError(f"{kind} learning rate {rate!r} times l2 {hyper.l2!r} must be below 1")
-    orders = {n: _epoch_orders(n, hyper) for n in {len(X) for X, *_ in sets}}
-    fits = [_SGDFit(*training, orders[len(training[0])]) for training in sets]
+    left: dict[int, int] = {}  # sets of each size yet to take their orders
+    for X, *_ in sets:
+        left[len(X)] = left.get(len(X), 0) + 1
+    drawn: dict[int, list[list[int]]] = {}
+
+    def take_orders(n: int):
+        orders = drawn.get(n)
+        if orders is None:
+            orders = _epoch_orders(n, hyper)
+            if left[n] > 1:
+                orders = drawn[n] = [order.copy() for order in orders]
+        left[n] -= 1
+        if not left[n]:
+            drawn.pop(n, None)
+        return orders
+
+    fits = [_SGDFit(*training, take_orders) for training in sets]
     n_pairs = len([c for fit in fits for c in fit.classes])
     step, scale = 0, 1.0
     if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
@@ -357,10 +376,11 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale) for fit in fits]
 
 
-def _epoch_orders(n: int, hyper: Hyper) -> list[list[int]]:
-    """The example order of each epoch of an n-example set: hyper.epochs
-    in-place shuffles of list(range(n)) by one random.Random(hyper.seed), each
-    kept.
+def _epoch_orders(n: int, hyper: Hyper):
+    """The example order of each epoch of an n-example set, in turn: hyper.epochs
+    in-place shuffles of list(range(n)) by one random.Random(hyper.seed). Each
+    is the same list, shuffled again for the next epoch, so a reader that keeps
+    one copies it.
 
     They depend only on n and the hyper, so _fit_sgd draws them once per set
     size for the sets of one call; a memo over calls would hold them all.
@@ -368,11 +388,9 @@ def _epoch_orders(n: int, hyper: Hyper) -> list[list[int]]:
     numpy rows, the smallest CV fits ran slower.
     """
     rng, order = random.Random(hyper.seed), list(range(n))
-    orders = []
     for _ in range(hyper.epochs):
         rng.shuffle(order)
-        orders.append(order.copy())
-    return orders
+        yield order
 
 
 def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) -> dict:
@@ -388,13 +406,15 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     rows = [tuple((i, float(v)) for i, v in x.items()) for x in fit.X]
     truth = fit.truth
     n = len(rows)
+    # The head hands over the orders from its step's epoch on; with no head, step is 0.
+    orders = fit.take_orders(n) if fit.orders_left is None else fit.orders_left
     classes = range(fit.n_classes)
     weights = fit.weights or [[0.0] * fit.n_features for _ in classes]
     bias = fit.bias or [0.0] * fit.n_classes
     errors = [[] for _ in classes]
     training = list(classes)
-    epoch, start = divmod(step, n)
-    for order in fit.orders[epoch:]:
+    start = step % n
+    for order in orders:
         mistakes = [0] * fit.n_classes
         for j in order[start:] if start else order:
             x = rows[j]
@@ -486,15 +506,11 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
     bias = np.zeros(first_pair[-1] + n_classes[-1])
     # Every fit's epoch orders in turn, as indices into the examples of all the
     # fits (a call holds far fewer than 2**31): fit f's step-th example is
-    # sequence[epochs * first_example[f] + step].
+    # sequence[epochs * first_example[f] + step]. The lists go once copied in.
     sequence = np.empty(hyper.epochs * len(truth), dtype=np.int32)
-    of_size: dict[int, list[int]] = {}
-    for f, n in enumerate(sizes.tolist()):
-        of_size.setdefault(n, []).append(f)
-    for n, same in of_size.items():  # each size's orders converted once, one size at a time
-        flat = np.array(fits[same[0]].orders, dtype=np.int32).ravel()
-        for first in first_example[same].tolist():
-            np.add(flat, first, out=sequence[hyper.epochs * first : hyper.epochs * (first + n)])
+    for fit, first, n in zip(fits, first_example.tolist(), sizes.tolist()):
+        orders = np.fromiter(itertools.chain.from_iterable(fit.take_orders(n)), np.int32, hyper.epochs * n)
+        np.add(orders, first, out=sequence[hyper.epochs * first : hyper.epochs * (first + n)])
 
     def block(f):  # fit f's weights, less the spare slots
         start, n_weights = first_weight[f], n_classes[f] * widths[f]
@@ -552,8 +568,12 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
                 }
         live = [f for f in live if ends[f] > step]
     for f in live:
-        fits[f].weights = block(f).tolist()
-        fits[f].bias = biases(f).tolist()
+        fit, first, n = fits[f], first_example[f], sizes[f]
+        fit.weights = block(f).tolist()
+        fit.bias = biases(f).tolist()
+        # The orders from this step's epoch on, made lists one epoch at a time as the serial loop walks them.
+        orders = sequence[hyper.epochs * first + step - step % n : hyper.epochs * first + ends[f]] - first
+        fit.orders_left = (order.tolist() for order in orders.reshape(-1, n))
     return step, scale
 
 
@@ -652,26 +672,21 @@ def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None
     the first such group, before any model trains.
     """
     prepared = [
-        _training_set(kind, instances, [extract_window(i.tokens, i.target, window) for i in instances])
+        _training_set(kind, instances, [term_counts(extract_window(i.tokens, i.target, window)) for i in instances])
         for instances in map(list, groups)
     ]
     models = _train_models(kind, [training for _, training in prepared], hyper)
     return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(prepared, models)]
 
 
-def _training_set(kind: str, instances: list[Instance], windows):
-    """A group's vectorizer and its checked (X, y, n_features, classes) training set."""
-    y, classes = _labels(kind, instances)
-    vectorizer = Vectorizer.fit(windows)
-    return vectorizer, ([vectorizer.transform(w) for w in windows], y, len(vectorizer.vocabulary), classes)
-
-
-def _labels(kind: str, instances: list[Instance]):
-    """The labels and sorted classes of a group, checked trainable before anything is vectorized."""
+def _training_set(kind: str, instances: list[Instance], counts: list[dict[str, int]]):
+    """A group's vectorizer and checked (X, y, n_features, classes) training set, from its windows' term_counts."""
     if not instances:
         raise DataError("no instances to train on")
+    vectorizer = Vectorizer.fit(counts)
+    X = [vectorizer.transform_counts(c) for c in counts]
     y = [i.label for i in instances]
-    return y, _classes(kind, instances, y)
+    return vectorizer, (X, y, len(vectorizer.vocabulary), _classes(kind, X, y))
 
 
 class _QueuedFold:
@@ -696,13 +711,11 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
     instances, which hands it out: `eval cv` fits every fold of a group of sets
     before crossval fits them again and scores them, so each fold's model is
     freed once it has been scored. Each instance's window and its term_counts
-    are taken once, for all the folds: a fold's vectorizer is fit on the counts'
-    terms and its training vectors weighed from the counts (Vectorizer.fit_terms
-    and transform_counts, the bits of fit and transform on the windows); only
-    the vocabulary, idf and model depend on the fold. An instance's entry goes
-    when it is predicted, as crossval predicts each held-out instance once
-    after every fold that trains on it has been fit; an instance met again is
-    taken from its window again.
+    are taken once, for all the folds, and _training_set builds each fold from
+    the counts, as fit_instances builds a group; only the vocabulary, idf and
+    model depend on the fold. An instance's entry goes when it is predicted, as
+    crossval predicts each held-out instance once after every fold that trains
+    on it has been fit; an instance met again is taken from its window again.
     """
     cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
     held: dict[tuple[int, ...], tuple[list[Instance], object]] = {}
@@ -726,11 +739,7 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
         key = tuple(map(id, train_instances))
         if key in held:
             return held.pop(key)[1]
-        y, classes = _labels(kind, train_instances)
-        counts = [entry(inst)[2] for inst in train_instances]
-        vectorizer = Vectorizer.fit_terms(counts)
-        X = [vectorizer.transform_counts(c) for c in counts]
-        fold = _QueuedFold(vectorizer, (X, y, len(vectorizer.vocabulary), classes))
+        fold = _QueuedFold(*_training_set(kind, train_instances, [entry(inst)[2] for inst in train_instances]))
         queue.append(fold)
 
         def predictor(inst: Instance) -> str:

@@ -784,9 +784,7 @@ class TestEpochOrders:
     @pytest.mark.parametrize("n", [1, 2, 7, 90])
     def test_orders_are_one_randoms_in_place_shuffles(self, seed, n):
         hyper = Hyper(epochs=6, seed=seed)
-        orders = classify._epoch_orders(n, hyper)
-        assert orders == reference_epoch_orders(n, hyper)
-        assert len({id(order) for order in orders}) == hyper.epochs  # each epoch's own list
+        assert [order.copy() for order in classify._epoch_orders(n, hyper)] == reference_epoch_orders(n, hyper)
 
     @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM])
     def test_one_call_shuffles_epochs_times_distinct_sizes(self, kind, monkeypatch):
@@ -795,8 +793,37 @@ class TestEpochOrders:
         sizes = [40] * 8 + [25] * 6 + [9, 9, 3]
         hyper = Hyper(epochs=7, seed=5)
         classify._fit_sgd(kind, mixed_sets(13, sizes), hyper)
-        assert sorted(shuffles) == sorted(n for n in set(sizes) for _ in range(hyper.epochs))
+        drawn = {n: shuffles.count(n) for n in shuffles}
+        assert set(drawn) == set(sizes)
+        if kind == PERCEPTRON:  # a perceptron that stops early leaves the orders of a size of its own undrawn
+            assert all(drawn[n] <= hyper.epochs for n in drawn)
+        else:
+            assert all(drawn[n] == hyper.epochs for n in drawn)
         assert (head != []) == (kind != PERCEPTRON)
+
+    def test_a_sizes_orders_go_once_its_last_set_has_them(self, monkeypatch):
+        alive = self.recorded_serial_orders(monkeypatch)
+        classify._fit_sgd(PERCEPTRON, mixed_sets(16, [5, 7, 5, 9]), Hyper(epochs=3))
+        assert alive == [(5, []), (7, [5]), (5, [5]), (9, [])]
+
+    def test_no_drawn_orders_outlive_the_lockstep_head(self, monkeypatch):
+        alive = self.recorded_serial_orders(monkeypatch)
+        classify._fit_sgd(LOGISTIC, mixed_sets(17, [40] * 8 + [25] * 6 + [26, 24, 9, 3]), Hyper(epochs=9))
+        assert alive and all(drawn == [] for _, drawn in alive)
+
+    @staticmethod
+    def recorded_serial_orders(monkeypatch):
+        """Per serial-loop call: its set's size, and the sizes whose orders the call still keeps."""
+        alive = []
+        real_serial = classify._serial_sgd
+
+        def serial(kind, fit, *rest):
+            cells = dict(zip(fit.take_orders.__code__.co_freevars, fit.take_orders.__closure__))
+            alive.append((len(fit.X), sorted(cells["drawn"].cell_contents)))
+            return real_serial(kind, fit, *rest)
+
+        monkeypatch.setattr(classify, "_serial_sgd", serial)
+        return alive
 
     def test_a_memo_lives_for_one_call(self, monkeypatch):
         shuffles = counted_shuffles(monkeypatch)
@@ -869,13 +896,13 @@ class TestCvVectorizing:
     """A CV fold vectorizes from term counts with the bits of fitting and transforming its windows."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_fit_terms_and_transform_counts_match_fit_and_transform(self, seed):
+    def test_fit_and_transform_counts_on_term_counts_match_fit_and_transform_on_windows(self, seed):
         rng = random.Random(seed)
         terms = [f"t{i}" for i in range(12)]
         windows = [[], ["t0"], ["t3", "t3", "t1", "t3"]] + [
             [rng.choice(terms) for _ in range(rng.randrange(0, 10))] for _ in range(80)
         ]
-        counted = classify.Vectorizer.fit_terms([classify.term_counts(w) for w in windows])
+        counted = Vectorizer.fit([classify.term_counts(w) for w in windows])
         fitted = Vectorizer.fit(windows)
         assert list(counted.vocabulary.items()) == list(fitted.vocabulary.items())
         assert [v.hex() for v in counted.idf] == [v.hex() for v in fitted.idf]
@@ -883,7 +910,7 @@ class TestCvVectorizing:
             assert same_vector(counted.transform_counts(classify.term_counts(window)), fitted.transform(window))
 
     @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
-    def test_folds_match_training_set(self, kind, monkeypatch):
+    def test_folds_match_fit_and_transform_on_their_windows(self, kind, monkeypatch):
         trained, vectorizers = [], []
         real_train, real_clf = classify._train_models, classify.TextClassifier
         monkeypatch.setattr(classify, "_train_models", lambda k, sets, h: trained.extend(sets) or real_train(k, sets, h))
@@ -898,11 +925,11 @@ class TestCvVectorizing:
         for train, (X, y, n_features, classes), vectorizer in zip(folds, trained, vectorizers):
             windows = [extract_window(i.tokens, i.target, 5) for i in train]
             assert [] in windows and any(len(w) == 1 for w in windows) and any(len(set(w)) < len(w) for w in windows)
-            want, (want_X, want_y, want_features, want_classes) = classify._training_set(kind, train, windows)
+            want = Vectorizer.fit(windows)
             assert list(vectorizer.vocabulary.items()) == list(want.vocabulary.items())
             assert [v.hex() for v in vectorizer.idf] == [v.hex() for v in want.idf]
-            assert all(same_vector(a, b) for a, b in zip(X, want_X, strict=True))
-            assert (y, n_features, classes) == (want_y, want_features, want_classes)
+            assert all(same_vector(x, want.transform(w)) for x, w in zip(X, windows, strict=True))
+            assert (y, n_features, classes) == ([i.label for i in train], len(want.vocabulary), sorted(set(y)))
 
     def test_a_predicted_instance_lets_its_entry_go(self, monkeypatch):
         windows = []

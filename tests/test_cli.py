@@ -708,8 +708,8 @@ def serial_cv_fitter(kind, window=9, hyper=None):
     """The per-fold reference: each fold trains alone through train_classifier."""
 
     def fit(train):
-        windows = [classify.extract_window(i.tokens, i.target, window) for i in train]
-        vectorizer, (X, y, n_features, _) = classify._training_set(kind, train, windows)
+        counts = [classify.term_counts(classify.extract_window(i.tokens, i.target, window)) for i in train]
+        vectorizer, (X, y, n_features, _) = classify._training_set(kind, train, counts)
         clf = classify.TextClassifier(window, vectorizer, classify.train_classifier(kind, X, y, n_features, hyper))
         return lambda inst: clf.predict_window(classify.extract_window(inst.tokens, inst.target, window))
 
