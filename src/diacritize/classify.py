@@ -7,9 +7,9 @@ multinomial naive Bayes. Multi-class is one-vs-rest: the SGD kinds train every
 class in one seeded pass over the examples, and training is deterministic for a
 fixed seed. A set's epoch orders are the successive in-place shuffles of its
 example indices by one random.Random(seed), so they depend only on the seed and
-the set's size: a training call draws them once per distinct size
-(_epoch_orders), every set of that size walks the same orders, and they are
-let go once the last such set has taken them.
+the set's size: a training call draws them once per distinct size, into one
+int32 table (_epoch_orders) that the lockstep head and the serial loop both
+read, and every set of that size walks the same rows.
 
 `fit_instances` trains every group it is given in one call, as `train clf`
 does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
@@ -311,17 +311,15 @@ _CV_BATCH_ROWS = 15_000
 
 
 class _SGDFit:
-    """One training set of an SGD call, its epoch orders and its result."""
+    """One training set of an SGD call and its result."""
 
-    def __init__(self, X, y, n_features: int, classes: list[str], take_orders):
+    def __init__(self, X, y, n_features: int, classes: list[str]):
         index = {cls: c for c, cls in enumerate(classes)}
         self.X = X
         self.truth = [index[label] for label in y]
         self.n_classes = len(classes)
         self.n_features = n_features
         self.classes = classes
-        self.take_orders = take_orders  # called once, for the set's epoch orders (see _fit_sgd)
-        self.orders_left = None  # set where the lockstep head hands over: the orders from its step's epoch on
         self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
         self.bias: list[float] | None = None
         self.fitted: dict | None = None
@@ -342,62 +340,57 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     `_lockstep_head`, while enough (set, class) pairs are live; each set then
     finishes in `_serial_sgd` from the step the head reached. Both give the
     same bits. A single set, and every perceptron, takes the serial loop alone.
-    Every set of a size walks the same epoch orders, drawn by _epoch_orders
-    when the first set of that size takes them; they are kept, one list per
-    epoch, only while another set of that size has yet to take them. The head
-    takes every set's at its start, the serial loop each set's as it runs.
-    Returns, per set, its weight rows, biases (offsets) and, for the
-    perceptron, train_errors.
+    The epoch orders are drawn once per call, before any training, into the
+    one table of _epoch_orders, which both loops read. Returns, per set, its
+    weight rows, biases (offsets) and, for the perceptron, train_errors.
     """
     rate = hyper.rate_for(kind)
     if kind != PERCEPTRON and not rate * hyper.l2 < 1:
         raise ModelError(f"{kind} learning rate {rate!r} times l2 {hyper.l2!r} must be below 1")
-    left: dict[int, int] = {}  # sets of each size yet to take their orders
-    for X, *_ in sets:
-        left[len(X)] = left.get(len(X), 0) + 1
-    drawn: dict[int, list[list[int]]] = {}
-
-    def take_orders(n: int):
-        orders = drawn.get(n)
-        if orders is None:
-            orders = _epoch_orders(n, hyper)
-            if left[n] > 1:
-                orders = drawn[n] = [order.copy() for order in orders]
-        left[n] -= 1
-        if not left[n]:
-            drawn.pop(n, None)
-        return orders
-
-    fits = [_SGDFit(*training, take_orders) for training in sets]
+    fits = [_SGDFit(*training) for training in sets]
+    table, order_start = _epoch_orders([len(fit.X) for fit in fits], hyper)
     n_pairs = len([c for fit in fits for c in fit.classes])
     step, scale = 0, 1.0
     if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
-        step, scale = _lockstep_head(kind, fits, hyper)
-    return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale) for fit in fits]
+        step, scale = _lockstep_head(kind, fits, hyper, table, order_start)
+    starts = order_start.tolist()
+    return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale, table, start) for fit, start in zip(fits, starts)]
 
 
-def _epoch_orders(n: int, hyper: Hyper):
-    """The example order of each epoch of an n-example set, in turn: hyper.epochs
-    in-place shuffles of list(range(n)) by one random.Random(hyper.seed). Each
-    is the same list, shuffled again for the next epoch, so a reader that keeps
-    one copies it.
+def _epoch_orders(sizes: list[int], hyper: Hyper):
+    """Every epoch order of a call's sets in one int32 table, and where each set's orders start in it.
 
-    They depend only on n and the hyper, so _fit_sgd draws them once per set
-    size for the sets of one call; a memo over calls would hold them all.
-    They stay lists, which the serial loop walks with no numpy call: held as
-    numpy rows, the smallest CV fits ran slower.
+    A set's orders are hyper.epochs in-place shuffles of list(range(n)) by one
+    random.Random(hyper.seed), so they depend only on its size n: each distinct
+    size is drawn once, as hyper.epochs rows of n laid end to end. The table is
+    allocated before any shuffle, so an epoch count whose table numpy cannot
+    allocate raises ModelError before anything trains.
     """
-    rng, order = random.Random(hyper.seed), list(range(n))
-    for _ in range(hyper.epochs):
-        rng.shuffle(order)
-        yield order
+    first: dict[int, int] = {}
+    length = 0
+    for n in sizes:
+        if n not in first:
+            first[n] = length
+            length += hyper.epochs * n
+    try:
+        table = np.empty(length, dtype=np.int32)
+    except (MemoryError, ValueError):
+        raise ModelError(f"{hyper.epochs} epochs are too many: their example orders do not fit in memory") from None
+    for n, start in first.items():
+        rng, order = random.Random(hyper.seed), list(range(n))
+        # shuffle returns None, so each epoch yields the one list, shuffled again in place
+        orders = itertools.chain.from_iterable(rng.shuffle(order) or order for _ in range(hyper.epochs))
+        table[start : start + hyper.epochs * n] = np.fromiter(orders, np.int32, hyper.epochs * n)
+    return table, np.array([first[n] for n in sizes])
 
 
-def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) -> dict:
+def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float, table, order_start: int) -> dict:
     """One set's SGD pass from its `step`-th example on, at L2 scale `scale`.
 
-    Weights stay plain floats until the end and each margin is summed left to
-    right from 0.0, never with sum(), whose rounding differs between Pythons.
+    The set's epoch orders are the rows of the _epoch_orders table from
+    order_start on. Weights stay plain floats until the end and each margin is
+    summed left to right from 0.0, never with sum(), whose rounding differs
+    between Pythons.
     """
     rate = hyper.rate_for(kind)
     decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
@@ -406,15 +399,15 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
     rows = [tuple((i, float(v)) for i, v in x.items()) for x in fit.X]
     truth = fit.truth
     n = len(rows)
-    # The head hands over the orders from its step's epoch on; with no head, step is 0.
-    orders = fit.take_orders(n) if fit.orders_left is None else fit.orders_left
     classes = range(fit.n_classes)
     weights = fit.weights or [[0.0] * fit.n_features for _ in classes]
     bias = fit.bias or [0.0] * fit.n_classes
     errors = [[] for _ in classes]
     training = list(classes)
-    start = step % n
-    for order in orders:
+    # The orders from the step's epoch on (with no head, step is 0), made lists
+    # in one call: walked as numpy rows, the smallest fits ran slower.
+    epoch, start = divmod(step, n)
+    for order in table[order_start + epoch * n : order_start + hyper.epochs * n].reshape(-1, n).tolist():
         mistakes = [0] * fit.n_classes
         for j in order[start:] if start else order:
             x = rows[j]
@@ -460,7 +453,7 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float) 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow makes inf and NaN silently, as Python floats do
-def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
+def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_start):
     """Step every live (fit, class) pair of a logistic or linear-SVM call together, in numpy.
 
     Every fit of the call starts at step 0 under the same hyper, so all live
@@ -468,7 +461,9 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
     last step, and holds its fitted fields. The head stops as soon as fewer than
     _HEAD_FLOOR pairs or fewer than two fits are live; each fit still training
     then holds its weights and biases as lists, and the head returns the step
-    and scale it reached.
+    and scale it reached. Fit f's step-th example is its example number
+    table[order_start[f] + step] (see _epoch_orders), so one take of the table
+    gives every live pair's example at a step.
 
     Each step keeps the serial loop's bits. Elementwise float64 + - * / round
     like Python floats. A margin is summed left to right by np.add.accumulate
@@ -504,13 +499,6 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
     first_weight = np.cumsum(n_classes * widths) - n_classes * widths
     weights = np.zeros(first_weight[-1] + n_classes[-1] * widths[-1])
     bias = np.zeros(first_pair[-1] + n_classes[-1])
-    # Every fit's epoch orders in turn, as indices into the examples of all the
-    # fits (a call holds far fewer than 2**31): fit f's step-th example is
-    # sequence[epochs * first_example[f] + step]. The lists go once copied in.
-    sequence = np.empty(hyper.epochs * len(truth), dtype=np.int32)
-    for fit, first, n in zip(fits, first_example.tolist(), sizes.tolist()):
-        orders = np.fromiter(itertools.chain.from_iterable(fit.take_orders(n)), np.int32, hyper.epochs * n)
-        np.add(orders, first, out=sequence[hyper.epochs * first : hyper.epochs * (first + n)])
 
     def block(f):  # fit f's weights, less the spare slots
         start, n_weights = first_weight[f], n_classes[f] * widths[f]
@@ -527,12 +515,13 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
             break
         pair_class = _positions(n_classes[live])
         pairs = first_pair[pair_fit] + pair_class
-        pair_start = hyper.epochs * first_example[pair_fit]
+        pair_start = order_start[pair_fit]
+        pair_first = first_example[pair_fit]
         pair_base = (first_weight[pair_fit] + pair_class * widths[pair_fit])[:, None]
         live_bias = bias[pairs]
         stop = min(ends[f] for f in live)
         while step < stop:
-            example = sequence.take(pair_start + step)
+            example = table.take(pair_start + step) + pair_first
             idx = slots.take(example, axis=0)
             idx += pair_base
             val = values.take(example, axis=0)
@@ -568,12 +557,8 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper):
                 }
         live = [f for f in live if ends[f] > step]
     for f in live:
-        fit, first, n = fits[f], first_example[f], sizes[f]
-        fit.weights = block(f).tolist()
-        fit.bias = biases(f).tolist()
-        # The orders from this step's epoch on, made lists one epoch at a time as the serial loop walks them.
-        orders = sequence[hyper.epochs * first + step - step % n : hyper.epochs * first + ends[f]] - first
-        fit.orders_left = (order.tolist() for order in orders.reshape(-1, n))
+        fits[f].weights = block(f).tolist()
+        fits[f].bias = biases(f).tolist()
     return step, scale
 
 
@@ -832,12 +817,14 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     indices = vocabulary.values()
     if not set(map(type, indices)) <= {int} or sorted(indices) != list(range(len(vocabulary))):
         raise ParseError("classifier vocabulary indices must be the integers 0..V-1, each once")
-    classes = list(payload["classes"])
-    if not classes or not all(isinstance(c, str) for c in classes):
+    # A list, not any iterable: an object would give its keys, a string its characters.
+    classes = payload["classes"]
+    if type(classes) is not list or not classes or not all(isinstance(c, str) for c in classes):
         raise ParseError("classifier classes must be a nonempty list of strings")
-    class_counts = list(payload["class_counts"])
-    if len(class_counts) != len(classes) or not all(type(c) is int and c >= 0 for c in class_counts):
-        raise ParseError("classifier class_counts must hold one non-negative integer per class")
+    class_counts = payload["class_counts"]
+    counts_ok = type(class_counts) is list and len(class_counts) == len(classes)
+    if not counts_ok or not all(type(c) is int and c >= 0 for c in class_counts):
+        raise ParseError("classifier class_counts must be a list of one non-negative integer per class")
     hyper = checked_hyper(payload["hyper"])
     n_classes, n_features = len(classes), len(vocabulary)
     nb = kind == MULTINOMIAL_NB

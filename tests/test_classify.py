@@ -678,8 +678,8 @@ class TestLockstepMatchesSerial:
         calls = []
         head = classify._lockstep_head
 
-        def recording(kind, fits, hyper):
-            step, scale = head(kind, fits, hyper)
+        def recording(kind, fits, hyper, *orders):
+            step, scale = head(kind, fits, hyper, *orders)
             calls.append((step, [len(fit.X) for fit in fits if fit.fitted is None]))
             return step, scale
 
@@ -784,7 +784,20 @@ class TestEpochOrders:
     @pytest.mark.parametrize("n", [1, 2, 7, 90])
     def test_orders_are_one_randoms_in_place_shuffles(self, seed, n):
         hyper = Hyper(epochs=6, seed=seed)
-        assert [order.copy() for order in classify._epoch_orders(n, hyper)] == reference_epoch_orders(n, hyper)
+        table, [start] = classify._epoch_orders([n], hyper)
+        assert table[start:].reshape(hyper.epochs, n).tolist() == reference_epoch_orders(n, hyper)
+
+    def test_one_int32_block_per_distinct_size_at_its_start(self):
+        hyper = Hyper(epochs=5, seed=3)
+        sizes = [7, 3, 7, 12, 3, 7, 1]
+        table, starts = classify._epoch_orders(sizes, hyper)
+        assert table.dtype == np.int32
+        # The distinct sizes' blocks, in first-seen order, laid end to end.
+        assert starts.tolist() == [0, 35, 0, 50, 35, 0, 110]
+        assert len(table) == hyper.epochs * (7 + 3 + 12 + 1)
+        for n, start in zip(sizes, starts.tolist()):
+            block = table[start : start + hyper.epochs * n].reshape(hyper.epochs, n)
+            assert block.tolist() == reference_epoch_orders(n, hyper)
 
     @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM])
     def test_one_call_shuffles_epochs_times_distinct_sizes(self, kind, monkeypatch):
@@ -793,37 +806,9 @@ class TestEpochOrders:
         sizes = [40] * 8 + [25] * 6 + [9, 9, 3]
         hyper = Hyper(epochs=7, seed=5)
         classify._fit_sgd(kind, mixed_sets(13, sizes), hyper)
-        drawn = {n: shuffles.count(n) for n in shuffles}
-        assert set(drawn) == set(sizes)
-        if kind == PERCEPTRON:  # a perceptron that stops early leaves the orders of a size of its own undrawn
-            assert all(drawn[n] <= hyper.epochs for n in drawn)
-        else:
-            assert all(drawn[n] == hyper.epochs for n in drawn)
+        # Every size's orders are drawn in full before any set trains, the perceptron's included.
+        assert {n: shuffles.count(n) for n in shuffles} == dict.fromkeys(sizes, hyper.epochs)
         assert (head != []) == (kind != PERCEPTRON)
-
-    def test_a_sizes_orders_go_once_its_last_set_has_them(self, monkeypatch):
-        alive = self.recorded_serial_orders(monkeypatch)
-        classify._fit_sgd(PERCEPTRON, mixed_sets(16, [5, 7, 5, 9]), Hyper(epochs=3))
-        assert alive == [(5, []), (7, [5]), (5, [5]), (9, [])]
-
-    def test_no_drawn_orders_outlive_the_lockstep_head(self, monkeypatch):
-        alive = self.recorded_serial_orders(monkeypatch)
-        classify._fit_sgd(LOGISTIC, mixed_sets(17, [40] * 8 + [25] * 6 + [26, 24, 9, 3]), Hyper(epochs=9))
-        assert alive and all(drawn == [] for _, drawn in alive)
-
-    @staticmethod
-    def recorded_serial_orders(monkeypatch):
-        """Per serial-loop call: its set's size, and the sizes whose orders the call still keeps."""
-        alive = []
-        real_serial = classify._serial_sgd
-
-        def serial(kind, fit, *rest):
-            cells = dict(zip(fit.take_orders.__code__.co_freevars, fit.take_orders.__closure__))
-            alive.append((len(fit.X), sorted(cells["drawn"].cell_contents)))
-            return real_serial(kind, fit, *rest)
-
-        monkeypatch.setattr(classify, "_serial_sgd", serial)
-        return alive
 
     def test_a_memo_lives_for_one_call(self, monkeypatch):
         shuffles = counted_shuffles(monkeypatch)

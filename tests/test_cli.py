@@ -466,6 +466,10 @@ class TestEval:
             ["--restorer", f"ngram:{ngram.MAX_ORDER + 1}"],
             ["--restorer", "ngram:2", "-k", "1"],
             ["--restorer", "clf:logistic", "-k", "0"],
+            ["--restorer", "clf:bogus"],
+            ["--restorer", "emb:bogus"],
+            [],
+            ["--restorer", "emb:basic"],  # with no --vectors
         ],
     )
     def test_bad_cv_arguments_exit_two_with_one_line(self, capsys, tmp_path, dataset_file, flags):
@@ -479,6 +483,23 @@ class TestEval:
         assert len(err.splitlines()) == 1
         assert err.startswith("diacritize: data error: ")
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "ngram", FIXTURE, "-o", "{out}"],
+            ["train", "clf", FIXTURE, "-o", "{out}"],
+            ["eval", "cv", "--restorer", "clf:logistic", "-k", "3", "--report", "{out}"],
+        ],
+    )
+    def test_a_dataset_with_no_sets_exits_two(self, capsys, tmp_path, argv):
+        dataset, out = tmp_path / "none.jsonl", tmp_path / "out.json"
+        dataset.write_text("", encoding="utf-8")
+        argv = [a.format(out=out) for a in argv]
+        code, stdout, err = run(capsys, *argv, "--dataset", str(dataset))
+        assert (code, stdout) == (2, "")
+        assert err == f"diacritize: data error: dataset {dataset} holds no ambiguous sets\n"
+        assert not out.exists()
 
     def test_fulltext(self, capsys, tmp_path):
         gold = tmp_path / "gold.txt"
@@ -501,6 +522,23 @@ class TestEval:
             capsys, "eval", "fulltext", "--restored", str(restored), "--gold", str(gold)
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gold", "{text}"], "eval fulltext requires --restored and --gold"),
+            (["--restored", "{text}"], "eval fulltext requires --restored and --gold"),
+            (["--restored", "{text}", "--gold", "{text}"], "no word tokens to score"),
+        ],
+    )
+    def test_fulltext_with_nothing_to_score_exits_two(self, capsys, tmp_path, flags, message):
+        text, report = tmp_path / "punct.txt", tmp_path / "report.json"
+        text.write_text(". , !\n? 7\n", encoding="utf-8")
+        flags = [f.format(text=text) for f in flags]
+        code, stdout, err = run(capsys, "eval", "fulltext", *flags, "--report", str(report))
+        assert (code, stdout) == (2, "")
+        assert err == f"diacritize: data error: {message}\n"
+        assert not report.exists()
 
 
 class TestFlagRanges:
@@ -599,7 +637,12 @@ class TestFlagRanges:
         "flags, message",
         [(["--kind", "perceptron", "--lr", "1.7e308"], "{out}: not written: the pipeline holds an infinite or NaN number"),
          (["--lr", "1e300"], "logistic learning rate 1e+300 times l2 0.0001 must be below 1"),
-         (["--kind", "linear_svm", "--l2", "100"], "linear_svm learning rate 0.01 times l2 100.0 must be below 1")],
+         (["--kind", "linear_svm", "--l2", "100"], "linear_svm learning rate 0.01 times l2 100.0 must be below 1"),
+         # The epoch orders' table is refused before numpy allocates it, and before anything trains.
+         (["--epochs", "1000000000000000000"],
+          "1000000000000000000 epochs are too many: their example orders do not fit in memory"),
+         (["--kind", "perceptron", "--epochs", "1000000000000000000"],
+          "1000000000000000000 epochs are too many: their example orders do not fit in memory")],
     )
     def test_train_clf_that_cannot_train_a_finite_model_exits_three(self, capsys, tmp_path, flags, message):
         out = tmp_path / "pipe.json"
@@ -991,6 +1034,23 @@ class TestIntrinsic:
         ws.write_text("a\tb\t9.0\na\tc\t7.0\na\tz\t1.0\n", encoding="utf-8")
         code, out, _ = run(capsys, "intrinsic", "wordsim", "--vectors", str(vec), "--data", str(ws))
         assert code == 0 and "pearson" in out
+
+    @pytest.mark.parametrize(
+        "task, rows, message",
+        [
+            ("analogy", ["a\tb\tc\tnone", "a\tnone\tc\td"], "no scoreable analogy quads"),
+            ("wordsim", ["a\tb\t9.0", "a\tnone\t1.0"], "only 1 usable pairs; need at least 2"),
+            ("wordsim", ["a\tb\t5.0", "a\tz\t5.0"], "zero variance in similarity scores"),
+            ("wordsim", ["a\tb\thigh"], "{data}:1: score must be numeric"),
+        ],
+    )
+    def test_data_with_nothing_to_score_exits_2(self, capsys, tmp_path, task, rows, message):
+        vec, data = tmp_path / "v.vec", tmp_path / "data.tsv"
+        vec.write_text("4 2\na 1.0 0.0\nb 0.9 0.1\nz 0.0 1.0\nq -1.0 0.0\n", encoding="utf-8")
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "intrinsic", task, "--vectors", str(vec), "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err == f"diacritize: data error: {message.format(data=data)}\n"
 
     def test_analogy_over_no_vectors_exits_2(self, capsys, tmp_path):
         vec = tmp_path / "empty.vec"

@@ -272,6 +272,13 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=f"bad.txt: invalid UTF-8 at byte offset {len(head)}$"):
             corpus.load_corpus(path)
 
+    def test_invalid_utf8_past_the_first_decoded_block_names_its_file_offset(self, tmp_path):
+        # The offset is found by decoding 64 KiB blocks; this byte sits in the third.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(("a" * 72_000 + "\n").encode() * 2 + b"\xff\n")
+        with pytest.raises(DataError, match="bad.txt: invalid UTF-8 at byte offset 144002$"):
+            corpus.load_corpus(path)
+
 
 def reference_variant_counts(corp, lowercase):
     """Per-token count of word surfaces by wordkey, as dataset generation once did it."""

@@ -204,6 +204,8 @@ def mutate_vectors(lines, how):
     row = lines[2].split(" ")
     if how == "header-count":
         lines[0] = f"{vocab + 1} {dim}"
+    elif how == "header-words":
+        lines[0] = f"{vocab} dim"
     elif how == "dim":
         lines[0] = f"{vocab} {dim + 1}"
     elif how == "field-count":
@@ -214,7 +216,7 @@ def mutate_vectors(lines, how):
     return lines
 
 
-@pytest.mark.parametrize("how", ["header-count", "dim", "field-count", "non-numeric", "nan", "inf"])
+@pytest.mark.parametrize("how", ["header-count", "header-words", "dim", "field-count", "non-numeric", "nan", "inf"])
 def test_mutated_vectors_are_a_data_error(how, files, tmp_path, capsys):
     lines = (files / "toy.vec").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.vec"
@@ -628,6 +630,7 @@ def test_embedding_top_n_that_is_not_a_non_negative_integer_is_a_data_error_at_l
         ("naive_bayes", ["restorer", "models", "si", "window"], 4),
         ("embedding", ["restorer", "scheme"], "bogus"),
         ("embedding", ["restorer", "cowords"], {"sì": [["ya", -1]]}),
+        ("embedding", ["restorer", "cowords"], {}),  # the fixture's scheme is tweak2, which needs cowords
         ("embedding", ["restorer", "vectors_path"], 7),
         ("embedding", ["restorer", "vectors_path"], ""),
         ("embedding", ["restorer", "vectors_fingerprint"], {"bytes": 1}),
@@ -641,6 +644,20 @@ def test_a_family_readers_refusal_names_the_pipeline_file(name, where, value, fi
         node = node[key]
     node[where[-1]] = value
     restore_refused(spec, files, tmp_path, capsys, f"{name} {where[-1]}")
+
+
+@pytest.mark.parametrize("field", ["classes", "class_counts"])
+@pytest.mark.parametrize("form", ["object", "string"])
+def test_classifier_classes_or_counts_that_are_not_a_list_are_a_data_error(field, form, files, tmp_path, capsys):
+    """An object would read as its keys and a string as its characters, so neither stands in for the list,
+    not even an object keyed by the classes themselves."""
+    spec, clf = classifier_spec(files)
+    items = list(map(str, clf[field]))
+    clf[field] = dict.fromkeys(items, 0) if form == "object" else "".join(items)
+    err = restore_refused(spec, files, tmp_path, capsys, f"{field} {form}")
+    assert f"classifier {field} must be" in err
+    with pytest.raises(classify.ParseError, match=f"classifier {field} must be"):
+        classify.classifier_from_payload(clf)
 
 
 def test_a_vectors_file_error_keeps_its_own_path(files, tmp_path, capsys):
