@@ -4,8 +4,9 @@ A corpus is plain UTF-8 text, one sentence (or verse) per line, tokens separated
 by whitespace. Everything downstream keys off the *wordkey*: the form of a word
 with every combining mark removed. This module owns that rule and the table
 built from it: `line_keys` gives each token's key (lowercased first when asked),
-and `variant_counts` counts a corpus's word surfaces by wordkey. Statistics, the
-dataset gates, the routing maps and the restorers all read those two.
+and `variant_counts` counts a corpus's word surfaces by wordkey, lowering and
+stripping each distinct surface once. Statistics, the dataset gates, the routing
+maps and the restorers all read those two.
 
 Four pure functions of one string are cached, because text repeats a small
 vocabulary: `strip_diacritics`, `token_kind`, `surface_token` (the shared
@@ -259,13 +260,17 @@ def variant_counts(corpus: Corpus, lowercase: bool = False) -> dict[str, dict[st
     """Wordkey -> {surface: count} over the corpus's word tokens.
 
     Surfaces are lowercased first if asked. Wordkeys, and the surfaces of each,
-    keep the order in which the corpus first shows them.
+    keep the order in which the corpus first shows them. The raw surfaces are
+    counted first, so each distinct one is lowered and stripped once: a lowered
+    surface is first shown where the first raw surface that lowers to it is.
     """
-    words = (tok.surface for line in corpus.lines for tok in line if tok.kind is TokenKind.WORD)
-    surfaces = Counter(w.lower() for w in words) if lowercase else Counter(words)
+    surfaces = Counter([tok.surface for line in corpus.lines for tok in line if tok.kind is TokenKind.WORD])
     table: dict[str, dict[str, int]] = {}
     for surface, count in surfaces.items():
-        table.setdefault(strip_diacritics(surface), {})[surface] = count
+        if lowercase:
+            surface = surface.lower()
+        row = table.setdefault(strip_diacritics(surface), {})
+        row[surface] = row.get(surface, 0) + count
     return table
 
 

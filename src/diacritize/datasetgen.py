@@ -157,11 +157,12 @@ def bad_variants(key: str, variants) -> str | None:
 def majority_forms(table) -> dict[str, str]:
     """Wordkey -> its majority variant, from a `corpus.variant_counts` table.
 
-    Wordkeys whose majority variant is the bare key itself are left out.
+    Wordkeys whose majority variant is the bare key itself are left out. A
+    wordkey with one surface takes it without a vote.
     """
     forms = {}
     for key, counts in table.items():
-        best = majority_variant(counts.items())
+        best = next(iter(counts)) if len(counts) == 1 else majority_variant(counts.items())
         if best != key:
             forms[key] = best
     return forms

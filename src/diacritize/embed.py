@@ -581,9 +581,12 @@ def load_analogy_tsv(path):
 def load_wordsim_tsv(path):
     def parse(fields):
         try:
-            return fields[0], fields[1], float(fields[2])
+            score = float(fields[2])
         except ValueError:
             raise ValueError("score must be numeric")
+        if not math.isfinite(score):
+            raise ValueError("score must be finite")
+        return fields[0], fields[1], score
 
     return _load_tsv(path, 3, parse)
 

@@ -1042,6 +1042,10 @@ class TestIntrinsic:
             ("wordsim", ["a\tb\t9.0", "a\tnone\t1.0"], "only 1 usable pairs; need at least 2"),
             ("wordsim", ["a\tb\t5.0", "a\tz\t5.0"], "zero variance in similarity scores"),
             ("wordsim", ["a\tb\thigh"], "{data}:1: score must be numeric"),
+            ("wordsim", ["a\tb\t9.0", "a\tz\tnan"], "{data}:2: score must be finite"),
+            ("wordsim", ["a\tb\t1e999", "a\tz\t1.0"], "{data}:1: score must be finite"),
+            ("wordsim", ["a\tb\t9.0", "a\tz\t1.0", "b\tz\t-inf"], "{data}:3: score must be finite"),
+            ("wordsim", ["a\tb\tINF"], "{data}:1: score must be finite"),
         ],
     )
     def test_data_with_nothing_to_score_exits_2(self, capsys, tmp_path, task, rows, message):
@@ -1060,6 +1064,37 @@ class TestIntrinsic:
         code, out, err = run(capsys, "intrinsic", "analogy", "--vectors", str(vec), "--data", str(quads))
         assert (code, out) == (2, "")
         assert err == "diacritize: data error: no word vectors to rank\n"
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # String hashing is salted per process, so each seed runs in a process of
+        # its own, and nothing that reaches an output may follow set order.
+        script = (
+            "import json, sys\n"
+            "from diacritize.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            work = tmp_path / seed
+            work.mkdir()
+            commands = [
+                ["dataset", FIXTURE, "-o", "sets.jsonl"],
+                ["train", "ngram", FIXTURE, "--dataset", "sets.jsonl", "-n", "3", "-o", "ngram.json"],
+                ["stats", FIXTURE],
+                ["stats", FIXTURE, "--lowercase"],
+            ]
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(commands)], capture_output=True, env=env, cwd=work,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = [(work / name).read_bytes() for name in ("sets.jsonl", "ngram.json")]
+            outputs.append((proc.stdout, proc.stderr, *files))
+        assert outputs[0] == outputs[1]
+        assert b'"wordkey"' in outputs[0][2] and outputs[0][0]
 
 
 class TestRestoreOutput:

@@ -8,6 +8,7 @@ import pytest
 
 from diacritize import corpus
 from diacritize.corpus import (
+    Corpus,
     Token,
     TokenKind,
     compute_stats,
@@ -17,6 +18,7 @@ from diacritize.corpus import (
     token_kind,
     tokenize,
 )
+from diacritize.datasetgen import majority_forms, majority_variant
 from diacritize.errors import DataError
 
 
@@ -314,11 +316,23 @@ def random_marked_corpus(seed):
     return corpus_from_lines(lines)
 
 
+# One surface both as a word token and as tokens that carry other kinds, as a
+# hand-built Corpus may hold; only its word tokens count.
+MIXED_KINDS = Corpus([
+    [Token("ákwà", TokenKind.SYMBOL), Token("ọ́ge", TokenKind.WORD), Token("ákwà", TokenKind.WORD)],
+    [Token("akwa", TokenKind.PUNCTUATION), Token("ákwà", TokenKind.DIGIT), Token("akwa", TokenKind.WORD)],
+])
+# Lowered, "ákwà" is first shown by "ÁKWÀ", not by its own surface, and "ÁKWÁ"
+# adds to the row that its lowercase surface began.
+CASED_FIRST = corpus_from_lines(["AKWÁ ÁKWÀ ákwá ákwà Ákwà", "akwa Ákwà ÁKWÁ"])
+
+
 class TestVariantCounts:
     @pytest.fixture(scope="class")
     def corpora(self, gate_corpus):
         fixture = corpus.load_corpus(FIXTURE)
-        return [fixture, gate_corpus[0]] + [random_marked_corpus(seed) for seed in range(50)]
+        randoms = [random_marked_corpus(seed) for seed in range(50)]
+        return [fixture, gate_corpus[0], MIXED_KINDS, CASED_FIRST] + randoms
 
     @pytest.mark.parametrize("lowercase", [False, True])
     def test_matches_a_per_token_count_in_first_seen_order(self, corpora, lowercase):
@@ -328,6 +342,20 @@ class TestVariantCounts:
             assert list(table) == list(reference)
             for key, counts in reference.items():
                 assert list(table[key].items()) == list(counts.items())
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_majority_forms_take_each_keys_vote(self, corpora, lowercase):
+        bare_single_keys = 0
+        for corp in corpora:
+            table = corpus.variant_counts(corp, lowercase)
+            forms = majority_forms(table)
+            assert set(forms) <= set(table)
+            for key, counts in table.items():
+                vote = majority_variant(counts.items())
+                assert forms.get(key, key) == vote
+                assert (key in forms) == (vote != key)
+                bare_single_keys += list(counts) == [key]
+        assert bare_single_keys
 
     def test_default_keeps_case(self):
         corp = corpus_from_lines(["Ákwà ákwà , 12"])
