@@ -14,10 +14,14 @@ read, and every set of that size walks the same rows.
 `fit_instances` trains every group it is given in one call, as `train clf`
 does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
 one call, as `eval cv` does with the folds of a group of wordkeys. Both build
-a training set from its windows' term_counts (_training_set): Vectorizer.fit
-takes the counts as it takes windows, and transform_counts weighs them with
-transform's bits, as _unit_tfidf is the one tf-idf weighting of both. CV
-counts each instance's window once, for all its folds. The logistic and
+their training sets with one array builder. _term_table lays out windows'
+term_counts once, as (term id, count) rows over their sorted terms: a `train
+clf` group's windows, or the distinct windows of a CV queue, each instance's
+window and counts taken once for all its folds. _fold_set then weighs the rows
+of one fold (a `train clf` group is the one fold of its table) with the bits of
+Vectorizer.fit on the fold's windows and transform on each. A training set
+(_TrainingSet) holds its rows as padded numpy arrays, which the lockstep head,
+the serial loop and the naive Bayes fit read directly. The logistic and
 linear-SVM models of such a call advance together in a numpy lockstep head,
 one step of every live (model, class) pair at a time, while at least
 _HEAD_FLOOR pairs are live; each model then finishes on the serial loop from
@@ -31,13 +35,14 @@ classes early, and naive Bayes, which does not iterate.
 A trained or loaded classifier holds its numbers once, as plain Python floats:
 the vectorizer's idf list, and the model's rows and offsets (the weight rows and
 biases, or naive Bayes's log-probability rows and log priors). Scoring reads
-them with no numpy scalar boxed; numpy works only inside the naive Bayes fit,
-the lockstep head and the load check, each handing its result over once with
-tolist(). Every sum runs left to right from 0.0 (naive Bayes from the prior), in
-the order the numpy-scalar formula took, so scores keep their bits. No scoring
-or training loop calls sum(): from Python 3.12 it rounds a sum of floats in
-another way. Nor does training call a numpy reduction (sum, dot, @, einsum,
-add.reduce), which adds in pairwise or BLAS order.
+them with no numpy scalar boxed; numpy works only inside the training-set
+builder, the naive Bayes fit, the lockstep head and the load check, each
+handing its result over once with tolist(). Every sum runs left to right from
+0.0 (naive Bayes from the prior), in the order the numpy-scalar formula took,
+so scores keep their bits. No scoring or training loop calls sum(): from
+Python 3.12 it rounds a sum of floats in another way. Nor does the builder or
+SGD call a numpy reduction (sum, dot, @, einsum, norm, add.reduce), which adds
+in pairwise or BLAS order.
 
 Restoring a token is one lean pass per step, with the plain definition's
 values and float operations in the same order: extract_window slices either
@@ -123,7 +128,7 @@ class Vectorizer:
     def fit(cls, windows) -> "Vectorizer":
         """Build the vocabulary and smoothed idf from training windows only.
 
-        A window may be given as its term_counts: a dict's set is its keys.
+        Training builds its vectorizers with _fold_set, which gives these bits.
         """
         windows = list(windows)
         if not windows:
@@ -151,11 +156,6 @@ class Vectorizer:
                 vec[idx] = vec.get(idx, 0) + 1
         return _unit_tfidf(vec, self.idf)
 
-    def transform_counts(self, counts: dict[str, int]) -> dict[int, float]:
-        """transform of a training window from its term_counts: every term is in the vocabulary."""
-        vocabulary = self.vocabulary
-        return _unit_tfidf({vocabulary[term]: count for term, count in counts.items()}, self.idf)
-
 
 def term_counts(window) -> dict[str, int]:
     """Each term of the window and its count, in first-seen order."""
@@ -180,6 +180,94 @@ def _unit_tfidf(vec: dict[int, int], idf: list[float]) -> dict[int, float]:
         for idx, v in vec.items():
             vec[idx] = v / norm
     return vec
+
+
+@dataclass
+class _TrainingSet:
+    """One model's checked training rows, as padded arrays.
+
+    Row r of slots and values holds example r's feature indices and weights in
+    its terms' first-seen order, padded to the widest row with the spare index
+    n_features and 0.0; lengths counts each row's features, and truth gives
+    each example's class as an index into classes.
+    """
+
+    classes: list[str]
+    truth: np.ndarray
+    slots: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray
+    n_features: int
+
+
+def _padded(rows: list[dict], pad: int, index: dict | None = None):
+    """Dicts as padded arrays (keys, values, lengths).
+
+    Row r holds dict r's keys (mapped through index, if given) and values in
+    order, then pad and 0.0 up to the longest dict's length.
+    """
+    sizes = list(map(len, rows))
+    lengths = np.array(sizes, np.intp)
+    filled = np.arange(max(sizes, default=0) or 1) < lengths[:, None]  # row by row, as the flat keys run
+    keys = np.empty(filled.shape, np.intp)
+    keys.fill(pad)
+    values = np.zeros(filled.shape)
+    flat = itertools.chain.from_iterable(rows)
+    keys[filled] = np.fromiter(flat if index is None else map(index.__getitem__, flat), np.intp)
+    values[filled] = np.fromiter(itertools.chain.from_iterable(map(dict.values, rows)), float)
+    return keys, values, lengths
+
+
+def _truth(labels: list[str], classes: list[str]) -> np.ndarray:
+    """Each label's index in classes."""
+    return np.fromiter(map({cls: c for c, cls in enumerate(classes)}.__getitem__, labels), np.intp, len(labels))
+
+
+def _term_table(counts: list[dict[str, int]]):
+    """Windows' term_counts laid out once, for every fold that trains on them: (terms, ids, tallies, lengths).
+
+    terms is their sorted union, as an object array. Row r of ids and tallies
+    holds window r's term ids and counts in first-seen order, padded to the
+    widest window with the id len(terms) and the count 0.0.
+    """
+    terms = sorted(set().union(*counts))
+    ids, tallies, lengths = _padded(counts, len(terms), dict(zip(terms, range(len(terms)))))
+    return np.array(terms, dtype=object), ids, tallies, lengths
+
+
+def _fold_set(table, rows: np.ndarray, labels: list[str], classes: list[str]):
+    """The vectorizer and training set of a term table's windows at rows, labelled labels.
+
+    They hold the bits of Vectorizer.fit on those windows and of transform on
+    each. The fold's df counts its rows that hold each term, its vocabulary
+    is the terms with df > 0 in their sorted order, and a term's feature index
+    is its rank among them. idf calls math.log once per distinct df, since
+    np.log may round otherwise. Each weight is count * idf, the padding's
+    0.0 * 0.0 at the spare index n_features. A row's squares are added left to
+    right in first-seen order by np.add.accumulate, as _unit_tfidf adds them
+    from 0.0 (the padding adds +0.0); np.sqrt rounds as math.sqrt does, and a
+    row with a zero norm stays zero. No numpy reduction is called: sum and
+    norm add pairwise.
+    """
+    terms, ids, tallies, lengths = table
+    ids = ids.take(rows, axis=0)
+    n = len(rows)
+    df = np.bincount(ids.ravel(), minlength=len(terms) + 1)
+    df[-1] = 0  # the padding: no term, with idf_of[0] = 0.0
+    present = df.nonzero()[0]
+    distinct = np.bincount(df[present]).nonzero()[0]
+    idf_of = np.zeros(n + 1)
+    idf_of[distinct] = [math.log((1 + n) / (1 + d)) + 1.0 for d in distinct.tolist()]
+    idf = idf_of.take(df)
+    values = tallies.take(rows, axis=0) * idf.take(ids)
+    norm = np.sqrt(np.add.accumulate(values * values, axis=1)[:, -1:])
+    np.divide(values, norm, out=values, where=norm > 0)
+    slot = np.empty(len(df), np.intp)
+    slot[-1] = len(present)
+    slot[present] = np.arange(len(present))
+    vectorizer = Vectorizer(dict(zip(terms[present].tolist(), range(len(present)))), idf[present].tolist())
+    training = _TrainingSet(classes, _truth(labels, classes), slot.take(ids), values, lengths.take(rows), len(present))
+    return vectorizer, training
 
 
 @dataclass
@@ -231,8 +319,15 @@ def logistic_example_grad(w, b, x, y, l2):
 
 
 def train_classifier(kind: str, X, y, n_features: int, hyper: Hyper | None = None) -> LinearModel:
-    """Train one model on sparse vectors X with string labels y."""
-    return _train_models(kind, [(X, y, n_features, _classes(kind, X, y))], hyper)[0]
+    """Train one model on sparse vectors X ({index: weight} dicts) with string labels y."""
+    return _train_models(kind, [_dict_set(kind, X, y, n_features)], hyper)[0]
+
+
+def _dict_set(kind: str, X, y, n_features: int) -> _TrainingSet:
+    """The checked training set of sparse vectors X with labels y, laid out as _fold_set lays out a fold."""
+    classes = _classes(kind, X, y)
+    slots, values, lengths = _padded(X, n_features)
+    return _TrainingSet(classes, _truth(y, classes), slots, values, lengths, n_features)
 
 
 def _classes(kind: str, X, y) -> list[str]:
@@ -247,42 +342,47 @@ def _classes(kind: str, X, y) -> list[str]:
     return classes
 
 
-def _train_models(kind: str, sets, hyper: Hyper | None) -> list[LinearModel]:
-    """One model per checked (X, y, n_features, classes) set; the SGD kinds share one call."""
+def _instance_classes(kind: str, instances: list[Instance]) -> list[str]:
+    """_classes of a group of instances and their labels; no instances is a DataError."""
+    if not instances:
+        raise DataError("no instances to train on")
+    return _classes(kind, instances, [i.label for i in instances])
+
+
+def _train_models(kind: str, sets: list[_TrainingSet], hyper: Hyper | None) -> list[LinearModel]:
+    """One model per training set; the SGD kinds share one call."""
     hyper = hyper or Hyper()
-    counts = [[sum(1 for label in y if label == cls) for cls in classes] for _, y, _, classes in sets]
+    counts = [np.bincount(training.truth, minlength=len(training.classes)).tolist() for training in sets]
     if kind == MULTINOMIAL_NB:
-        fitted = [
-            _fit_nb(classes, class_counts, n_features, hyper, X, y)
-            for (X, y, n_features, classes), class_counts in zip(sets, counts)
-        ]
+        fitted = [_fit_nb(training, class_counts, hyper) for training, class_counts in zip(sets, counts)]
     else:
         fitted = _fit_sgd(kind, sets, hyper)
     return [
         LinearModel(
             kind=kind,
-            classes=classes,
+            classes=training.classes,
             class_counts=class_counts,
-            n_features=n_features,
+            n_features=training.n_features,
             hyper=hyper,
             **fields,
         )
-        for (_, _, n_features, classes), class_counts, fields in zip(sets, counts, fitted)
+        for training, class_counts, fields in zip(sets, counts, fitted)
     ]
 
 
-def _fit_nb(classes, class_counts, n_features: int, hyper: Hyper, X, y) -> dict:
-    """The fitted fields of a naive Bayes model: feature log-probability rows, class log priors."""
-    index = {cls: i for i, cls in enumerate(classes)}
-    totals = np.zeros((len(classes), n_features))
-    for x, label in zip(X, y):
-        row = totals[index[label]]
-        for i, v in x.items():
-            row[i] += v
-    smoothed = totals + hyper.alpha
+def _fit_nb(training: _TrainingSet, class_counts: list[int], hyper: Hyper) -> dict:
+    """The fitted fields of a naive Bayes model: feature log-probability rows, class log priors.
+
+    np.add.at adds every weight into its class's totals unbuffered, row by row
+    and in first-seen order within a row, as a loop over the rows would; the
+    padding adds 0.0 to a spare column, which is dropped.
+    """
+    totals = np.zeros((len(training.classes), training.n_features + 1))
+    np.add.at(totals, (training.truth[:, None], training.slots), training.values)
+    smoothed = totals[:, :-1] + hyper.alpha
     return {
         "rows": (np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))).tolist(),
-        "offsets": np.log(np.array(class_counts, dtype=float) / len(y)).tolist(),
+        "offsets": np.log(np.array(class_counts, dtype=float) / len(training.truth)).tolist(),
     }
 
 
@@ -300,33 +400,31 @@ _HEAD_FLOOR = 32
 
 # `eval cv` queues the folds of a group of sets for one training call; a group
 # takes sets until it holds this many training rows (fold training instances,
-# summed over the folds) or more. Measured with `eval cv --restorer
-# clf:logistic -k 10` on a 200k-token bench corpus of 126 sets (Python 3.11,
-# numpy 2.4, 2-vCPU shared host; cold runs beside the parent, which trained
-# each fold alone in 93 MB peak RSS): 10k rows took 57-71% of the parent's wall
-# time at 120 MB, 15k rows 43-57% at 127 MB, and one call for every set 57% at
-# 541 MB. Groups capped at 10k rows took 93%, and at 20k rows 63-64% at 136 MB:
-# a set of more than half the cap trained alone, its 20 pairs below _HEAD_FLOOR.
-_CV_BATCH_ROWS = 15_000
+# summed over the folds) or more. A group that stopped at or below a cap would
+# leave a set of more than half the cap to train alone, its ten two-class folds
+# 20 pairs, below _HEAD_FLOOR. Measured with `eval cv --restorer clf:logistic
+# -k 10` on a 200k-token bench corpus of 126 sets (Python 3.11, numpy 2.4,
+# 2-vCPU shared host; cold runs, interleaved, every report the same bytes),
+# with folds held as padded arrays: 15k rows took 14.6-16.8 s at 115-116 MB
+# peak RSS, 30k rows 10.6-16.1 s at 129 MB, faster than 15k in each of the 6
+# rounds that ran both, and 60k rows 9.2-13.1 s at 161 MB. Folds held as dicts
+# had peaked at 126 MB with 15k rows.
+_CV_BATCH_ROWS = 30_000
 
 
 class _SGDFit:
     """One training set of an SGD call and its result."""
 
-    def __init__(self, X, y, n_features: int, classes: list[str]):
-        index = {cls: c for c, cls in enumerate(classes)}
-        self.X = X
-        self.truth = [index[label] for label in y]
-        self.n_classes = len(classes)
-        self.n_features = n_features
-        self.classes = classes
+    def __init__(self, training: _TrainingSet):
+        self.training = training
+        self.n_classes = len(training.classes)
         self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
         self.bias: list[float] | None = None
         self.fitted: dict | None = None
 
 
-def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
-    """One-vs-rest SGD for each (X, y, n_features, classes) set: the fitted fields of each.
+def _fit_sgd(kind: str, sets: list[_TrainingSet], hyper: Hyper) -> list[dict]:
+    """One-vs-rest SGD for each training set: the fitted fields of each.
 
     Within a set every class trains in the same seeded pass over the examples.
     All classes see one shuffle order per epoch and share the lazy L2 scale
@@ -341,15 +439,17 @@ def _fit_sgd(kind: str, sets, hyper: Hyper) -> list[dict]:
     finishes in `_serial_sgd` from the step the head reached. Both give the
     same bits. A single set, and every perceptron, takes the serial loop alone.
     The epoch orders are drawn once per call, before any training, into the
-    one table of _epoch_orders, which both loops read. Returns, per set, its
+    one table of _epoch_orders, which both loops read, and both read each
+    set's rows from its arrays: the head takes them as they are padded, and
+    the serial loop makes them (index, weight) tuples. Returns, per set, its
     weight rows, biases (offsets) and, for the perceptron, train_errors.
     """
     rate = hyper.rate_for(kind)
     if kind != PERCEPTRON and not rate * hyper.l2 < 1:
         raise ModelError(f"{kind} learning rate {rate!r} times l2 {hyper.l2!r} must be below 1")
-    fits = [_SGDFit(*training) for training in sets]
-    table, order_start = _epoch_orders([len(fit.X) for fit in fits], hyper)
-    n_pairs = len([c for fit in fits for c in fit.classes])
+    fits = [_SGDFit(training) for training in sets]
+    table, order_start = _epoch_orders([len(training.truth) for training in sets], hyper)
+    n_pairs = len([c for training in sets for c in training.classes])
     step, scale = 0, 1.0
     if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
         step, scale = _lockstep_head(kind, fits, hyper, table, order_start)
@@ -395,12 +495,14 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float, 
     rate = hyper.rate_for(kind)
     decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
     # Made here, just before the pass, so that only the sets in the serial loop
-    # hold rows, and each set's rows are still in cache when it runs.
-    rows = [tuple((i, float(v)) for i, v in x.items()) for x in fit.X]
-    truth = fit.truth
+    # hold rows as tuples, and each set's rows are still in cache when it runs.
+    examples = fit.training
+    slots, values, lengths = examples.slots.tolist(), examples.values.tolist(), examples.lengths.tolist()
+    rows = [tuple(zip(s[:k], v[:k])) for s, v, k in zip(slots, values, lengths)]
+    truth = examples.truth.tolist()
     n = len(rows)
     classes = range(fit.n_classes)
-    weights = fit.weights or [[0.0] * fit.n_features for _ in classes]
+    weights = fit.weights or [[0.0] * examples.n_features for _ in classes]
     bias = fit.bias or [0.0] * fit.n_classes
     errors = [[] for _ in classes]
     training = list(classes)
@@ -448,7 +550,7 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float, 
     return {
         "rows": weights,
         "offsets": bias,
-        "train_errors": dict(zip(fit.classes, errors)) if kind == PERCEPTRON else None,
+        "train_errors": dict(zip(examples.classes, errors)) if kind == PERCEPTRON else None,
     }
 
 
@@ -470,32 +572,34 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_st
     (never sum, dot or @, which add in another order); it can differ from the
     serial sum from 0.0 only in the sign of a zero, which adding the bias
     erases, since no bias is ever -0.0. The logistic residual takes math.exp of
-    each -|z|, because np.exp rounds differently. Vectors are padded to the widest
-    with value 0.0 at a spare weight slot per pair, which adds +0.0 to a margin
-    and +0.0 to that slot. A zero step is applied unmasked: a weight starts at
-    +0.0 and an IEEE sum is -0.0 only when both addends are, so no weight is
-    ever -0.0, and adding +-0.0 leaves it as it is.
+    each -|z|, because np.exp rounds differently. Each fit's rows come padded
+    from its training set and are copied into one array as they are, widened to
+    the widest fit's rows: the padding is value 0.0 at a spare weight slot per
+    pair, which adds +0.0 to a margin and +0.0 to that slot. A zero step is
+    applied unmasked: a weight starts at +0.0 and an IEEE sum is -0.0 only when
+    both addends are, so no weight is ever -0.0, and adding +-0.0 leaves it as
+    it is.
     """
     rate = hyper.rate_for(kind)
     decay = 1.0 - rate * hyper.l2
-    sizes = np.array([len(fit.X) for fit in fits])
+    sets = [fit.training for fit in fits]
+    sizes = np.array([len(training.truth) for training in sets])
     ends = (hyper.epochs * sizes).tolist()
+    first_example = np.cumsum(sizes) - sizes
     # Every example of every fit, in fit order: its class and its sparse
-    # vector, padded to the widest with the spare slot and 0.0.
-    truth = np.array([c for fit in fits for c in fit.truth])
-    lengths = np.array([len(x) for fit in fits for x in fit.X])
-    width = max(lengths.max(), 1)
-    slots = np.repeat(np.array([fit.n_features for fit in fits]), sizes)[:, None].repeat(width, axis=1)
+    # vector, each fit's rows widened to the widest with its spare slot and 0.0.
+    truth = np.concatenate([training.truth for training in sets])
+    widths = np.array([training.n_features + 1 for training in sets])
+    slots = np.repeat(widths - 1, sizes)[:, None].repeat(max(training.slots.shape[1] for training in sets), axis=1)
     values = np.zeros(slots.shape)
-    at = np.repeat(np.arange(len(lengths)), lengths), _positions(lengths)
-    slots[at] = np.fromiter((i for fit in fits for x in fit.X for i in x), np.int64, len(at[0]))
-    values[at] = np.fromiter((v for fit in fits for x in fit.X for v in x.values()), float, len(at[0]))
+    for training, start in zip(sets, first_example.tolist()):
+        block = slice(start, start + len(training.truth)), slice(training.slots.shape[1])
+        slots[block] = training.slots
+        values[block] = training.values
     # Pair (f, c) is number first_pair[f] + c, and owns the weights from
     # first_weight[f] + c * (n_features + 1) on, the last one spare.
     n_classes = np.array([fit.n_classes for fit in fits])
     first_pair = np.cumsum(n_classes) - n_classes
-    first_example = np.cumsum(sizes) - sizes
-    widths = np.array([fit.n_features + 1 for fit in fits])
     first_weight = np.cumsum(n_classes * widths) - n_classes * widths
     weights = np.zeros(first_weight[-1] + n_classes[-1] * widths[-1])
     bias = np.zeros(first_pair[-1] + n_classes[-1])
@@ -653,54 +757,47 @@ class TextClassifier:
 def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None) -> list[TextClassifier]:
     """Fit one classifier per group of instances; the SGD kinds train every group in one call.
 
+    Each group is checked, then built as one fold of a term table of its own.
     A group that cannot train raises the error that train_classifier would, for
     the first such group, before any model trains.
     """
-    prepared = [
-        _training_set(kind, instances, [term_counts(extract_window(i.tokens, i.target, window)) for i in instances])
-        for instances in map(list, groups)
-    ]
+    prepared = []
+    for instances in map(list, groups):
+        classes = _instance_classes(kind, instances)
+        table = _term_table([term_counts(extract_window(i.tokens, i.target, window)) for i in instances])
+        prepared.append(_fold_set(table, np.arange(len(instances)), [i.label for i in instances], classes))
     models = _train_models(kind, [training for _, training in prepared], hyper)
     return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(prepared, models)]
 
 
-def _training_set(kind: str, instances: list[Instance], counts: list[dict[str, int]]):
-    """A group's vectorizer and checked (X, y, n_features, classes) training set, from its windows' term_counts."""
-    if not instances:
-        raise DataError("no instances to train on")
-    vectorizer = Vectorizer.fit(counts)
-    X = [vectorizer.transform_counts(c) for c in counts]
-    y = [i.label for i in instances]
-    return vectorizer, (X, y, len(vectorizer.vocabulary), _classes(kind, X, y))
-
-
 class _QueuedFold:
-    """A checked CV fold: its vectorizer and training set, then, once trained, its classifier."""
+    """A checked CV fold: its training instances and classes, then, once trained, its classifier."""
 
-    __slots__ = ("vectorizer", "training", "clf")
+    __slots__ = ("train", "classes", "clf")
 
-    def __init__(self, vectorizer: Vectorizer, training):
-        self.vectorizer = vectorizer
-        self.training = training
+    def __init__(self, train: list[Instance], classes: list[str]):
+        self.train = train
+        self.classes = classes
         self.clf: TextClassifier | None = None
 
 
 def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
     """A per-fold fit for CV, over any number of wordkeys; the folds train together.
 
-    fit(train) checks and vectorizes the fold at once, so an untrainable fold
-    raises there, then queues it and returns a predictor. The first prediction
-    from any queued fold trains the whole queue in one _train_models call, which
-    gives each fold the bits that training it alone would. A fit is keyed by the
-    identity of its training instances and kept for one more fit of the same
-    instances, which hands it out: `eval cv` fits every fold of a group of sets
-    before crossval fits them again and scores them, so each fold's model is
-    freed once it has been scored. Each instance's window and its term_counts
-    are taken once, for all the folds, and _training_set builds each fold from
-    the counts, as fit_instances builds a group; only the vocabulary, idf and
-    model depend on the fold. An instance's entry goes when it is predicted, as
-    crossval predicts each held-out instance once after every fold that trains
-    on it has been fit; an instance met again is taken from its window again.
+    fit(train) checks the fold at once, so an untrainable fold raises there,
+    then queues it and returns a predictor. The first prediction from any
+    queued fold builds and trains the whole queue in one _train_models call,
+    which gives each fold the bits that training it alone would. A fit is keyed
+    by the identity of its training instances and kept for one more fit of the
+    same instances, which hands it out: `eval cv` fits every fold of a group of
+    sets before crossval fits them again and scores them, so each fold's model
+    is freed once it has been scored. Each instance's window and its
+    term_counts are taken once, for all the folds; the queue's distinct
+    instances make one term table, and _fold_set builds each fold from its
+    rows, as fit_instances builds a group. An instance's entry goes when it is
+    predicted, as crossval predicts each held-out instance once after every
+    fold that trains on it has been fit; an instance met again is taken from
+    its window again.
     """
     cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
     held: dict[tuple[int, ...], tuple[list[Instance], object]] = {}
@@ -714,17 +811,26 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
         return cached
 
     def train_queue() -> None:
-        models = _train_models(kind, [fold.training for fold in queue], hyper)
-        for fold, model in zip(queue, models):
-            fold.clf = TextClassifier(window, fold.vectorizer, model)
-            fold.training = None
+        distinct = {id(inst): inst for fold in queue for inst in fold.train}
+        table = _term_table([entry(inst)[2] for inst in distinct.values()])
+        row = dict(zip(distinct, range(len(distinct))))
+        prepared = [
+            _fold_set(table, np.array([row[id(i)] for i in fold.train]), [i.label for i in fold.train], fold.classes)
+            for fold in queue
+        ]
+        models = _train_models(kind, [training for _, training in prepared], hyper)
+        for fold, (vectorizer, _), model in zip(queue, prepared, models):
+            fold.clf = TextClassifier(window, vectorizer, model)
+            fold.train = None
         queue.clear()
 
     def fit(train_instances):
         key = tuple(map(id, train_instances))
         if key in held:
             return held.pop(key)[1]
-        fold = _QueuedFold(*_training_set(kind, train_instances, [entry(inst)[2] for inst in train_instances]))
+        fold = _QueuedFold(train_instances, _instance_classes(kind, train_instances))
+        for inst in train_instances:
+            entry(inst)
         queue.append(fold)
 
         def predictor(inst: Instance) -> str:

@@ -224,6 +224,19 @@ class TestNaiveBayes:
             x = {rng.randrange(6): rng.random() for _ in range(2)}
             assert sum(posterior(model, x).values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_totals_add_each_row_in_order(self):
+        # Many weights per (class, feature), so another order of the additions would round otherwise.
+        for X, y, n_features, classes in mixed_sets(16, [90, 64, 13]):
+            model = train_classifier(MULTINOMIAL_NB, X, y, n_features, Hyper(alpha=0.5))
+            totals = np.zeros((len(classes), n_features))
+            for x, label in zip(X, y):
+                row = totals[classes.index(label)]
+                for i, v in x.items():
+                    row[i] += v
+            smoothed = totals + 0.5
+            want = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+            assert np.array(model.rows).tobytes() == want.tobytes()
+
     def test_identical_features_predict_majority(self):
         X = [{0: 1.0}] * 10
         y = ["maj"] * 6 + ["min"] * 4
@@ -667,6 +680,11 @@ def mixed_sets(seed, sizes):
     return sets
 
 
+def fit_sgd(kind, sets, hyper):
+    """classify._fit_sgd over (X, y, n_features, classes) sets, each laid out as train_classifier lays it out."""
+    return classify._fit_sgd(kind, [classify._dict_set(kind, X, y, n_features) for X, y, n_features, _ in sets], hyper)
+
+
 SIZES = [90, 84, 77, 71, 64, 58, 50, 44, 37, 30, 26, 23, 19, 13, 11, 8, 6, 4, 3, 2]
 
 
@@ -680,7 +698,7 @@ class TestLockstepMatchesSerial:
 
         def recording(kind, fits, hyper, *orders):
             step, scale = head(kind, fits, hyper, *orders)
-            calls.append((step, [len(fit.X) for fit in fits if fit.fitted is None]))
+            calls.append((step, [len(fit.training.truth) for fit in fits if fit.fitted is None]))
             return step, scale
 
         monkeypatch.setattr(classify, "_lockstep_head", recording)
@@ -692,7 +710,7 @@ class TestLockstepMatchesSerial:
         calls = self.recorded_head(monkeypatch)
         sets = mixed_sets(11, SIZES)
         assert len([c for *_, classes in sets for c in classes]) >= classify._HEAD_FLOOR
-        fitted = classify._fit_sgd(kind, sets, hyper)
+        fitted = fit_sgd(kind, sets, hyper)
         [(step, handed_over)] = calls
         # The head ran, some sets ended in it, and some took over mid-epoch.
         assert step > 0 and 0 < len(handed_over) < len(sets)
@@ -711,7 +729,7 @@ class TestLockstepMatchesSerial:
         X, y, n_features = early_and_late_fixture()
         sets = [(X, y, n_features, sorted(set(y)))] + mixed_sets(12, SIZES)
         hyper = Hyper(epochs=12, seed=2)
-        fitted = classify._fit_sgd(PERCEPTRON, sets, hyper)
+        fitted = fit_sgd(PERCEPTRON, sets, hyper)
         assert calls == []
         assert len(fitted[0]["train_errors"]["A"]) < hyper.epochs
         for (X, y, n_features, _), fields in zip(sets, fitted):
@@ -725,7 +743,7 @@ class TestLockstepMatchesSerial:
         X = [{k % 5: 1.0} for k in range(80)]
         y = [f"c{k % 40:02d}" for k in range(80)]
         assert len(set(y)) >= classify._HEAD_FLOOR
-        classify._fit_sgd(LOGISTIC, [(X, y, 5, sorted(set(y)))], Hyper(epochs=2))
+        fit_sgd(LOGISTIC, [(X, y, 5, sorted(set(y)))], Hyper(epochs=2))
         assert calls == []
 
     @pytest.mark.parametrize("kind", [LOGISTIC, PERCEPTRON, MULTINOMIAL_NB])
@@ -805,7 +823,7 @@ class TestEpochOrders:
         shuffles = counted_shuffles(monkeypatch)
         sizes = [40] * 8 + [25] * 6 + [9, 9, 3]
         hyper = Hyper(epochs=7, seed=5)
-        classify._fit_sgd(kind, mixed_sets(13, sizes), hyper)
+        fit_sgd(kind, mixed_sets(13, sizes), hyper)
         # Every size's orders are drawn in full before any set trains, the perceptron's included.
         assert {n: shuffles.count(n) for n in shuffles} == dict.fromkeys(sizes, hyper.epochs)
         assert (head != []) == (kind != PERCEPTRON)
@@ -813,8 +831,8 @@ class TestEpochOrders:
     def test_a_memo_lives_for_one_call(self, monkeypatch):
         shuffles = counted_shuffles(monkeypatch)
         sets = mixed_sets(14, [12, 12])
-        classify._fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
-        classify._fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
+        fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
+        fit_sgd(LOGISTIC, sets, Hyper(epochs=3))
         assert shuffles == [12] * 6
 
     @pytest.mark.parametrize("kind", [LOGISTIC, LINEAR_SVM, PERCEPTRON])
@@ -825,7 +843,7 @@ class TestEpochOrders:
             X, y, n_features = early_and_late_fixture()
             sets = [(X, y, n_features, sorted(set(y)))] * 2 + sets
         hyper = Hyper(epochs=9, seed=6)
-        fitted = classify._fit_sgd(kind, sets, hyper)
+        fitted = fit_sgd(kind, sets, hyper)
         if kind == PERCEPTRON:
             assert calls == []
             assert len(fitted[0]["train_errors"]["A"]) < hyper.epochs
@@ -857,7 +875,8 @@ class TestDecayRule:
 
 
 def cv_instances(seed, n):
-    """Instances of one wordkey whose width-5 windows repeat terms, and hold one term or none."""
+    """Instances of one wordkey whose width-5 windows repeat terms, hold one term or none, and,
+    in the last instance alone, the term "lone"."""
     rng = random.Random(seed)
     pool = ["sun", "moon", "rose", "the", "a", ".", ",", "7"]
     insts = [
@@ -865,11 +884,12 @@ def cv_instances(seed, n):
         Instance(tokens=("moon", "ka"), target=1, label="kà", line=1),  # one
         Instance(tokens=("sun", "sun", "ka", "sun", "rose"), target=2, label="ká", line=2),  # repeated
     ]
-    for line in range(3, n):
+    for line in range(3, n - 1):
         left = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
         right = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
         label = rng.choice(["ká", "kà", "kā"])
         insts.append(Instance(tokens=(*left, "ka", *right), target=len(left), label=label, line=line))
+    insts.append(Instance(tokens=("a", "ka", "lone"), target=1, label="kā", line=n - 1))
     return insts
 
 
@@ -877,22 +897,61 @@ def same_vector(a, b):
     return [(i, v.hex()) for i, v in a.items()] == [(i, v.hex()) for i, v in b.items()]
 
 
+def set_rows(training):
+    """A training set's rows as {index: weight} dicts, once its padding is checked."""
+    rows = []
+    for slots, values, k in zip(training.slots.tolist(), training.values.tolist(), training.lengths.tolist()):
+        assert slots[k:] == [training.n_features] * (len(slots) - k) and values[k:] == [0.0] * (len(values) - k)
+        rows.append(dict(zip(slots[:k], values[:k])))
+    return rows
+
+
+def assert_fold_matches_windows(vectorizer, training, windows, labels):
+    """A built fold holds the bits of Vectorizer.fit on its windows and of transform on each."""
+    want = Vectorizer.fit(windows)
+    assert list(vectorizer.vocabulary.items()) == list(want.vocabulary.items())
+    assert [v.hex() for v in vectorizer.idf] == [v.hex() for v in want.idf]
+    assert all(same_vector(x, want.transform(w)) for x, w in zip(set_rows(training), windows, strict=True))
+    assert (training.classes, training.n_features) == (sorted(set(labels)), len(want.vocabulary))
+    assert training.truth.tolist() == [training.classes.index(label) for label in labels]
+
+
 class TestCvVectorizing:
-    """A CV fold vectorizes from term counts with the bits of fitting and transforming its windows."""
+    """A training set built from a term table holds the bits of fitting and transforming its windows."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_fit_and_transform_counts_on_term_counts_match_fit_and_transform_on_windows(self, seed):
+    def test_folds_of_a_term_table_match_fit_and_transform_on_their_windows(self, seed):
         rng = random.Random(seed)
         terms = [f"t{i}" for i in range(12)]
-        windows = [[], ["t0"], ["t3", "t3", "t1", "t3"]] + [
-            [rng.choice(terms) for _ in range(rng.randrange(0, 10))] for _ in range(80)
+        windows = [[], ["t0"], ["t3", "t3", "t1", "t3"], ["rare"], terms + terms[::3]] + [
+            [rng.choice(terms) for _ in range(rng.randrange(0, 14))] for _ in range(80)
         ]
-        counted = Vectorizer.fit([classify.term_counts(w) for w in windows])
-        fitted = Vectorizer.fit(windows)
-        assert list(counted.vocabulary.items()) == list(fitted.vocabulary.items())
-        assert [v.hex() for v in counted.idf] == [v.hex() for v in fitted.idf]
-        for window in windows:
-            assert same_vector(counted.transform_counts(classify.term_counts(window)), fitted.transform(window))
+        labels = [rng.choice("ab") for _ in windows]
+        table = classify._term_table([classify.term_counts(w) for w in windows])
+        assert table[0].tolist() == sorted({t for w in windows for t in w})
+        everything = list(range(len(windows)))
+        folds = [[r for r in everything if r % 5 != held] for held in range(5)]
+        # every row, rows in another order, and a row taken twice
+        folds += [everything, rng.sample(everything, 60), [0, 1, 2, 2, 5, 7, 9]]
+        rare = []
+        for rows in folds:
+            fold_windows = [windows[r] for r in rows]
+            fold_labels = [labels[r] for r in rows]
+            classes = sorted(set(fold_labels))
+            vectorizer, training = classify._fold_set(table, np.array(rows), fold_labels, classes)
+            assert_fold_matches_windows(vectorizer, training, fold_windows, fold_labels)
+            rare.append("rare" in vectorizer.vocabulary)
+        # The fold that holds out row 3 drops "rare" from the table's terms, as does the last.
+        assert rare[:6] == [True, True, True, False, True, True] and not rare[-1]
+
+    @pytest.mark.parametrize("n, df", [(20, 19), (41, 39), (125, 60), (251, 121)])
+    def test_idf_keeps_math_logs_bits(self, n, df):
+        # (1 + n) / (1 + df) where numpy 2.4's np.log has rounded otherwise than math.log on x86-64
+        windows = [["w", "v"]] * df + [["x"]] * (n - df)
+        labels = ["a", "b"] * (n // 2) + ["a"] * (n % 2)
+        table = classify._term_table([classify.term_counts(w) for w in windows])
+        vectorizer, training = classify._fold_set(table, np.arange(n), labels, ["a", "b"])
+        assert_fold_matches_windows(vectorizer, training, windows, labels)
 
     @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
     def test_folds_match_fit_and_transform_on_their_windows(self, kind, monkeypatch):
@@ -907,14 +966,12 @@ class TestCvVectorizing:
         predictors = [fit(train) for train in folds]
         predictors[0](insts[0])
         assert len(trained) == len(vectorizers) == len(folds)
-        for train, (X, y, n_features, classes), vectorizer in zip(folds, trained, vectorizers):
+        for train, training, vectorizer in zip(folds, trained, vectorizers):
             windows = [extract_window(i.tokens, i.target, 5) for i in train]
             assert [] in windows and any(len(w) == 1 for w in windows) and any(len(set(w)) < len(w) for w in windows)
-            want = Vectorizer.fit(windows)
-            assert list(vectorizer.vocabulary.items()) == list(want.vocabulary.items())
-            assert [v.hex() for v in vectorizer.idf] == [v.hex() for v in want.idf]
-            assert all(same_vector(x, want.transform(w)) for x, w in zip(X, windows, strict=True))
-            assert (y, n_features, classes) == ([i.label for i in train], len(want.vocabulary), sorted(set(y)))
+            assert_fold_matches_windows(vectorizer, training, windows, [i.label for i in train])
+        # The queue's one term table holds "lone", which only some folds train on.
+        assert ["lone" in v.vocabulary for v in vectorizers] == [False, True, insts[-1] in folds[2], False]
 
     def test_a_predicted_instance_lets_its_entry_go(self, monkeypatch):
         windows = []

@@ -26,10 +26,12 @@ FIXTURE = str(DATA / "fixture_corpus.txt")
 GOLDEN = DATA / "golden_dataset.jsonl"
 
 # sha256 of `train clf --kind KIND` pipelines and of the `eval cv` report for
-# clf:logistic with -k 3, both on the fixture corpus and the golden dataset.
+# clf:logistic (and for clf:multinomial_nb) with -k 3, both on the fixture
+# corpus and the golden dataset.
 CLF_PIPELINE_SHA = {
     "linear_svm": "078ee1cedf4b6ab4954a47fd01da847c9db5af529d1008e8b7ac4058ae1e297a",
     "logistic": "034ab780e6e46a4fb47bc33224bb12e3d506080c35bdf6a2d156ba3e753a5667",
+    "multinomial_nb": "dfae5c2edece44abcb0c55ff1d66782a5f6080796749b0934346dfe4df8dad3c",
     "perceptron": "9798f7843cbe49b38b5ae0c32dd356153788959f95afa6b0f51a680749c48166",
 }
 # sha256 of `train ngram -n N` pipelines on the fixture corpus and the golden dataset.
@@ -38,6 +40,7 @@ NGRAM_PIPELINE_SHA = {
     5: "fd576bebc2461f17eb75e4b5918bc16a4f11f4878335754c39c6a3e7cf8e0d7b",
 }
 CV_CLF_REPORT_SHA = "611293da2d88a7ae88e1f431d757ba07b5beb8a9dc7fa3f9f85dd0b9d4ce423d"
+CV_NB_REPORT_SHA = "25547e00334126c487f18de7a6c98fb031bdb9d6397cdb198716968401425b6a"
 # sha256 of `eval cv -k 3 --report` with the given n-gram restorers, on the
 # fixture corpus and the golden dataset.
 CV_NGRAM_REPORT_SHA = {
@@ -710,17 +713,20 @@ class TestGoldenClassifierBytes:
         assert code == 0
         assert sha256(model) == CLF_PIPELINE_SHA[kind]
 
-    def cv_report(self, capsys, tmp_path):
+    def cv_report(self, capsys, tmp_path, restorer="clf:logistic"):
         report = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN),
-            "--restorer", "clf:logistic", "-k", "3", "--report", str(report),
+            "--restorer", restorer, "-k", "3", "--report", str(report),
         )
         assert code == 0
         return sha256(report)
 
     def test_cv_clf_report(self, capsys, tmp_path):
         assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
+
+    def test_cv_nb_report(self, capsys, tmp_path):
+        assert self.cv_report(capsys, tmp_path, "clf:multinomial_nb") == CV_NB_REPORT_SHA
 
     def test_train_clf_reads_no_ngram_counts(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -748,12 +754,15 @@ class TestGoldenClassifierBytes:
 
 
 def serial_cv_fitter(kind, window=9, hyper=None):
-    """The per-fold reference: each fold trains alone through train_classifier."""
+    """The per-fold reference: each fold vectorizes its windows with Vectorizer.fit and
+    transform, and trains alone through train_classifier."""
 
     def fit(train):
-        counts = [classify.term_counts(classify.extract_window(i.tokens, i.target, window)) for i in train]
-        vectorizer, (X, y, n_features, _) = classify._training_set(kind, train, counts)
-        clf = classify.TextClassifier(window, vectorizer, classify.train_classifier(kind, X, y, n_features, hyper))
+        windows = [classify.extract_window(i.tokens, i.target, window) for i in train]
+        vectorizer = classify.Vectorizer.fit(windows)
+        X = [vectorizer.transform(w) for w in windows]
+        model = classify.train_classifier(kind, X, [i.label for i in train], len(vectorizer.vocabulary), hyper)
+        clf = classify.TextClassifier(window, vectorizer, model)
         return lambda inst: clf.predict_window(classify.extract_window(inst.tokens, inst.target, window))
 
     return fit
