@@ -11,17 +11,14 @@ the set's size: a training call draws them once per distinct size, into one
 int32 table (_epoch_orders) that the lockstep head and the serial loop both
 read, and every set of that size walks the same rows.
 
-`fit_instances` trains every group it is given in one call, as `train clf`
-does with all its wordkeys, and `cv_fitter` trains every fold it has queued in
-one call, as `eval cv` does with the folds of a group of wordkeys. Both build
-their training sets with one array builder. _term_table lays out windows'
-term_counts once, as (term id, count) rows over their sorted terms: a `train
-clf` group's windows, or the distinct windows of a CV queue, each instance's
-window and counts taken once for all its folds. _fold_set then weighs the rows
-of one fold (a `train clf` group is the one fold of its table) with the bits of
-Vectorizer.fit on the fold's windows and transform on each. A training set
-(_TrainingSet) holds its rows as padded numpy arrays, which the lockstep head,
-the serial loop and the naive Bayes fit read directly. The logistic and
+One training path serves `train clf` and `eval cv`: `fit_instances` hands
+_train_folds every wordkey's instances, and `cv_fitter` every fold it has
+queued. _train_folds lays out the term_counts of the call's distinct windows
+once (_term_table), builds each fold from its rows with the bits of
+Vectorizer.fit on its windows and transform on each (_fold_set), and trains
+them all in one call. A training set (_TrainingSet) holds its rows as padded
+numpy arrays, which the lockstep head, the serial loop and the naive Bayes fit
+read directly. The logistic and
 linear-SVM models of such a call advance together in a numpy lockstep head,
 one step of every live (model, class) pair at a time, while at least
 _HEAD_FLOOR pairs are live; each model then finishes on the serial loop from
@@ -412,17 +409,6 @@ _HEAD_FLOOR = 32
 _CV_BATCH_ROWS = 30_000
 
 
-class _SGDFit:
-    """One training set of an SGD call and its result."""
-
-    def __init__(self, training: _TrainingSet):
-        self.training = training
-        self.n_classes = len(training.classes)
-        self.weights: list[list[float]] | None = None  # set where the lockstep head hands over
-        self.bias: list[float] | None = None
-        self.fitted: dict | None = None
-
-
 def _fit_sgd(kind: str, sets: list[_TrainingSet], hyper: Hyper) -> list[dict]:
     """One-vs-rest SGD for each training set: the fitted fields of each.
 
@@ -435,26 +421,25 @@ def _fit_sgd(kind: str, sets: list[_TrainingSet], hyper: Hyper) -> list[dict]:
 
     Each logistic or linear-SVM step scales the weights by 1 - rate * l2, so
     that product must be below 1. Those sets first advance together in
-    `_lockstep_head`, while enough (set, class) pairs are live; each set then
-    finishes in `_serial_sgd` from the step the head reached. Both give the
-    same bits. A single set, and every perceptron, takes the serial loop alone.
-    The epoch orders are drawn once per call, before any training, into the
-    one table of _epoch_orders, which both loops read, and both read each
-    set's rows from its arrays: the head takes them as they are padded, and
-    the serial loop makes them (index, weight) tuples. Returns, per set, its
-    weight rows, biases (offsets) and, for the perceptron, train_errors.
+    `_lockstep_head`, while enough (set, class) pairs are live; a set the head
+    did not finish goes on in `_serial_sgd` from the step it reached, with the
+    weights and biases it handed over. Both give the same bits. A single set,
+    and every perceptron, takes the serial loop alone. The epoch orders are
+    drawn once per call, before any training (_epoch_orders). Returns, per
+    set, its weight rows, biases (offsets) and, for the perceptron,
+    train_errors.
     """
     rate = hyper.rate_for(kind)
     if kind != PERCEPTRON and not rate * hyper.l2 < 1:
         raise ModelError(f"{kind} learning rate {rate!r} times l2 {hyper.l2!r} must be below 1")
-    fits = [_SGDFit(training) for training in sets]
     table, order_start = _epoch_orders([len(training.truth) for training in sets], hyper)
-    n_pairs = len([c for training in sets for c in training.classes])
-    step, scale = 0, 1.0
-    if kind != PERCEPTRON and len(fits) > 1 and n_pairs >= _HEAD_FLOOR:
-        step, scale = _lockstep_head(kind, fits, hyper, table, order_start)
-    starts = order_start.tolist()
-    return [fit.fitted or _serial_sgd(kind, fit, hyper, step, scale, table, start) for fit, start in zip(fits, starts)]
+    step, scale, from_head = 0, 1.0, [None] * len(sets)
+    if kind != PERCEPTRON and len(sets) > 1 and len([c for training in sets for c in training.classes]) >= _HEAD_FLOOR:
+        step, scale, from_head = _lockstep_head(kind, sets, hyper, table, order_start)
+    return [
+        fields if isinstance(fields, dict) else _serial_sgd(kind, training, hyper, step, scale, table, start, fields)
+        for training, start, fields in zip(sets, order_start.tolist(), from_head)
+    ]
 
 
 def _epoch_orders(sizes: list[int], hyper: Hyper):
@@ -484,33 +469,32 @@ def _epoch_orders(sizes: list[int], hyper: Hyper):
     return table, np.array([first[n] for n in sizes])
 
 
-def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float, table, order_start: int) -> dict:
-    """One set's SGD pass from its `step`-th example on, at L2 scale `scale`.
+def _serial_sgd(kind: str, examples: _TrainingSet, hyper: Hyper, step: int, scale: float, table, order_start: int,
+                handed: tuple | None = None) -> dict:
+    """One set's SGD pass from its `step`-th example on, at L2 scale `scale`, from the weights and biases handed.
 
-    The set's epoch orders are the rows of the _epoch_orders table from
-    order_start on. Weights stay plain floats until the end and each margin is
-    summed left to right from 0.0, never with sum(), whose rounding differs
-    between Pythons.
+    Unhanded, they start at 0.0. The set's epoch orders are the rows of the
+    _epoch_orders table from order_start on. Weights stay plain floats and each
+    margin is summed left to right from 0.0, never with sum(), whose rounding
+    differs between Pythons.
     """
     rate = hyper.rate_for(kind)
     decay = 1.0 if kind == PERCEPTRON else 1.0 - rate * hyper.l2
     # Made here, just before the pass, so that only the sets in the serial loop
     # hold rows as tuples, and each set's rows are still in cache when it runs.
-    examples = fit.training
     slots, values, lengths = examples.slots.tolist(), examples.values.tolist(), examples.lengths.tolist()
     rows = [tuple(zip(s[:k], v[:k])) for s, v, k in zip(slots, values, lengths)]
     truth = examples.truth.tolist()
     n = len(rows)
-    classes = range(fit.n_classes)
-    weights = fit.weights or [[0.0] * examples.n_features for _ in classes]
-    bias = fit.bias or [0.0] * fit.n_classes
+    classes = range(len(examples.classes))
+    weights, bias = handed or ([[0.0] * examples.n_features for _ in classes], [0.0] * len(classes))
     errors = [[] for _ in classes]
     training = list(classes)
     # The orders from the step's epoch on (with no head, step is 0), made lists
     # in one call: walked as numpy rows, the smallest fits ran slower.
     epoch, start = divmod(step, n)
     for order in table[order_start + epoch * n : order_start + hyper.epochs * n].reshape(-1, n).tolist():
-        mistakes = [0] * fit.n_classes
+        mistakes = [0] * len(classes)
         for j in order[start:] if start else order:
             x = rows[j]
             next_scale = scale * decay
@@ -555,17 +539,16 @@ def _serial_sgd(kind: str, fit: _SGDFit, hyper: Hyper, step: int, scale: float, 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow makes inf and NaN silently, as Python floats do
-def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_start):
+def _lockstep_head(kind: str, sets: list[_TrainingSet], hyper: Hyper, table, order_start):
     """Step every live (fit, class) pair of a logistic or linear-SVM call together, in numpy.
 
     Every fit of the call starts at step 0 under the same hyper, so all live
     fits share one L2 scale; a fit that ends in the head takes the scale of its
-    last step, and holds its fitted fields. The head stops as soon as fewer than
-    _HEAD_FLOOR pairs or fewer than two fits are live; each fit still training
-    then holds its weights and biases as lists, and the head returns the step
-    and scale it reached. Fit f's step-th example is its example number
-    table[order_start[f] + step] (see _epoch_orders), so one take of the table
-    gives every live pair's example at a step.
+    last step. The head stops once fewer than _HEAD_FLOOR pairs or two fits are
+    live. It returns the step and scale it reached and, per fit, its fitted
+    fields (a dict) or the weights and biases it hands over (lists). Fit f's
+    step-th example is its example number table[order_start[f] + step], so one
+    take of the table gives every live pair's example at a step.
 
     Each step keeps the serial loop's bits. Elementwise float64 + - * / round
     like Python floats. A margin is summed left to right by np.add.accumulate
@@ -582,7 +565,6 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_st
     """
     rate = hyper.rate_for(kind)
     decay = 1.0 - rate * hyper.l2
-    sets = [fit.training for fit in fits]
     sizes = np.array([len(training.truth) for training in sets])
     ends = (hyper.epochs * sizes).tolist()
     first_example = np.cumsum(sizes) - sizes
@@ -598,7 +580,7 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_st
         values[block] = training.values
     # Pair (f, c) is number first_pair[f] + c, and owns the weights from
     # first_weight[f] + c * (n_features + 1) on, the last one spare.
-    n_classes = np.array([fit.n_classes for fit in fits])
+    n_classes = np.array([len(training.classes) for training in sets])
     first_pair = np.cumsum(n_classes) - n_classes
     first_weight = np.cumsum(n_classes * widths) - n_classes * widths
     weights = np.zeros(first_weight[-1] + n_classes[-1] * widths[-1])
@@ -612,7 +594,8 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_st
         return bias[first_pair[f] : first_pair[f] + n_classes[f]]
 
     step, scale = 0, 1.0
-    live = list(range(len(fits)))
+    from_head = [None] * len(sets)
+    live = list(range(len(sets)))
     while len(live) >= 2:
         pair_fit = np.repeat(live, n_classes[live])
         if len(pair_fit) < _HEAD_FLOOR:
@@ -654,16 +637,15 @@ def _lockstep_head(kind: str, fits: list[_SGDFit], hyper: Hyper, table, order_st
         bias[pairs] = live_bias
         for f in live:
             if ends[f] == step:
-                fits[f].fitted = {  # x * 1.0 is x, bit for bit
+                from_head[f] = {  # x * 1.0 is x, bit for bit
                     "rows": (block(f) * scale).tolist(),
                     "offsets": biases(f).tolist(),
                     "train_errors": None,
                 }
         live = [f for f in live if ends[f] > step]
     for f in live:
-        fits[f].weights = block(f).tolist()
-        fits[f].bias = biases(f).tolist()
-    return step, scale
+        from_head[f] = block(f).tolist(), biases(f).tolist()
+    return step, scale, from_head
 
 
 def _positions(counts: np.ndarray) -> np.ndarray:
@@ -755,30 +737,32 @@ class TextClassifier:
 
 
 def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None) -> list[TextClassifier]:
-    """Fit one classifier per group of instances; the SGD kinds train every group in one call.
+    """Fit one classifier per group of instances, all in one _train_folds call (so one term table).
 
-    Each group is checked, then built as one fold of a term table of its own.
-    A group that cannot train raises the error that train_classifier would, for
-    the first such group, before any model trains.
+    The first group that cannot train raises train_classifier's error for it.
     """
-    prepared = []
-    for instances in map(list, groups):
-        classes = _instance_classes(kind, instances)
-        table = _term_table([term_counts(extract_window(i.tokens, i.target, window)) for i in instances])
-        prepared.append(_fold_set(table, np.arange(len(instances)), [i.label for i in instances], classes))
-    models = _train_models(kind, [training for _, training in prepared], hyper)
-    return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(prepared, models)]
+    counts = lambda inst: term_counts(extract_window(inst.tokens, inst.target, window))
+    return _train_folds(kind, list(map(list, groups)), window, hyper, counts)
 
 
-class _QueuedFold:
-    """A checked CV fold: its training instances and classes, then, once trained, its classifier."""
+def _train_folds(kind: str, folds: list[list[Instance]], window: int, hyper: Hyper | None, counts) -> list[TextClassifier]:
+    """One classifier per fold of training instances, each with the bits it would get alone.
 
-    __slots__ = ("train", "classes", "clf")
-
-    def __init__(self, train: list[Instance], classes: list[str]):
-        self.train = train
-        self.classes = classes
-        self.clf: TextClassifier | None = None
+    Every fold is checked before anything is built. The distinct instances
+    make one term table of their counts(instance), dropped before training;
+    _fold_set builds each fold from its rows, and _train_models trains all.
+    """
+    classes = [_instance_classes(kind, fold) for fold in folds]
+    distinct = {id(inst): inst for fold in folds for inst in fold}
+    table = _term_table([counts(inst) for inst in distinct.values()])
+    row = dict(zip(distinct, range(len(distinct))))
+    built = [
+        _fold_set(table, np.array([row[id(i)] for i in fold]), [i.label for i in fold], fold_classes)
+        for fold, fold_classes in zip(folds, classes)
+    ]
+    del table, distinct, row
+    models = _train_models(kind, [training for _, training in built], hyper)
+    return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(built, models)]
 
 
 def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
@@ -786,22 +770,13 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
 
     fit(train) checks the fold at once, so an untrainable fold raises there,
     then queues it and returns a predictor. The first prediction from any
-    queued fold builds and trains the whole queue in one _train_models call,
-    which gives each fold the bits that training it alone would. A fit is keyed
-    by the identity of its training instances and kept for one more fit of the
-    same instances, which hands it out: `eval cv` fits every fold of a group of
-    sets before crossval fits them again and scores them, so each fold's model
-    is freed once it has been scored. Each instance's window and its
-    term_counts are taken once, for all the folds; the queue's distinct
-    instances make one term table, and _fold_set builds each fold from its
-    rows, as fit_instances builds a group. An instance's entry goes when it is
-    predicted, as crossval predicts each held-out instance once after every
-    fold that trains on it has been fit; an instance met again is taken from
-    its window again.
+    queued fold trains the whole queue in one _train_folds call. Each
+    instance's window and term_counts are taken once for all its folds, and
+    let go when it is predicted, as crossval predicts each held-out instance
+    once, after every fold that trains on it has been fit.
     """
     cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
-    held: dict[tuple[int, ...], tuple[list[Instance], object]] = {}
-    queue: list[_QueuedFold] = []
+    queue: list[tuple[list[Instance], list]] = []  # each fold's training instances, and a list for its classifier
 
     def entry(inst: Instance):
         cached = cache.get(id(inst))
@@ -810,37 +785,23 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
             cached = cache[id(inst)] = (inst, words, term_counts(words))
         return cached
 
-    def train_queue() -> None:
-        distinct = {id(inst): inst for fold in queue for inst in fold.train}
-        table = _term_table([entry(inst)[2] for inst in distinct.values()])
-        row = dict(zip(distinct, range(len(distinct))))
-        prepared = [
-            _fold_set(table, np.array([row[id(i)] for i in fold.train]), [i.label for i in fold.train], fold.classes)
-            for fold in queue
-        ]
-        models = _train_models(kind, [training for _, training in prepared], hyper)
-        for fold, (vectorizer, _), model in zip(queue, prepared, models):
-            fold.clf = TextClassifier(window, vectorizer, model)
-            fold.train = None
-        queue.clear()
-
     def fit(train_instances):
-        key = tuple(map(id, train_instances))
-        if key in held:
-            return held.pop(key)[1]
-        fold = _QueuedFold(train_instances, _instance_classes(kind, train_instances))
+        _instance_classes(kind, train_instances)
         for inst in train_instances:
             entry(inst)
-        queue.append(fold)
+        trained: list[TextClassifier] = []
+        queue.append((train_instances, trained))
 
         def predictor(inst: Instance) -> str:
-            if fold.clf is None:
-                train_queue()
+            if not trained:
+                clfs = _train_folds(kind, [train for train, _ in queue], window, hyper, lambda i: entry(i)[2])
+                for (_, fold), clf in zip(queue, clfs):
+                    fold.append(clf)
+                queue.clear()
             cached = cache.pop(id(inst), None)
             words = cached[1] if cached else extract_window(inst.tokens, inst.target, window)
-            return fold.clf.predict_window(words)
+            return trained[0].predict_window(words)
 
-        held[key] = (train_instances, predictor)  # the instances keep their ids from reuse
         return predictor
 
     return fit

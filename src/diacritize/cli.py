@@ -399,22 +399,38 @@ def _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model,
 
 
 def _queued_folds(fit, sets, k: int, seed: int):
-    """Each set with the one classifier fit, once fit has queued every fold of the set's group.
+    """Each set with its per-set fit, once fit has queued every fold of the set's group.
 
-    A group takes sets until it holds classify._CV_BATCH_ROWS training rows or more.
+    A group takes sets until it holds classify._CV_BATCH_ROWS training rows or
+    more. fit(train) is called once per fold, in fold_plan order; what it
+    returns, or the DataError or ModelError it raises, is kept, and the per-set
+    fit hands these back to crossval, which asks for them in the same order.
     """
     group, rows = [], 0
-    for aset in sets:
+    for n, aset in enumerate(sets, 1):
+        fitted = []
         for _, train, _ in evaluate.fold_plan(aset, k, seed)[0]:
-            # crossval meets the same error again and records the failed fold
-            with contextlib.suppress(DataError, ModelError):
-                fit(train)
+            try:
+                fitted.append(fit(train))
+            except (DataError, ModelError) as exc:  # crossval records the failed fold
+                fitted.append(exc)
             rows += len(train)
-        group.append(aset)
-        if rows >= classify._CV_BATCH_ROWS:
-            yield from ((queued, fit) for queued in group)
+        group.append((aset, _handed_back(fitted)))
+        if rows >= classify._CV_BATCH_ROWS or n == len(sets):
+            yield from group
             group, rows = [], 0
-    yield from ((queued, fit) for queued in group)
+
+
+def _handed_back(fitted: list):
+    """A fit that returns, or raises, each of fitted in turn (letting it go), whatever training it is given."""
+
+    def fit(train):
+        result = fitted.pop(0)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return fit
 
 
 def _cmd_oddword(args) -> int:

@@ -103,10 +103,11 @@ def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalRes
     """k-fold evaluation of one ambiguous set, summed into a single matrix.
 
     fit(train_instances) must return a predictor: instance -> variant surface.
-    When the set is too small to fold, it is scored train-on-all with a
-    warning; when a fold's training raises DataError or ModelError, its
-    instances are scored against the majority variant of the training data
-    and the failure is recorded.
+    It is called once per fold, in fold_plan order, so a caller may fit the
+    folds ahead and hand each back (see cli._queued_folds). When the set is
+    too small to fold, it is scored train-on-all with a warning; when a fold's
+    training raises DataError or ModelError, its instances are scored against
+    the majority variant of the training data and the failure is recorded.
     """
     classes = [v for v, _ in aset.variants]
     cm = ConfusionMatrix(classes=list(classes))

@@ -363,16 +363,12 @@ class TestInstanceInterface:
         with pytest.raises(ModelError, match="single class"):
             fit(insts[::2])
         assert calls == []
-        # a new list of the same instances hands the queued fit out
-        assert [fit(list(train)) for train in trains] == queued
         assert [queued[1](inst) for inst in insts] == [queued[1](inst) for inst in insts]
         assert calls == [3]
         for predictor, train in zip(queued, trains):
             alone = fit_instances([train], LOGISTIC, window=5, hyper=Hyper(epochs=5))[0]
             assert [predictor(i) for i in insts] == [alone.predict_window(extract_window(i.tokens, i.target, 5)) for i in insts]
         assert calls == [3, 1, 1, 1]
-        # handed out, a fit is let go: the same instances queue a new one
-        assert fit(trains[0]) not in queued
 
 
 def three_class_fixture():
@@ -696,10 +692,10 @@ class TestLockstepMatchesSerial:
         calls = []
         head = classify._lockstep_head
 
-        def recording(kind, fits, hyper, *orders):
-            step, scale = head(kind, fits, hyper, *orders)
-            calls.append((step, [len(fit.training.truth) for fit in fits if fit.fitted is None]))
-            return step, scale
+        def recording(kind, sets, hyper, *orders):
+            step, scale, from_head = head(kind, sets, hyper, *orders)
+            calls.append((step, [len(s.truth) for s, fields in zip(sets, from_head) if not isinstance(fields, dict)]))
+            return step, scale, from_head
 
         monkeypatch.setattr(classify, "_lockstep_head", recording)
         return calls
@@ -988,3 +984,29 @@ class TestCvVectorizing:
         # once predicted, an instance is taken from its window again
         assert [predictor(inst) for inst in held + train] == predictions
         assert len(windows) == 30 + 30
+
+
+class TestOneTablePerFitInstances:
+    """fit_instances lays out one term table for all its groups, and each group keeps the bits it trains to alone."""
+
+    @pytest.mark.parametrize("kind", classify.KINDS)
+    def test_each_group_matches_a_call_of_its_own(self, kind, monkeypatch):
+        heads = TestLockstepMatchesSerial.recorded_head(monkeypatch)
+        tables = []
+        real = classify._term_table
+        monkeypatch.setattr(classify, "_term_table", lambda counts: tables.append(len(counts)) or real(counts))
+        groups = [cv_instances(seed, 10 + 3 * seed)[:-1] for seed in range(20, 32)]
+        groups[4] = cv_instances(40, 25)  # the only group whose windows hold "lone"
+        assert sum(len({i.label for i in g}) for g in groups) >= classify._HEAD_FLOOR
+        hyper = Hyper(epochs=6, seed=3)
+        batched = fit_instances(groups, kind, window=5, hyper=hyper)
+        assert tables == [sum(map(len, groups))]
+        assert (heads != []) == (kind in (LOGISTIC, LINEAR_SVM))
+        for n, (group, clf) in enumerate(zip(groups, batched)):
+            alone = fit_instances([group], kind, window=5, hyper=hyper)[0]
+            assert list(clf.vectorizer.vocabulary.items()) == list(alone.vectorizer.vocabulary.items())
+            assert [v.hex() for v in clf.vectorizer.idf] == [v.hex() for v in alone.vectorizer.idf]
+            assert np.array(clf.model.rows).tobytes() == np.array(alone.model.rows).tobytes()
+            assert np.array(clf.model.offsets).tobytes() == np.array(alone.model.offsets).tobytes()
+            assert clf.model.train_errors == alone.model.train_errors
+            assert ("lone" in clf.vectorizer.vocabulary) == (n == 4)

@@ -18,6 +18,7 @@ import pytest
 from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram
 from diacritize.cli import build_parser, main
 from diacritize.corpus import strip_diacritics
+from diacritize.errors import ModelError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -849,6 +850,69 @@ class TestBatchedClassifierCv:
         monkeypatch.setattr(classify, "_train_models", broken)
         report = tmp_path / "report.json"
         with pytest.raises(RuntimeError, match="batch broke"):
+            main(["eval", "cv", "--dataset", str(GOLDEN), "--restorer", "clf:logistic", "-k", "3",
+                  "--report", str(report)])
+        capsys.readouterr()
+        assert not report.exists()
+
+    @staticmethod
+    def counted_fitter(monkeypatch, raising):
+        """Wrap classify.cv_fitter so its fit records each call's training instances, and the
+        calls numbered in raising raise what raising maps them to."""
+        calls = []
+        real = classify.cv_fitter
+
+        def fitter(kind, window=9, hyper=None):
+            fit = real(kind, window=window, hyper=hyper)
+
+            def counted(train):
+                calls.append([(i.line, i.target) for i in train])
+                if len(calls) - 1 in raising:
+                    raise raising[len(calls) - 1]
+                return fit(train)
+
+            return counted
+
+        monkeypatch.setattr(classify, "cv_fitter", fitter)
+        return calls
+
+    def test_each_planned_fold_is_fit_once(self, capsys, tmp_path, monkeypatch):
+        plan = [
+            (aset.wordkey, fold_no, [(i.line, i.target) for i in train])
+            for aset in datasetgen.read_dataset(GOLDEN)
+            for fold_no, train, _ in evaluate.fold_plan(aset, 3, 0)[0]
+        ]
+        report = tmp_path / "report.json"
+        raising = {}
+        calls = self.counted_fitter(monkeypatch, raising)
+
+        def failed_folds():
+            calls.clear()
+            self.cv(capsys, GOLDEN, report)
+            assert calls == [train for *_, train in plan]
+            folds = json.loads(report.read_text(encoding="utf-8"))["clf:logistic"]["folds"]
+            return {key: fold["failed_folds"] for key, fold in folds.items()}, folds
+
+        # Single-class folds of the golden dataset fail on their own.
+        untrainable, _ = failed_folds()
+        assert sha256(report) == CV_CLF_REPORT_SHA
+        raising.update(
+            (n, ModelError(f"no fit {n}"))
+            for n, (wordkey, fold_no, _) in enumerate(plan)
+            if fold_no is not None and fold_no not in untrainable[wordkey] and n % 3 == 1
+        )
+        assert len(raising) > 1
+        failed, folds = failed_folds()
+        for n in raising:
+            wordkey, fold_no, _ = plan[n]
+            untrainable[wordkey].append(fold_no)
+            assert folds[wordkey]["warnings"].count(f"{wordkey} fold {fold_no}: no fit {n}") == 1
+        assert failed == {key: sorted(fold_nos) for key, fold_nos in untrainable.items()}
+
+    def test_a_runtime_error_from_a_fit_is_no_failed_fold(self, capsys, tmp_path, monkeypatch):
+        self.counted_fitter(monkeypatch, {4: RuntimeError("fit broke")})
+        report = tmp_path / "report.json"
+        with pytest.raises(RuntimeError, match="fit broke"):
             main(["eval", "cv", "--dataset", str(GOLDEN), "--restorer", "clf:logistic", "-k", "3",
                   "--report", str(report)])
         capsys.readouterr()

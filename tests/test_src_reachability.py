@@ -131,6 +131,7 @@ def test_every_imported_name_is_used():
 # builtin sum() adds floats with compensation, so these add left to right.
 NO_BUILTIN_SUM = (
     "Vectorizer.transform", "_unit_tfidf", "_term_table", "_fold_set", "predict_scores", "predict", "_fit_sgd",
+    "_train_folds",
 )
 
 
@@ -160,6 +161,9 @@ def test_scoring_and_training_never_call_builtin_sum():
 # margins and _unit_tfidf its norms: these numpy calls add in pairwise or BLAS
 # order instead.
 NO_NUMPY_REDUCTION = ("_fit_sgd", "_term_table", "_fold_set")
+# Functions that train naive Bayes too, whose one numpy reduction is _fit_nb's
+# row totals: numpy's sum there gives the bits that naive Bayes models keep.
+NO_NUMPY_REDUCTION_BUT_NB = ("_train_models", "_train_folds", "fit_instances", "cv_fitter")
 
 
 def is_numpy_reduction(node: ast.AST) -> bool:
@@ -173,6 +177,14 @@ def is_numpy_reduction(node: ast.AST) -> bool:
     if func.attr in ("sum", "dot", "matmul", "einsum", "norm"):
         return True
     return func.attr == "reduce" and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
+
+
+def emptied(source: str, name: str) -> str:
+    """source with the body of its module-level function name replaced by pass."""
+    tree = ast.parse(source)
+    [fn] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    fn.body = [ast.Pass()]
+    return ast.unparse(tree)
 
 
 def reaches(source: str, offends) -> dict[str, bool]:
@@ -219,10 +231,14 @@ def test_sgd_training_never_calls_a_numpy_reduction():
     ])
     found = reaches(probe, is_numpy_reduction)
     assert found == {**dict.fromkeys("abcdefghin", True), "j": False, "K.m": True}
-    found = reaches((SRC / "classify.py").read_text(encoding="utf-8"), is_numpy_reduction)
+    source = (SRC / "classify.py").read_text(encoding="utf-8")
+    found = reaches(source, is_numpy_reduction)
     assert {name: found[name] for name in NO_NUMPY_REDUCTION} == dict.fromkeys(NO_NUMPY_REDUCTION, False)
+    assert reaches(emptied(probe, "a"), is_numpy_reduction)["i"] is False
+    apart_from_nb = reaches(emptied(source, "_fit_nb"), is_numpy_reduction)
+    assert {name: apart_from_nb[name] for name in NO_NUMPY_REDUCTION_BUT_NB} == dict.fromkeys(NO_NUMPY_REDUCTION_BUT_NB, False)
     # The lockstep head and the serial loop are what _fit_sgd reaches by name.
-    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    tree = ast.parse(source)
     fit_sgd = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fit_sgd")
     called = {n.func.id for n in ast.walk(fit_sgd) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert {"_lockstep_head", "_serial_sgd"} <= called
