@@ -8,6 +8,10 @@ Word tokens are grouped by wordkey; three gates prune the groups:
 
 Each surviving occurrence becomes one labeled instance: the stripped
 sentence, the target position, and the original marked surface as label.
+
+A dataset is written as JSON Lines and read back with every record checked,
+in file order. Reading takes one call into json's C scanner per record and
+keeps one token tuple per distinct line, which the line's instances share.
 """
 
 from __future__ import annotations
@@ -93,10 +97,11 @@ def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousS
         variants = sorted(kept.items(), key=lambda kv: (-kv[1], kv[0]))
         sets[key] = AmbiguousSet(wordkey=key, variants=variants)
 
+    word_kind = TokenKind.WORD
     for line_no, line in enumerate(corpus.lines):
         keys = line_keys(line, params.lowercase)
         for idx, (tok, key) in enumerate(zip(line, keys)):
-            if tok.kind is not TokenKind.WORD or key not in sets:
+            if tok.kind is not word_kind or key not in sets:
                 continue
             surface = tok.surface.lower() if params.lowercase else tok.surface
             if surface in survivors[key]:
@@ -195,24 +200,64 @@ def write_dataset(sets, path) -> None:
 
 
 def read_dataset(path) -> list[AmbiguousSet]:
+    """Read a dataset file, checking every record in file order.
+
+    Each stripped line takes one call into json's C scanner. Only a line that
+    the scan refuses, or does not consume to its end, goes to json.loads, so
+    a refusal reads as json.loads words it. A record nested too deeply to
+    decode is refused too. Instances of one token line share one tuple, as
+    generate's do. A malformed record raises ParseError with its line number.
+    """
     sets: list[AmbiguousSet] = []
-    by_key: dict[str, AmbiguousSet] = {}
+    by_key: dict[str, tuple[AmbiguousSet, set[str]]] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                _read_record(json.loads(raw), sets, by_key)
+                _read_record(_decode(raw), sets, by_key, shared)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, path=path)
+            except RecursionError:
+                raise ParseError("invalid JSON: nested too deeply", line=line_no, path=path) from None
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=line_no, path=path)
     return sets
 
 
-def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSet]) -> None:
-    """Add one dataset record to its set; a malformed record raises ValueError or TypeError."""
+def _decode(raw: str):
+    """The JSON value of a stripped line, as json.loads reads it, from one scan."""
+    try:
+        value, end = _scan_once(raw, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(raw):
+        return json.loads(raw)  # raises, and words the refusal as it always has
+    return value
+
+
+def _all_strings(tokens) -> bool:
+    """Whether tokens is a list of strings, tested in one C-level pass."""
+    if type(tokens) is not list:
+        return False
+    try:
+        "".join(tokens)
+    except TypeError:
+        return False
+    return True
+
+
+def _read_record(
+    record, sets: list[AmbiguousSet], by_key: dict[str, tuple[AmbiguousSet, set[str]]],
+    shared: dict[tuple[str, ...], tuple[str, ...]],
+) -> None:
+    """Add one dataset record to its set; a malformed record raises ValueError or TypeError.
+
+    by_key maps each wordkey read so far to its set and the set of its
+    variants; shared maps each token tuple read so far to itself.
+    """
     if not isinstance(record, dict) or not isinstance(record.get("wordkey"), str):
         raise ValueError("record needs a string 'wordkey'")
     key = record["wordkey"]
@@ -225,20 +270,22 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
             raise ValueError(f"second header for wordkey {key!r}")
         aset = AmbiguousSet(wordkey=key, variants=variants)
         sets.append(aset)
-        by_key[key] = aset
+        by_key[key] = aset, {v for v, _ in variants}
         return
-    missing = [k for k in ("tokens", "target", "label") if k not in record]
-    if missing:
-        raise ValueError(f"instance record missing {', '.join(missing)}")
-    aset = by_key.get(key)
-    if aset is None:
+    try:
+        tokens, target, label = record["tokens"], record["target"], record["label"]
+    except KeyError:
+        missing = [k for k in ("tokens", "target", "label") if k not in record]
+        raise ValueError(f"instance record missing {', '.join(missing)}") from None
+    if key not in by_key:
         raise ValueError(f"instance for unknown wordkey '{key}'")
-    tokens, target, label, line = record["tokens"], record["target"], record["label"], record.get("line", -1)
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    aset, labels = by_key[key]
+    line = record.get("line", -1)
+    if not _all_strings(tokens):
         raise ValueError("'tokens' must be a list of strings")
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")
-    if all(label != v for v, _ in aset.variants):
+    if label not in labels:
         raise ValueError(f"label {label!r} is not a variant of wordkey {key!r}")
     if type(target) is not int or type(line) is not int:
         name, value = ("target", target) if type(target) is not int else ("line", line)
@@ -247,9 +294,13 @@ def _read_record(record, sets: list[AmbiguousSet], by_key: dict[str, AmbiguousSe
         raise ValueError(f"'target' {target} is outside the {len(tokens)} tokens")
     if strip_diacritics(tokens[target]) != key:
         raise ValueError(f"target token {tokens[target]!r} does not strip to wordkey {key!r}")
-    aset.instances.append(Instance(tokens=tuple(tokens), target=target, label=label, line=line))
+    tokens = tuple(tokens)
+    aset.instances.append(Instance(shared.setdefault(tokens, tokens), target, label, line))
 
 
 # One encoder for every record: json.dumps with non-default options builds a
 # new JSONEncoder per call.
 _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# One scanner for every record: json.loads goes through a decoder's Python
+# methods on the way to it.
+_scan_once = json.JSONDecoder().scan_once

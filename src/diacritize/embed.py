@@ -239,12 +239,13 @@ def build_cowords(
     siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}
 
     counters: dict[str, Counter[str]] = {v: Counter() for v in targets}
+    word_kind = TokenKind.WORD
     for line in corpus.lines:
         # A window past either end of the line is the whole sentence.
         half = window // 2 if window else len(line)
         positions, words = [], []
         for pos, t in enumerate(line):
-            if t.kind is TokenKind.WORD:
+            if t.kind is word_kind:
                 positions.append(pos)
                 words.append(t.surface.lower() if lowercase else t.surface)
         for pos, word in zip(positions, words):

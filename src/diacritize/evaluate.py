@@ -217,6 +217,7 @@ def full_text_eval(restored: Corpus, gold: Corpus) -> dict:
     scored = 0
     correct = 0
     baseline_correct = 0
+    word_kind = TokenKind.WORD
     for line_no, (rline, gline) in enumerate(zip(restored.lines, gold.lines)):
         if len(rline) != len(gline):
             raise DataError(
@@ -225,7 +226,7 @@ def full_text_eval(restored: Corpus, gold: Corpus) -> dict:
             )
         errors = []
         for pos, (rtok, gtok) in enumerate(zip(rline, gline)):
-            if gtok.kind is not TokenKind.WORD:
+            if gtok.kind is not word_kind:
                 continue
             scored += 1
             gsurf = normalize(gtok.surface)

@@ -182,6 +182,8 @@ def load_pipeline(path) -> Pipeline:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid pipeline JSON: {exc.msg}", line=exc.lineno, path=path)
+        except RecursionError:
+            raise ParseError("invalid pipeline JSON: nested too deeply", path=path) from None
     try:
         family = payload["family"]
         if family not in FAMILIES:
@@ -197,8 +199,9 @@ def load_pipeline(path) -> Pipeline:
             raise ParseError("unambiguous must be an object of wordkey: form")
         if not all(isinstance(v, str) for v in unambiguous.values()):
             raise ParseError("unambiguous forms must be strings")
+        word_kind = TokenKind.WORD
         for key in (*index, *unambiguous):
-            if token_kind(key) is not TokenKind.WORD:
+            if token_kind(key) is not word_kind:
                 raise ParseError(f"routing key {key!r} is not a word")
         for key, form in unambiguous.items():
             if strip_diacritics(form) != key:

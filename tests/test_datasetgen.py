@@ -1,11 +1,14 @@
 import json
 import unicodedata
+from pathlib import Path
 
 import pytest
 
 from diacritize.corpus import corpus_from_lines, strip_diacritics
 from diacritize.datasetgen import (
+    AmbiguousSet,
     GenParams,
+    Instance,
     generate,
     read_dataset,
     write_dataset,
@@ -277,3 +280,70 @@ def test_non_integer_field_is_parse_error_with_line(tmp_path, field, value):
     with pytest.raises(ParseError, match="integer") as err:
         read_dataset(path)
     assert err.value.line == (1 if field == "count" else 2)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_dataset.jsonl"
+HEADER = '{"wordkey":"ab","variants":[["áb",1],["àb",1]]}'
+INSTANCE = '{"wordkey":"ab","tokens":["x","ab","y"],"target":1,"label":"áb","line":4}'
+
+
+def reference_read(path):
+    """A well-formed dataset read one json.loads per record, with no checks and no sharing."""
+    sets, by_key = [], {}
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            record = json.loads(raw)
+            if "variants" in record:
+                aset = AmbiguousSet(record["wordkey"], [(v, c) for v, c in record["variants"]])
+                sets.append(aset)
+                by_key[aset.wordkey] = aset
+            else:
+                by_key[record["wordkey"]].instances.append(
+                    Instance(tuple(record["tokens"]), record["target"], record["label"], record.get("line", -1))
+                )
+    return sets
+
+
+class TestReader:
+    def test_golden_dataset_reads_as_json_loads_reads_it_with_one_tuple_per_line(self):
+        sets = read_dataset(GOLDEN)
+        assert sets == reference_read(GOLDEN)
+        instances = [inst for aset in sets for inst in aset.instances]
+        assert len({id(inst.tokens) for inst in instances}) == len({inst.tokens for inst in instances})
+        assert len({inst.tokens for inst in instances}) < len(instances)
+
+    @pytest.mark.parametrize(
+        "lines, bad",
+        [
+            ([HEADER, '{"wordkey": oops'], 2),
+            ([HEADER, INSTANCE + " x"], 2),
+            ([HEADER, INSTANCE[:-12]], 2),
+            ([HEADER, "]"], 2),
+            (["\ufeff" + HEADER, INSTANCE], 1),
+        ],
+        ids=["bad value", "extra data", "truncated", "no value", "BOM"],
+    )
+    def test_invalid_json_is_worded_as_json_loads_words_it(self, tmp_path, lines, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(lines[bad - 1])
+        with pytest.raises(ParseError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:{bad}: invalid JSON: {expected.value.msg}"
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            # the earlier instance's line and tokens, but for one element that is not a string
+            '{"wordkey":"ab","tokens":["x","ab",7],"target":1,"label":"àb","line":4}',
+            '{"wordkey":"ab","tokens":["x","ab",["y"]],"target":1,"label":"àb","line":4}',
+        ],
+        ids=["repeated line", "nested list"],
+    )
+    def test_tokens_that_are_not_all_strings_are_refused(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{HEADER}\n{INSTANCE}\n{record}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:3: 'tokens' must be a list of strings"

@@ -5,8 +5,9 @@ element, swap a value for another JSON type, set an integer to -1 or 10**6,
 empty a list) and runs the command on it. The command must exit 0, 2 or 3
 and never raise. A restore that fails must fail at load, before it creates
 its output file. A vectors file with a wrong header, a short row or a
-non-numeric or non-finite component, and any input file that is not valid
-UTF-8, end with exit code 2 and a one-line message.
+non-numeric or non-finite component, any input file that is not valid
+UTF-8, and a dataset or pipeline nested too deeply for json's scanner, end
+with exit code 2 and a one-line message.
 """
 
 import copy
@@ -698,4 +699,31 @@ def test_dataset_form_that_is_not_of_its_wordkey_is_a_data_error(how, files, tmp
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{how}: {err!r}"
     assert err.startswith(f"diacritize: data error: {data}:{line}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train ngram", "eval cv", "restore"])
+def test_json_nested_too_deeply_is_a_data_error(command, files, tmp_path, capsys):
+    """10,000 nested lists overflow json's scanner; the command refuses the file with one line."""
+    deep = "[" * 10_000 + "]" * 10_000 + "\n"
+    out = tmp_path / "out"
+    if command == "restore":
+        bad = tmp_path / "pipe.json"
+        bad.write_text(deep, encoding="utf-8")
+        argv = ["restore", "--model", str(bad), "--in", str(files / "in.txt"), "--out", str(out)]
+        where = f"{bad}: "
+    else:
+        bad = tmp_path / "sets.jsonl"
+        header = (files / "sets.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        bad.write_text(f"{header}\n{deep}", encoding="utf-8")
+        argv = {
+            "train ngram": ["train", "ngram", str(files / "corpus.txt"), "--dataset", str(bad), "-o", str(out)],
+            "eval cv": ["eval", "cv", "--corpus", str(files / "corpus.txt"), "--dataset", str(bad),
+                        "--restorer", "ngram:2", "-k", "2", "--report", str(out)],
+        }[command]
+        where = f"{bad}:2: "
+    assert run_cli(argv, command) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{command}: {err!r}"
+    assert err.startswith(f"diacritize: data error: {where}"), err
     assert not out.exists()
