@@ -12,13 +12,13 @@ int32 table (_epoch_orders) that the lockstep head and the serial loop both
 read, and every set of that size walks the same rows.
 
 One training path serves `train clf` and `eval cv`: `fit_instances` hands
-_train_folds every wordkey's instances, and `cv_fitter` every fold it has
-queued. _train_folds lays out the term_counts of the call's distinct windows
-once (_term_table), builds each fold from its rows with the bits of
-Vectorizer.fit on its windows and transform on each (_fold_set), and trains
-them all in one call. A training set (_TrainingSet) holds its rows as padded
-numpy arrays, which the lockstep head, the serial loop and the naive Bayes fit
-read directly. The logistic and
+_train_folds every wordkey's instances, and `cv_fitter` the folds of a group of
+sets (cv_groups), all of which crossval fits before it scores any. _train_folds
+lays out the term_counts of the call's distinct windows once (_term_table),
+builds each fold from its rows with the bits of Vectorizer.fit on its windows
+and transform on each (_fold_set), and trains them all in one call. A training
+set (_TrainingSet) holds its rows as padded numpy arrays, which the lockstep
+head, the serial loop and the naive Bayes fit read directly. The logistic and
 linear-SVM models of such a call advance together in a numpy lockstep head,
 one step of every live (model, class) pair at a time, while at least
 _HEAD_FLOOR pairs are live; each model then finishes on the serial loop from
@@ -395,18 +395,35 @@ def _fit_nb(training: _TrainingSet, class_counts: list[int], hyper: Hyper) -> di
 # holds the folds of several sets (see _CV_BATCH_ROWS).
 _HEAD_FLOOR = 32
 
-# `eval cv` queues the folds of a group of sets for one training call; a group
-# takes sets until it holds this many training rows (fold training instances,
-# summed over the folds) or more. A group that stopped at or below a cap would
-# leave a set of more than half the cap to train alone, its ten two-class folds
-# 20 pairs, below _HEAD_FLOOR. Measured with `eval cv --restorer clf:logistic
-# -k 10` on a 200k-token bench corpus of 126 sets (Python 3.11, numpy 2.4,
-# 2-vCPU shared host; cold runs, interleaved, every report the same bytes),
-# with folds held as padded arrays: 15k rows took 14.6-16.8 s at 115-116 MB
-# peak RSS, 30k rows 10.6-16.1 s at 129 MB, faster than 15k in each of the 6
-# rounds that ran both, and 60k rows 9.2-13.1 s at 161 MB. Folds held as dicts
-# had peaked at 126 MB with 15k rows.
+# `eval cv` hands each group of sets (cv_groups) to one crossval call, whose
+# folds cv_fitter trains in one call; a group takes sets until it holds this
+# many training rows (fold training instances, summed over the folds) or more.
+# A group that stopped at or below a cap would leave a set of more than half
+# the cap to train alone, its ten two-class folds 20 pairs, below _HEAD_FLOOR.
+# Measured with `eval cv --restorer clf:logistic -k 10` on a 200k-token bench
+# corpus of 126 sets (Python 3.11, numpy 2.4, 2-vCPU shared host; cold runs,
+# interleaved, every report the same bytes), with folds held as padded arrays:
+# 15k rows took 14.6-16.8 s at 115-116 MB peak RSS, 30k rows 10.6-16.1 s at
+# 129 MB, faster than 15k in each of the 6 rounds that ran both, and 60k rows
+# 9.2-13.1 s at 161 MB. Folds held as dicts had peaked at 126 MB with 15k rows.
 _CV_BATCH_ROWS = 30_000
+
+
+def cv_groups(sets: list, k: int):
+    """The sets, in order, in groups of _CV_BATCH_ROWS training rows or more (the last may hold fewer).
+
+    A set counts (k - 1) x its instances, its k folds' training rows, or more
+    if it is too small to fold. Grouping changes no bit of any result.
+    """
+    group, rows = [], 0
+    for aset in sets:
+        group.append(aset)
+        rows += (k - 1) * len(aset.instances)
+        if rows >= _CV_BATCH_ROWS:
+            yield group
+            group, rows = [], 0
+    if group:
+        yield group
 
 
 def _fit_sgd(kind: str, sets: list[_TrainingSet], hyper: Hyper) -> list[dict]:
@@ -770,10 +787,11 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
 
     fit(train) checks the fold at once, so an untrainable fold raises there,
     then queues it and returns a predictor. The first prediction from any
-    queued fold trains the whole queue in one _train_folds call. Each
-    instance's window and term_counts are taken once for all its folds, and
-    let go when it is predicted, as crossval predicts each held-out instance
-    once, after every fold that trains on it has been fit.
+    queued fold trains the whole queue, every fold of the group of sets that
+    crossval was given, in one _train_folds call. Each instance's window and
+    term_counts are taken once for all its folds, and let go when it is
+    predicted, as crossval predicts each held-out instance once, after every
+    fold that trains on it has been fit.
     """
     cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
     queue: list[tuple[list[Instance], list]] = []  # each fold's training instances, and a list for its classifier

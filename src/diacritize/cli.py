@@ -357,14 +357,16 @@ def _cmd_cv(args) -> int:
         if family == "emb" and detail != embed.BASIC:
             model = embed.enhance(emb_model, cowords, scheme=detail)
         if family == "clf":
+            # One fit serves every set, and each group's folds train in one call.
             fit = classify.cv_fitter(detail, window=windows["clf"], hyper=classify.Hyper(seed=args.seed))
-            fitted = _queued_folds(fit, sets, args.k, args.seed)
+            results = (result for group in classify.cv_groups(sets, args.k)
+                       for result in evaluate.crossval(fit, group, args.k, args.seed))
         else:
-            fitted = ((aset, _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords))
-                      for aset in sets)
+            fits = (_make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords)
+                    for aset in sets)
+            results = (evaluate.crossval(fit, aset, args.k, args.seed) for fit, aset in zip(fits, sets))
         per_wordkey, fold_details = {}, {}
-        for aset, fit in fitted:
-            result = evaluate.crossval(fit, aset, k=args.k, seed=args.seed)
+        for aset, result in zip(sets, results):
             rep = evaluate.wordkey_report(result.matrix)
             rep.pop("per_class")
             per_wordkey[aset.wordkey] = rep
@@ -396,41 +398,6 @@ def _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model,
     if family == "ngram":
         return ngram.cv_fitter(ngram_counts, aset, candidates, n=detail)
     return embed.cv_fitter(model, aset, scheme=detail, window=windows["emb"], cowords=cowords)
-
-
-def _queued_folds(fit, sets, k: int, seed: int):
-    """Each set with its per-set fit, once fit has queued every fold of the set's group.
-
-    A group takes sets until it holds classify._CV_BATCH_ROWS training rows or
-    more. fit(train) is called once per fold, in fold_plan order; what it
-    returns, or the DataError or ModelError it raises, is kept, and the per-set
-    fit hands these back to crossval, which asks for them in the same order.
-    """
-    group, rows = [], 0
-    for n, aset in enumerate(sets, 1):
-        fitted = []
-        for _, train, _ in evaluate.fold_plan(aset, k, seed)[0]:
-            try:
-                fitted.append(fit(train))
-            except (DataError, ModelError) as exc:  # crossval records the failed fold
-                fitted.append(exc)
-            rows += len(train)
-        group.append((aset, _handed_back(fitted)))
-        if rows >= classify._CV_BATCH_ROWS or n == len(sets):
-            yield from group
-            group, rows = [], 0
-
-
-def _handed_back(fitted: list):
-    """A fit that returns, or raises, each of fitted in turn (letting it go), whatever training it is given."""
-
-    def fit(train):
-        result = fitted.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    return fit
 
 
 def _cmd_oddword(args) -> int:

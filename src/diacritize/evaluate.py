@@ -99,46 +99,46 @@ def fold_plan(aset: AmbiguousSet, k: int = 10, seed: int = 0):
     return plan, None
 
 
-def crossval(fit, aset: AmbiguousSet, k: int = 10, seed: int = 0) -> CrossvalResult:
-    """k-fold evaluation of one ambiguous set, summed into a single matrix.
+def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = 10, seed: int = 0):
+    """k-fold evaluation of one ambiguous set, as a CrossvalResult, or of each set of a list, as a list.
 
     fit(train_instances) must return a predictor: instance -> variant surface.
-    It is called once per fold, in fold_plan order, so a caller may fit the
-    folds ahead and hand each back (see cli._queued_folds). When the set is
-    too small to fold, it is scored train-on-all with a warning; when a fold's
-    training raises DataError or ModelError, its instances are scored against
-    the majority variant of the training data and the failure is recorded.
+    It is called for every fold of every set, in fold_plan order, before any
+    fold is scored (see classify.cv_fitter); each predictor goes once its fold
+    is scored. A set too small to fold is scored train-on-all with a warning,
+    and an error from that fit propagates; a fold whose training raises
+    DataError or ModelError is scored against the majority variant of its
+    training data and recorded as failed.
     """
-    classes = [v for v, _ in aset.variants]
-    cm = ConfusionMatrix(classes=list(classes))
-    result = CrossvalResult(matrix=cm, fold_accuracies=[])
-    plan, warning = fold_plan(aset, k, seed)
-    if warning is not None:
-        result.warnings.append(warning)
-    for fold_no, train, test in plan:
-        if fold_no is None:  # train-on-all: an error here is the set's own
-            _score_fold(cm, result, test, fit(train))
-            continue
-        try:
-            predictor = fit(train)
-        except (DataError, ModelError) as exc:
-            labels = [i.label for i in train]
-            majority = majority_variant([(v, labels.count(v)) for v in set(labels)])
-            result.failed_folds.append(fold_no)
-            result.warnings.append(f"{aset.wordkey} fold {fold_no}: {exc}")
-            predictor = lambda inst, m=majority: m
-        _score_fold(cm, result, test, predictor)
-    return result
-
-
-def _score_fold(cm, result, instances, predictor):
-    correct = 0
-    for inst in instances:
-        pred = predictor(inst)
-        cm.add(inst.label, pred)
-        if pred == inst.label:
-            correct += 1
-    result.fold_accuracies.append(correct / len(instances) if instances else 0.0)
+    walks = []
+    for one in aset if isinstance(aset, list) else [aset]:
+        result = CrossvalResult(matrix=ConfusionMatrix(classes=[v for v, _ in one.variants]), fold_accuracies=[])
+        plan, warning = fold_plan(one, k, seed)
+        if warning is not None:
+            result.warnings.append(warning)
+        folds = []
+        for fold_no, train, test in plan:
+            try:
+                folds.append((test, fit(train)))
+            except (DataError, ModelError) as exc:
+                if fold_no is None:  # train-on-all: an error here is the set's own
+                    raise
+                labels = [i.label for i in train]
+                majority = majority_variant([(v, labels.count(v)) for v in set(labels)])
+                result.failed_folds.append(fold_no)
+                result.warnings.append(f"{one.wordkey} fold {fold_no}: {exc}")
+                folds.append((test, lambda inst, m=majority: m))
+        walks.append((result, folds))
+    for result, folds in walks:
+        while folds:  # popped, so each predictor goes once its fold is scored
+            test, predictor = folds.pop(0)
+            correct = 0
+            for inst in test:
+                pred = predictor(inst)
+                result.matrix.add(inst.label, pred)
+                correct += pred == inst.label
+            result.fold_accuracies.append(correct / len(test) if test else 0.0)
+    return [result for result, _ in walks] if isinstance(aset, list) else walks[0][0]
 
 
 def metrics(cm: ConfusionMatrix) -> dict:

@@ -2,8 +2,8 @@
 
 The tracer wraps toolkit functions by module attribute name. A rename or
 removal in src/ would only show as a crash of the traced benchmark run; these
-tests install the tracer around one small restore, one small n-gram and one
-small embedding `eval cv`, and each command of the bench's train job, and check
+tests install the tracer around one small restore, one small `eval cv` of each
+restorer family, and each command of the bench's train job, and check
 that it finds every attribute, records the calls, changes no output byte, and
 puts every attribute back.
 """
@@ -75,6 +75,7 @@ def test_traced_restore_is_byte_identical(spans, tmp_path, family):
 
 # Each cv restorer the tracer follows: the spans it must record.
 CV_SPANS = {
+    "clf:logistic": ["classify.extract_window", "classify.predict"],
     "ngram:2": ["ngram.prepare", "ngram.find_occurrences", "ngram.train_from_occurrences",
                 "ngram.restore_instance"],
     "emb:tweak2": ["embed.load_vectors", "embed.build_cowords", "embed.enhance",

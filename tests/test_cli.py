@@ -816,7 +816,13 @@ class TestBatchedClassifierCv:
         heads = self.recorded(monkeypatch, classify, "_lockstep_head")
         trainings = self.recorded(monkeypatch, classify, "_train_models")
         real_crossval, results = evaluate.crossval, []
-        monkeypatch.setattr(evaluate, "crossval", lambda *a, **kw: results.append(real_crossval(*a, **kw)) or results[-1])
+
+        def recorded_crossval(*a, **kw):
+            result = real_crossval(*a, **kw)
+            results.extend(result if isinstance(result, list) else [result])
+            return result
+
+        monkeypatch.setattr(evaluate, "crossval", recorded_crossval)
         batched = self.cv(capsys, dataset, tmp_path / "batched.json", kind)
         assert len(trainings) == 1 and len(heads) == 1
         batched_results, results[:] = results[:], []
@@ -926,6 +932,30 @@ class TestBatchedClassifierCv:
         code, _, err = run(capsys, "eval", "cv", "--dataset", str(dataset), "--restorer", "clf:logistic", "-k", "3")
         assert code == 2
         assert f"{dataset}:7: second header for wordkey 'akwa'" in err
+
+
+# One restorer of each family and its report's pin (`eval cv -k 3` on the fixture
+# corpus, the golden dataset and the `vectors_file` vectors).
+CV_FAMILY_REPORT_SHA = {
+    "clf:logistic": CV_CLF_REPORT_SHA,
+    "ngram:2": CV_NGRAM_REPORT_SHA[("ngram:2",)],
+    "emb:basic": CV_EMB_REPORT_SHA["basic"],
+}
+
+
+@pytest.mark.parametrize("restorer", sorted(CV_FAMILY_REPORT_SHA))
+def test_cv_plans_each_set_once(capsys, tmp_path, vectors_file, monkeypatch, restorer):
+    calls = []
+    real = evaluate.stratified_folds
+    monkeypatch.setattr(evaluate, "stratified_folds", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "eval", "cv", "--corpus", FIXTURE, "--dataset", str(GOLDEN), "--vectors", vectors_file,
+        "--restorer", restorer, "-k", "3", "--report", str(report),
+    )
+    assert code == 0
+    assert sha256(report) == CV_FAMILY_REPORT_SHA[restorer]
+    assert len(calls) == len(datasetgen.read_dataset(GOLDEN))
 
 
 class TestGoldenNgramPipelineBytes:

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -173,6 +174,100 @@ class TestCrossval:
         m1 = crossval(rng_fit(7), aset, k=5, seed=3).matrix
         m2 = crossval(rng_fit(7), aset, k=5, seed=3).matrix
         assert m1.cells == m2.cells
+
+
+def keys(instances):
+    return [(i.tokens[1], i.line) for i in instances]
+
+
+def recording_fit(log, raising=()):
+    """A fit that logs ("fit", keys of its training) per call and ("predict", call number) per
+    prediction, and raises ModelError on the calls numbered in raising. Each predictor answers
+    its training's first label for every third line and the true label otherwise, and checks
+    that every predictor of an earlier call has been let go."""
+    refs = []
+
+    def fit(train):
+        n = len(refs)
+        log.append(("fit", keys(train)))
+        refs.append(lambda: None)
+        if n in raising:
+            raise ModelError("no fit")
+        first = train[0].label
+
+        def predictor(inst):
+            assert all(ref() is None for ref in refs[:n]), "an earlier fold's predictor is still held"
+            log.append(("predict", n))
+            return first if inst.line % 3 == 0 else inst.label
+
+        refs[n] = weakref.ref(predictor)
+        return predictor
+
+    return fit
+
+
+def fold_trains(aset, k, seed):
+    return [("fit", keys(train)) for _, train, _ in fold_plan(aset, k, seed)[0]]
+
+
+def same_result(got, want):
+    return (got.matrix.classes, got.matrix.cells, got.fold_accuracies, got.failed_folds, got.warnings) == (
+        want.matrix.classes, want.matrix.cells, want.fold_accuracies, want.failed_folds, want.warnings
+    )
+
+
+class TestCrossvalOverSets:
+    """crossval over a list of sets: every fold fit first, in plan order, then each set scored."""
+
+    @staticmethod
+    def sets():
+        return [
+            make_set({"x": 6, "y": 4}, "a"),
+            make_set({"x": 5, "y": 5, "z": 3}, "b"),
+            make_set({"x": 2, "y": 1}, "c"),  # too small to fold
+        ]
+
+    def test_every_fold_is_fit_in_plan_order_before_any_prediction(self):
+        a, b, c = self.sets()
+        log = []
+        results = crossval(recording_fit(log), [a, b, c], k=4, seed=1)
+        fits = fold_trains(a, 4, 1) + fold_trains(b, 4, 1) + fold_trains(c, 4, 1)
+        assert len(fits) == 9
+        assert log[: len(fits)] == fits
+        assert all(kind == "predict" for kind, _ in log[len(fits):])
+        # the predictions walk the folds in order, each fold's predictor once
+        called = [n for _, n in log[len(fits):]]
+        assert called == sorted(called) and set(called) == set(range(9))
+        assert len(results) == 3
+
+    def test_each_result_equals_crossval_of_its_set_alone(self):
+        results = crossval(recording_fit([]), self.sets(), k=4, seed=1)
+        for got, aset in zip(results, self.sets()):
+            want = crossval(recording_fit([]), aset, k=4, seed=1)
+            assert same_result(got, want)
+            assert got.matrix.total == len(aset.instances)
+        assert "evaluated train-on-all" in results[2].warnings[0]
+
+    def test_a_failed_fold_of_one_set_stays_with_that_set(self):
+        a, b, c = self.sets()
+        # call 5 is b's fold 1: a takes calls 0-3
+        results = crossval(recording_fit([], raising={5}), [a, b, c], k=4, seed=1)
+        assert [r.failed_folds for r in results] == [[], [1], []]
+        assert results[1].warnings == ["b fold 1: no fit"]
+        assert results[0].warnings == [] and len(results[2].warnings) == 1
+        assert same_result(results[1], crossval(recording_fit([], raising={1}), b, k=4, seed=1))
+
+    def test_a_train_on_all_error_propagates_before_any_prediction(self):
+        a, b, c = self.sets()
+        log = []
+        with pytest.raises(ModelError, match="no fit"):
+            crossval(recording_fit(log, raising={4}), [a, c, b], k=4, seed=1)
+        assert [kind for kind, _ in log] == ["fit"] * 5
+
+    def test_a_list_of_one_set_gives_a_list_of_one_result(self):
+        a = self.sets()[0]
+        [result] = crossval(recording_fit([]), [a], k=4, seed=1)
+        assert same_result(result, crossval(recording_fit([]), a, k=4, seed=1))
 
 
 class TestMetrics:

@@ -1,8 +1,9 @@
 """Every function and every class member in src/ is reached from src/, apart
 from short allow-lists, every module in src/ uses every name it imports, the
 classifier's scoring and training loops never call sum(), its SGD training
-calls no numpy reduction, and the token walks bind TokenKind's member before
-they loop."""
+calls no numpy reduction, the token walks bind TokenKind's member before
+they loop, and no module in src/ reads another module's underscore-prefixed
+names."""
 
 import ast
 from pathlib import Path
@@ -287,3 +288,50 @@ def test_token_walks_read_no_token_kind_member_in_a_loop():
     for qualified in NO_TOKEN_KIND_READ_IN_LOOP:
         module, name = qualified.split(".")
         assert reads_token_kind_in_loop((SRC / f"{module}.py").read_text(encoding="utf-8"))[name] is False, qualified
+
+
+def private_reads(sources: dict[str, str]) -> set[str]:
+    """"module: other._name" for each underscore-prefixed name that a module of sources
+    reads from another module of sources.
+
+    A module reads one as an attribute of a module it imported (`from . import
+    other` or `from diacritize import other`, then `other._name`), or by
+    importing it (`from .other import _name`). Dunder names are left out.
+    """
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found = set()
+    for stem, source in sources.items():
+        tree = ast.parse(source)
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "diacritize"):
+                modules.update((a.asname or a.name, a.name) for a in node.names if a.name in sources)
+            else:
+                other = node.module if node.level == 1 else (node.module or "").removeprefix("diacritize.")
+                if other in sources and other != stem:
+                    found |= {f"{stem}: {other}.{a.name}" for a in node.names if private(a.name)}
+        found |= {
+            f"{stem}: {modules[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and private(node.attr)
+        }
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    probe = {
+        "a": "from . import b\nx = b._hidden\ny = b.shown\nz = b.__doc__\n",
+        "b": "from .c import _tool, tool\nimport os\nos._exit(0)\n",
+        "c": "_tool = tool = 1\n",
+        "d": "from diacritize import a as m\nm._x()\n",
+        "e": "from diacritize.c import _tool\nfrom . import c\nc.tool\n",
+        "f": "from .f import _self\n",
+    }
+    assert private_reads(probe) == {"a: b._hidden", "b: c._tool", "d: a._x", "e: c._tool"}
+    assert private_reads({path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}) == set()
