@@ -41,12 +41,15 @@ Python 3.12 it rounds a sum of floats in another way. Nor does the builder or
 SGD call a numpy reduction (sum, dot, @, einsum, norm, add.reduce), which adds
 in pairwise or BLAS order.
 
-Restoring a token is one lean pass per step, with the plain definition's
-values and float operations in the same order: extract_window slices either
-side of the target and asks token_kind only about a token that is not all
-letters; transform fills one dict in place (counts, tf-idf, unit length); and
-predict keeps the leader while it sums each linear margin, sending a tie, a
-NaN score and naive Bayes to _argmax over the full scores.
+Restoring a token is one walk over its window's keys (TextClassifier.predict_at),
+with the plain definition's values and float operations in the same order. It
+reads the classifier's vocabulary first and asks the word test only of a hit,
+which keeps the terms, and their first-seen order, that extract_window and
+transform keep; it weighs their counts with _unit_tfidf in the dict it filled,
+and keeps the leader while it sums each linear margin, sending a tie, a NaN
+score and naive Bayes to _argmax over the full scores. CV scores the windows
+it cached for training through transform and predict, which give the same
+answer.
 """
 
 from __future__ import annotations
@@ -702,9 +705,14 @@ def predict(model: LinearModel, x: dict[int, float]) -> str:
 
     A tie, a NaN score and naive Bayes go to _argmax over the full scores.
     """
+    _check_indices(model, x)
+    return _leader(model, x)
+
+
+def _leader(model: LinearModel, x: dict[int, float]) -> str:
+    """predict of an x whose indices lie in the model."""
     if model.kind == MULTINOMIAL_NB:
         return _argmax(model, predict_scores(model, x))
-    _check_indices(model, x)
     terms = x.items()
     top, winner, tied = -math.inf, None, False
     for cls, row, bias in zip(model.classes, model.rows, model.offsets):
@@ -751,6 +759,28 @@ class TextClassifier:
 
     def predict_window(self, window: list[str]) -> str:
         return predict(self.model, self.vectorizer.transform(window))
+
+    def predict_at(self, keys, i: int) -> str:
+        """predict_window(extract_window(keys, i, self.window)), in one walk over the window's keys.
+
+        A key counts when it is in the vocabulary and is a word. The
+        vocabulary is asked first, and the word test only of a hit, which
+        keeps the terms that extract_window and transform keep, in their
+        first-seen order; the counts, weights and scores are transform's and
+        predict's. The loader checked the window and the vocabulary's indices,
+        and the restore walk passes only an i inside keys, so nothing is
+        checked again.
+        """
+        n = self.window
+        size = min(n, len(keys))
+        start = min(max(i - n // 2, 0), len(keys) - size)
+        vocabulary = self.vectorizer.vocabulary
+        vec: dict[int, float] = {}
+        for t in keys[start:i] + keys[i + 1 : start + size]:
+            idx = vocabulary.get(t)
+            if idx is not None and (t.isalpha() or token_kind(t) is _WORD):
+                vec[idx] = vec.get(idx, 0) + 1
+        return _leader(self.model, _unit_tfidf(vec, self.vectorizer.idf))
 
 
 def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None) -> list[TextClassifier]:
@@ -932,8 +962,7 @@ class ClassifierBank:
     classifiers: dict[str, TextClassifier]
 
     def predict_instance(self, keys, i: int, restored: list[str]) -> str:
-        clf = self.classifiers[keys[i]]
-        return clf.predict_window(extract_window(keys, i, clf.window))
+        return self.classifiers[keys[i]].predict_at(keys, i)
 
     def to_payload(self) -> dict:
         return {"models": {key: classifier_payload(clf) for key, clf in sorted(self.classifiers.items())}}

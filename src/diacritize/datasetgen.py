@@ -299,8 +299,10 @@ def _read_record(
 
 
 # One encoder for every record: json.dumps with non-default options builds a
-# new JSONEncoder per call.
-_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# new JSONEncoder per call. A record is a dict built on the spot from lists,
+# strings and numbers, so it holds no cycle: without check_circular the C
+# encoder keeps no marker per container, for the same bytes.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False).encode
 # One scanner for every record: json.loads goes through a decoder's Python
 # methods on the way to it.
 _scan_once = json.JSONDecoder().scan_once

@@ -104,8 +104,9 @@ def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = 10, seed: in
 
     fit(train_instances) must return a predictor: instance -> variant surface.
     It is called for every fold of every set, in fold_plan order, before any
-    fold is scored (see classify.cv_fitter); each predictor goes once its fold
-    is scored. A set too small to fold is scored train-on-all with a warning,
+    fold is scored, and each predictor goes once its fold is scored:
+    classify.cv_fitter and ngram.cv_fitter build a fold's model at its first
+    prediction. A set too small to fold is scored train-on-all with a warning,
     and an error from that fit propagates; a fold whose training raises
     DataError or ModelError is scored against the majority variant of its
     training data and recorded as failed.

@@ -273,6 +273,11 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
     `SharedCounts` (counted at any order >= n) to share one count across
     wordkeys and orders; given a corpus or a PreparedCorpus, the fitter
     counts its own at order n.
+
+    fit(train) notes the fold's held-out lines and returns a predictor that
+    builds the fold's model at its first call. crossval fits every fold of a
+    set before it scores any and lets each predictor go once its fold is
+    scored, so one fold model is alive at a time.
     """
     if any(inst.line < 0 for inst in aset.instances):
         raise ModelError(
@@ -292,8 +297,15 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
         skip = {
             i.line for i in aset.instances if (i.line, i.target) not in train_keys
         }
-        model = fold_model(shared, skip)
-        return lambda inst: restore_instance(model, inst, n)
+        model = None
+
+        def predictor(inst: Instance) -> str:
+            nonlocal model
+            if model is None:
+                model = fold_model(shared, skip)
+            return restore_instance(model, inst, n)
+
+        return predictor
 
     return fit
 

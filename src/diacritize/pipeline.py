@@ -168,7 +168,10 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
         "restorer": pipeline.restorer.to_payload(),
     }
     try:
-        text = json.dumps(payload, ensure_ascii=False, allow_nan=False)
+        # The payload is a tree of fresh dicts over the models' lists, strings
+        # and numbers, so it holds no cycle: without check_circular the C
+        # encoder keeps no marker per container, for the same bytes.
+        text = json.dumps(payload, ensure_ascii=False, allow_nan=False, check_circular=False)
     except ValueError:
         raise ModelError(f"{path}: not written: the pipeline holds an infinite or NaN number") from None
     with replace_on_success(path) as fh:

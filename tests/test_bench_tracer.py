@@ -65,8 +65,6 @@ def test_traced_restore_is_byte_identical(spans, tmp_path, family):
         f"pipeline.{step}.{family}"
         for step in ("load_pipeline", "restore_line", "predict_instance", "match_case")
     ]
-    if family == "clf":
-        expected += ["classify.extract_window", "classify.predict"]
     for name in expected:
         assert recorded[name]["calls"] >= 1, name
     assert all(m.__dict__[a] is fn for (m, a), fn in before.items())

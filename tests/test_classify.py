@@ -15,6 +15,7 @@ from diacritize.classify import (
     LOGISTIC,
     MULTINOMIAL_NB,
     PERCEPTRON,
+    TextClassifier,
     Vectorizer,
     extract_window,
     fit_instances,
@@ -493,6 +494,27 @@ def tied_copy(model):
     return dataclasses.replace(model, rows=rows.tolist(), offsets=offsets.tolist())
 
 
+def swapped_copy(model):
+    """The model with class 1 scored as class 0 with features 0 and 1 swapped; class 2 far behind.
+
+    In a window whose first two terms are features 0 and 1, equally weighted,
+    classes 0 and 1 add the same two addends in the two orders. Summed from
+    0.0 they tie, so a linear margin ties; summed from the naive Bayes prior
+    they may round apart. A tie goes to class 1, the more frequent.
+    """
+    rows, offsets = [list(row) for row in model.rows], list(model.offsets)
+    rows[1] = [rows[0][1], rows[0][0], *rows[0][2:]]
+    offsets[1], offsets[2] = offsets[0], offsets[0] - 1e3
+    return dataclasses.replace(model, rows=rows, offsets=offsets, class_counts=[1, 2, 1])
+
+
+def nan_copy(model, feature):
+    """The model with class 2's weight for feature NaN."""
+    rows = [list(row) for row in model.rows]
+    rows[2][feature] = math.nan
+    return dataclasses.replace(model, rows=rows)
+
+
 class TestScoresMatchNumpyScalars:
     """Scoring gives the very floats that the numpy-scalar formula gives."""
 
@@ -639,6 +661,47 @@ class TestLeanRestorePath:
             expected = reference_window(tokens, target, n)
             assert extract_window(tokens, target, n) == expected
             assert extract_window(list(tokens), target, n) == expected
+
+    @pytest.mark.parametrize("kind", [PERCEPTRON, LOGISTIC, LINEAR_SVM, MULTINOMIAL_NB])
+    def test_predict_at_is_predict_of_the_transformed_window(self, kind, monkeypatch):
+        # Vocabulary terms, the non-words ",", "3" and "€" among them, then keys outside it.
+        terms = ["ha", "ka", "ọ́", "Ụ", "na-", "n'", "a1", "x̀", "αβ", "мир", ",", "3", "€"]
+        pool = terms + ["ha", "ka"] * 4 + [
+            "ñ", "12", "1a", ".", "!", "…", "-", "'", "+", "中文", "̀", "Ⅻ", "", "n’", "ọ",
+        ]
+        rng = random.Random(59)
+        idf = [rng.uniform(1.0, 3.0) for _ in terms]
+        idf[1] = idf[0]  # so "ha" and "ka" once each weigh the same (see swapped_copy)
+        vectorizer = Vectorizer({t: j for j, t in enumerate(terms)}, idf)
+        X = [{rng.randrange(len(terms)): rng.random() for _ in range(rng.randrange(1, 6))} for _ in range(90)]
+        y = ["ABC"[min(x) % 3] for x in X]
+        model = train_classifier(kind, X, y, len(terms), Hyper(epochs=5, seed=4))
+        models = [model, tied_copy(model), swapped_copy(model), nan_copy(model, terms.index("Ụ"))]
+        # The scores that reach _argmax from predict_at: a NaN among them, or a tie for the top.
+        fallbacks = {"tie": 0, "nan": 0}
+        argmax = classify._argmax
+
+        def recording(m, scores):
+            values = list(scores.values())
+            if any(s != s for s in values):
+                fallbacks["nan"] += 1
+            elif values.count(max(values)) > 1:
+                fallbacks["tie"] += 1
+            return argmax(m, scores)
+
+        cases = []
+        for _ in range(1500):
+            keys = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 17)))
+            i = rng.choice([0, len(keys) - 1, rng.randrange(len(keys))])
+            n = rng.choice([3, 5, 7, 9, 11, 13])
+            for m in models:
+                expected = outcome(predict, m, vectorizer.transform(extract_window(keys, i, n)))
+                cases.append((TextClassifier(n, vectorizer, m), keys, i, expected))
+        monkeypatch.setattr(classify, "_argmax", recording)
+        for clf, keys, i, expected in cases:
+            assert outcome(clf.predict_at, keys, i) == expected
+            assert outcome(clf.predict_at, list(keys), i) == expected
+        assert fallbacks["tie"] > 100 and fallbacks["nan"] > 100
 
 
 def holds_numpy(value) -> bool:

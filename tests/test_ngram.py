@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,54 @@ class TestCrossval:
                     # a row the held-out lines empty reads as unseen, as in the recount
                     assert view.get(ctx) == table.get(ctx)
                 assert count(view, (), "no such variant") == 0
+
+    @staticmethod
+    def recorded_fold_models(monkeypatch):
+        """A weak reference to each model ngram.fold_model builds, in order."""
+        built = []
+        real = ngram.fold_model
+
+        def recording(shared, skip_lines):
+            model = real(shared, skip_lines)
+            built.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(ngram, "fold_model", recording)
+        return built
+
+    def test_fold_model_is_built_at_the_first_prediction(self, bigram_corpus, monkeypatch):
+        corp, major, minor = bigram_corpus
+        sets = datasetgen.generate(corp)
+        aset = next(s for s in sets if s.wordkey == "ko")
+        cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
+        built = self.recorded_fold_models(monkeypatch)
+        fit = ngram.cv_fitter(corp, aset, cands, 2)
+        plan = evaluate.fold_plan(aset, 10, 0)[0]
+        predictors = [(test, fit(train)) for _, train, test in plan]
+        assert built == []
+        test, predictor = predictors[0]
+        for inst in test:
+            predictor(inst)
+        assert len(built) == 1
+
+    def test_one_fold_model_is_alive_while_crossval_scores(self, bigram_corpus, monkeypatch):
+        corp, major, minor = bigram_corpus
+        sets = datasetgen.generate(corp)
+        aset = next(s for s in sets if s.wordkey == "ko")
+        cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
+        expected = evaluate.crossval(ngram.cv_fitter(corp, aset, cands, 2), aset, k=10, seed=0)
+        built = self.recorded_fold_models(monkeypatch)
+        alive = []
+        real = ngram.restore_instance
+
+        def counting(model, inst, n):
+            alive.append(sum(ref() is not None for ref in built))
+            return real(model, inst, n)
+
+        monkeypatch.setattr(ngram, "restore_instance", counting)
+        result = evaluate.crossval(ngram.cv_fitter(corp, aset, cands, 2), aset, k=10, seed=0)
+        assert len(built) == 10 and set(alive) == {1}
+        assert result == expected
 
     def test_shared_count_below_the_order_is_a_model_error(self, bigram_corpus):
         corp, major, minor = bigram_corpus
