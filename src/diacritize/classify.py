@@ -47,9 +47,8 @@ reads the classifier's vocabulary first and asks the word test only of a hit,
 which keeps the terms, and their first-seen order, that extract_window and
 transform keep; it weighs their counts with _unit_tfidf in the dict it filled,
 and keeps the leader while it sums each linear margin, sending a tie, a NaN
-score and naive Bayes to _argmax over the full scores. CV scores the windows
-it cached for training through transform and predict, which give the same
-answer.
+score and naive Bayes to _argmax over the full scores. CV scores each held-out
+instance with the same step (cv_fitter), so it checks the code that restores.
 """
 
 from __future__ import annotations
@@ -98,25 +97,30 @@ def odd_window(n) -> bool:
     return type(n) is int and n >= 3 and n % 2 == 1
 
 
-def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
-    """Context words from the width-n sticky window around the target.
-
-    The window holds min(n, len) contiguous tokens, centered on the target
-    when possible and pushed inward at sentence boundaries; the target itself
-    and any punctuation/digit/symbol tokens are excluded.
-    """
+def check_window(n) -> None:
+    """Refuse, with DataError, a window size that breaks the window rule (odd_window)."""
     if not odd_window(n):
         raise DataError(f"window size must be an odd integer >= 3, got {n}")
+
+
+def _sticky(tokens, i: int, n: int):
+    """The width-n sticky window around i, less tokens[i]: min(n, len) contiguous
+    tokens, centered on i when possible and pushed inward at sentence boundaries."""
+    size = min(n, len(tokens))
+    start = min(max(i - n // 2, 0), len(tokens) - size)
+    return tokens[start:i] + tokens[i + 1 : start + size]
+
+
+def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
+    """Context words from the width-n sticky window around the target (_sticky).
+
+    Punctuation, digit and symbol tokens are excluded.
+    """
+    check_window(n)
     if not (0 <= target_index < len(tokens)):
         raise DataError(f"target index {target_index} out of range")
-    size = min(n, len(tokens))
-    start = min(max(target_index - n // 2, 0), len(tokens) - size)
     # A string of letters is a word: isalpha() settles most tokens at once.
-    return [
-        t
-        for t in tokens[start:target_index] + tokens[target_index + 1 : start + size]
-        if t.isalpha() or token_kind(t) is _WORD
-    ]
+    return [t for t in _sticky(tokens, target_index, n) if t.isalpha() or token_kind(t) is _WORD]
 
 
 @dataclass
@@ -409,6 +413,8 @@ _HEAD_FLOOR = 32
 # 15k rows took 14.6-16.8 s at 115-116 MB peak RSS, 30k rows 10.6-16.1 s at
 # 129 MB, faster than 15k in each of the 6 rounds that ran both, and 60k rows
 # 9.2-13.1 s at 161 MB. Folds held as dicts had peaked at 126 MB with 15k rows.
+# Those peaks predate the dataset read that shares one token tuple per line;
+# since it, an in-process run of the same CV peaks at 87.7 MB with 30k rows.
 _CV_BATCH_ROWS = 30_000
 
 
@@ -757,26 +763,20 @@ class TextClassifier:
     vectorizer: Vectorizer
     model: LinearModel
 
-    def predict_window(self, window: list[str]) -> str:
-        return predict(self.model, self.vectorizer.transform(window))
-
     def predict_at(self, keys, i: int) -> str:
-        """predict_window(extract_window(keys, i, self.window)), in one walk over the window's keys.
+        """predict(model, transform(extract_window(keys, i, window))), in one walk over the window's keys.
 
         A key counts when it is in the vocabulary and is a word. The
         vocabulary is asked first, and the word test only of a hit, which
         keeps the terms that extract_window and transform keep, in their
         first-seen order; the counts, weights and scores are transform's and
-        predict's. The loader checked the window and the vocabulary's indices,
-        and the restore walk passes only an i inside keys, so nothing is
-        checked again.
+        predict's. The loader or cv_fitter checked the window, the loader or
+        _fold_set the vocabulary's indices, and restore and CV pass only an i
+        inside keys, so nothing is checked again.
         """
-        n = self.window
-        size = min(n, len(keys))
-        start = min(max(i - n // 2, 0), len(keys) - size)
         vocabulary = self.vectorizer.vocabulary
         vec: dict[int, float] = {}
-        for t in keys[start:i] + keys[i + 1 : start + size]:
+        for t in _sticky(keys, i, self.window):
             idx = vocabulary.get(t)
             if idx is not None and (t.isalpha() or token_kind(t) is _WORD):
                 vec[idx] = vec.get(idx, 0) + 1
@@ -788,20 +788,19 @@ def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None
 
     The first group that cannot train raises train_classifier's error for it.
     """
-    counts = lambda inst: term_counts(extract_window(inst.tokens, inst.target, window))
-    return _train_folds(kind, list(map(list, groups)), window, hyper, counts)
+    return _train_folds(kind, list(map(list, groups)), window, hyper)
 
 
-def _train_folds(kind: str, folds: list[list[Instance]], window: int, hyper: Hyper | None, counts) -> list[TextClassifier]:
+def _train_folds(kind: str, folds: list[list[Instance]], window: int, hyper: Hyper | None) -> list[TextClassifier]:
     """One classifier per fold of training instances, each with the bits it would get alone.
 
-    Every fold is checked before anything is built. The distinct instances
-    make one term table of their counts(instance), dropped before training;
+    Every fold is checked before anything is built. The term_counts of each
+    distinct instance's window make one term table, dropped before training;
     _fold_set builds each fold from its rows, and _train_models trains all.
     """
     classes = [_instance_classes(kind, fold) for fold in folds]
     distinct = {id(inst): inst for fold in folds for inst in fold}
-    table = _term_table([counts(inst) for inst in distinct.values()])
+    table = _term_table([term_counts(extract_window(i.tokens, i.target, window)) for i in distinct.values()])
     row = dict(zip(distinct, range(len(distinct))))
     built = [
         _fold_set(table, np.array([row[id(i)] for i in fold]), [i.label for i in fold], fold_classes)
@@ -815,40 +814,31 @@ def _train_folds(kind: str, folds: list[list[Instance]], window: int, hyper: Hyp
 def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
     """A per-fold fit for CV, over any number of wordkeys; the folds train together.
 
-    fit(train) checks the fold at once, so an untrainable fold raises there,
-    then queues it and returns a predictor. The first prediction from any
-    queued fold trains the whole queue, every fold of the group of sets that
-    crossval was given, in one _train_folds call. Each instance's window and
-    term_counts are taken once for all its folds, and let go when it is
-    predicted, as crossval predicts each held-out instance once, after every
-    fold that trains on it has been fit.
+    An unknown kind (ModelError) or a bad window (DataError) is refused here,
+    before any fold. fit(train) checks the fold at once, so an untrainable
+    fold raises there, then queues it and returns a predictor. The first
+    prediction from any queued fold trains the whole queue, every fold of the
+    group of sets that crossval was given, in one _train_folds call. Each
+    held-out instance is scored as restore scores a token: predict_at over
+    its tokens, which are the keys its window is taken from.
     """
-    cache: dict[int, tuple[Instance, list[str], dict[str, int]]] = {}
+    if kind not in KINDS:
+        raise ModelError(f"unknown classifier kind: {kind!r}")
+    check_window(window)
     queue: list[tuple[list[Instance], list]] = []  # each fold's training instances, and a list for its classifier
-
-    def entry(inst: Instance):
-        cached = cache.get(id(inst))
-        if cached is None:
-            words = extract_window(inst.tokens, inst.target, window)
-            cached = cache[id(inst)] = (inst, words, term_counts(words))
-        return cached
 
     def fit(train_instances):
         _instance_classes(kind, train_instances)
-        for inst in train_instances:
-            entry(inst)
         trained: list[TextClassifier] = []
         queue.append((train_instances, trained))
 
         def predictor(inst: Instance) -> str:
             if not trained:
-                clfs = _train_folds(kind, [train for train, _ in queue], window, hyper, lambda i: entry(i)[2])
+                clfs = _train_folds(kind, [train for train, _ in queue], window, hyper)
                 for (_, fold), clf in zip(queue, clfs):
                     fold.append(clf)
                 queue.clear()
-            cached = cache.pop(id(inst), None)
-            words = cached[1] if cached else extract_window(inst.tokens, inst.target, window)
-            return trained[0].predict_window(words)
+            return trained[0].predict_at(inst.tokens, inst.target)
 
         return predictor
 

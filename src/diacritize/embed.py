@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import Corpus, TokenKind, open_text, replace_on_success
 from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, ModelError, ParseError
-from .classify import extract_window, odd_window
+from .classify import check_window, extract_window, odd_window
 
 log = logging.getLogger(__name__)
 
@@ -483,7 +483,9 @@ def cv_fitter(
     window: int | None = 11,
     cowords: dict[str, list[tuple[str, int]]] | None = None,
 ):
-    """Static predictor for crossval; only the prior counts come from the folds."""
+    """Static predictor for crossval; only the prior counts come from the folds. A bad window is refused here."""
+    if window is not None:
+        check_window(window)
     allowed = coword_sets(scheme, cowords, [v for v, _ in aset.variants])
 
     def fit(train_instances):

@@ -73,7 +73,7 @@ def test_traced_restore_is_byte_identical(spans, tmp_path, family):
 
 # Each cv restorer the tracer follows: the spans it must record.
 CV_SPANS = {
-    "clf:logistic": ["classify.extract_window", "classify.predict"],
+    "clf:logistic": ["classify.extract_window"],
     "ngram:2": ["ngram.prepare", "ngram.find_occurrences", "ngram.train_from_occurrences",
                 "ngram.restore_instance"],
     "emb:tweak2": ["embed.load_vectors", "embed.build_cowords", "embed.enhance",

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from diacritize import classify
+from diacritize import classify, evaluate
 from diacritize.classify import (
     ClassifierBank,
     Hyper,
@@ -27,7 +27,7 @@ from diacritize.classify import (
     train_classifier,
 )
 from diacritize.corpus import TokenKind, token_kind
-from diacritize.datasetgen import Instance
+from diacritize.datasetgen import AmbiguousSet, Instance
 from diacritize.errors import DataError, ModelError
 
 
@@ -333,7 +333,7 @@ class TestInstanceInterface:
             for inst in insts:
                 window = extract_window(inst.tokens, inst.target, 5)
                 assert again.predict_instance(inst.tokens, inst.target, list(inst.tokens[: inst.target])) == (
-                    clf.predict_window(window)
+                    predict(clf.model, clf.vectorizer.transform(window))
                 )
 
     def test_vocabulary_fit_on_training_fold_only(self):
@@ -366,9 +366,10 @@ class TestInstanceInterface:
         assert calls == []
         assert [queued[1](inst) for inst in insts] == [queued[1](inst) for inst in insts]
         assert calls == [3]
+        windows = [extract_window(i.tokens, i.target, 5) for i in insts]
         for predictor, train in zip(queued, trains):
             alone = fit_instances([train], LOGISTIC, window=5, hyper=Hyper(epochs=5))[0]
-            assert [predictor(i) for i in insts] == [alone.predict_window(extract_window(i.tokens, i.target, 5)) for i in insts]
+            assert [predictor(i) for i in insts] == [predict(alone.model, alone.vectorizer.transform(w)) for w in windows]
         assert calls == [3, 1, 1, 1]
 
 
@@ -575,9 +576,11 @@ class TestScoresMatchNumpyScalars:
                 # The scores and class of the numpy-scalar formula over arrays of the same numbers.
                 scores = numpy_scalar_scores(clf.model, numpy_scalar_transform(clf.vectorizer, w))
                 assert predict_scores(clf.model, clf.vectorizer.transform(w)) == scores
-                assert clf.predict_window(w) == classify._argmax(clf.model, scores)
+                assert predict(clf.model, clf.vectorizer.transform(w)) == classify._argmax(clf.model, scores)
         for w in windows:
-            assert loaded.predict_window(w) == trained.predict_window(w)
+            assert predict(loaded.model, loaded.vectorizer.transform(w)) == predict(
+                trained.model, trained.vectorizer.transform(w)
+            )
             assert posterior(loaded.model, loaded.vectorizer.transform(w)) == posterior(
                 trained.model, trained.vectorizer.transform(w)
             )
@@ -1032,21 +1035,44 @@ class TestCvVectorizing:
         # The queue's one term table holds "lone", which only some folds train on.
         assert ["lone" in v.vocabulary for v in vectorizers] == [False, True, insts[-1] in folds[2], False]
 
-    def test_a_predicted_instance_lets_its_entry_go(self, monkeypatch):
+    def test_a_group_takes_each_training_window_once_and_a_prediction_none(self, monkeypatch):
         windows = []
         real = classify.extract_window
-        monkeypatch.setattr(classify, "extract_window", lambda *a: windows.append(a) or real(*a))
+        monkeypatch.setattr(classify, "extract_window", lambda *a: windows.append(a[:2]) or real(*a))
         insts = cv_instances(11, 30)
         held, train = insts[:10], insts[10:]
         fit = classify.cv_fitter(LOGISTIC, window=5, hyper=Hyper(epochs=2))
         predictor = fit(train)
-        fit(insts[5:])  # instances shared with the first fold take their window once
-        assert len(windows) == 25
+        fit(insts[5:])  # shares train with the first fold
+        assert windows == []  # a fold takes no window until its group trains
         predictions = [predictor(inst) for inst in held + train]
-        assert len(windows) == 25 + 5  # held[:5] were never fit; held[5:] and train were
-        # once predicted, an instance is taken from its window again
+        # the group's 25 distinct training instances, each once, in the order the folds hold them
+        assert windows == [(i.tokens, i.target) for i in train + insts[5:10]]
         assert [predictor(inst) for inst in held + train] == predictions
-        assert len(windows) == 30 + 30
+        assert len(windows) == 25
+
+
+class TestCvSetup:
+    """A kind or window that no data could train is refused when cv_fitter is built, before any fold."""
+
+    @pytest.mark.parametrize(
+        "kind, window, error, message",
+        [
+            ("bogus", 9, ModelError, "unknown classifier kind: 'bogus'"),
+            (LOGISTIC, 4, DataError, "window size must be an odd integer >= 3, got 4"),
+            (LOGISTIC, 1, DataError, "got 1"),
+            (LOGISTIC, True, DataError, "got True"),
+        ],
+    )
+    def test_a_bad_kind_or_window_scores_no_fold(self, kind, window, error, message, monkeypatch):
+        fits = []
+        real = classify._instance_classes
+        monkeypatch.setattr(classify, "_instance_classes", lambda *a: fits.append(a) or real(*a))
+        insts = cv_instances(12, 30)
+        aset = AmbiguousSet("ka", [(v, sum(i.label == v for i in insts)) for v in ("ká", "kà", "kā")], insts)
+        with pytest.raises(error, match=message):
+            evaluate.crossval(classify.cv_fitter(kind, window=window), aset, 3, 0)
+        assert fits == []
 
 
 class TestOneTablePerFitInstances:

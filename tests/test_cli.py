@@ -756,7 +756,8 @@ class TestGoldenClassifierBytes:
 
 def serial_cv_fitter(kind, window=9, hyper=None):
     """The per-fold reference: each fold vectorizes its windows with Vectorizer.fit and
-    transform, and trains alone through train_classifier."""
+    transform, trains alone through train_classifier, and predicts by the plain
+    definition, predict over the transformed window."""
 
     def fit(train):
         windows = [classify.extract_window(i.tokens, i.target, window) for i in train]
@@ -764,7 +765,9 @@ def serial_cv_fitter(kind, window=9, hyper=None):
         X = [vectorizer.transform(w) for w in windows]
         model = classify.train_classifier(kind, X, [i.label for i in train], len(vectorizer.vocabulary), hyper)
         clf = classify.TextClassifier(window, vectorizer, model)
-        return lambda inst: clf.predict_window(classify.extract_window(inst.tokens, inst.target, window))
+        return lambda inst: classify.predict(
+            clf.model, clf.vectorizer.transform(classify.extract_window(inst.tokens, inst.target, window))
+        )
 
     return fit
 

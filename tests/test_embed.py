@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diacritize import embed
+from diacritize import embed, evaluate
 from diacritize.corpus import TokenKind, corpus_from_lines, open_text
 from diacritize.datasetgen import AmbiguousSet, Instance
 from diacritize.embed import (
@@ -820,6 +820,23 @@ class TestCvFitter:
         fit = embed.cv_fitter(model, aset, scheme=BASIC, window=None)
         predictor = fit(aset.instances[:6])
         assert predictor(aset.instances[0]) == "ká"
+
+    @pytest.mark.parametrize("window", [4, 1, True, 9.0])
+    def test_a_bad_window_is_refused_when_built_and_scores_no_fold(self, window, monkeypatch):
+        predictions = []
+        real = embed.restore_or_majority
+        monkeypatch.setattr(embed, "restore_or_majority", lambda *a: predictions.append(a) or real(*a))
+        model = model_of(**{"ká": [1.0, 0.0], "kà": [0.0, 1.0], "sun": [1.0, 0.0]})
+        aset = AmbiguousSet(
+            wordkey="ka",
+            variants=[("ká", 6), ("kà", 6)],
+            instances=[Instance(tokens=("sun", "ka"), target=1, label=("ká", "kà")[i % 2], line=i) for i in range(12)],
+        )
+        with pytest.raises(DataError, match=f"window size must be an odd integer >= 3, got {window}"):
+            evaluate.crossval(embed.cv_fitter(model, aset, scheme=BASIC, window=window), aset, 3, 0)
+        assert predictions == []
+        assert evaluate.crossval(embed.cv_fitter(model, aset, scheme=BASIC, window=3), aset, 3, 0).failed_folds == []
+        assert len(predictions) == 12
 
     @pytest.mark.parametrize("scheme", [TWEAK2, TWEAK3])
     def test_a_restricting_scheme_without_cowords_is_refused_when_built(self, scheme):
