@@ -34,21 +34,22 @@ the vectorizer's idf list, and the model's rows and offsets (the weight rows and
 biases, or naive Bayes's log-probability rows and log priors). Scoring reads
 them with no numpy scalar boxed; numpy works only inside the training-set
 builder, the naive Bayes fit, the lockstep head and the load check, each
-handing its result over once with tolist(). Every sum runs left to right from
-0.0 (naive Bayes from the prior), in the order the numpy-scalar formula took,
-so scores keep their bits. No scoring or training loop calls sum(): from
-Python 3.12 it rounds a sum of floats in another way. Nor does the builder or
-SGD call a numpy reduction (sum, dot, @, einsum, norm, add.reduce), which adds
-in pairwise or BLAS order.
+handing its result over once with tolist(). Every kind scores in one loop:
+each class sums left to right from its start, 0.0 or naive Bayes's prior, in
+the order the numpy-scalar formula took, then adds its end, the bias or 0.0
+(LinearModel.starts and ends), so scores keep their bits. No scoring or
+training loop calls sum(): from Python 3.12 it rounds a sum of floats in
+another way. Nor does the builder or SGD call a numpy reduction (sum, dot, @,
+einsum, norm, add.reduce), which adds in pairwise or BLAS order.
 
 Restoring a token is one walk over its window's keys (TextClassifier.predict_at),
 with the plain definition's values and float operations in the same order. It
 reads the classifier's vocabulary first and asks the word test only of a hit,
 which keeps the terms, and their first-seen order, that extract_window and
 transform keep; it weighs their counts with _unit_tfidf in the dict it filled,
-and keeps the leader while it sums each linear margin, sending a tie, a NaN
-score and naive Bayes to _argmax over the full scores. CV scores each held-out
-instance with the same step (cv_fitter), so it checks the code that restores.
+and keeps the leader while it sums each class's score, sending a tie or a NaN
+score to _argmax over the full scores. CV scores each held-out instance with
+the same step (cv_fitter), so it checks the code that restores.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -286,6 +287,16 @@ class LinearModel:
     rows: list[list[float]]
     offsets: list[float]
     train_errors: dict[str, list[float]] | None = None  # perceptron epoch errors
+    # Derived once, here: a class scores its start plus row[i] * v over the
+    # terms, left to right, plus its end. A linear kind starts from 0.0 and
+    # ends with the bias; naive Bayes starts from the log prior and ends with
+    # 0.0, which changes only the sign of a -0.0 score.
+    starts: list[float] = field(init=False, repr=False, compare=False)
+    ends: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        zeros = [0.0] * len(self.offsets)
+        self.starts, self.ends = (self.offsets, zeros) if self.kind == MULTINOMIAL_NB else (zeros, self.offsets)
 
 
 def _sigmoid(z: float) -> float:
@@ -692,24 +703,17 @@ def predict_scores(model: LinearModel, x: dict[int, float]) -> dict[str, float]:
     _check_indices(model, x)
     scores = {}
     terms = x.items()
-    if model.kind == MULTINOMIAL_NB:
-        for cls, row, s in zip(model.classes, model.rows, model.offsets):
-            for i, v in terms:
-                s += v * row[i]
-            scores[cls] = s
-    else:
-        for cls, row, bias in zip(model.classes, model.rows, model.offsets):
-            z = 0.0
-            for i, v in terms:
-                z += row[i] * v
-            scores[cls] = z + bias
+    for cls, row, z, end in zip(model.classes, model.rows, model.starts, model.ends):
+        for i, v in terms:
+            z += row[i] * v
+        scores[cls] = z + end
     return scores
 
 
 def predict(model: LinearModel, x: dict[int, float]) -> str:
-    """_argmax over predict_scores, in one pass over a linear kind's margins.
+    """_argmax over predict_scores, in one pass over the scores.
 
-    A tie, a NaN score and naive Bayes go to _argmax over the full scores.
+    A tie or a NaN score goes to _argmax over the full scores.
     """
     _check_indices(model, x)
     return _leader(model, x)
@@ -717,15 +721,12 @@ def predict(model: LinearModel, x: dict[int, float]) -> str:
 
 def _leader(model: LinearModel, x: dict[int, float]) -> str:
     """predict of an x whose indices lie in the model."""
-    if model.kind == MULTINOMIAL_NB:
-        return _argmax(model, predict_scores(model, x))
     terms = x.items()
     top, winner, tied = -math.inf, None, False
-    for cls, row, bias in zip(model.classes, model.rows, model.offsets):
-        z = 0.0
+    for cls, row, z, end in zip(model.classes, model.rows, model.starts, model.ends):
         for i, v in terms:
             z += row[i] * v
-        s = z + bias
+        s = z + end
         if s > top:
             top, winner, tied = s, cls, False
         elif s == top:

@@ -55,10 +55,6 @@ class AmbiguousSet:
     variants: list[tuple[str, int]]
     instances: list[Instance] = field(default_factory=list)
 
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.variants)
-
 
 def generate(corpus: Corpus, params: GenParams | None = None) -> list[AmbiguousSet]:
     """Apply the three pruning gates and emit one instance per surviving occurrence.
@@ -122,17 +118,17 @@ def majority_variant(counts) -> str:
     return min(v for v, c in counts if c == best)
 
 
-def route(keys, variant_index, unambiguous, predict) -> list[str | None]:
+def route(keys, variant_index, unambiguous, step) -> list[str | None]:
     """The restore walk: each key's form, left to right, or None where its token echoes.
 
-    A key in variant_index takes predict(keys, i, restored), any other its
+    A key in variant_index takes step(keys, i, restored), any other its
     unambiguous form; restored holds the forms so far, with the key where a
     token echoed.
     """
     restored: list[str] = []
     forms: list[str | None] = []
     for i, key in enumerate(keys):
-        form = predict(keys, i, restored) if key in variant_index else unambiguous.get(key)
+        form = step(keys, i, restored) if key in variant_index else unambiguous.get(key)
         forms.append(form)
         restored.append(key if form is None else form)
     return forms

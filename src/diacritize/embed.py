@@ -7,7 +7,7 @@ Variant vectors can be enhanced toward the centroid of their exclusive
 co-occurring words, counted once per occurrence over its sentence or window
 (`build_cowords`). Restoration picks the candidate whose vector is most
 cosine-similar to the averaged context vector: each call averages a distinct
-context once, and the model keeps each scored candidate's norm. The restorer
+context once, and restoring writes nothing into the model. The restorer
 and the cross-validation predictor read a line's keys and the token's index
 through one function, `restore_or_majority`; each builds its variants' coword
 sets when it is built, so a call only scores. An embedding pipeline names its
@@ -46,26 +46,19 @@ class UnrepresentableInstance(ModelError):
 
 @dataclass
 class EmbeddingModel:
-    """Word vectors of one dimension.
-
-    `norms` keeps the norm of each vector restore_instance has scored, so the
-    vectors must not change once the model has restored: `enhance` and
-    `project` return new models.
-    """
+    """Word vectors of one dimension."""
 
     dim: int
     vectors: dict[str, np.ndarray]
-    norms: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def norm(self, word: str) -> float:
-        norm = self.norms.get(word)
-        if norm is None:
-            norm = self.norms[word] = float(np.linalg.norm(self.vectors[word]))
-        return norm
+
+def _norm(a: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D vector, by np.linalg.norm's own formula for one, so with its bits."""
+    return math.sqrt(a.dot(a))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    return _cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+    return _cosine(a, _norm(a), b, _norm(b))
 
 
 def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
@@ -371,14 +364,14 @@ def restore_instance(
         ctx = context if allowed is None else tuple([w for w in context if w in allowed[v]])
         if vec is not None and ctx and ctx not in means:
             vec_c = np.mean([model.vectors[w] for w in ctx], axis=0)
-            means[ctx] = (vec_c, float(np.linalg.norm(vec_c))) if np.any(vec_c) else None
+            means[ctx] = (vec_c, _norm(vec_c)) if np.any(vec_c) else None
         if vec is None or not ctx or means[ctx] is None:
             scores[v] = c / total if total else 0.0
             reason = "no vector" if vec is None else "zero context vector" if ctx else "empty restricted context"
             log.debug("candidate %r scored by unigram prior (%s)", v, reason)
         else:
             vec_c, norm_c = means[ctx]
-            scores[v] = _cosine(vec_c, norm_c, vec, model.norm(v))
+            scores[v] = _cosine(vec_c, norm_c, vec, _norm(vec))
     best = max(scores.values())
     return min(v for v, s in scores.items() if s == best)
 
@@ -533,7 +526,7 @@ def analogy_mrr(model: EmbeddingModel, quads, list_len: int = 100):
         if any(w not in model.vectors for w in (a, b, c)):
             continue
         target = model.vectors[b] - model.vectors[a] + model.vectors[c]
-        tnorm = float(np.linalg.norm(target))
+        tnorm = _norm(target)
         if d not in model.vectors or d in (a, b, c) or tnorm == 0.0:
             scores.append(0.0)
             continue

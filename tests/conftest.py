@@ -1,8 +1,10 @@
-"""Shared fixtures: engineered synthetic corpora for the oracle suites."""
+"""Shared fixtures: engineered synthetic corpora for the oracle suites, and `state`."""
 
+import dataclasses
 import random
 import unicodedata
 
+import numpy as np
 import pytest
 
 from diacritize import corpus as corpus_mod
@@ -137,3 +139,16 @@ def gate_corpus():
 @pytest.fixture(scope="session")
 def bigram_corpus():
     return build_bigram_corpus()
+
+
+def state(value):
+    """value as plain data to compare: dataclass fields, dict and sequence items, and array bytes, recursively."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, state(vars(value))
+    if isinstance(value, dict):
+        return {k: state(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [state(v) for v in value]
+    return value

@@ -706,6 +706,18 @@ class TestLeanRestorePath:
             assert outcome(clf.predict_at, list(keys), i) == expected
         assert fallbacks["tie"] > 100 and fallbacks["nan"] > 100
 
+    def test_naive_bayes_tie_on_an_empty_window_goes_to_argmax(self, monkeypatch):
+        """Equal priors and no vocabulary term in the window: the leader pass hands the tie to _argmax."""
+        X, y = [{0: 1.0}, {1: 1.0}, {0: 1.0}, {1: 1.0}], ["B", "A", "B", "A"]
+        model = train_classifier(MULTINOMIAL_NB, X, y, 2)
+        assert model.offsets[0] == model.offsets[1] < 0.0
+        clf = TextClassifier(3, Vectorizer({"ha": 0, "ka": 1}, [1.0, 1.0]), model)
+        calls = []
+        argmax = classify._argmax
+        monkeypatch.setattr(classify, "_argmax", lambda m, scores: calls.append(scores) or argmax(m, scores))
+        assert clf.predict_at(("oma", "si", "ya"), 1) == "A"  # equal counts too: the first in order
+        assert calls == [{"A": model.offsets[0], "B": model.offsets[1]}]
+
 
 def holds_numpy(value) -> bool:
     """Whether a numpy array or scalar is reachable from value through fields, dicts and sequences."""

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import state
 
 from diacritize import classify, cli, datasetgen, embed, ngram, pipeline
 from diacritize.corpus import corpus_from_lines, line_keys, strip_diacritics, surface_token, token_kind
@@ -362,6 +363,16 @@ class TestLoadValidation:
         assert "Traceback" not in capsys.readouterr().err
 
 
+def family_pipelines(training_corpus, trained_sets, vector_file):
+    """A pipeline of every restorer: n-gram, each classifier kind and each embedding scheme."""
+    yield build_ngram_pipeline(training_corpus, trained_sets, n=2)
+    for kind in classify.KINDS:
+        hyper = classify.Hyper(epochs=5)
+        yield build_classifier_pipeline(training_corpus, trained_sets, kind=kind, window=5, hyper=hyper)
+    for scheme in embed.SCHEMES:
+        yield build_embedding_pipeline(training_corpus, trained_sets, vector_file, scheme=scheme, window=5)
+
+
 def refuse_instance(*args, **kwargs):
     raise AssertionError("an Instance was built")
 
@@ -375,6 +386,17 @@ class TestRestorerProtocol:
         assert list(inspect.signature(cls.predict_instance).parameters) == ["self", "keys", "i", "restored"]
         assert isinstance(inspect.getattr_static(cls, "from_payload"), classmethod)
         assert callable(inspect.getattr_static(cls, "to_payload"))
+
+    def test_restoring_leaves_every_model_as_it_was(self, training_corpus, trained_sets, vector_file):
+        """No restorer keeps state: its fields, its models' fields among them, hold what they held when built."""
+        text = corpus_from_lines(["nwanyi kwuru si ya , Ha kwera SI si", "si oma si ka"] * 3)
+        families = []
+        for pipe in family_pipelines(training_corpus, trained_sets, vector_file):
+            before = state(pipe.restorer)
+            restore_text(pipe, text)
+            assert state(pipe.restorer) == before, pipe.family
+            families.append(pipe.family)
+        assert len(families) == 1 + len(classify.KINDS) + len(embed.SCHEMES)
 
     def test_restore_line_builds_no_instance(self, pipe, monkeypatch):
         line = corpus_from_lines(["nwanyi kwuru si ya , Ha kwera SI si"]).lines[0]

@@ -10,14 +10,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diacritize"
 
-# Reached from outside src/: the pinned acceptance oracles call these.
+# Reached from outside src/, each with the reason it stays.
 ALLOWED = {
-    "classify.logistic_example_loss",
-    "classify.logistic_example_grad",
-    "classify.posterior",
-    "classify.train_classifier",
-    "classify.Vectorizer.transform",
-    "pipeline.restore_text",
+    "classify.logistic_example_loss": "the criterion-3 oracle checks its gradient against finite differences",
+    "classify.logistic_example_grad": "the criterion-3 oracle checks it against finite differences",
+    "classify.posterior": "the criterion-3 oracle checks that naive Bayes posteriors sum to 1",
+    "classify.predict": "the plain definition predict_at matches; criterion 3, tests and the bench tracer use it",
+    "classify.train_classifier": "the criterion-3 oracle, the tests and the bench tracer train one model with it",
+    "classify.Vectorizer.transform": "the plain definition predict_at matches; tests and the bench tracer use it",
+    "pipeline.restore_text": "the criterion-8 and criterion-11 oracles restore text with it",
 }
 
 
@@ -51,7 +52,7 @@ def unreferenced_functions():
 
 
 def test_only_allow_listed_functions_go_unreferenced():
-    assert unreferenced_functions() == ALLOWED
+    assert unreferenced_functions() == set(ALLOWED)
 
 
 # Class members no src/ code reads, each with the reason it stays.
