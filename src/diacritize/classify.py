@@ -33,8 +33,9 @@ A trained or loaded classifier holds its numbers once, as plain Python floats:
 the vectorizer's idf list, and the model's rows and offsets (the weight rows and
 biases, or naive Bayes's log-probability rows and log priors). Scoring reads
 them with no numpy scalar boxed; numpy works only inside the training-set
-builder, the naive Bayes fit, the lockstep head and the load check, each
-handing its result over once with tolist(). Every kind scores in one loop:
+builder, the naive Bayes fit and the lockstep head, each handing its result
+over once with tolist(). Loading checks the decoded lists in C-level passes
+and keeps them. Every kind scores in one loop:
 each class sums left to right from its start, 0.0 or naive Bayes's prior, in
 the order the numpy-scalar formula took, then adds its end, the bias or 0.0
 (LinearModel.starts and ends), so scores keep their bits. No scoring or
@@ -872,15 +873,27 @@ _NUMBER = {int, float}
 def _finite_array(source: dict, name: str, shape: tuple) -> list:
     """source[name] as plain floats, once it is checked to hold finite JSON numbers of the shape.
 
-    numpy checks the shape and finiteness; the element types are checked apart,
-    because numpy would read true or "1.5" as a number.
+    The shape is checked on the decoded lists, then their elements in two
+    C-level passes, type and finiteness; a bool or a numeric string is no JSON
+    number. The decoded lists are kept; a field that holds a JSON int is
+    widened to floats, so the model holds floats as a trained one does and a re-save
+    writes each number as a float. An int too large for a float raises
+    OverflowError.
     """
     value = source[name]
-    array = np.array(value, dtype=float)
-    elements = itertools.chain.from_iterable(value) if len(shape) == 2 else value  # iterated only if the shape holds
-    if array.shape != shape or not np.isfinite(array).all() or not set(map(type, elements)) <= _NUMBER:
+    flat = len(shape) == 1
+    rows = [value] if flat else value
+    n_rows, width = (1, *shape) if flat else shape
+    shaped = (
+        type(rows) is list and len(rows) == n_rows
+        and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+    )
+    types = set(map(type, itertools.chain.from_iterable(rows))) if shaped else None
+    if not shaped or not types <= _NUMBER or not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise ParseError(f"classifier {name} must hold finite JSON numbers, of shape {shape}")
-    return array.tolist()
+    if int in types:
+        rows = [list(map(float, row)) for row in rows]
+    return rows[0] if flat else rows
 
 
 def _finite_number(value) -> bool:

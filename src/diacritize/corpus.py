@@ -24,6 +24,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import functools
+import gc
 import json
 import os
 import shutil
@@ -242,6 +243,26 @@ def replace_on_success(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, if it runs, for a bulk decode and build.
+
+    Decoding a file makes a container for every JSON array and object, and
+    the collector would scan them many times over while they are built.
+    Around a load whose decoded payload is freed before the collector
+    resumes, the pause saves the collector's scans of that payload. What the
+    load keeps is scanned once afterwards, as it would have been during the
+    load. A collector that the caller had disabled stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_corpus(path) -> Corpus:

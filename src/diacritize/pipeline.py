@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import classify, datasetgen, embed, ngram
 from .corpus import Corpus, Token, TokenKind, line_keys, open_text, token_kind, variant_counts
-from .corpus import replace_on_success, strip_diacritics, surface_token
+from .corpus import collector_paused, replace_on_success, strip_diacritics, surface_token
 from .errors import ModelError, ParseError
 
 # The errors a caller of load_pipeline and restore_line catches are exported
@@ -179,6 +179,9 @@ def save_pipeline(pipeline: Pipeline, path) -> None:
         fh.write("\n")
 
 
+# Run as a decorator, the pause ends after the call returns, so the decoded
+# payload, a local of the call, is freed before the collector resumes.
+@collector_paused()
 def load_pipeline(path) -> Pipeline:
     with open_text(path) as fh:
         try:

@@ -373,6 +373,41 @@ class TestInstanceInterface:
         assert calls == [3, 1, 1, 1]
 
 
+class TestLoadedNumbers:
+    """A loaded classifier holds the decoded lists, with every number a Python float."""
+
+    def payload(self, kind):
+        insts = TestInstanceInterface().make_instances()
+        clf = fit_instances([insts], kind, window=5, hyper=Hyper(epochs=5))[0]
+        return json.loads(json.dumps(classify.classifier_payload(clf)))
+
+    @staticmethod
+    def numbers(payload):
+        """idf, rows and offsets, as the payload holds them."""
+        if payload["kind"] == MULTINOMIAL_NB:
+            nb = payload["nb_params"]
+            return payload["idf"], nb["feature_log_prob"], nb["class_log_prior"]
+        return payload["idf"], payload["weights"], payload["bias"]
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
+    def test_the_decoded_lists_are_kept(self, kind):
+        payload = self.payload(kind)
+        clf = classify.classifier_from_payload(payload)
+        idf, rows, offsets = self.numbers(payload)
+        assert clf.vectorizer.idf is idf and clf.model.rows is rows and clf.model.offsets is offsets
+        assert not holds_numpy(clf)
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, MULTINOMIAL_NB])
+    def test_only_a_field_that_holds_a_json_int_is_widened(self, kind):
+        payload = self.payload(kind)
+        idf, rows, offsets = self.numbers(payload)
+        rows[0][0] = 3
+        clf = classify.classifier_from_payload(payload)
+        assert clf.vectorizer.idf is idf and clf.model.offsets is offsets
+        assert clf.model.rows == rows and clf.model.rows is not rows
+        assert all(type(x) is float for row in clf.model.rows for x in row)
+
+
 def three_class_fixture():
     rng = random.Random(17)
     X, y = [], []

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import math
@@ -361,6 +362,49 @@ class TestLoadValidation:
         assert cli.main(argv) == code
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    """load_pipeline pauses the cyclic collector while it decodes, checks and builds, and leaves it as it was."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def files(self, pipe, tmp_path):
+        good, bad_family, bad_restorer = tmp_path / "good.json", tmp_path / "family.json", tmp_path / "restorer.json"
+        save_pipeline(pipe, good)
+        doc = json.loads(good.read_text(encoding="utf-8"))
+        bad_family.write_text(json.dumps({**doc, "family": "rules"}, ensure_ascii=False), encoding="utf-8")
+        bad_restorer.write_text(json.dumps({**doc, "restorer": {}}, ensure_ascii=False), encoding="utf-8")
+        return good, (bad_family, bad_restorer)
+
+    def test_the_collector_is_paused_during_a_load_and_runs_after_it(self, pipe, tmp_path, collector, monkeypatch):
+        good, bad = self.files(pipe, tmp_path)
+        during = []
+        reader = pipeline.FAMILIES[pipe.family]
+        real = reader.from_payload.__func__
+        monkeypatch.setattr(reader, "from_payload", classmethod(lambda cls, *a: during.append(gc.isenabled()) or real(cls, *a)))
+        gc.enable()
+        assert load_pipeline(good).family == pipe.family
+        assert gc.isenabled() and during == [False]
+        for path in bad:
+            with pytest.raises(ParseError):
+                load_pipeline(path)
+            assert gc.isenabled()
+        assert during == [False, False]
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self, pipe, tmp_path, collector):
+        good, bad = self.files(pipe, tmp_path)
+        gc.disable()
+        assert load_pipeline(good).family == pipe.family
+        assert not gc.isenabled()
+        for path in bad:
+            with pytest.raises(ParseError):
+                load_pipeline(path)
+            assert not gc.isenabled()
 
 
 def family_pipelines(training_corpus, trained_sets, vector_file):

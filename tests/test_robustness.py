@@ -12,6 +12,7 @@ with exit code 2 and a one-line message.
 
 import copy
 import json
+import math
 import os
 import random
 
@@ -243,27 +244,111 @@ def classifier_spec(files):
     return spec, next(iter(spec["restorer"]["models"].values()))
 
 
+# A classifier's number fields: the pipeline that holds each, and whether it is a list of rows.
+NUMBER_FIELDS = {
+    "idf": ("logistic", False), "bias": ("logistic", False), "weights": ("logistic", True),
+    "class_log_prior": ("naive_bayes", False), "feature_log_prob": ("naive_bayes", True),
+}
+# JSON texts, each put in place of a field's first number, that are no finite JSON number.
 NUMBER_BREAKS = [
     ("idf", "true"), ("idf", '"1.5"'), ("bias", '"0.25"'), ("weights", "false"), ("weights", '"0"'),
     ("class_log_prior", "true"), ("feature_log_prob", '"-1.5"'),
+    *[(field, text) for field in NUMBER_FIELDS for text in ("NaN", "Infinity", "-Infinity", "1e999", "null", "[0.5]")],
 ]
+# Where a written file holds this string, the file holds the JSON text of a break in its place.
+RAW = "@raw@"
+
+
+def number_field(doc, field):
+    """The first classifier of a pipeline document, and the object that holds field."""
+    clf = next(iter(doc["restorer"]["models"].values()))
+    return clf, clf["nb_params"] if field in ("class_log_prior", "feature_log_prob") else clf
+
+
+def refused_numbers(doc, field, files, tmp_path, capsys, what, raw="") -> dict:
+    """restore exits 2 on doc, written with raw in place of RAW; the decoded classifier is returned."""
+    text = json.dumps(doc, ensure_ascii=False).replace(json.dumps(RAW), raw)
+    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    model.write_text(text, encoding="utf-8")
+    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+    run_data_error(argv, f"{field} {what}", capsys)
+    assert not out.exists()
+    return number_field(json.loads(text), field)[0]
 
 
 @pytest.mark.parametrize("field, value", NUMBER_BREAKS)
 def test_classifier_number_that_is_not_a_json_number_is_a_data_error(field, value, files, tmp_path, capsys):
-    nb = field in ("class_log_prior", "feature_log_prob")
-    spec = json.loads((files / ("naive_bayes.json" if nb else "logistic.json")).read_text(encoding="utf-8"))
-    clf = next(iter(spec["restorer"]["models"].values()))
-    source = clf["nb_params"] if nb else clf
-    row = source[field][0] if field in ("weights", "feature_log_prob") else source[field]
-    row[0] = json.loads(value)
-    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
-    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
-    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
-    run_data_error(argv, f"{field} {value}", capsys)
-    assert not out.exists()
-    with pytest.raises(classify.ParseError, match=f"classifier {field} must hold finite JSON numbers"):
+    name, rows = NUMBER_FIELDS[field]
+    doc = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+    _, source = number_field(doc, field)
+    (source[field][0] if rows else source[field])[0] = RAW
+    clf = refused_numbers(doc, field, files, tmp_path, capsys, value, raw=value)
+    with pytest.raises(classify.ParseError, match=f"^classifier {field} must hold finite JSON numbers"):
         classify.classifier_from_payload(clf)
+
+
+# Edits of a number field's shape: of a flat list, and of a list of rows.
+FLAT_BREAKS = {
+    "short": lambda v: v[:-1],
+    "long": lambda v: [*v, 0.5],
+    "nested": lambda v: [[x] for x in v],
+    "object": lambda v: dict(enumerate(v)),
+}
+ROW_BREAKS = {
+    "ragged": lambda rows: [rows[0][:-1], *rows[1:]],
+    "short rows": lambda rows: [row[:-1] for row in rows],
+    "long rows": lambda rows: [[*row, 0.5] for row in rows],
+    "nested": lambda rows: [[[x] for x in row] for row in rows],
+    "flat": lambda rows: rows[0],
+    "fewer rows": lambda rows: rows[:-1],
+    "more rows": lambda rows: [*rows, rows[0]],
+}
+
+
+@pytest.mark.parametrize("field, how", [
+    (field, how) for field, (_, rows) in NUMBER_FIELDS.items() for how in (ROW_BREAKS if rows else FLAT_BREAKS)
+])
+def test_classifier_numbers_of_the_wrong_shape_are_a_data_error(field, how, files, tmp_path, capsys):
+    name, rows = NUMBER_FIELDS[field]
+    doc = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+    _, source = number_field(doc, field)
+    assert all(len(row) > 1 for row in (source[field] if rows else [source[field]]))
+    source[field] = (ROW_BREAKS if rows else FLAT_BREAKS)[how](source[field])
+    clf = refused_numbers(doc, field, files, tmp_path, capsys, how)
+    with pytest.raises(classify.ParseError, match=f"^classifier {field} must hold finite JSON numbers, of shape"):
+        classify.classifier_from_payload(clf)
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_classifier_json_int_loads_as_a_float_and_restores_the_same_bytes(field, files, tmp_path):
+    """An int where the writer put an integral float loads as that float; a -0.0 keeps its sign."""
+    name, rows = NUMBER_FIELDS[field]
+    texts = {}
+    for form in ("float", "int"):
+        doc = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+        _, source = number_field(doc, field)
+        row = source[field][0] if rows else source[field]
+        row[0], row[-1] = (-2.0, -0.0) if form == "float" else (-2, -0.0)
+        texts[form] = json.dumps(doc, ensure_ascii=False)
+    assert texts["int"] == texts["float"].replace("-2.0", "-2", 1) != texts["float"]
+    outputs = {}
+    for form, text in texts.items():
+        model, out = tmp_path / f"{form}.json", tmp_path / f"{form}.txt"
+        model.write_text(text, encoding="utf-8")
+        argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        outputs[form] = out.read_bytes()
+        loaded = pipeline.load_pipeline(model)
+        clf = next(iter(loaded.restorer.classifiers.values()))
+        numbers = {"idf": clf.vectorizer.idf, "feature_log_prob": clf.model.rows, "weights": clf.model.rows}
+        value = numbers.get(field, clf.model.offsets)
+        row = value[0] if rows else value
+        assert type(row[0]) is float and row[0] == -2.0
+        assert math.copysign(1.0, row[-1]) == -1.0 and row[-1] == 0.0
+        resaved = tmp_path / f"{form}.resaved.json"
+        pipeline.save_pipeline(loaded, resaved)
+        assert resaved.read_text(encoding="utf-8") == texts["float"] + "\n"
+    assert outputs["int"] == outputs["float"]
 
 
 @pytest.mark.parametrize("value", ["pairs", "[]", '"x"', "null"])
@@ -306,16 +391,18 @@ def test_target_token_that_does_not_strip_to_its_wordkey_is_a_data_error(argv, f
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("field", ["weights", "bias", "idf"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_integer_too_large_for_a_float_is_a_data_error(field, files, tmp_path, capsys):
-    spec, clf = classifier_spec(files)
-    row = clf["weights"][0] if field == "weights" else clf[field]
-    row[0] = 10**400
-    model, out = tmp_path / "pipe.json", tmp_path / "out.txt"
-    model.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
-    argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
-    run_data_error(argv, field, capsys)
-    assert not out.exists()
+    name, rows = NUMBER_FIELDS[field]
+    doc = json.loads((files / f"{name}.json").read_text(encoding="utf-8"))
+    _, source = number_field(doc, field)
+    (source[field][0] if rows else source[field])[0] = 10**400
+    clf = refused_numbers(doc, field, files, tmp_path, capsys, "10**400")
+    # The reader raises OverflowError, as float() does; load_pipeline reports it as a malformed file.
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        classify.classifier_from_payload(clf)
+    with pytest.raises(pipeline.ParseError, match="malformed pipeline file: int too large to convert to float"):
+        pipeline.load_pipeline(tmp_path / "pipe.json")
 
 
 @pytest.mark.parametrize("index", ['"0"', "0.0", "true", "null"])
