@@ -11,11 +11,11 @@ the set's size: a training call draws them once per distinct size, into one
 int32 table (_epoch_orders) that the lockstep head and the serial loop both
 read, and every set of that size walks the same rows.
 
-One training path serves `train clf` and `eval cv`: `fit_instances` hands
-_train_folds every wordkey's instances, and `cv_fitter` the folds of a group of
-sets (cv_groups), all of which crossval fits before it scores any. _train_folds
-lays out the term_counts of the call's distinct windows once (_term_table),
-builds each fold from its rows with the bits of Vectorizer.fit on its windows
+One training entry, `fit_instances`, serves both commands: `train clf` hands
+it every wordkey's instances, and `eval cv` (through `cv_fitter`) the folds of
+a group of sets (cv_groups), all of which crossval fits before it scores any.
+It lays out the term_counts of the call's distinct windows once (_term_table),
+builds each group from its rows with the bits of Vectorizer.fit on its windows
 and transform on each (_fold_set), and trains them all in one call. A training
 set (_TrainingSet) holds its rows as padded numpy arrays, which the lockstep
 head, the serial loop and the naive Bayes fit read directly. The logistic and
@@ -79,6 +79,9 @@ _WORD = TokenKind.WORD
 
 _SCALE_FLOOR = 1e-9
 
+# The context window, in tokens with the target, when none is given.
+WINDOW = 9
+
 
 @dataclass
 class Hyper:
@@ -113,7 +116,7 @@ def _sticky(tokens, i: int, n: int):
     return tokens[start:i] + tokens[i + 1 : start + size]
 
 
-def extract_window(tokens, target_index: int, n: int = 9) -> list[str]:
+def extract_window(tokens, target_index: int, n: int = WINDOW) -> list[str]:
     """Context words from the width-n sticky window around the target (_sticky).
 
     Punctuation, digit and symbol tokens are excluded.
@@ -785,42 +788,36 @@ class TextClassifier:
         return _leader(self.model, _unit_tfidf(vec, self.vectorizer.idf))
 
 
-def fit_instances(groups, kind: str, window: int = 9, hyper: Hyper | None = None) -> list[TextClassifier]:
-    """Fit one classifier per group of instances, all in one _train_folds call (so one term table).
+def fit_instances(groups, kind: str, window: int = WINDOW, hyper: Hyper | None = None) -> list[TextClassifier]:
+    """One classifier per group of instances, each with the bits it would get alone.
 
-    The first group that cannot train raises train_classifier's error for it.
+    Every group is checked before anything is built, and the first that
+    cannot train raises train_classifier's error for it. The term_counts of
+    each distinct instance's window make one term table, dropped before
+    training; _fold_set builds each group from its rows, and _train_models
+    trains all.
     """
-    return _train_folds(kind, list(map(list, groups)), window, hyper)
-
-
-def _train_folds(kind: str, folds: list[list[Instance]], window: int, hyper: Hyper | None) -> list[TextClassifier]:
-    """One classifier per fold of training instances, each with the bits it would get alone.
-
-    Every fold is checked before anything is built. The term_counts of each
-    distinct instance's window make one term table, dropped before training;
-    _fold_set builds each fold from its rows, and _train_models trains all.
-    """
-    classes = [_instance_classes(kind, fold) for fold in folds]
-    distinct = {id(inst): inst for fold in folds for inst in fold}
+    classes = [_instance_classes(kind, group) for group in groups]
+    distinct = {id(inst): inst for group in groups for inst in group}
     table = _term_table([term_counts(extract_window(i.tokens, i.target, window)) for i in distinct.values()])
     row = dict(zip(distinct, range(len(distinct))))
     built = [
-        _fold_set(table, np.array([row[id(i)] for i in fold]), [i.label for i in fold], fold_classes)
-        for fold, fold_classes in zip(folds, classes)
+        _fold_set(table, np.array([row[id(i)] for i in group]), [i.label for i in group], group_classes)
+        for group, group_classes in zip(groups, classes)
     ]
     del table, distinct, row
     models = _train_models(kind, [training for _, training in built], hyper)
     return [TextClassifier(window, vectorizer, model) for (vectorizer, _), model in zip(built, models)]
 
 
-def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
+def cv_fitter(kind: str, window: int = WINDOW, hyper: Hyper | None = None):
     """A per-fold fit for CV, over any number of wordkeys; the folds train together.
 
     An unknown kind (ModelError) or a bad window (DataError) is refused here,
     before any fold. fit(train) checks the fold at once, so an untrainable
     fold raises there, then queues it and returns a predictor. The first
     prediction from any queued fold trains the whole queue, every fold of the
-    group of sets that crossval was given, in one _train_folds call. Each
+    group of sets that crossval was given, in one fit_instances call. Each
     held-out instance is scored as restore scores a token: predict_at over
     its tokens, which are the keys its window is taken from.
     """
@@ -836,7 +833,7 @@ def cv_fitter(kind: str, window: int = 9, hyper: Hyper | None = None):
 
         def predictor(inst: Instance) -> str:
             if not trained:
-                clfs = _train_folds(kind, [train for train, _ in queue], window, hyper)
+                clfs = fit_instances([train for train, _ in queue], kind, window, hyper)
                 for (_, fold), clf in zip(queue, clfs):
                     fold.append(clf)
                 queue.clear()
@@ -877,8 +874,7 @@ def _finite_array(source: dict, name: str, shape: tuple) -> list:
     C-level passes, type and finiteness; a bool or a numeric string is no JSON
     number. The decoded lists are kept; a field that holds a JSON int is
     widened to floats, so the model holds floats as a trained one does and a re-save
-    writes each number as a float. An int too large for a float raises
-    OverflowError.
+    writes each number as a float. An int too large for a float is refused too.
     """
     value = source[name]
     flat = len(shape) == 1
@@ -889,7 +885,11 @@ def _finite_array(source: dict, name: str, shape: tuple) -> list:
         and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
     )
     types = set(map(type, itertools.chain.from_iterable(rows))) if shaped else None
-    if not shaped or not types <= _NUMBER or not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    try:
+        finite = shaped and types <= _NUMBER and all(map(math.isfinite, itertools.chain.from_iterable(rows)))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ParseError(f"classifier {name} must hold finite JSON numbers, of shape {shape}")
     if int in types:
         rows = [list(map(float, row)) for row in rows]
@@ -973,7 +973,13 @@ class ClassifierBank:
 
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "ClassifierBank":
-        classifiers = {key: classifier_from_payload(p) for key, p in spec["models"].items()}
+        classifiers = {}
+        for key, p in spec["models"].items():
+            try:
+                classifiers[key] = classifier_from_payload(p)
+            except (ParseError, KeyError, TypeError, ValueError, AttributeError) as exc:
+                reason = exc.message if isinstance(exc, ParseError) else f"malformed: {exc}"
+                raise ParseError(f"classifier for wordkey {key!r}: {reason}") from exc
         for key, variants in variant_index.items():
             if key not in classifiers:
                 raise ParseError(f"no classifier for wordkey {key!r}")

@@ -6,8 +6,10 @@ restore, eval (cv|fulltext), intrinsic (oddword|analogy|wordsim).
 Each leaf command takes only the flags its handler reads. `--seed`,
 `--window` and `--lowercase/--no-lowercase` sit on the commands that use
 them, each with that command's default: `--lowercase` is off for `stats`
-and on elsewhere. A flag the command does not take, or one shortened to a
-prefix, is a usage error.
+and on elsewhere. Every default but `--lowercase`'s is read from the
+module that owns the setting, so a flag and the library function it feeds
+agree. A flag the command does not take, or one shortened to a prefix, is a
+usage error.
 Exit codes: 0 success, 1 usage, 2 data error, 3 model error.
 """
 
@@ -21,9 +23,6 @@ import sys
 
 from . import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
 from .errors import DataError, ModelError
-
-# The context window each family uses when --window is not given.
-WINDOW_DEFAULT = {"clf": 9, "emb": 11}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,27 +84,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "dataset", _cmd_dataset, "generate the ambiguous dataset")
     p.add_argument("corpus")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--varnt-rep", type=float, default=0.05)
-    p.add_argument("--wdkey-rep", type=float, default=0.0001)
-    p.add_argument("--varnt-distrib", type=float, default=0.75)
+    p.add_argument("--varnt-rep", type=float, default=datasetgen.GenParams.varnt_rep)
+    p.add_argument("--wdkey-rep", type=float, default=datasetgen.GenParams.wdkey_rep)
+    p.add_argument("--varnt-distrib", type=float, default=datasetgen.GenParams.varnt_distrib)
     _lowercase_flag(p)
 
     train = sub.add_parser("train", help="train a restoration pipeline")
     train = train.add_subparsers(dest="family", required=True)
     p = _train_leaf(train, "ngram", _cmd_train_ngram, "n-gram restorer")
-    p.add_argument("-n", type=int, default=5, help="n-gram order")
+    p.add_argument("-n", type=int, default=ngram.ORDER, help="n-gram order")
     p = _train_leaf(train, "clf", _cmd_train_clf, "one linear classifier per wordkey")
     p.add_argument("--kind", default=classify.LOGISTIC, choices=classify.KINDS)
-    p.add_argument("--window", type=int, default=WINDOW_DEFAULT["clf"], help="context window size")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
+    p.add_argument("--window", type=int, default=classify.WINDOW, help="context window size")
+    p.add_argument("--epochs", type=int, default=classify.Hyper.epochs)
+    p.add_argument("--lr", type=float, default=classify.Hyper.learning_rate)
+    p.add_argument("--l2", type=float, default=classify.Hyper.l2)
+    p.add_argument("--seed", type=int, default=classify.Hyper.seed, help="shuffle seed")
     p = _train_leaf(train, "emb", _cmd_train_emb, "word-embedding restorer")
     p.add_argument("--vectors", default=None, help="word2vec text file")
     p.add_argument("--scheme", default=embed.BASIC, choices=embed.SCHEMES)
-    p.add_argument("--window", type=int, default=WINDOW_DEFAULT["emb"], help="context window size")
-    p.add_argument("--top-n", type=int, default=50, help="cowords per variant")
+    p.add_argument("--window", type=int, default=embed.WINDOW, help="context window size")
+    p.add_argument("--top-n", type=int, default=embed.TOP_N, help="cowords per variant")
 
     p = _leaf(sub, "project", _cmd_project, "project vectors across languages")
     p.add_argument("--vectors", required=True)
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--scheme", default=embed.TWEAK1, choices=embed.SCHEMES)
-    p.add_argument("--top-n", type=int, default=50)
+    p.add_argument("--top-n", type=int, default=embed.TOP_N)
     p.add_argument("--window", type=int, default=None, help="coword window (default: the whole sentence)")
     _lowercase_flag(p)
     p.add_argument("-o", "--out", required=True)
@@ -134,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--restorer", action="append", help="ngram:N | clf:KIND | emb:SCHEME, repeatable")
     p.add_argument("--vectors", default=None, help="word2vec text file (emb restorers)")
-    p.add_argument("--top-n", type=int, default=50, help="cowords per variant (emb restorers)")
-    p.add_argument("-k", type=int, default=10, help="cross-validation folds")
-    p.add_argument("--seed", type=int, default=0, help="fold and shuffle seed")
+    p.add_argument("--top-n", type=int, default=embed.TOP_N, help="cowords per variant (emb restorers)")
+    p.add_argument("-k", type=int, default=evaluate.FOLDS, help="cross-validation folds")
+    p.add_argument("--seed", type=int, default=evaluate.SEED, help="fold and shuffle seed")
     p.add_argument("--window", type=int, default=None, help="context window size (default: per family)")
     _lowercase_flag(p)
     p.add_argument("--report", default=None, help="write the JSON report here")
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     intrinsic = intrinsic.add_subparsers(dest="task", required=True)
     _intrinsic_leaf(intrinsic, "oddword", _cmd_oddword, "odd-one-out accuracy")
     p = _intrinsic_leaf(intrinsic, "analogy", _cmd_analogy, "analogy mean reciprocal rank")
-    p.add_argument("--list-len", type=int, default=100, help="ranked list length")
+    p.add_argument("--list-len", type=int, default=embed.LIST_LEN, help="ranked list length")
     _intrinsic_leaf(intrinsic, "wordsim", _cmd_wordsim, "word-similarity Pearson correlation")
     return parser
 
@@ -327,8 +326,8 @@ def _cmd_cv(args) -> int:
     specs = [_parse_restorer_spec(s) for s in args.restorer]
     if args.k < 2:
         raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
-    window = _window(args.window)
-    windows = {family: default if window is None else window for family, default in WINDOW_DEFAULT.items()}
+    # Without --window, each family's fitter takes its own default window.
+    window = {} if args.window is None else {"window": _window(args.window)}
     top_n = _top_n(args.top_n)
     embedded = any(f == "emb" for f, _ in specs)
     if embedded and not args.vectors:
@@ -358,12 +357,15 @@ def _cmd_cv(args) -> int:
             model = embed.enhance(emb_model, cowords, scheme=detail)
         if family == "clf":
             # One fit serves every set, and each group's folds train in one call.
-            fit = classify.cv_fitter(detail, window=windows["clf"], hyper=classify.Hyper(seed=args.seed))
+            fit = classify.cv_fitter(detail, **window, hyper=classify.Hyper(seed=args.seed))
             results = (result for group in classify.cv_groups(sets, args.k)
                        for result in evaluate.crossval(fit, group, args.k, args.seed))
         else:
-            fits = (_make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords)
-                    for aset in sets)
+            fits = (
+                ngram.cv_fitter(ngram_counts, aset, candidates, n=detail) if family == "ngram"
+                else embed.cv_fitter(model, aset, scheme=detail, cowords=cowords, **window)
+                for aset in sets
+            )
             results = (evaluate.crossval(fit, aset, args.k, args.seed) for fit, aset in zip(fits, sets))
         per_wordkey, fold_details = {}, {}
         for aset, result in zip(sets, results):
@@ -392,12 +394,6 @@ def _cmd_cv(args) -> int:
         baseline = "ngram:1" if "ngram:1" in reports else next(iter(reports))
         evaluate.write_comparison_tsv(reports, baseline, args.tsv)
     return 0
-
-
-def _make_fitter(family, detail, ngram_counts, aset, candidates, windows, model, cowords):
-    if family == "ngram":
-        return ngram.cv_fitter(ngram_counts, aset, candidates, n=detail)
-    return embed.cv_fitter(model, aset, scheme=detail, window=windows["emb"], cowords=cowords)
 
 
 def _cmd_oddword(args) -> int:

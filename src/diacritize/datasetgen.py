@@ -41,7 +41,7 @@ class GenParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     tokens: tuple[str, ...]
     target: int

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +39,12 @@ TWEAK1 = "tweak1"
 TWEAK2 = "tweak2"
 TWEAK3 = "tweak3"
 SCHEMES = (BASIC, TWEAK1, TWEAK2, TWEAK3)
+
+# The defaults: the restorer's context window, the cowords kept per variant,
+# and the ranked list length of the analogy task.
+WINDOW = 11
+TOP_N = 50
+LIST_LEN = 100
 
 
 class UnrepresentableInstance(ModelError):
@@ -67,6 +74,10 @@ def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+# The widest float64 row numpy can shape: even a file with no rows cannot declare more.
+_MAX_DIM = sys.maxsize // 8
+
+
 def load_vectors(path) -> EmbeddingModel:
     """Parse word2vec text format: header 'V D', then V rows 'word f1 .. fD'.
 
@@ -86,6 +97,8 @@ def load_vectors(path) -> EmbeddingModel:
             raise ParseError("header must hold two integers", line=1, path=path)
         if dim < 0:
             raise ParseError(f"dim must not be negative, got {dim}", line=1, path=path)
+        if dim > _MAX_DIM:
+            raise ParseError(f"dim must be at most {_MAX_DIM}, got {dim}", line=1, path=path)
         words: list[str] = []
         line_nos: list[int] = []
         rows: list[str] = []
@@ -216,7 +229,7 @@ def project(source: EmbeddingModel, align: dict[str, list[tuple[str, int]]]) -> 
 def build_cowords(
     corpus: Corpus,
     sets,
-    top_n: int = 50,
+    top_n: int = TOP_N,
     window: int | None = None,
     lowercase: bool = True,
 ) -> dict[str, list[tuple[str, int]]]:
@@ -225,13 +238,8 @@ def build_cowords(
     Co-occurrences are counted over word tokens in the marked corpus, within
     the whole sentence by default or a symmetric window of the given width.
     """
-    targets: dict[str, list[str]] = {}
-    for aset in sets:
-        for variant, _ in aset.variants:
-            targets.setdefault(variant, [])
     siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}
-
-    counters: dict[str, Counter[str]] = {v: Counter() for v in targets}
+    counters: dict[str, Counter[str]] = {v: Counter() for aset in sets for v, _ in aset.variants}
     word_kind = TokenKind.WORD
     for line in corpus.lines:
         # A window past either end of the line is the whole sentence.
@@ -392,10 +400,10 @@ class EmbeddingRestorer:
     model: EmbeddingModel
     variant_index: dict[str, list[tuple[str, int]]]
     scheme: str = BASIC
-    window: int | None = 11
+    window: int | None = WINDOW
     cowords: dict[str, list[tuple[str, int]]] | None = None
     vectors_path: str | None = None
-    top_n: int = 50
+    top_n: int = TOP_N
     vectors_fingerprint: dict | None = None
     allowed: dict[str, frozenset[str]] | None = field(init=False, repr=False, compare=False)
 
@@ -437,7 +445,7 @@ class EmbeddingRestorer:
             raise ParseError("embedding cowords must be [word, non-negative integer count] pairs")
         if scheme in (TWEAK2, TWEAK3) and cowords is None:
             raise ParseError(f"scheme {scheme} needs a coword table")
-        top_n = spec.get("top_n", 50)
+        top_n = spec.get("top_n", TOP_N)
         if type(top_n) is not int or top_n < 0:
             raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
         # Pipelines written before the fingerprint have none (or null), and load unchecked.
@@ -473,7 +481,7 @@ def cv_fitter(
     model: EmbeddingModel,
     aset: AmbiguousSet,
     scheme: str = BASIC,
-    window: int | None = 11,
+    window: int | None = WINDOW,
     cowords: dict[str, list[tuple[str, int]]] | None = None,
 ):
     """Static predictor for crossval; only the prior counts come from the folds. A bad window is refused here."""
@@ -511,7 +519,7 @@ def odd_word(model: EmbeddingModel, words):
     return min(w for w, m in means.items() if m == worst)
 
 
-def analogy_mrr(model: EmbeddingModel, quads, list_len: int = 100):
+def analogy_mrr(model: EmbeddingModel, quads, list_len: int = LIST_LEN):
     """Mean reciprocal rank of d among neighbors of b - a + c, or 0 past list_len."""
     if not model.vectors:
         raise DataError("no word vectors to rank")

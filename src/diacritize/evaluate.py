@@ -14,6 +14,10 @@ from .corpus import Corpus, TokenKind, normalize, replace_on_success, strip_diac
 from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, FoldError, ModelError
 
+# The fold count and the fold seed when none is given.
+FOLDS = 10
+SEED = 0
+
 
 @dataclass
 class ConfusionMatrix:
@@ -56,7 +60,7 @@ class CrossvalResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def stratified_folds(instances, k: int = 10, seed: int = 0) -> list[list[int]]:
+def stratified_folds(instances, k: int = FOLDS, seed: int = SEED) -> list[list[int]]:
     """Partition instance indices into k folds with near-identical label mixes.
 
     Within each fold every label's count differs from floor(label_total / k)
@@ -81,7 +85,7 @@ def stratified_folds(instances, k: int = 10, seed: int = 0) -> list[list[int]]:
     return folds
 
 
-def fold_plan(aset: AmbiguousSet, k: int = 10, seed: int = 0):
+def fold_plan(aset: AmbiguousSet, k: int = FOLDS, seed: int = SEED):
     """The folds crossval walks, as a list of (fold_no, train, test), and its warning.
 
     A set too small to fold is one train-on-all entry, with fold_no None and a
@@ -99,7 +103,7 @@ def fold_plan(aset: AmbiguousSet, k: int = 10, seed: int = 0):
     return plan, None
 
 
-def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = 10, seed: int = 0):
+def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = FOLDS, seed: int = SEED):
     """k-fold evaluation of one ambiguous set, as a CrossvalResult, or of each set of a list, as a list.
 
     fit(train_instances) must return a predictor: instance -> variant surface.

@@ -34,6 +34,8 @@ from .errors import ModelError, ParseError
 # The paper goes up to 5; an order past the longest line adds only empty levels.
 # Pipeline files of any order still load.
 MAX_ORDER = 20
+# The order `train ngram` uses when -n is not given.
+ORDER = 5
 
 
 @dataclass
@@ -345,7 +347,8 @@ def model_from_payload(payload: dict, variant_index) -> NGramModel:
     if type(max_n) is not int or max_n < 1:
         raise ParseError(f"n-gram max_n must be a positive integer, got {max_n!r}")
     ks = [level["k"] for level in levels]
-    if not all(type(k) is int for k in ks) or sorted(ks) != list(range(1, max_n + 1)):
+    # The count first: max_n may be too large for a list of its ks.
+    if len(ks) != max_n or not all(type(k) is int for k in ks) or sorted(ks) != list(range(1, max_n + 1)):
         raise ParseError(f"n-gram model needs one level for each k in 1..{max_n}, got k = {ks!r}")
     counts: list[dict] = [dict() for _ in range(max_n)]
     for level in sorted(levels, key=lambda level: level["k"]):

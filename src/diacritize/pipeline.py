@@ -67,7 +67,7 @@ def build_maps(corpus, sets, lowercase: bool = True):
     return unambiguous, index
 
 
-def build_ngram_pipeline(corpus, sets, n: int = 5, lowercase: bool = True) -> Pipeline:
+def build_ngram_pipeline(corpus, sets, n: int = ngram.ORDER, lowercase: bool = True) -> Pipeline:
     prepared = ngram.prepare(corpus, lowercase)
     unambiguous, index = build_maps(prepared, sets, lowercase)
     candidates = {key: [v for v, _ in variants] for key, variants in index.items()}
@@ -82,7 +82,7 @@ def build_ngram_pipeline(corpus, sets, n: int = 5, lowercase: bool = True) -> Pi
 
 
 def build_classifier_pipeline(
-    corpus, sets, kind: str = classify.LOGISTIC, window: int = 9,
+    corpus, sets, kind: str = classify.LOGISTIC, window: int = classify.WINDOW,
     hyper: classify.Hyper | None = None, lowercase: bool = True,
 ) -> Pipeline:
     unambiguous, index = build_maps(corpus, sets, lowercase)
@@ -99,7 +99,7 @@ def build_classifier_pipeline(
 
 def build_embedding_pipeline(
     corpus, sets, vectors_path, scheme: str = embed.BASIC,
-    window: int | None = 11, top_n: int = 50, lowercase: bool = True,
+    window: int | None = embed.WINDOW, top_n: int = embed.TOP_N, lowercase: bool = True,
 ) -> Pipeline:
     unambiguous, index = build_maps(corpus, sets, lowercase)
     model = embed.load_vectors(vectors_path)

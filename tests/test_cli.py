@@ -2,6 +2,7 @@ import argparse
 import builtins
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram
+from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
 from diacritize.cli import build_parser, main
 from diacritize.corpus import strip_diacritics
 from diacritize.errors import ModelError
@@ -728,6 +729,18 @@ class TestGoldenClassifierBytes:
 
     def test_cv_nb_report(self, capsys, tmp_path):
         assert self.cv_report(capsys, tmp_path, "clf:multinomial_nb") == CV_NB_REPORT_SHA
+
+    @pytest.mark.parametrize("rows", [None, 20])
+    def test_cv_trains_each_group_through_fit_instances(self, capsys, tmp_path, monkeypatch, rows):
+        """CV takes the training entry of `train clf`: one fit_instances call per cv_groups group."""
+        if rows is not None:
+            monkeypatch.setattr(classify, "_CV_BATCH_ROWS", rows)
+        calls = []
+        real = classify.fit_instances
+        monkeypatch.setattr(classify, "fit_instances", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert self.cv_report(capsys, tmp_path) == CV_CLF_REPORT_SHA
+        groups = list(classify.cv_groups(datasetgen.read_dataset(GOLDEN), 3))
+        assert len(calls) == len(groups) and (rows is None or len(groups) > 1)
 
     def test_train_clf_reads_no_ngram_counts(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -1471,6 +1484,53 @@ class TestFlagTable:
             "intrinsic analogy": {},
             "intrinsic wordsim": {},
         }
+
+    def test_each_default_is_the_library_definition_its_flag_feeds(self):
+        """Every default setting has one home: parsing a leaf's required arguments
+        gives each flag the definition of the module that owns the setting."""
+        hyper, gates = classify.Hyper, datasetgen.GenParams
+        homes = {
+            "dataset": {"varnt_rep": gates.varnt_rep, "wdkey_rep": gates.wdkey_rep,
+                        "varnt_distrib": gates.varnt_distrib},
+            "train ngram": {"n": ngram.ORDER},
+            "train clf": {"window": classify.WINDOW, "epochs": hyper.epochs, "lr": hyper.learning_rate,
+                          "l2": hyper.l2, "seed": hyper.seed},
+            "train emb": {"window": embed.WINDOW, "top_n": embed.TOP_N},
+            "enhance": {"top_n": embed.TOP_N},
+            "eval cv": {"top_n": embed.TOP_N, "k": evaluate.FOLDS, "seed": evaluate.SEED},
+            "intrinsic analogy": {"list_len": embed.LIST_LEN},
+        }  # 16 flags for 14 settings: three commands take --top-n
+        for command, expected in homes.items():
+            args = vars(build_parser().parse_args([*command.split(), *LEAF_ARGV[command]]))
+            got = {dest: args[dest] for dest in expected}
+            assert got == expected, command
+            assert all(type(got[d]) is type(v) for d, v in expected.items()), command
+        assert (classify.WINDOW, embed.WINDOW, embed.TOP_N, evaluate.FOLDS, evaluate.SEED, ngram.ORDER,
+                embed.LIST_LEN) == (9, 11, 50, 10, 0, 5, 100)
+
+    def test_each_library_default_is_its_modules_definition(self):
+        homes = [
+            (classify.extract_window, "n", classify.WINDOW),
+            (classify.fit_instances, "window", classify.WINDOW),
+            (classify.cv_fitter, "window", classify.WINDOW),
+            (pipeline.build_classifier_pipeline, "window", classify.WINDOW),
+            (embed.EmbeddingRestorer, "window", embed.WINDOW),
+            (embed.cv_fitter, "window", embed.WINDOW),
+            (pipeline.build_embedding_pipeline, "window", embed.WINDOW),
+            (embed.build_cowords, "top_n", embed.TOP_N),
+            (embed.EmbeddingRestorer, "top_n", embed.TOP_N),
+            (pipeline.build_embedding_pipeline, "top_n", embed.TOP_N),
+            (evaluate.stratified_folds, "k", evaluate.FOLDS),
+            (evaluate.fold_plan, "k", evaluate.FOLDS),
+            (evaluate.crossval, "k", evaluate.FOLDS),
+            (evaluate.stratified_folds, "seed", evaluate.SEED),
+            (evaluate.fold_plan, "seed", evaluate.SEED),
+            (evaluate.crossval, "seed", evaluate.SEED),
+            (pipeline.build_ngram_pipeline, "n", ngram.ORDER),
+            (embed.analogy_mrr, "list_len", embed.LIST_LEN),
+        ]
+        for fn, name, home in homes:
+            assert inspect.signature(fn).parameters[name].default == home, (fn.__qualname__, name)
 
     @pytest.mark.parametrize("command", sorted(LEAF_FLAGS))
     def test_a_flag_of_another_command_exits_one_with_usage(self, capsys, command):

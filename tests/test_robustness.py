@@ -15,6 +15,10 @@ import json
 import math
 import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ LINES = (
     + ["ha kwera sí ya oma"] * 8
     + ["otu onye bia ."] * 4
 )
+SRC = Path(__file__).resolve().parents[1] / "src"
 RESTORE_INPUT = "nwanyi kwuru si ya oma\nHa kwera SI ya .\notu 3 bia si\n"
 OTHER_TYPES = ["null", "true", "7", "2.5", '"x"', "[]", "{}"]
 
@@ -398,10 +403,12 @@ def test_integer_too_large_for_a_float_is_a_data_error(field, files, tmp_path, c
     _, source = number_field(doc, field)
     (source[field][0] if rows else source[field])[0] = 10**400
     clf = refused_numbers(doc, field, files, tmp_path, capsys, "10**400")
-    # The reader raises OverflowError, as float() does; load_pipeline reports it as a malformed file.
-    with pytest.raises(OverflowError, match="int too large to convert to float"):
+    # The refusal names the field, and the pipeline's names the wordkey too.
+    message = f"classifier {field} must hold finite JSON numbers, of shape"
+    with pytest.raises(classify.ParseError, match=f"^{message}"):
         classify.classifier_from_payload(clf)
-    with pytest.raises(pipeline.ParseError, match="malformed pipeline file: int too large to convert to float"):
+    key = next(iter(doc["restorer"]["models"]))
+    with pytest.raises(pipeline.ParseError, match=re.escape(f": classifier for wordkey {key!r}: {message}")):
         pipeline.load_pipeline(tmp_path / "pipe.json")
 
 
@@ -697,6 +704,59 @@ def test_ngram_max_n_or_k_that_is_not_an_integer_is_a_data_error_at_load(how, fi
     restore_refused(spec, files, tmp_path, capsys, how)
     with pytest.raises(ngram.ParseError, match="n-gram"):
         ngram.model_from_payload(spec["restorer"]["model"], {})
+
+
+def test_ngram_max_n_past_the_level_count_is_refused_before_anything_is_built(files, tmp_path):
+    """max_n is checked against the number of levels first, so a huge one builds no list of its ks.
+
+    The command runs in a child with its address space capped at 1.5 GB: a
+    reader that built range(1, max_n + 1) would ask for terabytes and end
+    there in MemoryError instead of taking the host's memory.
+    """
+    spec = json.loads((files / "ngram.json").read_text(encoding="utf-8"))
+    model = spec["restorer"]["model"]
+    model["max_n"], model["levels"] = 10**12, model["levels"][:1]
+    path, out = tmp_path / "pipe.json", tmp_path / "out.txt"
+    path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "from diacritize import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["restore", "--model", str(path), "--in", str(files / "in.txt"), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == (
+        f"diacritize: data error: {path}: n-gram model needs one level for each k in 1..{10**12}, got k = [1]\n"
+    )
+    assert proc.returncode == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("header", ["0 100000000000000000000", "2 4611686018427387904"])
+def test_vectors_dim_that_no_array_can_hold_is_a_data_error_at_line_1(header, files, tmp_path, capsys):
+    vectors = tmp_path / "wide.vec"
+    vectors.write_text(header + "\n", encoding="utf-8")
+    argv, _ = reader_command("vectors", files, tmp_path, lambda good, dst: str(vectors))
+    run_data_error(argv, header, capsys)
+    message = f"{vectors}:1: dim must be at most {sys.maxsize // 8}, got "
+    with pytest.raises(embed.ParseError, match=re.escape(message)):
+        embed.load_vectors(vectors)
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("weights", "classifier weights must hold finite JSON numbers, of shape"),
+    ("window", "malformed: 'window'"),
+])
+def test_a_classifier_refusal_names_its_wordkey(field, reason, files, tmp_path, capsys):
+    spec, clf = classifier_spec(files)
+    if field == "weights":
+        clf["weights"][0].pop()
+    else:
+        del clf[field]
+    key = next(iter(spec["restorer"]["models"]))
+    err = restore_refused(spec, files, tmp_path, capsys, field)
+    assert err.startswith(f"diacritize: data error: {tmp_path / 'pipe.json'}: classifier for wordkey {key!r}: {reason}")
 
 
 @pytest.mark.parametrize("top_n", ["2.5", "true", "-1", '"50"', "null", "50.0"])

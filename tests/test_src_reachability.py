@@ -176,7 +176,7 @@ def test_every_imported_name_is_used():
 # builtin sum() adds floats with compensation, so these add left to right.
 NO_BUILTIN_SUM = (
     "Vectorizer.transform", "_unit_tfidf", "_term_table", "_fold_set", "predict_scores", "predict", "_fit_sgd",
-    "_train_folds", "TextClassifier.predict_at",
+    "fit_instances", "TextClassifier.predict_at",
 )
 
 
@@ -208,7 +208,7 @@ def test_scoring_and_training_never_call_builtin_sum():
 NO_NUMPY_REDUCTION = ("_fit_sgd", "_term_table", "_fold_set")
 # Functions that train naive Bayes too, whose one numpy reduction is _fit_nb's
 # row totals: numpy's sum there gives the bits that naive Bayes models keep.
-NO_NUMPY_REDUCTION_BUT_NB = ("_train_models", "_train_folds", "fit_instances", "cv_fitter")
+NO_NUMPY_REDUCTION_BUT_NB = ("_train_models", "fit_instances", "cv_fitter")
 
 
 def is_numpy_reduction(node: ast.AST) -> bool:
