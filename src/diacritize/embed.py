@@ -1,7 +1,8 @@
 """Embedding-based restoration: projection, variant enhancement, intrinsic tasks.
 
 Pretrained vectors are consumed from word2vec text files, whose values are
-parsed in one C pass (`load_vectors`). Cross-lingual projection assigns each
+parsed in one C pass (`load_vectors`); a header whose dim no float64 array
+can shape is refused at line 1. Cross-lingual projection assigns each
 target word the count-weighted average of its aligned source words' vectors.
 Variant vectors can be enhanced toward the centroid of their exclusive
 co-occurring words, counted once per occurrence over its sentence or window
@@ -12,7 +13,10 @@ and the cross-validation predictor read a line's keys and the token's index
 through one function, `restore_or_majority`; each builds its variants' coword
 sets when it is built, so a call only scores. An embedding pipeline names its
 vectors file by path and records the file's byte size, dim, word count and
-sha256, which loading checks.
+sha256, which loading checks. The family's defaults are defined here once:
+the restorer's context window (WINDOW), the cowords kept per variant
+(TOP_N) and the analogy task's list length (LIST_LEN); the pipeline
+builder and the command line read them.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ TWEAK2 = "tweak2"
 TWEAK3 = "tweak3"
 SCHEMES = (BASIC, TWEAK1, TWEAK2, TWEAK3)
 
-# The defaults: the restorer's context window, the cowords kept per variant,
-# and the ranked list length of the analogy task.
 WINDOW = 11
 TOP_N = 50
 LIST_LEN = 100
