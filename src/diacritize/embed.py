@@ -16,7 +16,9 @@ vectors file by path and records the file's byte size, dim, word count and
 sha256, which loading checks. The family's defaults are defined here once:
 the restorer's context window (WINDOW), the cowords kept per variant
 (TOP_N) and the analogy task's list length (LIST_LEN); the pipeline
-builder and the command line read them.
+builder and the command line read them. The rules for a window and a top_n
+are defined here once too (`check_settings`): the coword builder, the
+pipeline builder and the pipeline loader refuse the same values.
 """
 
 from __future__ import annotations
@@ -228,6 +230,19 @@ def project(source: EmbeddingModel, align: dict[str, list[tuple[str, int]]]) -> 
     return EmbeddingModel(dim=source.dim, vectors=vectors)
 
 
+def check_settings(window, top_n) -> None:
+    """Refuse, with the pipeline loader's ParseError, a window or a top_n it would refuse.
+
+    A window is None (the whole sentence) or odd and at least 3; top_n is a
+    non-negative integer. Building checks both as loading does, so that what
+    is built can be saved and loaded again.
+    """
+    if window is not None and not odd_window(window):
+        raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
+    if type(top_n) is not int or top_n < 0:
+        raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
+
+
 def build_cowords(
     corpus: Corpus,
     sets,
@@ -239,7 +254,9 @@ def build_cowords(
 
     Co-occurrences are counted over word tokens in the marked corpus, within
     the whole sentence by default or a symmetric window of the given width.
+    The window and top_n follow `check_settings`.
     """
+    check_settings(window, top_n)
     siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}
     counters: dict[str, Counter[str]] = {v: Counter() for aset in sets for v, _ in aset.variants}
     word_kind = TokenKind.WORD
@@ -436,20 +453,16 @@ class EmbeddingRestorer:
             raise ParseError("embedding pipeline lacks a vectors_path")
         if not isinstance(vectors_path, str):
             raise ParseError("embedding vectors_path must be a string")
-        scheme, window = spec["scheme"], spec["window"]
+        scheme, window, top_n = spec["scheme"], spec["window"], spec.get("top_n", TOP_N)
         if scheme not in SCHEMES:
             raise ParseError(f"unknown embedding scheme: {scheme!r}")
-        if window is not None and not odd_window(window):
-            raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
+        check_settings(window, top_n)
         cowords = {v: [(w, c) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
         entries = [entry for pairs in (cowords or {}).values() for entry in pairs]
         if not all(isinstance(w, str) and type(c) is int and c >= 0 for w, c in entries):
             raise ParseError("embedding cowords must be [word, non-negative integer count] pairs")
         if scheme in (TWEAK2, TWEAK3) and cowords is None:
             raise ParseError(f"scheme {scheme} needs a coword table")
-        top_n = spec.get("top_n", TOP_N)
-        if type(top_n) is not int or top_n < 0:
-            raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
         # Pipelines written before the fingerprint have none (or null), and load unchecked.
         recorded = spec.get("vectors_fingerprint")
         if recorded is not None and not (

@@ -110,11 +110,14 @@ def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = FOLDS, seed:
     It is called for every fold of every set, in fold_plan order, before any
     fold is scored, and each predictor goes once its fold is scored:
     classify.cv_fitter and ngram.cv_fitter build a fold's model at its first
-    prediction. A set too small to fold is scored train-on-all with a warning,
-    and an error from that fit propagates; a fold whose training raises
-    DataError or ModelError is scored against the majority variant of its
-    training data and recorded as failed.
+    prediction. k below 2 is a DataError, raised before any fit. A set too
+    small to fold is scored train-on-all with a warning, and an error from that
+    fit propagates; a fold whose training raises DataError or ModelError is
+    scored against the majority variant of its training data and recorded as
+    failed.
     """
+    if k < 2:
+        raise DataError(f"cross-validation needs k >= 2 folds, got {k}")
     walks = []
     for one in aset if isinstance(aset, list) else [aset]:
         result = CrossvalResult(matrix=ConfusionMatrix(classes=[v for v, _ in one.variants]), fold_accuracies=[])

@@ -2,18 +2,20 @@
 
 Counts are maximum-likelihood tables for k = 1..max_n, indexed by context:
 level k maps each context of k-1 marked left tokens to its row, the count of
-every variant seen after it. Contexts nest: each context at k >= 2 has its
-one-word-shorter suffix at k-1, which `train` guarantees and the loader
-checks. Restoration scores the candidates of a wordkey at the largest
-context first and backs off one level whenever the counts give no unique
-maximum, down to the unigram floor. It finds that largest context from the
-bottom up, one row lookup per order: by nesting, no context above the first
-unseen one is seen either. Context words left of the target are themselves
-restored first, left to right, so later decisions see marked context. Each
-restored form depends only on the tokens to its left, so one left-to-right
-walk, `datasetgen.route`, serves both `restore` and `restore_instance`, and
-each hands every ambiguous token to `NGramRestorer.predict_instance` with the
-restored forms left of it.
+every variant seen after it. A model's order, max_n, is its level count.
+Contexts nest: each context at k >= 2 has its one-word-shorter suffix at
+k-1, which `train` guarantees and the loader checks. Restoration scores the
+candidates of a wordkey at the largest context first and backs off one level
+whenever the counts give no unique maximum, down to the unigram floor. It
+finds that largest context from the bottom up, one row lookup per order: by
+nesting, no context above the first unseen one is seen either. Context words
+left of the target are themselves restored first, left to right, so later
+decisions see marked context. Each restored form depends only on the tokens
+to its left, so one left-to-right walk, `datasetgen.route`, serves both
+`restore` and `restore_instance`, and each hands every ambiguous token to
+`NGramRestorer.predict_instance` with the restored forms left of it.
+Training lowercases a corpus as `prepare` does by default; to keep case,
+pass `prepare(corpus, lowercase=False)` to `train` or `cv_fitter`.
 
 Cross-validation counts once per run: `shared_counts` scans the corpus for
 candidate occurrences and counts the full tables at the largest order asked
@@ -48,10 +50,10 @@ class PreparedCorpus:
 
 @dataclass
 class NGramModel:
-    max_n: int
     # counts[k - 1] maps each context (a tuple of k - 1 marked tokens) to its
-    # row {variant: count}; a cross-validation fold holds read-through
-    # `_FoldLevel`s instead.
+    # row {variant: count}, for k = 1..max_n: the model's order is
+    # len(counts). A cross-validation fold holds read-through `_FoldLevel`s
+    # instead.
     counts: list[dict[tuple[str, ...], dict[str, int]]]
     variant_index: dict[str, list[str]]
     # The unambiguous map of `restore_instance`'s walk, shared read-only with
@@ -92,7 +94,7 @@ def train_from_occurrences(
     counts: list[dict] = [dict() for _ in range(max_n)]
     _count(prepared.lines, occurrences, counts)
     index = {k: sorted(vs) for k, vs in candidates.items()}
-    return NGramModel(max_n=max_n, counts=counts, variant_index=index, unambiguous=prepared.unambiguous)
+    return NGramModel(counts=counts, variant_index=index, unambiguous=prepared.unambiguous)
 
 
 def _count(lines: list[list[str]], occurrences, counts: list[dict]) -> None:
@@ -110,19 +112,14 @@ def _count(lines: list[list[str]], occurrences, counts: list[dict]) -> None:
             row[surface] = row.get(surface, 0) + 1
 
 
-def train(
-    corpus,
-    max_n: int,
-    candidates: dict[str, list[str]],
-    lowercase: bool = True,
-) -> NGramModel:
+def train(corpus, max_n: int, candidates: dict[str, list[str]]) -> NGramModel:
     """Count the context rows of every occurrence of an indexed variant.
 
     candidates maps wordkey -> list of variant surfaces (from the generated
-    dataset). lowercase applies to a Corpus only: a PreparedCorpus is lowered
-    already. `fold_model` counts without a fold's held-out lines.
+    dataset). A Corpus is prepared lowercased; pass a PreparedCorpus to keep
+    case. `fold_model` counts without a fold's held-out lines.
     """
-    prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
+    prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus)
     occurrences = find_occurrences(prepared, candidates)
     return train_from_occurrences(prepared, occurrences, max_n, candidates)
 
@@ -138,7 +135,7 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
         return variants[0]
     counts = model.counts
     rows = []
-    for k in range(2, min(n, model.max_n, len(left) + 1) + 1):
+    for k in range(2, min(n, len(counts), len(left) + 1) + 1):
         row = counts[k - 1].get(tuple(left[1 - k :]))
         if row is None:
             break
@@ -157,19 +154,17 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
     return majority_variant([(v, unigrams.get(v, 0)) for v in variants])
 
 
-def _variants(model: NGramModel, wordkey: str) -> list[str]:
-    variants = model.variant_index.get(wordkey)
-    if variants is None:
-        raise ModelError(f"wordkey not in variant index: {wordkey!r}")
-    return variants
-
-
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
-    """Restore the instance target, walking its keys up to it as `restore` does, with `NGramRestorer`."""
-    if not (1 <= n <= model.max_n):
-        raise ModelError(f"n must be in 1..{model.max_n}, got {n}")
+    """Restore the instance target, walking its keys up to it as `restore` does, with `NGramRestorer`.
+
+    The target is the one key that may lie outside the model's index, and is refused with ModelError.
+    """
+    max_n = len(model.counts)
+    if not (1 <= n <= max_n):
+        raise ModelError(f"n must be in 1..{max_n}, got {n}")
     keys = [strip_diacritics(w) for w in inst.tokens[: inst.target + 1]]
-    _variants(model, keys[-1])  # an unknown target raises ModelError
+    if keys[-1] not in model.variant_index:
+        raise ModelError(f"wordkey not in variant index: {keys[-1]!r}")
     return route(keys, model.variant_index, model.unambiguous, NGramRestorer(model, n).predict_instance)[-1]
 
 
@@ -181,8 +176,8 @@ class NGramRestorer:
     n: int
 
     def predict_instance(self, keys, i: int, restored: list[str]) -> str:
-        """restored holds the restored forms of keys[:i]."""
-        return _choose(self.model, restored, _variants(self.model, keys[i]), self.n)
+        """restored holds the restored forms of keys[:i]; keys[i] is a key of the model's index."""
+        return _choose(self.model, restored, self.model.variant_index[keys[i]], self.n)
 
     def to_payload(self) -> dict:
         return {"n": self.n, "model": model_payload(self.model)}
@@ -190,9 +185,9 @@ class NGramRestorer:
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "NGramRestorer":
         model = model_from_payload(spec["model"], variant_index)
-        n = spec["n"]
-        if type(n) is not int or not (1 <= n <= model.max_n):
-            raise ParseError(f"n-gram order must be an integer in 1..{model.max_n}, got {n!r}")
+        n, max_n = spec["n"], len(model.counts)
+        if type(n) is not int or not (1 <= n <= max_n):
+            raise ParseError(f"n-gram order must be an integer in 1..{max_n}, got {n!r}")
         return cls(model=model, n=n)
 
 
@@ -249,7 +244,7 @@ class _FoldLevel:
 def fold_model(shared: SharedCounts, skip_lines) -> NGramModel:
     """The model counted from every line but skip_lines, read off the shared count."""
     full = shared.model
-    held_out: list[dict] = [dict() for _ in range(full.max_n)]
+    held_out: list[dict] = [dict() for _ in full.counts]
     by_line = shared.occurrences_by_line
     _count(
         shared.prepared.lines,
@@ -257,14 +252,13 @@ def fold_model(shared: SharedCounts, skip_lines) -> NGramModel:
         held_out,
     )
     return NGramModel(
-        max_n=full.max_n,
         counts=[_FoldLevel(f, h) for f, h in zip(full.counts, held_out)],
         variant_index=full.variant_index,
         unambiguous=full.unambiguous,
     )
 
 
-def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: int, lowercase: bool = True):
+def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: int):
     """Build a crossval fit function that holds out test-fold sentences.
 
     Training counts come only from lines holding no held-out instance of the
@@ -274,7 +268,7 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
     occurrences per fold. Pass a
     `SharedCounts` (counted at any order >= n) to share one count across
     wordkeys and orders; given a corpus or a PreparedCorpus, the fitter
-    counts its own at order n.
+    counts its own at order n, from a Corpus lowercased as `train` counts.
 
     fit(train) notes the fold's held-out lines and returns a predictor that
     builds the fold's model at its first call. crossval fits every fold of a
@@ -289,10 +283,11 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
     if isinstance(corpus, SharedCounts):
         shared = corpus
     else:
-        prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus, lowercase)
+        prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus)
         shared = shared_counts(prepared, candidates, n)
-    if not (1 <= n <= shared.model.max_n):
-        raise ModelError(f"n must be in 1..{shared.model.max_n}, got {n}")
+    max_n = len(shared.model.counts)
+    if not (1 <= n <= max_n):
+        raise ModelError(f"n must be in 1..{max_n}, got {n}")
 
     def fit(train_instances):
         train_keys = {(i.line, i.target) for i in train_instances}
@@ -315,11 +310,10 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
 def model_payload(model: NGramModel) -> dict:
     """Each level's entries as [context, variant, count], sorted by context, then variant."""
     levels = []
-    for k in range(1, model.max_n + 1):
-        table = model.counts[k - 1]
+    for k, table in enumerate(model.counts, 1):
         entries = [[list(ctx), v, c] for ctx in sorted(table) for v, c in sorted(table[ctx].items())]
         levels.append({"k": k, "entries": entries})
-    return {"max_n": model.max_n, "levels": levels}
+    return {"max_n": len(model.counts), "levels": levels}
 
 
 def _bad_entry(k: int, ctx, v, c) -> str:
@@ -365,8 +359,4 @@ def model_from_payload(payload: dict, variant_index) -> NGramModel:
                     raise ParseError(_bad_entry(k, ctx, v, c))
                 row = table[key] = {}
             row[v] = c
-    return NGramModel(
-        max_n=max_n,
-        counts=counts,
-        variant_index={k: sorted(v for v, _ in vs) for k, vs in variant_index.items()},
-    )
+    return NGramModel(counts=counts, variant_index={k: sorted(v for v, _ in vs) for k, vs in variant_index.items()})

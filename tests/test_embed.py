@@ -435,6 +435,13 @@ class TestCowords:
         table = build_cowords(corp, self.build_sets(), top_n=1)
         assert table["ká"] == [("x", 2)]
 
+    @pytest.mark.parametrize("top_n, window", [(-1, None), (True, None), (10, 4)])
+    def test_a_setting_the_loader_refuses_is_refused(self, top_n, window):
+        # a negative top_n sliced off each variant's last coword
+        corp = corpus_from_lines(["x ká y", "x ká", "z kà"])
+        with pytest.raises(ParseError, match=r"^embedding (top_n|window) must be"):
+            build_cowords(corp, self.build_sets(), top_n=top_n, window=window)
+
     def test_window_limits_cooccurrence(self):
         corp = corpus_from_lines(["far1 far2 near ká close trail1 trail2"])
         table = build_cowords(corp, self.build_sets(), top_n=10, window=3)

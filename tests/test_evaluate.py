@@ -112,6 +112,20 @@ class TestCrossval:
         assert result.warnings
         assert result.matrix.total == 3
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_a_fold_count_below_two_is_refused_before_any_fit(self, k):
+        fits = []
+
+        def fit(train):
+            fits.append(train)
+            return lambda inst: inst.label
+
+        sets = [make_set({"a": 30, "b": 20}, "x"), make_set({"a": 2, "b": 1}, "y")]
+        for aset in (sets[0], sets[1], sets):
+            with pytest.raises(DataError, match=f"k >= 2 folds, got {k}$"):
+                crossval(fit, aset, k=k, seed=0)
+        assert fits == []
+
     def test_failed_fold_scores_majority_fallback(self):
         aset = make_set({"a": 30, "b": 20})
 

@@ -83,6 +83,16 @@ class TestTrain:
         assert ngram.find_occurrences(prepared, cands) == reference
         assert ngram.find_occurrences(prepared, {"not-its-key": [moved]}) == []
 
+    def test_a_case_kept_preparation_keeps_cased_contexts(self):
+        # prepare is the one place to choose case: train lowercases a Corpus.
+        corp = corpus_from_lines(["Zur ká", "zur kà"] * 3)
+        cands = {"ka": ["ká", "kà"]}
+        kept = ngram.train(ngram.prepare(corp, lowercase=False), 2, cands)
+        assert kept.counts[1] == {("Zur",): {"ká": 3}, ("zur",): {"kà": 3}}
+        assert ngram.restore_instance(kept, make_instance(["Zur", "ka"], 1), 2) == "ká"
+        assert ngram.restore_instance(kept, make_instance(["zur", "ka"], 1), 2) == "kà"
+        assert ngram.train(corp, 2, cands).counts[1] == {("zur",): {"ká": 3, "kà": 3}}
+
 
 class TestRestore:
     def test_unigram_majority(self):
@@ -511,14 +521,16 @@ class TestCarriedPrefix:
                 got = pipe.restorer.predict_instance(tokens, t, prefix[:t])
                 assert got == ngram.restore_instance(model, make_instance(tokens, t), 5)
 
-    def test_model_error_leaves_the_rest_of_the_line_intact(self, long_lines):
+    def test_a_key_outside_the_index_leaves_the_rest_of_the_line_intact(self, long_lines):
+        # The restorer contract hands over only keys of the index; another key
+        # is a KeyError, as in the other two families' restorers.
         pipe, lines = long_lines
         tokens = lines[2]
         expected = restore_keys(pipe, tokens)
         failures = 0
         for t in range(len(tokens)):
             if tokens[t] not in pipe.variant_index:
-                with pytest.raises(ModelError):
+                with pytest.raises(KeyError):
                     pipe.restorer.predict_instance(tokens, t, expected[:t])
                 failures += 1
         assert failures > 0
@@ -544,7 +556,7 @@ class TestPersistence:
         spec = json.loads(json.dumps(ngram.NGramRestorer(model=model, n=3).to_payload()))
         assert sorted(spec["model"]) == ["levels", "max_n"]
         again = ngram.NGramRestorer.from_payload(spec, {"ko": [(major, 1), (minor, 1)]}).model
-        assert again.max_n == model.max_n
+        assert len(again.counts) == len(model.counts) == 3
         assert again.counts == model.counts
         assert again.variant_index == model.variant_index
         # the pipeline routes unambiguous words itself; the file holds no copy

@@ -210,6 +210,30 @@ class TestPersistence:
             restore_text(pipe, stripped)
         )
 
+    @pytest.mark.parametrize(
+        "setting, value", [("window", 4), ("window", 1), ("window", True), ("top_n", -1), ("top_n", True)]
+    )
+    def test_embedding_settings_the_loader_refuses_are_refused_at_build(
+        self, setting, value, training_corpus, trained_sets, vector_file, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "pipe.json"
+        save_pipeline(build_embedding_pipeline(training_corpus, trained_sets, vector_file, scheme=embed.TWEAK1), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["restorer"][setting] = value
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(ParseError) as loaded:
+            load_pipeline(path)
+        path.unlink()
+        reads = []
+        monkeypatch.setattr(embed, "load_vectors", lambda *a: reads.append(a))
+        with pytest.raises(ParseError) as built:
+            pipe = build_embedding_pipeline(
+                training_corpus, trained_sets, vector_file, scheme=embed.TWEAK1, **{setting: value}
+            )
+            save_pipeline(pipe, path)
+        assert str(built.value) == loaded.value.message
+        assert reads == [] and not path.exists()
+
 
 # Characters that stress the JSON string escaping: diacritics, combining
 # marks, quotes, backslashes, control and separator characters, astral ones.

@@ -4,12 +4,15 @@ classes; every module in src/ uses every name it imports, the classifier's
 scoring and training loops never call sum(), its SGD training calls no numpy
 reduction, loading a pipeline reaches no numpy, the token walks bind
 TokenKind's member before they loop, and no module in src/ reads another
-module's underscore-prefixed names."""
+module's underscore-prefixed names, and every defaulted parameter is passed
+by some call in src/ or in the acceptance oracles, apart from a short
+allow-list."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diacritize"
+TESTS = Path(__file__).resolve().parent
 
 # Reached from outside src/, each with the reason it stays.
 ALLOWED = {
@@ -406,3 +409,91 @@ def test_no_module_reads_another_modules_private_names():
     }
     assert private_reads(probe) == {"a: b._hidden", "b: c._tool", "d: a._x", "e: c._tool"}
     assert private_reads({path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}) == set()
+
+
+# Defaulted parameters that no call in src/ or the acceptance oracles passes,
+# each with the reason it stays.
+UNSET_DEFAULTS = {
+    "cli.main.argv": "the console script calls main() with none; the tests and the bench pass their argv",
+    "pipeline.build_classifier_pipeline.kind": "`train clf --kind` passes it through cli._train's **options",
+    "pipeline.build_embedding_pipeline.top_n": "`train emb --top-n` passes it through cli._train's **options",
+    **{
+        f"pipeline.{build}.lowercase": "cli._train passes --lowercase to the builder it is handed"
+        for build in ("build_ngram_pipeline", "build_classifier_pipeline", "build_embedding_pipeline")
+    },
+}
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> set[str]:
+    """"module.function.parameter" (or "module.Class.method.parameter") for each
+    defaulted parameter of a function or method in sources that no call in
+    callers passes.
+
+    Calls match by name only, as unreferenced_functions does: `f(...)` and
+    `x.f(...)` both call every f, and calling a class calls its __init__. A
+    call passes a parameter by its keyword, or by position when it holds that
+    many positional arguments or a starred one; a method's self or cls is not
+    counted. A `**` argument passes nothing it does not name.
+    """
+    params = []  # (qualified, called name, parameter, position or None, positional-only)
+    for stem, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name, f,
+                     0 if any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list) else 1)
+                    for f in node.body if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for qualified, called, fn, bound in functions:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                for pos in range(len(positional) - len(args.defaults), len(positional)):
+                    arg = positional[pos]
+                    params.append((f"{stem}.{qualified}.{arg.arg}", called, arg.arg, pos - bound, arg in args.posonlyargs))
+                params += [
+                    (f"{stem}.{qualified}.{arg.arg}", called, arg.arg, None, False)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+                ]
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+
+    def passes(call: ast.Call, name: str, position, positional_only: bool) -> bool:
+        if not positional_only and any(keyword.arg == name for keyword in call.keywords):
+            return True
+        return position is not None and any(
+            isinstance(arg, ast.Starred) or i == position for i, arg in enumerate(call.args)
+        )
+
+    return {
+        qualified
+        for qualified, called, name, position, positional_only in params
+        if not any(passes(call, name, position, positional_only) for call in calls.get(called, ()))
+    }
+
+
+def test_every_default_is_set_by_some_call():
+    probe = {
+        "m": "\n".join([
+            "def a(x, y=1, *, z=2):\n    pass",
+            "def b(x, y=1, /):\n    pass",
+            "def c(x=0, y=1):\n    pass",
+            "class K:\n    def __init__(self, v=0):\n        pass\n    def m(self, w=0):\n        pass",
+            "    @staticmethod\n    def s(w=0):\n        pass",
+        ])
+    }
+    callers = [
+        "a(1, 2)\nb(1, y=2)\nc(*xs)\nK()\nk.m(1)\nK.s(**options)\n",
+        "a(1, z=3)\n",
+    ]
+    assert unset_defaults(probe, callers) == {"m.b.y", "m.K.__init__.v", "m.K.s.w"}
+    assert unset_defaults(probe, callers[:1]) == {"m.a.z", "m.b.y", "m.K.__init__.v", "m.K.s.w"}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    oracles = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("test_acceptance*.py"))]
+    assert unset_defaults(sources, [*sources.values(), *oracles]) == set(UNSET_DEFAULTS)
