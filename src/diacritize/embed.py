@@ -16,9 +16,8 @@ vectors file by path and records the file's byte size, dim, word count and
 sha256, which loading checks. The family's defaults are defined here once:
 the restorer's context window (WINDOW), the cowords kept per variant
 (TOP_N) and the analogy task's list length (LIST_LEN); the pipeline
-builder and the command line read them. The rules for a window and a top_n
-are defined here once too (`check_settings`): the coword builder, the
-pipeline builder and the pipeline loader refuse the same values.
+builder and the command line read them. `check_settings` holds the rules
+for a window and a top_n, which building and loading both apply.
 """
 
 from __future__ import annotations
@@ -231,12 +230,7 @@ def project(source: EmbeddingModel, align: dict[str, list[tuple[str, int]]]) -> 
 
 
 def check_settings(window, top_n) -> None:
-    """Refuse, with the pipeline loader's ParseError, a window or a top_n it would refuse.
-
-    A window is None (the whole sentence) or odd and at least 3; top_n is a
-    non-negative integer. Building checks both as loading does, so that what
-    is built can be saved and loaded again.
-    """
+    """Refuse, with ParseError, a window (None, or odd and >= 3) or a top_n (an int >= 0) outside its rule."""
     if window is not None and not odd_window(window):
         raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
     if type(top_n) is not int or top_n < 0:
@@ -254,7 +248,6 @@ def build_cowords(
 
     Co-occurrences are counted over word tokens in the marked corpus, within
     the whole sentence by default or a symmetric window of the given width.
-    The window and top_n follow `check_settings`.
     """
     check_settings(window, top_n)
     siblings = {v: [o for o, _ in aset.variants if o != v] for aset in sets for v, _ in aset.variants}

@@ -157,7 +157,7 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
     """Restore the instance target, walking its keys up to it as `restore` does, with `NGramRestorer`.
 
-    The target is the one key that may lie outside the model's index, and is refused with ModelError.
+    A target outside the model's index, the one key the walk does not check, is a ModelError.
     """
     max_n = len(model.counts)
     if not (1 <= n <= max_n):

@@ -101,7 +101,7 @@ def build_embedding_pipeline(
     corpus, sets, vectors_path, scheme: str = embed.BASIC,
     window: int | None = embed.WINDOW, top_n: int = embed.TOP_N, lowercase: bool = True,
 ) -> Pipeline:
-    embed.check_settings(window, top_n)  # refused here as load_pipeline would refuse the file
+    embed.check_settings(window, top_n)  # as load_pipeline checks the file
     unambiguous, index = build_maps(corpus, sets, lowercase)
     model = embed.load_vectors(vectors_path)
     fingerprint = embed.vectors_fingerprint(vectors_path, model)
