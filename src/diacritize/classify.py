@@ -97,15 +97,14 @@ class Hyper:
         return 0.1 if kind == PERCEPTRON else 0.01
 
 
-def odd_window(n) -> bool:
-    """The window rule: an odd integer of at least 3 (a bool is not one)."""
-    return type(n) is int and n >= 3 and n % 2 == 1
-
-
 def check_window(n) -> None:
-    """Refuse, with DataError, a window size that breaks the window rule (odd_window)."""
-    if not odd_window(n):
-        raise DataError(f"window size must be an odd integer >= 3, got {n}")
+    """The window rule, an odd integer of at least 3 (a bool is not one); ParseError refuses the rest.
+
+    The command line, the builders, the cv fitters, the loaders and every
+    extract_window call apply it.
+    """
+    if not (type(n) is int and n >= 3 and n % 2 == 1):
+        raise ParseError(f"window size must be an odd integer >= 3, got {n!r}")
 
 
 def _sticky(tokens, i: int, n: int):
@@ -791,12 +790,14 @@ class TextClassifier:
 def fit_instances(groups, kind: str, window: int = WINDOW, hyper: Hyper | None = None) -> list[TextClassifier]:
     """One classifier per group of instances, each with the bits it would get alone.
 
-    Every group is checked before anything is built, and the first that
-    cannot train raises train_classifier's error for it. The term_counts of
-    each distinct instance's window make one term table, dropped before
-    training; _fold_set builds each group from its rows, and _train_models
-    trains all.
+    The hyperparameters (check_hyper) and every group are checked before
+    anything is built, and the first group that cannot train raises
+    train_classifier's error for it; extract_window checks the window. The
+    term_counts of each distinct instance's window make one term table,
+    dropped before training; _fold_set builds each group from its rows, and
+    _train_models trains all.
     """
+    check_hyper(hyper)
     classes = [_instance_classes(kind, group) for group in groups]
     distinct = {id(inst): inst for group in groups for inst in group}
     table = _term_table([term_counts(extract_window(i.tokens, i.target, window)) for i in distinct.values()])
@@ -813,8 +814,8 @@ def fit_instances(groups, kind: str, window: int = WINDOW, hyper: Hyper | None =
 def cv_fitter(kind: str, window: int = WINDOW, hyper: Hyper | None = None):
     """A per-fold fit for CV, over any number of wordkeys; the folds train together.
 
-    An unknown kind (ModelError) or a bad window (DataError) is refused here,
-    before any fold. fit(train) checks the fold at once, so an untrainable
+    An unknown kind (ModelError), or a window or hyperparameter outside its
+    rule (ParseError), is refused here, before any fold. fit(train) checks the fold at once, so an untrainable
     fold raises there, then queues it and returns a predictor. The first
     prediction from any queued fold trains the whole queue, every fold of the
     group of sets that crossval was given, in one fit_instances call. Each
@@ -824,6 +825,7 @@ def cv_fitter(kind: str, window: int = WINDOW, hyper: Hyper | None = None):
     if kind not in KINDS:
         raise ModelError(f"unknown classifier kind: {kind!r}")
     check_window(window)
+    check_hyper(hyper)
     queue: list[tuple[list[Instance], list]] = []  # each fold's training instances, and a list for its classifier
 
     def fit(train_instances):
@@ -901,13 +903,14 @@ def _finite_number(value) -> bool:
     return type(value) in _NUMBER and abs(value) <= sys.float_info.max
 
 
-def checked_hyper(fields: dict) -> Hyper:
-    """Hyperparameters, each checked before Hyper is built: a classifier file's, or `train clf`'s flags'.
+def check_hyper(hyper: Hyper | None) -> None:
+    """The hyperparameter rules; ParseError names the first field that breaks its rule. None is the defaults.
 
     A rate steps down the gradient only when it is positive, and a negative
-    L2 term would grow the weights it should shrink.
+    L2 term would grow the weights it should shrink. `train clf`'s flags, the
+    loader, fit_instances and cv_fitter apply them.
     """
-    for name, value in fields.items():
+    for name, value in vars(hyper or Hyper()).items():
         if name == "epochs":
             ok, rule = type(value) is int and value >= 1, "an integer >= 1"
         elif name == "seed":
@@ -922,7 +925,6 @@ def checked_hyper(fields: dict) -> Hyper:
                 ok, rule = value >= 0, "a number >= 0"
         if not ok:
             raise ParseError(f"classifier hyper {name} must be {rule}, got {value!r}")
-    return Hyper(**fields)
 
 
 def classifier_from_payload(payload: dict) -> TextClassifier:
@@ -930,8 +932,7 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     if kind not in KINDS:
         raise ParseError(f"unknown classifier kind: {kind!r}")
     window = payload["window"]
-    if not odd_window(window):
-        raise ParseError(f"classifier window must be an odd integer >= 3, got {window!r}")
+    check_window(window)
     vocabulary = payload["vocabulary"]
     indices = vocabulary.values()
     if not set(map(type, indices)) <= {int} or sorted(indices) != list(range(len(vocabulary))):
@@ -944,7 +945,8 @@ def classifier_from_payload(payload: dict) -> TextClassifier:
     counts_ok = type(class_counts) is list and len(class_counts) == len(classes)
     if not counts_ok or not all(type(c) is int and c >= 0 for c in class_counts):
         raise ParseError("classifier class_counts must be a list of one non-negative integer per class")
-    hyper = checked_hyper(payload["hyper"])
+    hyper = Hyper(**payload["hyper"])
+    check_hyper(hyper)
     n_classes, n_features = len(classes), len(vocabulary)
     nb = kind == MULTINOMIAL_NB
     source = payload["nb_params"] if nb else payload

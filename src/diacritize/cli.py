@@ -8,8 +8,10 @@ Each leaf command takes only the flags its handler reads. `--seed`,
 them, each with that command's default: `--lowercase` is off for `stats`
 and on elsewhere. Every default but `--lowercase`'s is read from the
 module that owns the setting, so a flag and the library function it feeds
-agree. A flag the command does not take, or one shortened to a prefix, is a
-usage error.
+agree; so is every rule a flag's value must keep. Each command checks its
+flags' values with their owners' functions before it reads any input, and a
+refusal prints the owner's message. A flag the command does not take, or one
+shortened to a prefix, is a usage error.
 Exit codes: 0 success, 1 usage, 2 data error, 3 model error.
 """
 
@@ -176,24 +178,6 @@ def main(argv=None) -> int:
         return 2
 
 
-def _window(window: int | None) -> int | None:
-    if window is not None and not classify.odd_window(window):
-        raise DataError(f"--window must be an odd integer >= 3, got {window}")
-    return window
-
-
-def _order(n: int) -> int:
-    if not 1 <= n <= ngram.MAX_ORDER:
-        raise DataError(f"n-gram order must be in 1..{ngram.MAX_ORDER}, got {n}")
-    return n
-
-
-def _top_n(top_n: int) -> int:
-    if top_n < 0:
-        raise DataError(f"--top-n must be >= 0, got {top_n}")
-    return top_n
-
-
 def _cmd_stats(args) -> int:
     corp = corpus.load_corpus(args.corpus)
     text = corpus.compute_stats(corp, lowercase=args.lowercase).to_json()
@@ -231,25 +215,24 @@ def _train(args, build, **options) -> int:
 
 
 def _cmd_train_ngram(args) -> int:
-    return _train(args, pipeline.build_ngram_pipeline, n=_order(args.n))
+    ngram.check_order(args.n)
+    return _train(args, pipeline.build_ngram_pipeline, n=args.n)
 
 
 def _cmd_train_clf(args) -> int:
-    # The loader's rule, so that what train writes, restore reads.
-    hyper = classify.checked_hyper(
-        {"learning_rate": args.lr, "epochs": args.epochs, "l2": args.l2, "seed": args.seed}
-    )
-    window = _window(args.window)
-    return _train(args, pipeline.build_classifier_pipeline, kind=args.kind, window=window, hyper=hyper)
+    hyper = classify.Hyper(learning_rate=args.lr, epochs=args.epochs, l2=args.l2, seed=args.seed)
+    classify.check_hyper(hyper)
+    classify.check_window(args.window)
+    return _train(args, pipeline.build_classifier_pipeline, kind=args.kind, window=args.window, hyper=hyper)
 
 
 def _cmd_train_emb(args) -> int:
-    window, top_n = _window(args.window), _top_n(args.top_n)
+    embed.check_settings(args.window, args.top_n)
     if not args.vectors:
         raise DataError("train emb requires --vectors")
     return _train(
         args, pipeline.build_embedding_pipeline,
-        vectors_path=args.vectors, scheme=args.scheme, window=window, top_n=top_n,
+        vectors_path=args.vectors, scheme=args.scheme, window=args.window, top_n=args.top_n,
     )
 
 
@@ -263,11 +246,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    window, top_n = _window(args.window), _top_n(args.top_n)  # window None: the whole sentence
+    embed.check_settings(args.window, args.top_n)  # window None: the whole sentence
     model = embed.load_vectors(args.vectors)
     corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.read_dataset(args.dataset)
-    cowords = embed.build_cowords(corp, sets, top_n=top_n, window=window, lowercase=args.lowercase)
+    cowords = embed.build_cowords(corp, sets, top_n=args.top_n, window=args.window, lowercase=args.lowercase)
     enhanced = embed.enhance(model, cowords, scheme=args.scheme)
     embed.save_vectors(enhanced, args.out)
     print(f"wrote enhanced vectors ({args.scheme}) to {args.out}")
@@ -290,14 +273,14 @@ def _cmd_restore(args) -> int:
 def _parse_restorer_spec(spec: str):
     family, _, detail = spec.partition(":")
     if family == "ngram":
-        if not detail.isdecimal():
-            raise DataError(f"expected ngram:N with N in 1..{ngram.MAX_ORDER}, got {spec!r}")
-        return family, _order(int(detail))
+        n = int(detail) if detail.isdecimal() else detail
+        ngram.check_order(n)
+        return family, n
     if family == "clf" and detail not in classify.KINDS:
         raise DataError(f"expected clf:KIND with KIND in {classify.KINDS}, got {spec!r}")
-    if family == "emb" and detail not in embed.SCHEMES:
-        raise DataError(f"expected emb:SCHEME with SCHEME in {embed.SCHEMES}, got {spec!r}")
-    if family not in ("clf", "emb"):
+    if family == "emb":
+        embed.check_scheme(detail)
+    elif family != "clf":
         raise DataError(f"unknown restorer family in {spec!r}")
     return family, detail
 
@@ -324,11 +307,10 @@ def _cmd_cv(args) -> int:
     if not (args.dataset and args.restorer):
         raise DataError("eval cv requires --dataset and at least one --restorer")
     specs = [_parse_restorer_spec(s) for s in args.restorer]
-    if args.k < 2:
-        raise DataError(f"eval cv needs -k >= 2 folds, got {args.k}")
+    evaluate.check_folds(args.k)
+    embed.check_settings(args.window, args.top_n)
     # Without --window, each family's fitter takes its own default window.
-    window = {} if args.window is None else {"window": _window(args.window)}
-    top_n = _top_n(args.top_n)
+    window = {} if args.window is None else {"window": args.window}
     embedded = any(f == "emb" for f, _ in specs)
     if embedded and not args.vectors:
         raise DataError("emb restorers need --vectors")
@@ -347,7 +329,7 @@ def _cmd_cv(args) -> int:
     # one coword table every enhanced embedding scheme.
     prepared = ngram.prepare(corp, args.lowercase) if orders else None
     ngram_counts = ngram.shared_counts(prepared, candidates, max(orders)) if orders else None
-    cowords = embed.build_cowords(corp, sets, top_n=top_n, lowercase=args.lowercase) if tweaked else None
+    cowords = embed.build_cowords(corp, sets, top_n=args.top_n, lowercase=args.lowercase) if tweaked else None
 
     reports: dict[str, evaluate.MetricReport] = {}
     payload = {}
@@ -408,8 +390,7 @@ def _cmd_oddword(args) -> int:
 
 
 def _cmd_analogy(args) -> int:
-    if args.list_len < 1:
-        raise DataError(f"--list-len must be >= 1, got {args.list_len}")
+    embed.check_list_len(args.list_len)
     model, quads = embed.load_vectors(args.vectors), embed.load_analogy_tsv(args.data)
     score = embed.analogy_mrr(model, quads, list_len=args.list_len)
     print(f"analogy mrr {score:.4f} over {len(quads)} quads (list length {args.list_len})")

@@ -16,8 +16,11 @@ vectors file by path and records the file's byte size, dim, word count and
 sha256, which loading checks. The family's defaults are defined here once:
 the restorer's context window (WINDOW), the cowords kept per variant
 (TOP_N) and the analogy task's list length (LIST_LEN); the pipeline
-builder and the command line read them. `check_settings` holds the rules
-for a window and a top_n, which building and loading both apply.
+builder and the command line read them. Each rule has one home too:
+`check_settings` holds the window's and top_n's, `check_scheme` the
+scheme's and `check_list_len` the list length's. The command line, the
+builder, the cv fitter and the loader apply them, each to the settings it
+takes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .corpus import Corpus, TokenKind, open_text, replace_on_success
 from .datasetgen import AmbiguousSet, majority_variant
 from .errors import DataError, ModelError, ParseError
-from .classify import check_window, extract_window, odd_window
+from .classify import check_window, extract_window
 
 log = logging.getLogger(__name__)
 
@@ -230,11 +233,23 @@ def project(source: EmbeddingModel, align: dict[str, list[tuple[str, int]]]) -> 
 
 
 def check_settings(window, top_n) -> None:
-    """Refuse, with ParseError, a window (None, or odd and >= 3) or a top_n (an int >= 0) outside its rule."""
-    if window is not None and not odd_window(window):
-        raise ParseError(f"embedding window must be null or an odd integer >= 3, got {window!r}")
+    """The embedding window and top_n rules; ParseError refuses the first setting that breaks its rule.
+
+    A window is None, the whole sentence, or a classifier window
+    (classify.check_window); a top_n is an integer >= 0. The command line, the
+    builder, build_cowords and the loader apply both; cv_fitter, which takes no
+    top_n, passes TOP_N.
+    """
+    if window is not None:
+        check_window(window)
     if type(top_n) is not int or top_n < 0:
         raise ParseError(f"embedding top_n must be a non-negative integer, got {top_n!r}")
+
+
+def check_scheme(scheme) -> None:
+    """The scheme rule, one of SCHEMES; ParseError refuses the rest."""
+    if scheme not in SCHEMES:
+        raise ParseError(f"unknown embedding scheme: {scheme!r}")
 
 
 def build_cowords(
@@ -311,8 +326,7 @@ def enhance(
     variants skipped, for want of a vector or of a coword with one, are
     logged as one warning per call: a pipeline enhances on every load.
     """
-    if scheme not in SCHEMES:
-        raise ModelError(f"unknown enhancement scheme: {scheme!r}")
+    check_scheme(scheme)
     vectors = dict(model.vectors)
     if scheme == BASIC:
         return EmbeddingModel(dim=model.dim, vectors=vectors)
@@ -447,8 +461,7 @@ class EmbeddingRestorer:
         if not isinstance(vectors_path, str):
             raise ParseError("embedding vectors_path must be a string")
         scheme, window, top_n = spec["scheme"], spec["window"], spec.get("top_n", TOP_N)
-        if scheme not in SCHEMES:
-            raise ParseError(f"unknown embedding scheme: {scheme!r}")
+        check_scheme(scheme)
         check_settings(window, top_n)
         cowords = {v: [(w, c) for w, c in pairs] for v, pairs in spec["cowords"].items()} or None
         entries = [entry for pairs in (cowords or {}).values() for entry in pairs]
@@ -492,9 +505,9 @@ def cv_fitter(
     window: int | None = WINDOW,
     cowords: dict[str, list[tuple[str, int]]] | None = None,
 ):
-    """Static predictor for crossval; only the prior counts come from the folds. A bad window is refused here."""
-    if window is not None:
-        check_window(window)
+    """Static predictor for crossval; only the prior counts come from the folds. A bad scheme or window is refused here."""
+    check_scheme(scheme)
+    check_settings(window, TOP_N)
     allowed = coword_sets(scheme, cowords, [v for v, _ in aset.variants])
 
     def fit(train_instances):
@@ -527,8 +540,15 @@ def odd_word(model: EmbeddingModel, words):
     return min(w for w, m in means.items() if m == worst)
 
 
+def check_list_len(list_len) -> None:
+    """The analogy list length rule, an integer >= 1; DataError refuses the rest."""
+    if type(list_len) is not int or list_len < 1:
+        raise DataError(f"analogy list length must be an integer >= 1, got {list_len!r}")
+
+
 def analogy_mrr(model: EmbeddingModel, quads, list_len: int = LIST_LEN):
-    """Mean reciprocal rank of d among neighbors of b - a + c, or 0 past list_len."""
+    """Mean reciprocal rank of d among neighbors of b - a + c, or 0 past list_len (check_list_len)."""
+    check_list_len(list_len)
     if not model.vectors:
         raise DataError("no word vectors to rank")
     vocab = sorted(model.vectors)

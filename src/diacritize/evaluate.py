@@ -60,14 +60,21 @@ class CrossvalResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def check_folds(k) -> None:
+    """The fold count rule, an integer k >= 2 (a bool is not one); DataError refuses the rest."""
+    if type(k) is not int or k < 2:
+        raise DataError(f"cross-validation needs an integer k >= 2 folds, got {k!r}")
+
+
 def stratified_folds(instances, k: int = FOLDS, seed: int = SEED) -> list[list[int]]:
     """Partition instance indices into k folds with near-identical label mixes.
 
     Within each fold every label's count differs from floor(label_total / k)
-    by at most one. Deterministic for a given seed.
+    by at most one. Deterministic for a given seed. A k outside the fold
+    count rule (check_folds) is a DataError, and too few instances to fill k
+    folds a FoldError.
     """
-    if k < 2:
-        raise FoldError(f"k must be >= 2, got {k}")
+    check_folds(k)
     if len(instances) < k:
         raise FoldError(f"{len(instances)} instances cannot fill {k} folds")
     by_label: dict[str, list[int]] = {}
@@ -89,7 +96,8 @@ def fold_plan(aset: AmbiguousSet, k: int = FOLDS, seed: int = SEED):
     """The folds crossval walks, as a list of (fold_no, train, test), and its warning.
 
     A set too small to fold is one train-on-all entry, with fold_no None and a
-    warning; a set that folds has no warning (None).
+    warning; a set that folds has no warning (None). A k outside the fold
+    count rule (check_folds) is a DataError, never a train-on-all entry.
     """
     try:
         folds = stratified_folds(aset.instances, k=k, seed=seed)
@@ -110,14 +118,13 @@ def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = FOLDS, seed:
     It is called for every fold of every set, in fold_plan order, before any
     fold is scored, and each predictor goes once its fold is scored:
     classify.cv_fitter and ngram.cv_fitter build a fold's model at its first
-    prediction. k below 2 is a DataError, raised before any fit. A set too
-    small to fold is scored train-on-all with a warning, and an error from that
+    prediction. A k outside the fold count rule (check_folds) is a DataError,
+    raised before any fit, for any number of sets. A set too small to fold is scored train-on-all with a warning, and an error from that
     fit propagates; a fold whose training raises DataError or ModelError is
     scored against the majority variant of its training data and recorded as
     failed.
     """
-    if k < 2:
-        raise DataError(f"cross-validation needs k >= 2 folds, got {k}")
+    check_folds(k)
     walks = []
     for one in aset if isinstance(aset, list) else [aset]:
         result = CrossvalResult(matrix=ConfusionMatrix(classes=[v for v, _ in one.variants]), fold_accuracies=[])

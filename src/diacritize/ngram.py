@@ -15,7 +15,9 @@ to its left, so one left-to-right walk, `datasetgen.route`, serves both
 `restore` and `restore_instance`, and each hands every ambiguous token to
 `NGramRestorer.predict_instance` with the restored forms left of it.
 Training lowercases a corpus as `prepare` does by default; to keep case,
-pass `prepare(corpus, lowercase=False)` to `train` or `cv_fitter`.
+pass `prepare(corpus, lowercase=False)` to `train` or `cv_fitter`. Every
+entry that takes an order, from the command line to the loader, refuses one
+outside the order rule with `check_order`'s message.
 
 Cross-validation counts once per run: `shared_counts` scans the corpus for
 candidate occurrences and counts the full tables at the largest order asked
@@ -32,12 +34,26 @@ from .corpus import Corpus, strip_diacritics, variant_counts
 from .datasetgen import AmbiguousSet, Instance, majority_forms, majority_variant, route
 from .errors import ModelError, ParseError
 
-# The largest order `train ngram -n` and `eval cv --restorer ngram:N` accept.
-# The paper goes up to 5; an order past the longest line adds only empty levels.
+# The largest order a model is counted at: by `train ngram -n`, `eval cv
+# --restorer ngram:N`, the builder and the cv fitter (check_order). The paper
+# goes up to 5; an order past the longest line adds only empty levels.
 # Pipeline files of any order still load.
 MAX_ORDER = 20
 # The order `train ngram` uses when -n is not given.
 ORDER = 5
+
+
+def check_order(n, top: int = MAX_ORDER) -> None:
+    """The order rule, an integer in 1..top (a bool is not one); ParseError refuses the rest.
+
+    top is MAX_ORDER for an order to count at, and a model's level count for
+    an order to read it at: the loader, restore_instance and cv_fitter given
+    a SharedCounts pass len(model.counts).
+    """
+    if type(n) is not int or n < 1:
+        raise ParseError(f"n-gram order must be an integer >= 1, got {n!r}")
+    if n > top:
+        raise ParseError(f"n-gram order must be at most {top}, got {n}")
 
 
 @dataclass
@@ -89,8 +105,7 @@ def train_from_occurrences(
     max_n: int,
     candidates: dict[str, list[str]],
 ) -> NGramModel:
-    if max_n < 1:
-        raise ModelError(f"max_n must be >= 1, got {max_n}")
+    check_order(max_n)
     counts: list[dict] = [dict() for _ in range(max_n)]
     _count(prepared.lines, occurrences, counts)
     index = {k: sorted(vs) for k, vs in candidates.items()}
@@ -159,9 +174,7 @@ def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
 
     A target outside the model's index, the one key the walk does not check, is a ModelError.
     """
-    max_n = len(model.counts)
-    if not (1 <= n <= max_n):
-        raise ModelError(f"n must be in 1..{max_n}, got {n}")
+    check_order(n, len(model.counts))
     keys = [strip_diacritics(w) for w in inst.tokens[: inst.target + 1]]
     if keys[-1] not in model.variant_index:
         raise ModelError(f"wordkey not in variant index: {keys[-1]!r}")
@@ -185,10 +198,8 @@ class NGramRestorer:
     @classmethod
     def from_payload(cls, spec: dict, variant_index) -> "NGramRestorer":
         model = model_from_payload(spec["model"], variant_index)
-        n, max_n = spec["n"], len(model.counts)
-        if type(n) is not int or not (1 <= n <= max_n):
-            raise ParseError(f"n-gram order must be an integer in 1..{max_n}, got {n!r}")
-        return cls(model=model, n=n)
+        check_order(spec["n"], len(model.counts))
+        return cls(model=model, n=spec["n"])
 
 
 @dataclass
@@ -285,9 +296,7 @@ def cv_fitter(corpus, aset: AmbiguousSet, candidates: dict[str, list[str]], n: i
     else:
         prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare(corpus)
         shared = shared_counts(prepared, candidates, n)
-    max_n = len(shared.model.counts)
-    if not (1 <= n <= max_n):
-        raise ModelError(f"n must be in 1..{max_n}, got {n}")
+    check_order(n, len(shared.model.counts))
 
     def fit(train_instances):
         train_keys = {(i.line, i.target) for i in train_instances}

@@ -8,6 +8,12 @@ routing key is a word, checked at load, so non-words always echo; and every
 form strips to its key, also checked at load, so restoring a word only adds
 marks and re-cases it. The maps are built from the training corpus and
 serialized with the model, so restoration needs no corpus at inference time.
+
+A builder refuses each setting that `load_pipeline` would refuse in its
+file, with the loader's message and before anything is written: the n-gram
+builder through `ngram.train` (`ngram.check_order`), the classifier builder
+through `classify.fit_instances` (`classify.check_window` and
+`check_hyper`), and the embedding builder before it reads the vectors.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ def build_embedding_pipeline(
     corpus, sets, vectors_path, scheme: str = embed.BASIC,
     window: int | None = embed.WINDOW, top_n: int = embed.TOP_N, lowercase: bool = True,
 ) -> Pipeline:
-    embed.check_settings(window, top_n)  # as load_pipeline checks the file
+    # As load_pipeline checks the file, before the vectors are read.
+    embed.check_scheme(scheme)
+    embed.check_settings(window, top_n)
     unambiguous, index = build_maps(corpus, sets, lowercase)
     model = embed.load_vectors(vectors_path)
     fingerprint = embed.vectors_fingerprint(vectors_path, model)

@@ -1121,6 +1121,24 @@ class TestCvSetup:
             evaluate.crossval(classify.cv_fitter(kind, window=window), aset, 3, 0)
         assert fits == []
 
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", 0), ("l2", -1.0), ("learning_rate", 0.0), ("seed", 1.5), ("alpha", math.nan)]
+    )
+    def test_a_hyperparameter_the_loader_refuses_is_refused_by_both_training_entries(self, field, value, monkeypatch):
+        fits = []
+        real = classify._instance_classes
+        monkeypatch.setattr(classify, "_instance_classes", lambda *a: fits.append(a) or real(*a))
+        hyper = Hyper(**{field: value})
+        with pytest.raises(DataError) as owner:
+            classify.check_hyper(hyper)
+        assert str(owner.value).startswith(f"classifier hyper {field} must be ")
+        with pytest.raises(DataError) as at_cv:
+            classify.cv_fitter(LOGISTIC, window=5, hyper=hyper)
+        with pytest.raises(DataError) as at_fit:
+            fit_instances([cv_instances(12, 30)], LOGISTIC, window=5, hyper=hyper)
+        assert str(at_cv.value) == str(at_fit.value) == str(owner.value)
+        assert fits == []
+
 
 class TestOneTablePerFitInstances:
     """fit_instances lays out one term table for all its groups, and each group keeps the bits it trains to alone."""

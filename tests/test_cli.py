@@ -19,7 +19,7 @@ import pytest
 from diacritize import classify, corpus, datasetgen, embed, evaluate, ngram, pipeline
 from diacritize.cli import build_parser, main
 from diacritize.corpus import strip_diacritics
-from diacritize.errors import ModelError
+from diacritize.errors import DataError, ModelError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -546,32 +546,55 @@ class TestEval:
         assert not report.exists()
 
 
-class TestFlagRanges:
-    """A --window, --top-n, --list-len, n-gram order or `train clf` hyperparameter that no command
-    accepts exits 2 before any work."""
+# An input path that exists nowhere.
+MISSING = "no-such-dir/no-such-input"
 
-    def check_rejected(self, capsys, tmp_path, argv, out_flag):
+
+def owner_message(check, *args) -> str:
+    """The message of the library's own check for a setting value its rule refuses."""
+    with pytest.raises(DataError) as refused:
+        check(*args)
+    return str(refused.value)
+
+
+class TestFlagRanges:
+    """A --window, --top-n, --list-len, -k, n-gram order or `train clf` hyperparameter that no command
+    accepts exits 2 before any work, with the message of the function that owns the setting's rule."""
+
+    def check_rejected(self, capsys, tmp_path, argv, out_flag, message):
+        # Every input path is missing: the exact message shows that none was opened.
         out = tmp_path / "out"
         code, stdout, err = run(capsys, *argv, out_flag, str(out))
-        assert code == 2
-        assert stdout == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("diacritize: data error: ")
+        assert (code, stdout) == (2, "")
+        assert err == f"diacritize: data error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
     @pytest.mark.parametrize("family", ["clf", "emb"])
-    def test_train_window(self, capsys, tmp_path, dataset_file, vectors_file, family, window):
-        vectors = ["--vectors", vectors_file] if family == "emb" else []
-        argv = ["train", family, FIXTURE, "--dataset", dataset_file, *vectors, "--window", window]
-        self.check_rejected(capsys, tmp_path, argv, "-o")
+    def test_train_window(self, capsys, tmp_path, family, window):
+        vectors = ["--vectors", MISSING] if family == "emb" else []
+        argv = ["train", family, MISSING, "--dataset", MISSING, *vectors, "--window", window]
+        owner = (classify.check_window,) if family == "clf" else (embed.check_settings, embed.TOP_N)
+        message = owner_message(owner[0], int(window), *owner[1:])
+        self.check_rejected(capsys, tmp_path, argv, "-o", message)
 
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
     @pytest.mark.parametrize("restorer", ["clf:logistic", "emb:basic"])
-    def test_cv_window(self, capsys, tmp_path, dataset_file, vectors_file, restorer, window):
-        argv = ["eval", "cv", "--corpus", FIXTURE, "--dataset", dataset_file, "--vectors", vectors_file,
+    def test_cv_window(self, capsys, tmp_path, restorer, window):
+        argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--vectors", MISSING,
                 "--restorer", restorer, "-k", "3", "--window", window]
-        self.check_rejected(capsys, tmp_path, argv, "--report")
+        self.check_rejected(capsys, tmp_path, argv, "--report", owner_message(classify.check_window, int(window)))
+
+    @pytest.mark.parametrize("n", ["0", str(ngram.MAX_ORDER + 1), "2000", "x", ""])
+    def test_cv_ngram_order(self, capsys, tmp_path, n):
+        argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--restorer", f"ngram:{n}", "-k", "3"]
+        message = owner_message(ngram.check_order, int(n) if n.isdecimal() else n)
+        self.check_rejected(capsys, tmp_path, argv, "--report", message)
+
+    @pytest.mark.parametrize("k", ["1", "0", "-2"])
+    def test_cv_folds(self, capsys, tmp_path, k):
+        argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--restorer", "ngram:2", "-k", k]
+        self.check_rejected(capsys, tmp_path, argv, "--report", owner_message(evaluate.check_folds, int(k)))
 
     def test_window_zero_is_not_the_default(self, capsys, tmp_path):
         default, zero = tmp_path / "default.json", tmp_path / "zero.json"
@@ -582,9 +605,9 @@ class TestFlagRanges:
         assert not zero.exists()
 
     @pytest.mark.parametrize("n", ["0", str(ngram.MAX_ORDER + 1), "2000"])
-    def test_train_ngram_order(self, capsys, tmp_path, dataset_file, n):
-        argv = ["train", "ngram", FIXTURE, "--dataset", dataset_file, "-n", n]
-        self.check_rejected(capsys, tmp_path, argv, "-o")
+    def test_train_ngram_order(self, capsys, tmp_path, n):
+        argv = ["train", "ngram", MISSING, "--dataset", MISSING, "-n", n]
+        self.check_rejected(capsys, tmp_path, argv, "-o", owner_message(ngram.check_order, int(n)))
 
     def test_train_ngram_takes_the_largest_order(self, capsys, tmp_path, dataset_file):
         out = tmp_path / "pipe.json"
@@ -594,10 +617,11 @@ class TestFlagRanges:
         assert json.loads(out.read_text(encoding="utf-8"))["restorer"]["n"] == ngram.MAX_ORDER
 
     @pytest.mark.parametrize("window", ["0", "4", "-1"])
-    def test_enhance_window(self, capsys, tmp_path, dataset_file, vectors_file, window):
-        argv = ["enhance", "--vectors", vectors_file, "--corpus", FIXTURE, "--dataset", dataset_file,
+    def test_enhance_window(self, capsys, tmp_path, window):
+        argv = ["enhance", "--vectors", MISSING, "--corpus", MISSING, "--dataset", MISSING,
                 "--window", window]
-        self.check_rejected(capsys, tmp_path, argv, "-o")
+        message = owner_message(embed.check_settings, int(window), embed.TOP_N)
+        self.check_rejected(capsys, tmp_path, argv, "-o", message)
 
     def test_enhance_accepts_an_odd_window(self, capsys, tmp_path, dataset_file, vectors_file):
         out = tmp_path / "out.vec"
@@ -609,14 +633,14 @@ class TestFlagRanges:
     @pytest.mark.parametrize(
         "argv, out_flag",
         [
-            (["train", "emb", FIXTURE, "--scheme", "tweak1"], "-o"),
-            (["enhance", "--corpus", FIXTURE], "-o"),
-            (["eval", "cv", "--corpus", FIXTURE, "--restorer", "emb:tweak1", "-k", "3"], "--report"),
+            (["train", "emb", MISSING, "--scheme", "tweak1"], "-o"),
+            (["enhance", "--corpus", MISSING], "-o"),
+            (["eval", "cv", "--corpus", MISSING, "--restorer", "emb:tweak1", "-k", "3"], "--report"),
         ],
     )
-    def test_negative_top_n(self, capsys, tmp_path, dataset_file, vectors_file, argv, out_flag):
-        argv = [*argv, "--dataset", dataset_file, "--vectors", vectors_file, "--top-n", "-1"]
-        self.check_rejected(capsys, tmp_path, argv, out_flag)
+    def test_negative_top_n(self, capsys, tmp_path, argv, out_flag):
+        argv = [*argv, "--dataset", MISSING, "--vectors", MISSING, "--top-n", "-1"]
+        self.check_rejected(capsys, tmp_path, argv, out_flag, owner_message(embed.check_settings, None, -1))
 
     @pytest.mark.parametrize(
         "flag, value, rule",
@@ -635,7 +659,9 @@ class TestFlagRanges:
                                 "--dataset", str(tmp_path / "no-sets.jsonl"), flag, value, "-o", str(out))
         assert (code, stdout) == (2, "")
         assert err.startswith(f"diacritize: data error: classifier hyper {rule}, got ")
-        assert len(err.splitlines()) == 1
+        field = {"--lr": "learning_rate", "--l2": "l2", "--epochs": "epochs"}[flag]
+        hyper = classify.Hyper(**{field: (int if flag == "--epochs" else float)(value)})
+        assert err == f"diacritize: data error: {owner_message(classify.check_hyper, hyper)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -669,13 +695,11 @@ class TestFlagRanges:
         assert run(capsys, "restore", "--model", str(out), "--in", FIXTURE)[0] == 0
 
     @pytest.mark.parametrize("list_len", ["0", "-3"])
-    def test_analogy_list_len(self, capsys, tmp_path, vectors_file, list_len):
-        quads = tmp_path / "an.tsv"
-        quads.write_text("ákwà\tákwá\tógè\tògè\n", encoding="utf-8")
-        code, stdout, err = run(capsys, "intrinsic", "analogy", "--vectors", vectors_file, "--data", str(quads),
+    def test_analogy_list_len(self, capsys, list_len):
+        code, stdout, err = run(capsys, "intrinsic", "analogy", "--vectors", MISSING, "--data", MISSING,
                                 "--list-len", list_len)
         assert (code, stdout) == (2, "")
-        assert err == f"diacritize: data error: --list-len must be >= 1, got {list_len}\n"
+        assert err == f"diacritize: data error: {owner_message(embed.check_list_len, int(list_len))}\n"
 
 
 class TestGoldenEmbeddingCvBytes:

@@ -439,7 +439,7 @@ class TestCowords:
     def test_a_setting_the_loader_refuses_is_refused(self, top_n, window):
         # a negative top_n sliced off each variant's last coword
         corp = corpus_from_lines(["x ká y", "x ká", "z kà"])
-        with pytest.raises(ParseError, match=r"^embedding (top_n|window) must be"):
+        with pytest.raises(ParseError, match=r"^(embedding top_n|window size) must be"):
             build_cowords(corp, self.build_sets(), top_n=top_n, window=window)
 
     def test_window_limits_cooccurrence(self):
@@ -521,7 +521,7 @@ class TestEnhance:
         assert "ghost" not in out.vectors
 
     def test_unknown_scheme(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ParseError, match="^unknown embedding scheme: 'tweak9'$"):
             enhance(model_of(v=[1.0]), {}, scheme="tweak9")
 
 
@@ -696,6 +696,13 @@ class TestAnalogy:
         model = self.build_rank_model(5)
         assert analogy_mrr(model, [("a", "b", "c", "d")], list_len=3) == 0.0
 
+    @pytest.mark.parametrize("list_len", [0, -3, True, 3.0])
+    def test_a_list_length_outside_the_rule_is_refused(self, list_len):
+        # a list of no words would score every quad 0.0
+        model = self.build_rank_model(5)
+        with pytest.raises(DataError, match=rf"^analogy list length must be an integer >= 1, got {list_len!r}$"):
+            analogy_mrr(model, [("a", "b", "c", "d")], list_len=list_len)
+
     def test_oov_d_scores_zero_and_mean_over_quads(self):
         model = self.build_rank_model(1)
         score = analogy_mrr(model, [("a", "b", "c", "d"), ("a", "b", "c", "missing")])
@@ -838,6 +845,14 @@ class TestCvFitter:
         fit = embed.cv_fitter(model, aset, scheme=BASIC, window=None)
         predictor = fit(aset.instances[:6])
         assert predictor(aset.instances[0]) == "ká"
+
+    @pytest.mark.parametrize("scheme", ["bogus", None])
+    def test_an_unknown_scheme_is_refused_when_built(self, scheme):
+        # it used to score as basic
+        model = model_of(**{"ká": [1.0, 0.0], "kà": [0.0, 1.0]})
+        aset = AmbiguousSet(wordkey="ka", variants=[("ká", 6), ("kà", 4)], instances=[])
+        with pytest.raises(ParseError, match=f"^unknown embedding scheme: {scheme!r}$"):
+            embed.cv_fitter(model, aset, scheme=scheme, window=None)
 
     @pytest.mark.parametrize("window", [4, 1, True, 9.0])
     def test_a_bad_window_is_refused_when_built_and_scores_no_fold(self, window, monkeypatch):

@@ -78,8 +78,10 @@ class TestStratifiedFolds:
         aset = make_set({"a": 3})
         with pytest.raises(FoldError):
             stratified_folds(aset.instances, k=10, seed=0)
-        with pytest.raises(FoldError):
+        # a fold count outside the rule is no shortage of instances: fold_plan must not fold it train-on-all
+        with pytest.raises(DataError, match="k >= 2 folds, got 1$") as refused:
             stratified_folds(aset.instances, k=1, seed=0)
+        assert not isinstance(refused.value, FoldError)
 
 
 class TestCrossval:
@@ -173,6 +175,14 @@ class TestCrossval:
         for (_, train, test), test_idx in zip(plan, folds):
             assert [id(i) for i in test] == [id(aset.instances[j]) for j in test_idx]
             assert [id(i) for i in train] == [id(inst) for j, inst in enumerate(aset.instances) if j not in test_idx]
+
+    @pytest.mark.parametrize("k", [1, 0, True, 2.0])
+    def test_fold_plan_refuses_a_fold_count_outside_the_rule(self, k):
+        # never one train-on-all entry, as a set too small to fold gets
+        aset = make_set({"a": 2, "b": 1})
+        with pytest.raises(DataError, match=f"k >= 2 folds, got {k!r}$") as refused:
+            fold_plan(aset, k=k)
+        assert not isinstance(refused.value, FoldError)
 
     def test_fold_plan_of_a_set_too_small_to_fold(self):
         aset = make_set({"a": 2, "b": 1})

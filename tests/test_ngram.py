@@ -38,7 +38,7 @@ class TestTrain:
         assert all(not level for level in model.counts)
 
     def test_invalid_max_n(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ParseError, match="^n-gram order must be an integer >= 1, got 0$"):
             ngram.train(corpus_from_lines(["a b"]), 0, {})
 
     def test_suffix_context_monotonicity(self, bigram_corpus):
@@ -331,13 +331,13 @@ class TestCrossval:
         assert len(built) == 10 and set(alive) == {1}
         assert result == expected
 
-    def test_shared_count_below_the_order_is_a_model_error(self, bigram_corpus):
+    def test_an_order_above_the_shared_count_is_refused(self, bigram_corpus):
         corp, major, minor = bigram_corpus
         sets = datasetgen.generate(corp)
         aset = next(s for s in sets if s.wordkey == "ko")
         cands = {s.wordkey: [v for v, _ in s.variants] for s in sets}
         shared = ngram.shared_counts(ngram.prepare(corp), cands, 2)
-        with pytest.raises(ModelError):
+        with pytest.raises(ParseError, match="^n-gram order must be at most 2, got 3$"):
             ngram.cv_fitter(shared, aset, cands, 3)
 
     def test_restoring_never_reshapes_sentence(self, bigram_corpus):

@@ -211,28 +211,46 @@ class TestPersistence:
         )
 
     @pytest.mark.parametrize(
-        "setting, value", [("window", 4), ("window", 1), ("window", True), ("top_n", -1), ("top_n", True)]
+        "family, setting, value",
+        [("ngram", "n", True), ("ngram", "n", 0),
+         ("classifier", "epochs", 0), ("classifier", "l2", -1.0), ("classifier", "learning_rate", 0.0),
+         ("classifier", "window", 4),
+         ("embedding", "window", 4), ("embedding", "window", 1), ("embedding", "window", True),
+         ("embedding", "top_n", -1), ("embedding", "top_n", True)],
     )
-    def test_embedding_settings_the_loader_refuses_are_refused_at_build(
-        self, setting, value, training_corpus, trained_sets, vector_file, tmp_path, monkeypatch
+    def test_settings_the_loader_refuses_are_refused_at_build(
+        self, family, setting, value, training_corpus, trained_sets, vector_file, tmp_path, monkeypatch
     ):
+        build = {
+            "ngram": lambda **kw: build_ngram_pipeline(training_corpus, trained_sets, **kw),
+            "classifier": lambda **kw: build_classifier_pipeline(training_corpus, trained_sets, **kw),
+            "embedding": lambda **kw: build_embedding_pipeline(
+                training_corpus, trained_sets, vector_file, scheme=embed.TWEAK1, **kw
+            ),
+        }[family]
+        hyper = setting in ("epochs", "l2", "learning_rate")
         path = tmp_path / "pipe.json"
-        save_pipeline(build_embedding_pipeline(training_corpus, trained_sets, vector_file, scheme=embed.TWEAK1), path)
+        save_pipeline(build(), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["restorer"][setting] = value
+        specs = doc["restorer"]["models"].values() if family == "classifier" else [doc["restorer"]]
+        for spec in specs:
+            (spec["hyper"] if hyper else spec)[setting] = value
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         with pytest.raises(ParseError) as loaded:
             load_pipeline(path)
         path.unlink()
-        reads = []
-        monkeypatch.setattr(embed, "load_vectors", lambda *a: reads.append(a))
+        # The builder's first step that counts, trains or reads the vectors.
+        work = []
+        module, step = {"ngram": (ngram, "_count"), "classifier": (classify, "_train_models"),
+                        "embedding": (embed, "load_vectors")}[family]
+        monkeypatch.setattr(module, step, lambda *a: work.append(a))
         with pytest.raises(ParseError) as built:
-            pipe = build_embedding_pipeline(
-                training_corpus, trained_sets, vector_file, scheme=embed.TWEAK1, **{setting: value}
-            )
-            save_pipeline(pipe, path)
-        assert str(built.value) == loaded.value.message
-        assert reads == [] and not path.exists()
+            save_pipeline(build(**{"hyper": classify.Hyper(**{setting: value})} if hyper else {setting: value}), path)
+        # The classifier loader names the wordkey of the first model it refuses.
+        wordkey = next(iter(doc["restorer"]["models"])) if family == "classifier" else None
+        where = f"classifier for wordkey {wordkey!r}: " if wordkey else ""
+        assert loaded.value.message == where + str(built.value)
+        assert work == [] and not path.exists()
 
 
 # Characters that stress the JSON string escaping: diacritics, combining

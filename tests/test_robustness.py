@@ -534,7 +534,7 @@ def test_classifier_window_that_breaks_the_window_rule_is_a_data_error(window, f
     argv = ["restore", "--model", str(model), "--in", str(files / "in.txt"), "--out", str(out)]
     run_data_error(argv, window, capsys)
     assert not out.exists()
-    with pytest.raises(classify.ParseError, match="classifier window"):
+    with pytest.raises(classify.ParseError, match="^window size must be an odd integer >= 3, got "):
         classify.classifier_from_payload(clf)
 
 
