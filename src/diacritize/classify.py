@@ -97,6 +97,12 @@ class Hyper:
         return 0.1 if kind == PERCEPTRON else 0.01
 
 
+def check_kind(kind) -> None:
+    """The kind rule, one of KINDS; ParseError refuses the rest."""
+    if kind not in KINDS:
+        raise ParseError(f"unknown classifier kind: {kind!r}")
+
+
 def check_window(n) -> None:
     """The window rule, an odd integer of at least 3 (a bool is not one); ParseError refuses the rest.
 
@@ -350,8 +356,7 @@ def _dict_set(kind: str, X, y, n_features: int) -> _TrainingSet:
 
 def _classes(kind: str, X, y) -> list[str]:
     """The sorted classes of one training set, once the set is known to be trainable."""
-    if kind not in KINDS:
-        raise ModelError(f"unknown classifier kind: {kind!r}")
+    check_kind(kind)
     if len(X) != len(y) or not X:
         raise DataError("X and y must be nonempty and the same length")
     classes = sorted(set(y))
@@ -814,16 +819,15 @@ def fit_instances(groups, kind: str, window: int = WINDOW, hyper: Hyper | None =
 def cv_fitter(kind: str, window: int = WINDOW, hyper: Hyper | None = None):
     """A per-fold fit for CV, over any number of wordkeys; the folds train together.
 
-    An unknown kind (ModelError), or a window or hyperparameter outside its
-    rule (ParseError), is refused here, before any fold. fit(train) checks the fold at once, so an untrainable
+    A kind, window or hyperparameter outside its rule (ParseError) is refused
+    here, before any fold. fit(train) checks the fold at once, so an untrainable
     fold raises there, then queues it and returns a predictor. The first
     prediction from any queued fold trains the whole queue, every fold of the
     group of sets that crossval was given, in one fit_instances call. Each
     held-out instance is scored as restore scores a token: predict_at over
     its tokens, which are the keys its window is taken from.
     """
-    if kind not in KINDS:
-        raise ModelError(f"unknown classifier kind: {kind!r}")
+    check_kind(kind)
     check_window(window)
     check_hyper(hyper)
     queue: list[tuple[list[Instance], list]] = []  # each fold's training instances, and a list for its classifier
@@ -929,8 +933,7 @@ def check_hyper(hyper: Hyper | None) -> None:
 
 def classifier_from_payload(payload: dict) -> TextClassifier:
     kind = payload["kind"]
-    if kind not in KINDS:
-        raise ParseError(f"unknown classifier kind: {kind!r}")
+    check_kind(kind)
     window = payload["window"]
     check_window(window)
     vocabulary = payload["vocabulary"]

@@ -276,11 +276,11 @@ def _parse_restorer_spec(spec: str):
         n = int(detail) if detail.isdecimal() else detail
         ngram.check_order(n)
         return family, n
-    if family == "clf" and detail not in classify.KINDS:
-        raise DataError(f"expected clf:KIND with KIND in {classify.KINDS}, got {spec!r}")
-    if family == "emb":
+    if family == "clf":
+        classify.check_kind(detail)
+    elif family == "emb":
         embed.check_scheme(detail)
-    elif family != "clf":
+    else:
         raise DataError(f"unknown restorer family in {spec!r}")
     return family, detail
 

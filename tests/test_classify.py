@@ -1105,7 +1105,7 @@ class TestCvSetup:
     @pytest.mark.parametrize(
         "kind, window, error, message",
         [
-            ("bogus", 9, ModelError, "unknown classifier kind: 'bogus'"),
+            ("bogus", 9, DataError, "^unknown classifier kind: 'bogus'$"),
             (LOGISTIC, 4, DataError, "window size must be an odd integer >= 3, got 4"),
             (LOGISTIC, 1, DataError, "got 1"),
             (LOGISTIC, True, DataError, "got True"),

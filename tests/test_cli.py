@@ -591,6 +591,14 @@ class TestFlagRanges:
         message = owner_message(ngram.check_order, int(n) if n.isdecimal() else n)
         self.check_rejected(capsys, tmp_path, argv, "--report", message)
 
+    @pytest.mark.parametrize("restorer", ["clf:bogus", "clf:", "emb:bogus", "emb:"])
+    def test_cv_kind_and_scheme(self, capsys, tmp_path, restorer):
+        argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--vectors", MISSING,
+                "--restorer", restorer, "-k", "3"]
+        family, _, detail = restorer.partition(":")
+        owner = classify.check_kind if family == "clf" else embed.check_scheme
+        self.check_rejected(capsys, tmp_path, argv, "--report", owner_message(owner, detail))
+
     @pytest.mark.parametrize("k", ["1", "0", "-2"])
     def test_cv_folds(self, capsys, tmp_path, k):
         argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--restorer", "ngram:2", "-k", k]
