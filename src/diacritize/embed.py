@@ -189,6 +189,13 @@ def vectors_fingerprint(path, model: EmbeddingModel) -> dict:
 
 
 def save_vectors(model: EmbeddingModel, path) -> None:
+    """Write the model in word2vec text format, replacing path only on success.
+
+    A non-finite component (an overflowed mean) is a ModelError that writes
+    nothing, as in save_pipeline: load_vectors would refuse the file.
+    """
+    if not all(np.isfinite(vec).all() for vec in model.vectors.values()):
+        raise ModelError(f"{path}: not written: the vectors hold an infinite or NaN component")
     with replace_on_success(path) as fh:
         fh.write(f"{len(model.vectors)} {model.dim}\n")
         for word in model.vectors:
@@ -205,6 +212,8 @@ def load_alignment(path) -> dict[str, list[tuple[str, int]]]:
             raise ValueError("count must be an integer")
         if count <= 0:
             raise ValueError("count must be positive")
+        if count > sys.float_info.max:  # a weight of coword_mean, which is a float
+            raise ValueError(f"count must be at most {sys.float_info.max}")
         return fields[0], fields[1], count
 
     entries: dict[str, list[tuple[str, int]]] = {}
@@ -298,8 +307,14 @@ def build_cowords(
     return pruned
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coword_mean(model: EmbeddingModel, cowords):
-    """Count-weighted average of the coword vectors present in the model."""
+    """Count-weighted average of the coword vectors present in the model.
+
+    A component past the float range is infinite or NaN, which save_vectors
+    refuses, with no numpy warning; counts that sum past it are a ModelError,
+    for the mean would read 0.0.
+    """
     acc = np.zeros(model.dim)
     total = 0.0
     for word, count in cowords:
@@ -310,6 +325,8 @@ def coword_mean(model: EmbeddingModel, cowords):
         total += count
     if total == 0.0:
         return None
+    if total == math.inf:
+        raise ModelError("the counts weighting a vector mean sum past the largest float")
     return acc / total
 
 
@@ -594,12 +611,16 @@ def wordsim_pearson(model: EmbeddingModel, pairs):
         raise DataError(f"only {len(xs)} usable pairs; need at least 2")
     x = np.array(xs)
     y = np.array(ys)
-    xd = x - x.mean()
-    yd = y - y.mean()
-    denom = math.sqrt(float(np.dot(xd, xd)) * float(np.dot(yd, yd)))
-    if denom == 0.0:
-        raise DataError("zero variance in similarity scores")
-    return float(np.dot(xd, yd) / denom), len(xs)
+    with np.errstate(all="ignore"):  # scores past the float range give a non-finite r, refused below
+        xd = x - x.mean()
+        yd = y - y.mean()
+        denom = math.sqrt(float(np.dot(xd, xd)) * float(np.dot(yd, yd)))
+        if denom == 0.0:
+            raise DataError("zero variance in similarity scores")
+        r = float(np.dot(xd, yd) / denom)
+    if not (math.isfinite(denom) and math.isfinite(r)):
+        raise DataError("similarity scores too large for a Pearson r in floats")
+    return r, len(xs)
 
 
 def load_oddword_tsv(path):

@@ -2,6 +2,8 @@ import itertools
 import logging
 import math
 import random
+import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -302,6 +304,15 @@ class TestVectorIO:
             load_vectors(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_component_is_refused_and_nothing_is_written(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ModelError, match=r"not written: the vectors hold an infinite or NaN component$"):
+            save_vectors(model_of(alpha=[1.0, 2.0], beta=[0.5, value]), path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
     def test_large_file_vocab_count(self, tmp_path):
         rng = np.random.default_rng(5)
         vectors = {f"w{i}": rng.normal(size=8) for i in range(10_000)}
@@ -327,6 +338,19 @@ class TestProjection:
         out = project(src, {"w": [("e1", 2)], "gone": [("zz", 5)]})
         assert "gone" not in out.vectors
         assert "w" in out.vectors
+
+    def test_counts_that_sum_past_the_float_range_are_refused(self):
+        # their mean would divide by an infinite total and read 0.0
+        src = model_of(e1=[1.0, 0.0], e2=[0.0, 1.0])
+        with pytest.raises(ModelError, match="sum past the largest float"):
+            project(src, {"w": [("e1", 10**308), ("e2", 10**308)]})
+
+    def test_a_mean_past_the_float_range_is_not_finite_and_warns_nothing(self):
+        src = model_of(e1=[1e300, 0.0], e2=[0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(src, {"w": [("e1", 10**10), ("e2", 1)]})
+        assert out.vectors["w"][0] == math.inf
 
     def test_empty_usable_alignment_errors(self):
         src = model_of(e1=[1.0, 0.0])
@@ -395,6 +419,7 @@ class TestProjection:
             ("w\te1", "expected 3 tab-separated fields, got 2"),
             ("w\te1\tmany", "count must be an integer"),
             ("w\te1\t0", "count must be positive"),
+            (f"w\te1\t{10**309}", f"count must be at most {sys.float_info.max}"),
         ],
     )
     def test_alignment_errors_name_the_line(self, tmp_path, row, message):
@@ -788,6 +813,15 @@ class TestWordsim:
         r, used = wordsim_pearson(model, pairs)
         assert used == 5
         assert r == pytest.approx(num / den, abs=1e-12)
+
+    @pytest.mark.parametrize("scores", [(1e308, -1e308), (1e308, 1e308, -1e308)])
+    def test_scores_past_the_float_range_are_refused_without_a_warning(self, scores):
+        model = model_of(a=[1.0, 0.0], b=[0.0, 1.0], c=[1.0, 1.0], d=[1.0, -1.0])
+        pairs = [("a", w, s) for w, s in zip("bcd", scores)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^similarity scores too large for a Pearson r in floats$"):
+                wordsim_pearson(model, pairs)
 
     def test_oov_pairs_skipped_and_counted(self):
         model = model_of(a=[1.0, 0.0], b=[0.0, 1.0], c=[1.0, 1.0])

@@ -18,6 +18,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -844,6 +845,62 @@ def test_dataset_form_that_is_not_of_its_wordkey_is_a_data_error(how, files, tmp
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, f"{how}: {err!r}"
     assert err.startswith(f"diacritize: data error: {data}:{line}: "), err
     assert not out.exists()
+
+
+def test_an_alignment_count_too_large_for_a_float_is_a_data_error_at_its_line(files, tmp_path, capsys):
+    """It used to end in an OverflowError traceback once project weighed the count."""
+    align, out = tmp_path / "align.tsv", tmp_path / "out.vec"
+    align.write_text(f"oma\tsì\t1\noma\tha\t{10**400}\n", encoding="utf-8")
+    argv = ["project", "--vectors", str(files / "toy.vec"), "--align", str(align), "-o", str(out)]
+    assert run_cli(argv, "huge count") == 2
+    err = capsys.readouterr().err
+    assert err == f"diacritize: data error: {align}:2: count must be at most {sys.float_info.max}\n"
+    assert not out.exists()
+
+
+NON_FINITE_WRITES = {
+    # a coword's vector times its count overflows: the enhanced vector was written as 'inf inf'
+    "enhance": (["3 2", "ká 1.0 0.0", "kà 0.0 1.0", "x 1.7e308 1.7e308"], None,
+                "{out}: not written: the vectors hold an infinite or NaN component"),
+    # the weighted sum overflows while the counts do not
+    "project sum": (["2 2", "x 1e300 0.0", "z 0.0 1.0"], "y\tx\t10000000000\ny\tz\t1\n",
+                    "{out}: not written: the vectors hold an infinite or NaN component"),
+    # the counts overflow too: the mean was written as '0.0 nan'
+    "project counts": (["2 2", "x 2.0 1.0", "z 2.0 0.0"], f"y\tx\t{10**308}\ny\tz\t{10**308}\n",
+                       "the counts weighting a vector mean sum past the largest float"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_WRITES)
+def test_a_vector_past_the_float_range_is_a_model_error_and_writes_nothing(case, tmp_path, capsys):
+    rows, align_rows, message = NON_FINITE_WRITES[case]
+    vectors, align, out = tmp_path / "in.vec", tmp_path / "align.tsv", tmp_path / "out.vec"
+    vectors.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if case == "enhance":
+        corpus, data = tmp_path / "corpus.txt", tmp_path / "sets.jsonl"
+        corpus.write_text("x ká y\nx ká\nz kà\n", encoding="utf-8")
+        datasetgen.write_dataset(datasetgen.generate(corpus_from_lines(["x ká y", "x ká", "z kà"])), data)
+        argv = ["enhance", "--vectors", str(vectors), "--corpus", str(corpus), "--dataset", str(data),
+                "--scheme", "tweak1", "-o", str(out)]
+    else:
+        align.write_text(align_rows, encoding="utf-8")
+        argv = ["project", "--vectors", str(vectors), "--align", str(align), "-o", str(out)]
+    assert run_cli(argv, case) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"diacritize: model error: {message.format(out=out)}\n"
+    assert not out.exists()
+
+
+def test_wordsim_scores_too_large_for_a_pearson_r_are_a_data_error(tmp_path, capsys):
+    """It used to print 'wordsim pearson nan' after a numpy warning, and exit 0."""
+    vectors, data = tmp_path / "in.vec", tmp_path / "ws.tsv"
+    vectors.write_text("3 2\na 1.0 0.0\nb 0.0 1.0\nc 1.0 1.0\n", encoding="utf-8")
+    data.write_text("a\tb\t1e308\na\tc\t-1e308\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["intrinsic", "wordsim", "--vectors", str(vectors), "--data", str(data)], "wordsim") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "diacritize: data error: similarity scores too large for a Pearson r in floats\n")
 
 
 @pytest.mark.parametrize("command", ["train ngram", "eval cv", "restore"])
