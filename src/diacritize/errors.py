@@ -9,7 +9,11 @@ class DataError(Exception):
 
 
 class ParseError(DataError):
-    """A file failed to parse. Carries the 1-based line number when known."""
+    """A file failed to parse, or a setting broke its rule. Carries the 1-based line number when known.
+
+    A setting's check raises it, so that the pipeline loader, which reads
+    settings from a file, can name the file.
+    """
 
     def __init__(self, message, line=None, path=None):
         self.message = message
