@@ -190,11 +190,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    corp = corpus.load_corpus(args.corpus)
     params = datasetgen.GenParams(
         varnt_rep=args.varnt_rep, wdkey_rep=args.wdkey_rep, varnt_distrib=args.varnt_distrib,
         lowercase=args.lowercase,
     )
+    params.validate()
+    corp = corpus.load_corpus(args.corpus)
     sets = datasetgen.generate(corp, params)
     datasetgen.write_dataset(sets, args.out)
     total = sum(len(s.instances) for s in sets)
@@ -273,7 +274,8 @@ def _cmd_restore(args) -> int:
 def _parse_restorer_spec(spec: str):
     family, _, detail = spec.partition(":")
     if family == "ngram":
-        n = int(detail) if detail.isdecimal() else detail
+        # int() refuses more digits than sys.get_int_max_str_digits(): the rule then sees the string.
+        n = int(detail) if detail.isdecimal() and len(detail) <= sys.get_int_max_str_digits() else detail
         ngram.check_order(n)
         return family, n
     if family == "clf":

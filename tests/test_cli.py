@@ -585,10 +585,11 @@ class TestFlagRanges:
                 "--restorer", restorer, "-k", "3", "--window", window]
         self.check_rejected(capsys, tmp_path, argv, "--report", owner_message(classify.check_window, int(window)))
 
-    @pytest.mark.parametrize("n", ["0", str(ngram.MAX_ORDER + 1), "2000", "x", ""])
+    @pytest.mark.parametrize("n", ["0", str(ngram.MAX_ORDER + 1), "2000", "x", "", "9" * 5000])
     def test_cv_ngram_order(self, capsys, tmp_path, n):
+        # 5000 digits are more than int() reads: the rule sees the string, not a ValueError traceback
         argv = ["eval", "cv", "--corpus", MISSING, "--dataset", MISSING, "--restorer", f"ngram:{n}", "-k", "3"]
-        message = owner_message(ngram.check_order, int(n) if n.isdecimal() else n)
+        message = owner_message(ngram.check_order, int(n) if n.isdecimal() and len(n) < 5000 else n)
         self.check_rejected(capsys, tmp_path, argv, "--report", message)
 
     @pytest.mark.parametrize("restorer", ["clf:bogus", "clf:", "emb:bogus", "emb:"])
@@ -598,6 +599,11 @@ class TestFlagRanges:
         family, _, detail = restorer.partition(":")
         owner = classify.check_kind if family == "clf" else embed.check_scheme
         self.check_rejected(capsys, tmp_path, argv, "--report", owner_message(owner, detail))
+
+    @pytest.mark.parametrize("flag, value", [("--varnt-rep", "1"), ("--wdkey-rep", "0"), ("--varnt-distrib", "nan")])
+    def test_dataset_gates(self, capsys, tmp_path, flag, value):
+        params = datasetgen.GenParams(**{flag[2:].replace("-", "_"): float(value)})
+        self.check_rejected(capsys, tmp_path, ["dataset", MISSING, flag, value], "-o", owner_message(params.validate))
 
     @pytest.mark.parametrize("k", ["1", "0", "-2"])
     def test_cv_folds(self, capsys, tmp_path, k):
