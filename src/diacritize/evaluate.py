@@ -119,8 +119,9 @@ def crossval(fit, aset: AmbiguousSet | list[AmbiguousSet], k: int = FOLDS, seed:
     fold is scored, and each predictor goes once its fold is scored:
     classify.cv_fitter and ngram.cv_fitter build a fold's model at its first
     prediction. A k outside the fold count rule (check_folds) is a DataError,
-    raised before any fit, for any number of sets. A set too small to fold is scored train-on-all with a warning, and an error from that
-    fit propagates; a fold whose training raises DataError or ModelError is
+    raised before any fit, for any number of sets. A set too small to fold is
+    scored train-on-all with a warning, and an error from that fit
+    propagates; a fold whose training raises DataError or ModelError is
     scored against the majority variant of its training data and recorded as
     failed.
     """

@@ -172,7 +172,8 @@ def _choose(model: NGramModel, left: list[str], variants: list[str], n: int) -> 
 def restore_instance(model: NGramModel, inst: Instance, n: int) -> str:
     """Restore the instance target, walking its keys up to it as `restore` does, with `NGramRestorer`.
 
-    A target outside the model's index, the one key the walk does not check, is a ModelError.
+    A target outside the model's index, the one key the walk does not check, is a ModelError;
+    an n above the model's level count breaks the order rule (check_order).
     """
     check_order(n, len(model.counts))
     keys = [strip_diacritics(w) for w in inst.tokens[: inst.target + 1]]
